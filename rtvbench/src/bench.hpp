@@ -49,8 +49,8 @@ class Workload {
   virtual ~Workload() = default;
 
   /// Build the system and make it ready to take work; returns the seconds
-  /// that took.  Called before every pass and a few extra times; the last
-  /// set-up serves the next pass.
+  /// that took.  Called once before the first pass and after every pass;
+  /// each set-up serves the next pass.
   virtual double setup() = 0;
   /// One untraced pass.
   virtual void pass(Pass& out) = 0;
@@ -73,6 +73,11 @@ std::size_t bench_jobs();
 /// run_suite's own cost in one report: its wall time minus its longest
 /// record (the records of one batch run side by side).
 double suite_overhead(const rtv::SuiteReport& report);
+
+/// run_suite inside a "run_suite" span, with one engine span per record.
+rtv::SuiteReport traced_run_suite(SpanLog& log, std::int64_t parent,
+                                  std::uint64_t op, const rtv::Suite& suite,
+                                  const rtv::SuiteOptions& options);
 
 /// Sum of every point named `name` (all label sets, or exactly `labels`
 /// when given).  Histograms contribute their sum.

@@ -94,7 +94,7 @@ class FuzzCampaign final : public Workload {
       Scoped root(log, "case " + std::to_string(i), "bench", -1, op);
       // Generation, pre-flight, slice, compositions and the suite run
       // happen inside run_case; they are repeated from outside to time
-      // each one.
+      // each one, so the traced pass does this work twice.
       rtv::fuzz::Scenario sc;
       {
         Scoped s(log, "generate()", "fuzz", root.id(), op);
@@ -120,21 +120,35 @@ class FuzzCampaign final : public Workload {
         }
       }
       {
+        // run_case's first run_suite, with its options; its report stays
+        // inside run_case, so the suite's own cost is timed on this copy.
         rtv::Suite suite;
         suite.add(sc.name, sc.module_ptrs(), sc.property_ptrs());
         rtv::SuiteOptions so;
+        so.mode = rtv::SuiteMode::kBatch;
         so.jobs = opts_.jobs;
         so.engines = opts_.engines;
-        Scoped s(log, "run_suite", "suite", root.id(), op);
-        l["suite.overhead_s"] += suite_overhead(rtv::run_suite(suite, so));
+        so.budget.max_states = opts_.max_states;
+        so.budget.max_seconds = opts_.max_seconds;
+        l["suite.overhead_s"] +=
+            suite_overhead(traced_run_suite(log, root.id(), op, suite, so));
       }
+      // Engine time inside run_case (its suite run and, for a non-identity
+      // slice, the unsliced rerun) comes from the registry's run-seconds.
+      const rtv::obs::MetricsSnapshot before = rtv::obs::snapshot();
       const std::uint64_t t0 = now_ns();
-      rtv::fuzz::CaseResult r;
-      {
-        Scoped s(log, "run_case", "fuzz", root.id(), op);
-        r = rtv::fuzz::run_case(seeds_[i], opts_.config, opts_);
+      rtv::fuzz::CaseResult r = rtv::fuzz::run_case(seeds_[i], opts_.config, opts_);
+      const std::uint64_t t1 = now_ns();
+      const rtv::obs::MetricsSnapshot after = rtv::obs::snapshot();
+      out.latency_ms.push_back((t1 - t0) * 1e-6);
+      const std::int64_t run =
+          log.add(Span{"run_case", "fuzz", t0, t1, root.id(), op, thread_slot()});
+      for (const std::string& e : opts_.engines) {
+        const std::string label = "engine=\"" + e + "\"";
+        add_engine_span(log, run, t0, t1, op, e,
+                        obs_value(after, "rtv_engine_run_seconds", label) -
+                            obs_value(before, "rtv_engine_run_seconds", label));
       }
-      out.latency_ms.push_back((now_ns() - t0) * 1e-6);
       record(i, std::move(r));
     }
     finish(out);

@@ -39,6 +39,19 @@ double suite_overhead(const rtv::SuiteReport& report) {
   return report.wall_seconds - longest;
 }
 
+rtv::SuiteReport traced_run_suite(SpanLog& log, std::int64_t parent,
+                                  std::uint64_t op, const rtv::Suite& suite,
+                                  const rtv::SuiteOptions& options) {
+  const std::uint64_t t0 = now_ns();
+  rtv::SuiteReport r = rtv::run_suite(suite, options);
+  const std::uint64_t t1 = now_ns();
+  const std::int64_t id =
+      log.add(Span{"run_suite", "suite", t0, t1, parent, op, thread_slot()});
+  for (const rtv::SuiteRecord& rec : r.records)
+    add_engine_span(log, id, t0, t1, op, rec.engine, rec.result.seconds);
+  return r;
+}
+
 double obs_value(const rtv::obs::MetricsSnapshot& snap, std::string_view name,
                  std::string_view labels) {
   double sum = 0.0;
@@ -259,14 +272,13 @@ int run(const Args& args) {
     return 64;
   }
 
-  // Set-up is short next to a pass, so its median needs more samples than
-  // the passes give: before the first pass, set up at least 11 times and
-  // for at least 0.2 s (at most 200 times); then once before every pass.
+  // Set-up is timed right after each pass, with the caches holding that
+  // pass's work, as when a user sets the system up after other work.  The
+  // first set-up in the process also pays one-time initialisation and is
+  // not timed.  Set-ups made back to back run on warm caches and read up to
+  // twice as fast, with wide swings from run to run, so none are made.
   std::vector<double> setups;
-  const auto t_setup = std::chrono::steady_clock::now();
-  while (setups.size() < 11 ||
-         (setups.size() < 200 && seconds_since(t_setup) < 0.2))
-    setups.push_back(w->setup());
+  w->setup();
 
   Pass all;
   // Per-pass values; each end-to-end metric is their median over the
@@ -278,7 +290,6 @@ int run(const Args& args) {
   rtv::obs::MetricsSnapshot before, after;
   const auto t_start = std::chrono::steady_clock::now();
   for (;;) {
-    setups.push_back(w->setup());
     if (args.trace) before = rtv::obs::snapshot();
     Pass p;
     reset_peak_rss();
@@ -301,8 +312,10 @@ int run(const Args& args) {
     all.failed += p.failed;
     for (std::vector<double> Pass::*v : {&Pass::hit_latency_ms, &Pass::miss_latency_ms})
       (all.*v).insert((all.*v).end(), (p.*v).begin(), (p.*v).end());
-    const double elapsed = seconds_since(t_start);
-    if (walls.size() >= 2 && elapsed + median(walls) > args.seconds) break;
+    setups.push_back(w->setup());
+    // Passes run until the time is spent, so a run of long passes measures
+    // as long as one of short passes; the last pass may run past it.
+    if (walls.size() >= 2 && seconds_since(t_start) >= args.seconds) break;
   }
   w->final_check(all);
 
@@ -343,7 +356,6 @@ int run(const Args& args) {
     layers["serve.miss_latency_ms.p50"] = median(all.miss_latency_ms);
     w->counts(layers);
 
-    w->setup();
     SpanLog log;
     Pass traced;
     const auto t0 = std::chrono::steady_clock::now();

@@ -59,8 +59,10 @@ std::vector<std::size_t> least_disturbed(const std::vector<double>& steal_share)
   std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
     return steal_share[a] < steal_share[b];
   });
-  const std::size_t keep =
-      std::min(idx.size(), std::max<std::size_t>(2, (idx.size() + 1) / 2));
+  const auto quiet = static_cast<std::size_t>(std::count_if(
+      steal_share.begin(), steal_share.end(),
+      [](double s) { return s <= kQuietSteal; }));
+  const std::size_t keep = std::min(idx.size(), std::max(kFewestPasses, quiet));
   idx.resize(keep);
   std::sort(idx.begin(), idx.end());
   return idx;
@@ -128,6 +130,20 @@ std::uint32_t thread_slot() {
   static std::atomic<std::uint32_t> next{0};
   thread_local const std::uint32_t slot = next.fetch_add(1);
   return slot;
+}
+
+const char* engine_layer(std::string_view engine) {
+  return engine == "refine" ? "verify" : "zone";
+}
+
+void add_engine_span(SpanLog& log, std::int64_t parent, std::uint64_t start_ns,
+                     std::uint64_t end_ns, std::uint64_t op,
+                     const std::string& engine, double seconds) {
+  if (seconds <= 0.0) return;
+  const auto ns = static_cast<std::uint64_t>(std::llround(seconds * 1e9));
+  const std::uint64_t begin = end_ns - std::min(ns, end_ns - start_ns);
+  log.add(Span{"engine:" + engine, engine_layer(engine), begin, end_ns, parent,
+               op, thread_slot()});
 }
 
 std::int64_t SpanLog::begin(std::string name, std::string layer,

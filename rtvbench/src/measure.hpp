@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rtvbench {
@@ -42,11 +43,18 @@ struct Tail {
 /// tail, and Table 1's five obligations per pass never reach 110.
 Tail tail(const std::vector<double>& samples);
 
-/// Indices of the passes to report: the half (rounded up, at least two
-/// when there are two) that lost the smallest share of the machine's CPU
-/// time to other guests of the hypervisor ("steal"), in pass order.  On a
-/// shared host steal comes in bursts; a pass caught in one can run twice
-/// as long without any change in the program.
+/// Steal share up to which a pass counts as undisturbed.
+constexpr double kQuietSteal = 0.01;
+/// Passes reported when fewer are undisturbed.
+constexpr std::size_t kFewestPasses = 3;
+
+/// Indices of the passes to report, in pass order: every pass that lost
+/// at most kQuietSteal of the machine's CPU time to other guests of the
+/// hypervisor ("steal"), or, when fewer than kFewestPasses are that quiet,
+/// the kFewestPasses least-stolen ones (all of them when there are fewer).
+/// On a shared host steal comes in bursts that can outlast a run, and pass
+/// time grows with it: on serve-mixed a pass at 10% steal takes a third
+/// longer, at 28% three times as long.  On a quiet host every pass counts.
 std::vector<std::size_t> least_disturbed(const std::vector<double>& steal_share);
 
 // ---------------------------------------------------------------------------
@@ -127,6 +135,18 @@ class Scoped {
 
 std::uint64_t now_ns();
 std::uint32_t thread_slot();
+
+/// Layer of an engine's runs: refine belongs to verify (with lazy and
+/// timing), zone and discrete to zone.
+const char* engine_layer(std::string_view engine);
+
+/// Records that `engine` ran for `seconds` inside a call the benchmark
+/// timed from outside (span `parent`, start_ns..end_ns): a child span that
+/// ends with the call and is clipped to its start.  Self time then moves
+/// the engine's share out of the calling layer.
+void add_engine_span(SpanLog& log, std::int64_t parent, std::uint64_t start_ns,
+                     std::uint64_t end_ns, std::uint64_t op,
+                     const std::string& engine, double seconds);
 
 // ---------------------------------------------------------------------------
 // Progress ticks

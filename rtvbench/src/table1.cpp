@@ -149,7 +149,7 @@ class Table1 final : public Workload {
           return start + static_cast<std::uint64_t>(s * 1e9);
         };
         const bool refine = rec.engine == "refine";
-        Span engine{"engine:" + rec.engine, refine ? "verify" : "zone",
+        Span engine{"engine:" + rec.engine, engine_layer(rec.engine),
                     start, at(rec.result.seconds), suite_span, op,
                     thread_slot()};
         const std::int64_t eid = log.add(engine);

@@ -54,15 +54,24 @@ TEST(Tail, FewSamplesReportTheMaximum) {
   EXPECT_DOUBLE_EQ(tail({}).value, 0.0);
 }
 
-TEST(Passes, KeepTheLeastDisturbedHalf) {
+TEST(Passes, KeepTheThreeLeastDisturbed) {
   using V = std::vector<std::size_t>;
+  EXPECT_EQ(least_disturbed({0.3, 0.05, 0.1, 0.5, 0.9, 0.2, 0.6, 0.4, 0.7}),
+            (V{1, 2, 5}));
+  // Two quiet passes are too few; the next least-stolen one joins them.
   EXPECT_EQ(least_disturbed({0.3, 0.0, 0.1, 0.5, 0.0}), (V{1, 2, 4}));
-  EXPECT_EQ(least_disturbed({0.2, 0.1, 0.0, 0.3}), (V{1, 2}));
-  // Never fewer than two of two or more; ties keep the earlier pass.
+  // Ties keep the earlier pass; fewer than three passes are all kept.
+  EXPECT_EQ(least_disturbed({0.3, 0.3, 0.3, 0.3}), (V{0, 1, 2}));
   EXPECT_EQ(least_disturbed({0.9, 0.0}), (V{0, 1}));
-  EXPECT_EQ(least_disturbed({0.0, 0.0, 0.0}), (V{0, 1}));
   EXPECT_EQ(least_disturbed({0.4}), (V{0}));
   EXPECT_TRUE(least_disturbed({}).empty());
+}
+
+TEST(Passes, KeepEveryQuietPass) {
+  using V = std::vector<std::size_t>;
+  EXPECT_EQ(least_disturbed({0.0, 0.0, 0.0}), (V{0, 1, 2}));
+  EXPECT_EQ(least_disturbed({0.0, 0.3, 0.005, 0.0, kQuietSteal, 0.5}),
+            (V{0, 2, 3, 4}));
 }
 
 TEST(Ratio, CarriesItsBase) {
@@ -97,6 +106,27 @@ TEST(Spans, SelfTimeSubtractsChildren) {
   EXPECT_NEAR(self.at("bench"), 40e-9, 1e-15);  // 100 - |[10,70)|
   EXPECT_NEAR(self.at("suite"), 60e-9, 1e-15);  // (40 - 10) + 30
   EXPECT_NEAR(self.at("zone"), 10e-9, 1e-15);
+}
+
+TEST(Spans, EngineSpansEndWithTheirCallAndLeaveItsSelfTime) {
+  SpanLog log;
+  const std::int64_t call = log.add(span("serve", 100, 200, -1));
+  // Two engines side by side inside the call; the refine run reports more
+  // time than the call took and is clipped to it.  A zero run adds none.
+  add_engine_span(log, call, 100, 200, 1, "zone", 30e-9);
+  add_engine_span(log, call, 100, 200, 1, "refine", 500e-9);
+  add_engine_span(log, call, 100, 200, 1, "discrete", 0.0);
+  const std::vector<Span> spans = log.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[1].layer, "zone");
+  EXPECT_EQ(spans[1].start_ns, 170u);
+  EXPECT_EQ(spans[1].end_ns, 200u);
+  EXPECT_EQ(spans[2].layer, "verify");
+  EXPECT_EQ(spans[2].start_ns, 100u);
+  const auto self = self_seconds(spans);
+  EXPECT_NEAR(self.at("serve"), 0.0, 1e-15);
+  EXPECT_NEAR(self.at("zone"), 30e-9, 1e-15);
+  EXPECT_NEAR(self.at("verify"), 100e-9, 1e-15);
 }
 
 TEST(Spans, LogKeepsParentsAndOps) {
