@@ -67,8 +67,20 @@ std::unique_ptr<Workload> make_table1(bool exact);
 std::unique_ptr<Workload> make_serve_mixed(const Args& args);
 std::unique_ptr<Workload> make_fuzz_campaign(const Args& args);
 
-/// Worker budget of every workload: the hardware threads, at most 4.
+/// Worker budget of table1-exact: the hardware threads, at most 4.
 std::size_t bench_jobs();
+
+/// Confine this process, and every thread it starts afterwards, to the CPU
+/// it runs on now.  table1-refine, serve-mixed and fuzz-campaign run this
+/// way, with one suite worker each.  On a shared host the hypervisor
+/// preempts single CPUs for milliseconds at a time; a handoff to a thread
+/// on a preempted CPU waits the whole preemption out, so a workload whose
+/// threads hand work back and forth across CPUs slows several times more
+/// than the CPU time it loses (the 4-client daemon on 4 CPUs ran 5x slower
+/// at 35% steal).  On one CPU the threads still interleave, but a handoff
+/// is a local context switch, and the workload slows only by the share of
+/// time its CPU is taken.
+void pin_to_one_cpu();
 
 /// run_suite's own cost in one report: its wall time minus its longest
 /// record (the records of one batch run side by side).

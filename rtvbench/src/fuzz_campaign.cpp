@@ -1,5 +1,6 @@
 // fuzz-campaign: a fixed-seed differential campaign, one fuzz::run_case
-// per case on refine/zone/discrete, minimisation off.
+// per case on refine/zone/discrete, minimisation off, with one suite
+// worker on one CPU (pin_to_one_cpu).
 //
 // A pass is the first kCases cases of the campaign seeded by --seed.  The
 // scenarios are small and padded, so per-case fixed cost (suite pool,
@@ -55,7 +56,7 @@ class FuzzCampaign final : public Workload {
     for (const std::string& e : opts_.engines)
       if (!rtv::engine_registry().find(e))
         throw std::runtime_error("unknown engine " + e);
-    opts_.jobs = bench_jobs();
+    opts_.jobs = 1;
     opts_.minimize = false;
     opts_.cases = kCases;
     opts_.max_states = kMaxStates;
@@ -88,7 +89,7 @@ class FuzzCampaign final : public Workload {
     lo.max_states = opts_.max_states;
     rtv::ComposeOptions co;
     co.track_chokes = true;
-    co.jobs = std::max<std::size_t>(1, opts_.jobs / opts_.engines.size());
+    co.jobs = 1;
     for (std::size_t i = 0; i < kCases; ++i) {
       const std::uint64_t op = i + 1;
       Scoped root(log, "case " + std::to_string(i), "bench", -1, op);

@@ -8,6 +8,7 @@
 // same untraced passes plus one extra traced pass.  Any wrong answer makes
 // `correct` false and the exit code 1.
 #include <malloc.h>
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -30,6 +31,15 @@ namespace rtvbench {
 std::size_t bench_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(hw, 1, 4);
+}
+
+void pin_to_one_cpu() {
+  const int cpu = sched_getcpu();
+  if (cpu < 0) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  sched_setaffinity(0, sizeof set, &set);
 }
 
 double suite_overhead(const rtv::SuiteReport& report) {
@@ -142,17 +152,6 @@ void reset_peak_rss() {
   std::ofstream("/proc/self/clear_refs") << "5";
 }
 
-/// CPU seconds the hypervisor gave to other guests (steal), summed over
-/// this machine's CPUs since boot; 0 where /proc/stat has no steal field.
-double steal_seconds() {
-  std::ifstream stat("/proc/stat");
-  std::string cpu;
-  unsigned long long v[8] = {};
-  stat >> cpu;
-  for (unsigned long long& x : v) stat >> x;
-  return static_cast<double>(v[7]) / 100.0;  // USER_HZ
-}
-
 /// Peak resident set (VmHWM) since the last reset_peak_rss(), in MiB.
 double peak_rss_mb() {
   std::ifstream status("/proc/self/status");
@@ -259,12 +258,15 @@ void print_json(bool correct, std::size_t attempted, std::size_t failed,
 int run(const Args& args) {
   std::unique_ptr<Workload> w;
   if (args.workload == "table1-refine") {
+    pin_to_one_cpu();
     w = make_table1(false);
   } else if (args.workload == "table1-exact") {
     w = make_table1(true);
   } else if (args.workload == "serve-mixed") {
+    pin_to_one_cpu();
     w = make_serve_mixed(args);
   } else if (args.workload == "fuzz-campaign") {
+    pin_to_one_cpu();
     w = make_fuzz_campaign(args);
   } else {
     std::fprintf(stderr, "rtvbench: unknown workload '%s'\n",
@@ -281,12 +283,9 @@ int run(const Args& args) {
   w->setup();
 
   Pass all;
-  // Per-pass values; each end-to-end metric is their median over the
-  // passes least_disturbed() keeps.
-  std::vector<double> walls, cpus, rss, p50s, tails, steal_shares;
+  // Per-pass values; each end-to-end metric is their pass_value().
+  std::vector<double> walls, cpus, rss, p50s, tails;
   Tail pass_tail;
-  const double cpus_in_machine =
-      std::max(1u, std::thread::hardware_concurrency());
   rtv::obs::MetricsSnapshot before, after;
   const auto t_start = std::chrono::steady_clock::now();
   for (;;) {
@@ -294,14 +293,10 @@ int run(const Args& args) {
     Pass p;
     reset_peak_rss();
     const double cpu0 = cpu_seconds();
-    const double steal0 = steal_seconds();
     const auto t0 = std::chrono::steady_clock::now();
     w->pass(p);
     walls.push_back(seconds_since(t0));
-    steal_shares.push_back((steal_seconds() - steal0) /
-                           (walls.back() * cpus_in_machine));
-    std::fprintf(stderr, "pass %zu: %.4f s, steal %.1f%%\n", walls.size(),
-                 walls.back(), 100.0 * steal_shares.back());
+    std::fprintf(stderr, "pass %zu: %.4f s\n", walls.size(), walls.back());
     cpus.push_back(cpu_seconds() - cpu0);
     rss.push_back(peak_rss_mb());
     p50s.push_back(median(p.latency_ms));
@@ -319,26 +314,20 @@ int run(const Args& args) {
   }
   w->final_check(all);
 
-  const std::vector<std::size_t> kept = least_disturbed(steal_shares);
-  const auto kept_median = [&kept](const std::vector<double>& v) {
-    std::vector<double> k;
-    for (std::size_t i : kept) k.push_back(v[i]);
-    return median(std::move(k));
-  };
-  const double wall = kept_median(walls);
+  const double wall = pass_value(walls);
   const std::vector<std::pair<MetricDef, double>> e2e = {
       {kEndToEnd[0], median(setups)},
       {kEndToEnd[1], wall},
-      {kEndToEnd[2], kept_median(cpus)},
-      {kEndToEnd[3], kept_median(rss)},
-      {kEndToEnd[4], kept_median(p50s)},
-      {kEndToEnd[5], kept_median(tails)},
+      {kEndToEnd[2], pass_value(cpus)},
+      {kEndToEnd[3], pass_value(rss)},
+      {kEndToEnd[4], pass_value(p50s)},
+      {kEndToEnd[5], pass_value(tails)},
   };
-  std::printf("workload %s  seed %llu  passes %zu (%zu least disturbed "
+  std::printf("workload %s  seed %llu  passes %zu (lower quartile "
               "reported)  set-ups %zu\n",
               args.workload.c_str(),
               static_cast<unsigned long long>(args.seed), walls.size(),
-              kept.size(), setups.size());
+              setups.size());
   for (const auto& [def, v] : e2e)
     std::printf("  %-28s %14.6f %s\n", def.name, v, def.unit);
   std::printf("  latency tail reported at p%g over %zu samples per pass\n",

@@ -53,19 +53,8 @@ Tail tail(const std::vector<double>& samples) {
   return t;
 }
 
-std::vector<std::size_t> least_disturbed(const std::vector<double>& steal_share) {
-  std::vector<std::size_t> idx(steal_share.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return steal_share[a] < steal_share[b];
-  });
-  const auto quiet = static_cast<std::size_t>(std::count_if(
-      steal_share.begin(), steal_share.end(),
-      [](double s) { return s <= kQuietSteal; }));
-  const std::size_t keep = std::min(idx.size(), std::max(kFewestPasses, quiet));
-  idx.resize(keep);
-  std::sort(idx.begin(), idx.end());
-  return idx;
+double pass_value(const std::vector<double>& per_pass) {
+  return percentile(per_pass, kPassQuantile);
 }
 
 double Ratio::value() const { return base > 0.0 ? part / base : 0.0; }

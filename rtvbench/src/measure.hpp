@@ -43,19 +43,16 @@ struct Tail {
 /// tail, and Table 1's five obligations per pass never reach 110.
 Tail tail(const std::vector<double>& samples);
 
-/// Steal share up to which a pass counts as undisturbed.
-constexpr double kQuietSteal = 0.01;
-/// Passes reported when fewer are undisturbed.
-constexpr std::size_t kFewestPasses = 3;
+/// Percentile of the per-pass values a run reports for each pass metric.
+/// On a shared host, other guests only ever add time to a pass (stolen
+/// CPU, evicted caches), in bursts of seconds to minutes.  The lower
+/// quartile reads the program's own cost as long as a quarter of the
+/// passes ran undisturbed, where the median needs half.
+constexpr double kPassQuantile = 0.25;
 
-/// Indices of the passes to report, in pass order: every pass that lost
-/// at most kQuietSteal of the machine's CPU time to other guests of the
-/// hypervisor ("steal"), or, when fewer than kFewestPasses are that quiet,
-/// the kFewestPasses least-stolen ones (all of them when there are fewer).
-/// On a shared host steal comes in bursts that can outlast a run, and pass
-/// time grows with it: on serve-mixed a pass at 10% steal takes a third
-/// longer, at 28% three times as long.  On a quiet host every pass counts.
-std::vector<std::size_t> least_disturbed(const std::vector<double>& steal_share);
+/// The value a run reports for one pass metric: percentile(per_pass,
+/// kPassQuantile).
+double pass_value(const std::vector<double>& per_pass);
 
 // ---------------------------------------------------------------------------
 // Ratios

@@ -1,4 +1,5 @@
-// serve-mixed: an in-process `rtv serve` daemon fed by closed-loop clients.
+// serve-mixed: an in-process `rtv serve` daemon (one suite worker) fed by
+// two closed-loop clients, all on one CPU (pin_to_one_cpu).
 //
 // The request stream is drawn from --seed.  Every request carries one
 // obligation: fuzz-generated system modules with a persistency (and, for
@@ -61,7 +62,11 @@ constexpr std::size_t kRecent = 64;
 constexpr std::size_t kHistoric = 64;    ///< in the cache file beforehand
 constexpr std::size_t kCacheCap = 128;   ///< daemon max_cache_entries
 constexpr std::size_t kRequests = 4000;  ///< requests per pass
-constexpr std::size_t kClients = 4;      ///< closed-loop connections
+/// Closed-loop connections.  Two keep requests arriving while another is
+/// in flight (hits beside misses, in-flight dedup) on the one CPU.
+constexpr std::size_t kClients = 2;
+/// The daemon's suite workers: one per CPU the workload has.
+constexpr std::size_t kJobs = 1;
 
 enum class Kind { kPlain, kPadded, kPermuted, kLintReject };
 
@@ -175,7 +180,7 @@ class ServeMixed final : public Workload {
       ids.push_back(i);
     }
     rtv::SuiteOptions o;
-    o.jobs = bench_jobs();
+    o.jobs = kJobs;
     o.engines = {"zone"};
     const rtv::SuiteReport r = rtv::run_suite(suite, o);
     std::size_t wrong = 0;
@@ -207,7 +212,7 @@ class ServeMixed final : public Workload {
     rtv::serve::ServerOptions o;
     o.socket_path = socket_;
     o.cache_path = cache_file_;
-    o.jobs = bench_jobs();
+    o.jobs = kJobs;
     o.max_cache_entries = kCacheCap;
     return o;
   }

@@ -1,8 +1,9 @@
 // table1-refine / table1-exact: the paper's five IPCMOS obligations.
 //
-// Obligations are decided one at a time, each as its own run_suite batch
-// with jobs = bench_jobs(): on "refine" (the paper's method) or on the
-// exact engines "zone" and "discrete" together, in the paper's order.  The
+// Obligations are decided one at a time, each as its own run_suite batch:
+// on "refine" (the paper's method) with one worker on one CPU
+// (pin_to_one_cpu), or on the exact engines "zone" and "discrete"
+// together with jobs = bench_jobs(), in the paper's order.  The
 // input is the paper's, so the seed draws nothing here.  Oracle: every
 // record is VERIFIED.
 #include <algorithm>
@@ -47,7 +48,8 @@ class Table1 final : public Workload {
  public:
   explicit Table1(bool exact)
       : engines_(exact ? std::vector<std::string>{"zone", "discrete"}
-                       : std::vector<std::string>{"refine"}) {}
+                       : std::vector<std::string>{"refine"}),
+        jobs_(exact ? bench_jobs() : 1) {}
 
   double setup() override {
     const std::uint64_t t0 = now_ns();
@@ -104,7 +106,7 @@ class Table1 final : public Workload {
       l["analysis.dropped_modules"] += static_cast<double>(sl.dropped_modules);
       rtv::ComposeOptions co;
       co.track_chokes = ob.track_chokes;
-      co.jobs = std::max<std::size_t>(1, bench_jobs() / engines_.size());
+      co.jobs = std::max<std::size_t>(1, jobs_ / engines_.size());
       for (std::size_t e = 0; e < engines_.size() && !sl.modules.empty(); ++e) {
         Scoped s(log, "compose()", "ts", root.id(), op);
         (void)rtv::compose(sl.modules, co);
@@ -198,7 +200,7 @@ class Table1 final : public Workload {
   rtv::SuiteOptions options() const {
     rtv::SuiteOptions o;
     o.mode = rtv::SuiteMode::kBatch;
-    o.jobs = bench_jobs();
+    o.jobs = jobs_;
     o.engines = engines_;
     return o;
   }
@@ -220,7 +222,7 @@ class Table1 final : public Workload {
       return a.obligation != b.obligation ? a.obligation < b.obligation
                                           : a.engine > b.engine;
     });
-    std::printf("\nTable 1 (traced pass; jobs %zu)\n", bench_jobs());
+    std::printf("\nTable 1 (traced pass; jobs %zu)\n", jobs_);
     std::printf("%-44s %-9s %-9s %9s %9s %5s %9s %9s %9s\n", "obligation",
                 "engine", "verdict", "seconds", "states", "iter",
                 "compose_s", "search_s", "between_s");
@@ -252,6 +254,7 @@ class Table1 final : public Workload {
   }
 
   std::vector<std::string> engines_;
+  std::size_t jobs_;
   std::optional<rtv::Suite> suite_;
   std::deque<rtv::Suite> singles_;  // deque: Suite is move-only
   std::vector<SuiteReport> last_;
