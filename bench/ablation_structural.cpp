@@ -16,51 +16,56 @@
 using namespace rtv;
 using namespace rtv::ipcmos;
 
+namespace {
+
+const RefineEngine pairs;
+const RefineEngine windows(/*structural_rule=*/false);
+
+/// Compose once, decide on both refinement modes.
+void ablate(const char* sys, const std::vector<const Module*>& modules,
+            const std::vector<const SafetyProperty*>& properties,
+            std::size_t window_cap) {
+  ComposeOptions co;
+  co.track_chokes = true;
+  const Composition comp = compose(modules, co);
+  EngineRequest req;
+  req.composition = &comp;
+  req.properties = properties;
+  for (const RefineEngine* engine : {&pairs, &windows}) {
+    if (engine == &windows) req.max_refinements = window_cap;
+    const EngineResult r = engine->run(req);
+    std::printf("%-28s %10s %14s %12d %10.3f\n", sys,
+                engine == &pairs ? "pairs" : "windows", to_string(r.verdict),
+                std::get<RefineEngineStats>(r.stats).refinements, r.seconds);
+  }
+}
+
+}  // namespace
+
 int main() {
   std::printf("%-28s %10s %14s %12s %10s\n", "system", "mode", "verdict",
               "refinements", "seconds");
-
-  const auto report = [](const char* sys, const char* mode,
-                         const VerificationResult& r) {
-    std::printf("%-28s %10s %14s %12d %10.3f\n", sys, mode,
-                to_string(r.verdict), r.refinements, r.seconds);
-  };
 
   // Intro example: small enough for both modes.
   {
     const Module sys = gallery::intro_example();
     const Module mon = gallery::order_monitor("g", "d");
     const InvariantProperty bad("g before d", {{"fail", true}});
-    VerifyOptions with, without;
-    without.structural_rule = false;
-    report("intro example", "pairs", verify_modules({&sys, &mon}, {&bad}, with));
-    report("intro example", "windows",
-           verify_modules({&sys, &mon}, {&bad}, without));
+    ablate("intro example", {&sys, &mon}, {&bad}, 500);
   }
 
-  // Experiment 2 (containment of a transistor-level stage).
-  {
-    ExperimentConfig cfg;
-    report("exp2: Ain||I||OUT <= Aout", "pairs", experiment2(cfg));
-    ExperimentConfig win;
-    win.verify.structural_rule = false;
-    win.verify.max_refinements = 60;  // cap: window-only mode diverges
-    const VerificationResult r = experiment2(win);
-    report("exp2: Ain||I||OUT <= Aout", "windows", r);
-    std::printf("  (window-only mode capped at %zu iterations: each failure\n"
-                "   interleaving needs its own ban — the paper's CES-based\n"
-                "   generalisation is what makes the flow converge)\n",
-                win.verify.max_refinements);
-  }
-
-  // Experiment 5 with both modes.
-  {
-    ExperimentConfig cfg;
-    report("exp5: IN||I||OUT |= S", "pairs", experiment5(cfg));
-    ExperimentConfig win;
-    win.verify.structural_rule = false;
-    win.verify.max_refinements = 60;
-    report("exp5: IN||I||OUT |= S", "windows", experiment5(win));
-  }
+  // Experiment 2 (containment of a transistor-level stage) and experiment
+  // 5, window-only mode capped: it diverges.
+  constexpr std::size_t kWindowCap = 60;
+  const Suite table1 = table1_suite();
+  const Obligation& exp2 = table1.obligations()[1];
+  ablate("exp2: Ain||I||OUT <= Aout", exp2.modules, exp2.properties,
+         kWindowCap);
+  std::printf("  (window-only mode capped at %zu iterations: each failure\n"
+              "   interleaving needs its own ban — the paper's CES-based\n"
+              "   generalisation is what makes the flow converge)\n",
+              kWindowCap);
+  const Obligation& exp5 = table1.obligations()[4];
+  ablate("exp5: IN||I||OUT |= S", exp5.modules, exp5.properties, kWindowCap);
   return 0;
 }

@@ -30,6 +30,13 @@ void simulate_and_report(const char* name, const ModuleSet& set,
               t.deadlocked ? "DEADLOCK" : "live");
 }
 
+void report(const char* name, const EngineResult& r) {
+  const auto* st = std::get_if<RefineEngineStats>(&r.stats);
+  std::printf("  %s: %s, %d refinements, %.1f s, %zu composed states\n", name,
+              to_string(r.verdict), st ? st->refinements : 0, r.seconds,
+              st ? st->composed_states : std::size_t{0});
+}
+
 }  // namespace
 
 int main() {
@@ -47,11 +54,8 @@ int main() {
               "short-circuit invariants of the stage):\n");
   {
     ExperimentConfig cfg;  // default wave cap: the fork needs the precision
-    cfg.verify.max_states = 4'000'000;
-    const VerificationResult r = verify_fork(cfg);
-    std::printf("  fork: %s, %d refinements, %.1f s, %zu composed states\n",
-                to_string(r.verdict), r.refinements, r.seconds,
-                r.composed_states);
+    cfg.budget.max_states = 4'000'000;
+    report("fork", verify_fork(cfg));
   }
   {
     // The join is the stress case of this repository: two *independent*
@@ -59,12 +63,10 @@ int main() {
     // the refined space grows accordingly.  Run it under explicit budgets
     // so the bench terminates; EXPERIMENTS.md discusses the trade-off.
     ExperimentConfig cfg;
-    cfg.verify.max_states = 1'200'000;
-    cfg.verify.max_refinements = 12;
-    const VerificationResult r = verify_join(cfg);
-    std::printf("  join: %s, %d refinements, %.1f s, %zu composed states\n",
-                to_string(r.verdict), r.refinements, r.seconds,
-                r.composed_states);
+    cfg.budget.max_states = 1'200'000;
+    cfg.max_refinements = 12;
+    const EngineResult r = verify_join(cfg);
+    report("join", r);
     if (!r.verified()) {
       std::printf("        (budgeted run: %s; the fork result and the\n"
                   "         simulation above cover the multi-channel claim)\n",

@@ -18,19 +18,21 @@ using namespace rtv;
 using namespace rtv::ipcmos;
 
 int main() {
-  const VerificationResult r = experiment5();
+  const EngineResult r = experiment5();
+  const RefineEngineStats& st = std::get<RefineEngineStats>(r.stats);
   std::printf("experiment 5 (IN || I || OUT |= S): %s, %d refinements\n\n",
-              to_string(r.verdict), r.refinements);
+              to_string(r.verdict), st.refinements);
 
+  const std::vector<DerivedOrdering> cs = st.constraints();
   std::printf("derived relative timing constraints (x must fire before y):\n");
-  for (const DerivedOrdering& o : r.constraints()) {
+  for (const DerivedOrdering& o : cs) {
     std::printf("  %-12s before %s\n", o.before.c_str(), o.after.c_str());
   }
 
   // Group by the failure they remove, mirroring the paper's presentation.
   std::printf("\nconstraints grouped by the failure they prune:\n");
   std::map<std::string, std::vector<std::string>> by_failure;
-  for (const RefinementRecord& rec : r.records) {
+  for (const RefinementRecord& rec : st.records) {
     for (const DerivedOrdering& o : rec.orderings) {
       by_failure[rec.failure].push_back(o.before + " before " + o.after);
     }
@@ -53,7 +55,6 @@ int main() {
   };
   std::printf("\npaper's Fig. 13 orderings:\n");
   bool all = true;
-  const auto cs = r.constraints();
   for (const Expected& e : expected) {
     bool found = false;
     for (const DerivedOrdering& o : cs)

@@ -14,9 +14,23 @@
 #include "rtv/timing/orderings.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
+#include "rtv/verify/suite.hpp"
 
 using namespace rtv;
+
+namespace {
+
+/// Decide one obligation on one registry engine.
+EngineResult decide(const char* engine, std::vector<const Module*> modules,
+                    std::vector<const SafetyProperty*> properties) {
+  Suite suite;
+  suite.add("intro", std::move(modules), std::move(properties));
+  SuiteOptions opts;
+  opts.engines = {engine};
+  return run_suite(suite, opts).records.front().result;
+}
+
+}  // namespace
 
 int main() {
   const Module sys = gallery::intro_example();
@@ -37,19 +51,19 @@ int main() {
       stripped.set_event_delay(EventId(static_cast<EventId::underlying_type>(i)),
                                DelayInterval::unbounded());
     const Module untimed_sys("intro-untimed", std::move(stripped));
-    const VerificationResult u = verify_modules({&untimed_sys, &mon}, {&bad});
+    const EngineResult u = decide("refine", {&untimed_sys, &mon}, {&bad});
     std::printf("untimed check: %s (as in Fig. 1(a): d can fire before g)\n",
                 u.verdict == Verdict::kViolated ? "VIOLATED"
                                                 : to_string(u.verdict));
   }
 
   // ...the exact timed state space satisfies it...
-  const ZoneVerifyResult z = zone_verify({&sys, &mon}, {&bad});
+  const EngineResult z = decide("zone", {&sys, &mon}, {&bad});
   std::printf("exact timed check (zone graph): %s\n\n",
-              z.violated ? "VIOLATED" : "satisfied");
+              z.violated() ? "VIOLATED" : "satisfied");
 
   // ...and the iterative relative-timing flow proves it.
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = decide("refine", {&sys, &mon}, {&bad});
   std::printf("%s\n", format_report("relative-timing flow", r).c_str());
 
   // Fig. 2(c,d): causal event structure of the canonical failure trace
@@ -73,5 +87,5 @@ int main() {
     std::printf("derived timing arcs:\n%s\n",
                 format_ces_orderings(ces, orderings).c_str());
   }
-  return r.verified() && !z.violated ? 0 : 1;
+  return r.verified() && !z.violated() ? 0 : 1;
 }

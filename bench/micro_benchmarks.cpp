@@ -70,23 +70,29 @@ void BM_ElaborateStage(benchmark::State& state) {
 }
 BENCHMARK(BM_ElaborateStage);
 
-void BM_VerifyIntroRelativeTiming(benchmark::State& state) {
+/// Compose the intro obligation and decide it on one engine, per iteration.
+void verify_intro(benchmark::State& state, const Engine& engine) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
+  ComposeOptions opts;
+  opts.track_chokes = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_modules({&sys, &mon}, {&bad}));
+    const Composition comp = compose({&sys, &mon}, opts);
+    EngineRequest req;
+    req.composition = &comp;
+    req.properties = {&bad};
+    benchmark::DoNotOptimize(engine.run(req));
   }
+}
+
+void BM_VerifyIntroRelativeTiming(benchmark::State& state) {
+  verify_intro(state, RefineEngine());
 }
 BENCHMARK(BM_VerifyIntroRelativeTiming);
 
 void BM_VerifyIntroZone(benchmark::State& state) {
-  const Module sys = gallery::intro_example();
-  const Module mon = gallery::order_monitor("g", "d");
-  const InvariantProperty bad("g before d", {{"fail", true}});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(zone_verify({&sys, &mon}, {&bad}));
-  }
+  verify_intro(state, ZoneEngine());
 }
 BENCHMARK(BM_VerifyIntroZone);
 

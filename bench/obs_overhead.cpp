@@ -89,11 +89,12 @@ int main(int argc, char** argv) {
               comp.ts.num_states(), jobs, reps);
 
   auto run_once = [&]() {
-    DiscreteVerifyOptions opts;
-    opts.jobs = jobs;
+    EngineRequest req;
+    req.composition = &comp;
+    req.properties = props;
+    req.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();
-    const DiscreteVerifyResult r =
-        discrete_explore(comp.ts, props, comp.chokes, opts);
+    const EngineResult r = DiscreteEngine().run(req);
     return std::pair<double, std::size_t>(seconds_since(t0),
                                           r.states_explored);
   };

@@ -6,10 +6,10 @@
 //
 //   * compose() on a flat product of independent togglers (2^k states, the
 //     scaling_pipeline blow-up in miniature), and
-//   * discrete_explore() on the IPCMOS boundary-2 obligation
+//   * the discrete engine on the IPCMOS boundary-2 obligation
 //     (IN || I1 || A_out(2) |= A_in(2), the induction base of Table 1's
 //     experiment 3): ~1M digitized configs in one obligation — exactly the
-//     single large obligation PR 3's scheduler could not shard.
+//     single large obligation an obligation-level scheduler cannot shard.
 //
 // Each workload runs at jobs = 1, 2, 4, ... up to max(4, hardware),
 // reporting wall-clock speedup over jobs=1 and checking that state counts
@@ -99,7 +99,7 @@ int main() {
     }
   }
 
-  // ---- discrete_explore(): the IPCMOS boundary-2 obligation --------------
+  // ---- discrete engine: the IPCMOS boundary-2 obligation -----------------
   {
     const ipcmos::PipelineTiming t;
     const Module in = ipcmos::make_in_env(t);
@@ -124,22 +124,23 @@ int main() {
     std::size_t base_states = 0;
     bool base_violated = false;
     for (const std::size_t jobs : job_counts()) {
-      DiscreteVerifyOptions opts;
-      opts.jobs = jobs;
+      EngineRequest req;
+      req.composition = &comp;
+      req.properties = props;
+      req.jobs = jobs;
       const auto t0 = std::chrono::steady_clock::now();
-      const DiscreteVerifyResult r =
-          discrete_explore(comp.ts, props, comp.chokes, opts);
+      const EngineResult r = DiscreteEngine().run(req);
       const double wall = seconds_since(t0);
       if (jobs == 1) {
         base = wall;
         base_states = r.states_explored;
-        base_violated = r.violated;
+        base_violated = r.violated();
       }
-      if (r.states_explored != base_states || r.violated != base_violated)
+      if (r.states_explored != base_states || r.violated() != base_violated)
         consistent = false;
       std::printf("%6zu %12.3f %9.2fx %12zu   %s\n", jobs, wall,
                   wall > 0 ? base / wall : 0.0, r.states_explored,
-                  r.violated ? "VIOLATED" : "verified");
+                  r.violated() ? "VIOLATED" : "verified");
       std::fflush(stdout);
     }
   }

@@ -55,9 +55,10 @@ int main() {
     for (double v = s.from; v <= s.to + 1e-9; v += s.step) {
       ExperimentConfig cfg;
       s.set(cfg.timing.stage, v);
-      const VerificationResult r = experiment5(cfg);
+      const EngineResult r = experiment5(cfg);
+      const auto* st = std::get_if<RefineEngineStats>(&r.stats);
       std::printf("  %6.2f : %s (%d refinements)\n", v, to_string(r.verdict),
-                  r.refinements);
+                  st ? st->refinements : 0);
       if (r.verified()) {
         last_ok = v;
       } else if (first_bad < 0) {

@@ -65,8 +65,6 @@ int main() {
               handshake_max);
 
   std::printf("\nBack-annotated relative timing constraints (experiment 5):\n");
-  if (const auto* st = std::get_if<RefineEngineStats>(&recs[4].result.stats)) {
-    for (const std::string& c : st->constraints) std::printf("%s\n", c.c_str());
-  }
+  std::printf("%s", format_constraints(recs[4].result).c_str());
   return exit_code(report.overall());
 }

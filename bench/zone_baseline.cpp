@@ -6,14 +6,27 @@
 // runs both engines on the same obligations and reports cost and verdict
 // agreement — the zone engine doubles as the ground truth.
 #include <cstdio>
+#include <utility>
 
-#include "rtv/circuit/invariants.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 using namespace rtv;
 using namespace rtv::ipcmos;
+
+namespace {
+
+/// The suite's one obligation on refine and on zone, both reading one
+/// composition: {refine result, zone result}.
+std::pair<EngineResult, EngineResult> refine_and_zone(const Suite& suite) {
+  SuiteOptions opts;
+  opts.engines = {"refine", "zone"};
+  SuiteReport report = run_suite(suite, opts);
+  return {std::move(report.records[0].result),
+          std::move(report.records[1].result)};
+}
+
+}  // namespace
 
 int main() {
   bool agree = true;
@@ -26,34 +39,30 @@ int main() {
     const Module sys = gallery::intro_example();
     const Module mon = gallery::order_monitor("g", "d");
     const InvariantProperty bad("g before d", {{"fail", true}});
-    const VerificationResult rt = verify_modules({&sys, &mon}, {&bad});
-    const ZoneVerifyResult zn = zone_verify({&sys, &mon}, {&bad});
-    const bool ok = (rt.verdict == Verdict::kVerified) == !zn.violated;
+    Suite suite;
+    suite.add("intro example", {&sys, &mon}, {&bad});
+    const auto [rt, zn] = refine_and_zone(suite);
+    const bool ok = rt.verdict == zn.verdict;
     agree = agree && ok;
     std::printf("%-34s %12s %12s %10zu %10zu %8s\n", "intro example",
-                to_string(rt.verdict), zn.violated ? "violated" : "holds",
-                rt.final_states_explored, zn.zones_explored, ok ? "yes" : "NO");
+                to_string(rt.verdict), zn.violated() ? "violated" : "holds",
+                rt.states_explored, zn.states_explored, ok ? "yes" : "NO");
   }
 
   // 1-stage IPCMOS pipeline, correct timing.
   const auto run_stage = [&](const char* name, const ExperimentConfig& cfg,
                              bool expect_ok) {
-    const VerificationResult rt = experiment5(cfg);
-    const ModuleSet set = flat_pipeline(1, cfg.timing);
-    const Netlist nl =
-        make_stage_netlist("I1", linear_channels(1), cfg.timing.stage);
-    const auto scs = short_circuit_properties(nl);
-    const DeadlockFreedom dead;
-    const PersistencyProperty pers;
-    std::vector<const SafetyProperty*> props{&dead, &pers};
-    for (const auto& p : scs) props.push_back(p.get());
-    const ZoneVerifyResult zn = zone_verify(set.ptrs, props);
-    const bool ok = (rt.verdict == Verdict::kVerified) == !zn.violated &&
-                    (!zn.violated == expect_ok);
+    // Table 1's obligation 5, IN || I || OUT |= S.
+    Suite suite = table1_suite(cfg);
+    suite.obligations().erase(suite.obligations().begin(),
+                              suite.obligations().begin() + 4);
+    const auto [rt, zn] = refine_and_zone(suite);
+    const bool ok =
+        rt.verdict == zn.verdict && (zn.verified() == expect_ok);
     agree = agree && ok;
     std::printf("%-34s %12s %12s %10zu %10zu %8s\n", name, to_string(rt.verdict),
-                zn.violated ? "violated" : "holds", rt.final_states_explored,
-                zn.zones_explored, ok ? "yes" : "NO");
+                zn.violated() ? "violated" : "holds", rt.states_explored,
+                zn.states_explored, ok ? "yes" : "NO");
   };
 
   ExperimentConfig good;

@@ -17,6 +17,7 @@
 #include "rtv/stg/astg.hpp"
 #include "rtv/stg/elaborate.hpp"
 #include "rtv/verify/report.hpp"
+#include "rtv/verify/suite.hpp"
 
 using namespace rtv;
 using namespace rtv::ipcmos;
@@ -75,10 +76,10 @@ int main(int argc, char** argv) {
   std::vector<const SafetyProperty*> props{&dead, &pers};
   for (const auto& p : scs) props.push_back(p.get());
 
-  const VerificationResult r = verify_modules({&env, &stage, &out}, props);
+  // One obligation, decided by run_suite() on the default "refine" engine.
+  Suite suite;
+  suite.add("stage against custom environment", {&env, &stage, &out}, props);
+  const EngineResult r = run_suite(suite).records.front().result;
   std::printf("%s", format_report("stage against custom environment", r).c_str());
-  if (!r.verified() && r.counterexample) {
-    std::printf("\ncounterexample detail:\n%s\n", r.counterexample_text.c_str());
-  }
   return r.verified() ? 0 : 1;
 }

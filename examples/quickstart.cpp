@@ -1,17 +1,18 @@
 // Quickstart: verify a timed ordering property with relative timing.
 //
 // Build a small timed transition system, state a safety property as a
-// monitor + invariant, run the iterative relative-timing flow, and read
-// the back-annotated constraints.  This is the paper's introductory
+// monitor + invariant, compose the two once, run the iterative
+// relative-timing flow on the composition, and read the back-annotated
+// constraints.  This is the paper's introductory
 // example (Fig. 1) end to end.
 //
 //   $ ./quickstart
 #include <cstdio>
 #include <string>
 
+#include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/engine.hpp"
-#include "rtv/verify/refinement.hpp"
 #include "rtv/verify/report.hpp"
 
 using namespace rtv;
@@ -27,30 +28,37 @@ int main() {
   const Module monitor = gallery::order_monitor("g", "d");
   const InvariantProperty property("g before d", {{"fail", true}});
 
-  // 3. Run the flow: compose, search failures, prove each failure
+  // 3. Compose once: the product of system and monitor over their shared
+  //    labels, tracking outputs a participant refuses.  Every engine
+  //    below reads this one composition.
+  ComposeOptions copts;
+  copts.track_chokes = true;
+  const Composition product = compose({&system, &monitor}, copts);
+
+  // 4. Run the flow: search failures, prove each failure
   //    timing-inconsistent, refine with the derived constraint, repeat.
-  const VerificationResult result =
-      verify_modules({&system, &monitor}, {&property});
+  EngineRequest req;
+  req.composition = &product;
+  req.properties = {&property};
+  const EngineResult result = engine_registry().find("refine")->run(req);
 
   std::printf("%s", format_report("quickstart", result).c_str());
   std::printf("\nrelative timing constraints sufficient for correctness:\n%s",
               format_constraints(result).c_str());
 
-  // 4. Programmatic access to the verdict.
+  // 5. Programmatic access to the verdict.
   if (!result.verified()) {
     std::printf("verification failed: %s\n", result.message.c_str());
     return 1;
   }
-  std::printf("\nverified in %d refinement iterations.\n", result.refinements);
+  std::printf("\nverified in %d refinement iterations.\n",
+              std::get<RefineEngineStats>(result.stats).refinements);
 
-  // 5. The same obligation through the unified engine seam: every engine
+  // 6. The same composition through the unified engine seam: every engine
   //    in engine_registry() (relative timing, dense-time zones, digitized
   //    time) answers with the same three-valued Verdict, under a shared
   //    budget (state cap + wall-clock deadline + cancellation).
   std::printf("\ncross-checking with every registered engine:\n");
-  EngineRequest req;
-  req.modules = {&system, &monitor};
-  req.properties = {&property};
   req.budget.max_seconds = 10.0;  // generous deadline, same for all engines
   for (const Engine* engine : engine_registry().engines()) {
     const EngineResult r = engine->run(req);

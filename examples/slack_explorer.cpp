@@ -69,11 +69,12 @@ int main(int argc, char** argv) {
     const Time hi = ticks_from_units(v);
     if (hi < lo) continue;
     *target = DelayInterval(lo, hi);
-    const VerificationResult r = experiment5(cfg);
+    const EngineResult r = experiment5(cfg);
     std::printf("  %s = [%.2f, %.2f] : %s", param.c_str(),
                 units_from_ticks(lo), v, to_string(r.verdict));
-    if (!r.verified() && !r.counterexample_text.empty()) {
-      std::printf("  (%s)", r.message.c_str());
+    if (r.violated()) {
+      // The failure, without the trace that follows " via ".
+      std::printf("  (%s)", r.message.substr(0, r.message.find(" via ")).c_str());
     }
     std::printf("\n");
     if (r.verified()) {

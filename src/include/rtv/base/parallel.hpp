@@ -2,8 +2,8 @@
 //
 // PR 3's suite scheduler parallelizes *across* obligations; this header is
 // the substrate for parallelizing *inside* one: the BFS hot loops of
-// compose() (src/ts/compose.cpp) and discrete_explore()
-// (src/zone/discrete.cpp) are rebuilt on it so N workers expand disjoint
+// compose() (src/ts/compose.cpp) and the discrete engine
+// (src/zone/discrete.cpp) are built on it so N workers expand disjoint
 // slices of one frontier.
 //
 // The building blocks:

@@ -14,41 +14,51 @@
 // stage is present.
 #pragma once
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "rtv/ipcmos/pipeline.hpp"
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 #include "rtv/verify/suite.hpp"
 
 namespace rtv::ipcmos {
 
 struct ExperimentConfig {
   PipelineTiming timing;
-  VerifyOptions verify;
+  /// Per-obligation budget; fields left at zero inherit the suite-wide
+  /// SuiteOptions budget (the engines' native defaults when run here).
+  RunBudget budget;
+  /// Refinement iteration cap of every obligation.
+  std::size_t max_refinements = 500;
 };
-
-VerificationResult experiment1(const ExperimentConfig& cfg = {});
-VerificationResult experiment2(const ExperimentConfig& cfg = {});
-VerificationResult experiment3(const ExperimentConfig& cfg = {});
-VerificationResult experiment4(const ExperimentConfig& cfg = {});
-VerificationResult experiment5(const ExperimentConfig& cfg = {});
-
-/// All five in order, with the paper's row labels.
-struct NamedResult {
-  std::string name;
-  VerificationResult result;
-};
-std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg = {});
 
 /// The five Table 1 obligations as a declarative batch: the suite owns the
 /// pipeline modules, containment monitors and property bundles, so it can
 /// be handed straight to run_suite() — obligations in parallel, any engine
-/// selection, machine-readable report.  Obligation names match
-/// run_all_experiments().
+/// selection, machine-readable report.  This is the one definition of the
+/// five obligations; everything below runs it.
 Suite table1_suite(const ExperimentConfig& cfg = {});
 
-/// Flat (no abstraction) verification of an n-stage pipeline:
-/// IN || I1 || ... || In || OUT |= S.  Used by the scaling bench to
-/// reproduce the paper's observation that flat verification is impractical
-/// beyond ~2 stages.
-VerificationResult flat_experiment(int n_stages, const ExperimentConfig& cfg = {});
+/// Obligation N of table1_suite(cfg), decided on the "refine" engine with
+/// one worker (lint pre-flight and slicing on, as `rtv ipcmos` runs it).
+EngineResult experiment1(const ExperimentConfig& cfg = {});
+EngineResult experiment2(const ExperimentConfig& cfg = {});
+EngineResult experiment3(const ExperimentConfig& cfg = {});
+EngineResult experiment4(const ExperimentConfig& cfg = {});
+EngineResult experiment5(const ExperimentConfig& cfg = {});
+
+/// All five in order, with the paper's row labels (the obligation names).
+struct NamedResult {
+  std::string name;
+  EngineResult result;
+};
+std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg = {});
+
+/// Flat (no abstraction) verification of an n-stage pipeline on refine:
+/// IN || I1 || ... || In || OUT |= S (obligation 5 is n = 1).  Used by the
+/// scaling bench to reproduce the paper's observation that flat
+/// verification is impractical beyond ~2 stages.
+EngineResult flat_experiment(int n_stages, const ExperimentConfig& cfg = {});
 
 }  // namespace rtv::ipcmos

@@ -17,7 +17,6 @@
 
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ipcmos/pipeline.hpp"
-#include "rtv/verify/refinement.hpp"
 
 namespace rtv::ipcmos {
 
@@ -33,8 +32,8 @@ Netlist make_join_netlist(const StageTiming& t = {});
 Netlist make_fork_netlist(const StageTiming& t = {});
 
 /// Verify a topology against S (deadlock-freedom, persistency and the
-/// stage's short-circuit invariants) with the relative-timing flow.
-VerificationResult verify_join(const ExperimentConfig& cfg = {});
-VerificationResult verify_fork(const ExperimentConfig& cfg = {});
+/// stage's short-circuit invariants) on the "refine" engine, one worker.
+EngineResult verify_join(const ExperimentConfig& cfg = {});
+EngineResult verify_fork(const ExperimentConfig& cfg = {});
 
 }  // namespace rtv::ipcmos

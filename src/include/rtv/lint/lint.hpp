@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "rtv/analysis/depgraph.hpp"
 #include "rtv/base/interval.hpp"
 #include "rtv/lint/diagnostic.hpp"
 #include "rtv/ts/module.hpp"
@@ -72,13 +73,11 @@ inline constexpr const char* kOutsideCone = "RTV-L016";       ///< note
 inline constexpr const char* kSliceUnreachable = "RTV-L017";  ///< note
 }  // namespace check
 
-/// Constants past this many ticks fall outside the historical 16-bit
-/// digitized age range (the PR 3 wrap-bug class).  Ages are 64-bit now, so
-/// such models verify correctly — but the discrete engine's tick-stepping
-/// cost is linear in the constants, so RTV-L013 flags them as a cost
-/// hazard, and RTV-L012 escalates to an error when the configured state
-/// budget makes truncation certain.
-inline constexpr Time kLegacyAgeRangeTicks = 65535;
+/// Delay constants past this many ticks make digitization costly: the
+/// discrete engine's tick-stepping cost is linear in the constants, so
+/// RTV-L013 flags them as a cost hazard (RTV-L012 escalates to an error
+/// when the configured state budget makes truncation certain).
+inline constexpr Time kDigitizationCostTicks = 65535;
 
 struct LintOptions {
   /// Engines the obligation is destined for; engine-range checks
@@ -86,23 +85,28 @@ struct LintOptions {
   /// "unknown" and keeps every engine-specific check armed.
   std::vector<std::string> engines;
   /// Effective per-engine state budget; 0 = each engine's native default
-  /// (the discrete engine's 4M configs).  Feeds RTV-L012's certain-
-  /// truncation prediction.
+  /// (kDefaultDiscreteConfigs for the discrete engine).  Feeds RTV-L012's
+  /// certain-truncation prediction.
   std::size_t max_states = 0;
 };
 
 /// Lint one obligation: modules composed over shared labels plus the
 /// properties checked against the composition.  Purely structural — never
 /// composes, never runs an engine; cost is linear in the component sizes.
-/// The report comes back severity-sorted (errors first).
+/// The report comes back severity-sorted (errors first).  `graph`, when
+/// given, is the modules' prebuilt dependency graph
+/// (analysis::build_depgraph) — run_suite() builds it once per obligation
+/// and hands it to the slicer too; null builds it here.
 LintReport lint_modules(const std::vector<const Module*>& modules,
                         const std::vector<const SafetyProperty*>& properties,
-                        const LintOptions& options = {});
+                        const LintOptions& options = {},
+                        const analysis::DepGraph* graph = nullptr);
 
 /// Lint one suite obligation with the engine selection and budget
 /// run_suite() would resolve for it (per-obligation overrides included) —
 /// exactly the pre-flight the scheduler runs.
 LintReport lint_obligation(const Obligation& obligation,
-                           const SuiteOptions& options = {});
+                           const SuiteOptions& options = {},
+                           const analysis::DepGraph* graph = nullptr);
 
 }  // namespace rtv::lint

@@ -7,16 +7,18 @@
 // the relative-timing flow then tries to prove timing-impossible.
 #pragma once
 
-#include "rtv/verify/refinement.hpp"
+#include <vector>
+
+#include "rtv/verify/engine.hpp"
 
 namespace rtv {
 
 /// Verify  (|| system)  <=  abstraction  restricted to the abstraction's
-/// alphabet.  Extra properties (e.g. deadlock-freedom of the closed system)
-/// can be checked in the same run.
-VerificationResult check_containment(
+/// alphabet on the "refine" engine (composed once, chokes tracked, no lint
+/// pre-flight or slicing).  Extra properties (e.g. deadlock-freedom of the
+/// closed system) are checked in the same run.
+EngineResult check_containment(
     const std::vector<const Module*>& system, const Module& abstraction,
-    const std::vector<const SafetyProperty*>& extra_properties = {},
-    const VerifyOptions& options = {});
+    const std::vector<const SafetyProperty*>& extra_properties = {});
 
 }  // namespace rtv

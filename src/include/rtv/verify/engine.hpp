@@ -7,17 +7,19 @@
 //
 //   Engine::run(EngineRequest) -> EngineResult
 //
-// A request carries the composed obligation (modules + properties), a
-// shared RunBudget (state cap, wall-clock deadline, cooperative
-// cancellation) and an optional progress callback; a result carries a
-// common three-valued Verdict plus engine-specific statistics.  Engines
-// register in engine_registry() under stable names ("refine", "zone",
-// "discrete"), so callers — the CLI, benches, parity tests, future
-// sharded backends — enumerate and swap them generically.
+// A request carries the obligation's Composition (built once by the caller
+// and shared read-only by every engine that decides the obligation), its
+// properties, a shared RunBudget (state cap, wall-clock deadline,
+// cooperative cancellation) and an optional progress callback; a result
+// carries a common three-valued Verdict plus engine-specific statistics.
+// Engines never compose.  They register in engine_registry() under stable
+// names ("refine", "zone", "discrete"), so callers — the CLI, benches,
+// parity tests, future sharded backends — enumerate and swap them
+// generically.
 //
-// Adding a backend is a one-file drop-in: subclass Engine, map your
-// native options/result to EngineRequest/EngineResult, and register an
-// instance (see docs/API.md).
+// Adding a backend is a one-file drop-in: subclass Engine, explore the
+// request's composition, fill an EngineResult, and register an instance
+// (see docs/API.md).
 #pragma once
 
 #include <atomic>
@@ -25,12 +27,15 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
-#include "rtv/ts/module.hpp"
+#include "rtv/timing/trace_timing.hpp"
+#include "rtv/ts/compose.hpp"
+#include "rtv/ts/trace.hpp"
 #include "rtv/verify/property.hpp"
 
 namespace rtv {
@@ -49,10 +54,6 @@ enum class Verdict {
   kVerified,
   kViolated,
   kInconclusive,
-  /// Deprecated historical alias from the refinement flow, where a
-  /// violation always comes with a concrete timed counterexample trace.
-  /// Use kViolated; this alias will be removed in a future release.
-  kCounterexample [[deprecated("use Verdict::kViolated")]] = kViolated,
 };
 
 const char* to_string(Verdict v);
@@ -75,13 +76,23 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
+/// Native exploration budgets, used when RunBudget::max_states is 0.
+inline constexpr std::size_t kDefaultRefineStates = 2'000'000;
+inline constexpr std::size_t kDefaultZones = 2'000'000;
+inline constexpr std::size_t kDefaultDiscreteConfigs = 4'000'000;
+
 /// Resource limits shared by every engine.  Exceeding any limit stops the
 /// run early with Verdict::kInconclusive and a stop_reason.
+///
+/// run_suite() applies one obligation's budget to its composition and to
+/// each engine run on it: max_states also caps the composed states (2M,
+/// ComposeOptions' default, when 0), and max_seconds and cancel cover
+/// composition plus exploration.
 struct RunBudget {
-  /// Cap on explored states (composed states / zones / digitized configs —
-  /// each engine counts its own exploration unit).  0 keeps the engine's
-  /// native default (2M states/zones for refine/zone, 4M configs for
-  /// discrete).
+  /// Cap on explored states in the engine's own unit (refined states per
+  /// failure search / zones / digitized configs).  0 keeps the engine's
+  /// native default (kDefaultRefineStates, kDefaultZones,
+  /// kDefaultDiscreteConfigs).
   std::size_t max_states = 0;
   /// Wall-clock deadline in seconds; 0 means no deadline.
   double max_seconds = 0.0;
@@ -114,13 +125,7 @@ inline constexpr const char* kComposeBudget =
 /// Refinement engine only: the iteration cap was reached.
 inline constexpr const char* kRefinementBudget =
     "refinement budget exhausted";
-/// Historical (discrete engine): emitted while digitized ages were 16-bit
-/// and delay bounds past 65535 ticks had to be refused.  Ages are 64-bit
-/// now, so the built-in engines no longer emit it; the constant stays so
-/// stored reports keep parsing and custom backends can reuse it.
-inline constexpr const char* kDigitizationRange =
-    "timing constants exceed the digitized age range";
-/// The engine threw instead of returning a result (e.g. compose() rejects
+/// compose() or the engine threw instead of returning a result (e.g.
 /// contradictory delay bounds); the what() string goes in
 /// EngineResult::message.
 inline constexpr const char* kEngineError = "engine raised an error";
@@ -166,31 +171,50 @@ class RunClock {
 
 /// One verification obligation, engine-agnostic.
 struct EngineRequest {
-  /// Modules composed CSP-style over shared labels (monitors included).
-  std::vector<const Module*> modules;
+  /// The obligation's modules composed CSP-style over shared labels
+  /// (monitors included), with chokes tracked when containment is checked.
+  /// Not owned, never modified: one complete (untruncated) composition is
+  /// shared by every engine run on the obligation, concurrently.
+  const Composition* composition = nullptr;
   std::vector<const SafetyProperty*> properties;
   RunBudget budget;
   /// Invoked every progress_interval explored states when set.
   ProgressFn progress;
   std::size_t progress_interval = kDefaultProgressInterval;
-  /// Track refused outputs (chokes) for containment checking.
-  bool track_chokes = true;
   /// Refinement-engine knob (iteration cap); exact engines ignore it.
   std::size_t max_refinements = 500;
   /// Worker threads *inside* this one obligation (0 = one per hardware
   /// thread, 1 = sequential).  Parallel engines shard their frontier
-  /// across the workers (compose() for every engine, the digitized BFS
-  /// for "discrete"); verdicts never depend on the worker count.
+  /// across the workers (the digitized BFS for "discrete"; run_suite()
+  /// also composes with them); verdicts never depend on the worker count.
   std::size_t jobs = 1;
+};
+
+/// One refinement iteration: the failure that was found and the relative
+/// timing information that removed it.
+struct RefinementRecord {
+  int iteration = 0;
+  std::string failure;                       ///< description of the violation
+  std::vector<std::string> window_labels;    ///< banned window (event labels)
+  bool from_start = false;
+  bool used_window = false;                  ///< window ban vs ordering pairs
+  std::string anchor;                        ///< anchor description
+  std::vector<DerivedOrdering> orderings;    ///< back-annotated constraints
 };
 
 /// Engine-specific statistics, carried alongside the common fields.
 struct RefineEngineStats {
   int refinements = 0;
   std::size_t composed_states = 0;
-  /// Back-annotated relative timing constraints ("a before b"), the
-  /// paper's Fig. 13 deliverable.
-  std::vector<std::string> constraints;
+  /// Per-iteration detail of the refinement loop.
+  std::vector<RefinementRecord> records;
+  /// The timing-consistent failure trace of a violation, valid against
+  /// the request's composition (EngineResult::trace_labels spells it out).
+  std::optional<Trace> counterexample;
+
+  /// Back-annotated relative timing constraints, the paper's Fig. 13
+  /// deliverable: every record's orderings, sorted and deduplicated.
+  std::vector<DerivedOrdering> constraints() const;
 };
 
 /// For zone/discrete, EngineResult::states_explored already counts the
@@ -238,7 +262,9 @@ class Engine {
   virtual std::string_view name() const = 0;
   /// One-line description for listings.
   virtual std::string_view description() const = 0;
-  /// Decide one obligation.
+  /// Decide one obligation.  Throws std::invalid_argument when the
+  /// request carries no composition or a truncated one (exploring a
+  /// truncated product would fabricate deadlocks at its frontier).
   ///
   /// Thread-safety contract: run() must be safe to call concurrently from
   /// multiple threads on the same Engine instance — implementations keep
@@ -246,10 +272,10 @@ class Engine {
   /// is const for exactly this reason).  The three built-in engines are
   /// stateless and honour this; the batch scheduler (rtv/verify/suite.hpp)
   /// relies on it to race engines and to run obligations in parallel.
-  /// Requests are shared by value-ish views: the modules, properties and
-  /// cancel token behind a request must stay alive and unmodified for the
-  /// duration of the call (CancelToken::cancel() is the one exception —
-  /// it may be fired from any thread at any time).
+  /// Requests are shared by value-ish views: the composition, properties
+  /// and cancel token behind a request must stay alive and unmodified for
+  /// the duration of the call (CancelToken::cancel() is the one exception
+  /// — it may be fired from any thread at any time).
   virtual EngineResult run(const EngineRequest& request) const = 0;
 };
 
@@ -266,6 +292,14 @@ class EngineRegistry {
  private:
   std::vector<std::unique_ptr<Engine>> engines_;
 };
+
+/// The request's composition, checked against the Engine::run contract.
+const Composition& checked_composition(const EngineRequest& request);
+
+/// Flush one finished run into the global metrics registry (runs, states,
+/// verdicts, seconds; refinement iterations for refine).  The built-in
+/// engines call it at the end of every run; custom backends may too.
+void record_engine_run(std::string_view engine, const EngineResult& result);
 
 /// The process-wide registry, pre-seeded with the three built-in engines:
 /// "refine" (relative-timing refinement), "zone" (dense-time DBM zones)

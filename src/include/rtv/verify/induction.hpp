@@ -17,8 +17,8 @@
 namespace rtv {
 
 struct InductionResult {
-  VerificationResult base;
-  VerificationResult step;
+  EngineResult base;
+  EngineResult step;
 
   bool proved() const {
     return base.verdict == Verdict::kVerified &&
@@ -32,7 +32,6 @@ struct InductionResult {
 InductionResult prove_fixed_point(
     const Module& base_env, const Module& left_abstraction,
     const Module& component, const Module& context, const Module& abstraction,
-    const std::vector<const SafetyProperty*>& properties = {},
-    const VerifyOptions& options = {});
+    const std::vector<const SafetyProperty*>& properties = {});
 
 }  // namespace rtv

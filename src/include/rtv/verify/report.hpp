@@ -3,24 +3,25 @@
 // Fig. 13 deliverable) and experiment summary tables (Table 1).
 //
 // The tables are built on the batch-verification records of
-// rtv/verify/suite.hpp: a SuiteReport renders directly, and the legacy
-// ExperimentRow entry points feed the same aligned-table renderer.
+// rtv/verify/suite.hpp: a SuiteReport renders directly, or as one
+// ExperimentRow per record in the paper's Table 1 shape.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 #include "rtv/verify/suite.hpp"
 
 namespace rtv {
 
-/// Full textual report of one verification run.
-std::string format_report(const std::string& title,
-                          const VerificationResult& result);
+/// Full textual report of one verification run, with the per-iteration
+/// refinement log when the result carries RefineEngineStats.
+std::string format_report(const std::string& title, const EngineResult& result);
 
-/// Only the deduplicated relative timing constraints.
-std::string format_constraints(const VerificationResult& result);
+/// Only the deduplicated relative timing constraints (empty unless the
+/// result carries RefineEngineStats).
+std::string format_constraints(const EngineResult& result);
 
 /// A Table-1-style summary row: name, verdict, CPU time, refinements.
 struct ExperimentRow {
@@ -31,8 +32,6 @@ struct ExperimentRow {
   std::size_t states = 0;
 };
 
-ExperimentRow summarize(const std::string& name, const VerificationResult& r);
-
 /// Summary of a unified engine result: refinement count from
 /// RefineEngineStats when present (0 otherwise), states from
 /// states_explored (the engine's own exploration unit).
@@ -42,7 +41,8 @@ ExperimentRow summarize(const std::string& name, const EngineResult& r);
 /// "obligation [engine]" (several engines per obligation).
 std::vector<ExperimentRow> rows_from(const SuiteReport& report);
 
-/// Render rows as an aligned text table.
+/// Render rows as an aligned text table; the name column fits the longest
+/// name.
 std::string format_table(const std::vector<ExperimentRow>& rows);
 
 /// Render a whole suite report as an aligned text table: one line per

@@ -16,66 +16,28 @@
 // engines bench.
 #pragma once
 
-#include "rtv/ts/compose.hpp"
+#include <string_view>
+
 #include "rtv/verify/engine.hpp"
-#include "rtv/verify/property.hpp"
 
 namespace rtv {
 
-struct DiscreteVerifyOptions {
-  /// Hard ceiling on explored (location, valuation) configs, enforced at
-  /// insertion: the run never retains more configs than this.
-  std::size_t max_states = 4'000'000;
-  bool track_chokes = true;
-  /// Worker threads for the digitized BFS (0 = one per hardware thread,
-  /// 1 = sequential).  Verdicts, violation choice and counterexample
-  /// traces are identical for every job count: exploration is
-  /// layer-synchronous and the first violation in BFS order wins.
-  std::size_t jobs = 1;
-  /// Wall-clock deadline in seconds; 0 means none.
-  double max_seconds = 0.0;
-  /// Optional cooperative cancellation (not owned; may be null).
-  const CancelToken* cancel = nullptr;
-  /// Invoked every progress_interval explored configs when set.
-  ProgressFn progress;
-  std::size_t progress_interval = kDefaultProgressInterval;
-  /// Advanced: share an external RunClock (deadline/cancel/progress state
-  /// and elapsed-seconds origin) instead of starting a fresh one —
-  /// discrete_verify uses this so composition time counts against the
-  /// budget.
-  RunClock* clock = nullptr;
-};
-
-struct DiscreteVerifyResult {
-  bool violated = false;
-  bool truncated = false;
-  std::string truncated_reason;      ///< why, when truncated
-  std::string description;
-  /// Event labels leading to the violation (delay ticks are implicit, as
-  /// in the zone engine's traces); empty when not violated.
-  std::vector<std::string> trace_labels;
-  std::size_t states_explored = 0;   ///< (location, valuation) pairs
-  std::size_t discrete_states = 0;   ///< distinct locations reached
-  double seconds = 0.0;
-
-  /// The unified three-valued verdict: a truncated run is never verified.
-  Verdict verdict() const {
-    if (violated) return Verdict::kViolated;
-    return truncated ? Verdict::kInconclusive : Verdict::kVerified;
+/// Digitized reachability with integer ages, registered as "discrete".
+/// EngineResult::states_explored counts (location, valuation) configs, a
+/// hard ceiling enforced at insertion.  The BFS shards each layer across
+/// request.jobs workers; verdicts, the violation chosen and its
+/// counterexample trace are identical for every job count (exploration is
+/// layer-synchronous and the first violation in BFS order wins).  Traces
+/// list firing labels only: delay ticks are implicit, as in the zone
+/// engine's traces.
+class DiscreteEngine final : public Engine {
+ public:
+  std::string_view name() const override { return "discrete"; }
+  std::string_view description() const override {
+    return "digitized reachability with integer ages (cost grows with the "
+           "timing constants)";
   }
+  EngineResult run(const EngineRequest& request) const override;
 };
-
-/// Digitized exploration of the composition of `modules`.
-DiscreteVerifyResult discrete_verify(
-    const std::vector<const Module*>& modules,
-    const std::vector<const SafetyProperty*>& properties,
-    const DiscreteVerifyOptions& options = {});
-
-/// Digitized exploration over an already-built system.
-DiscreteVerifyResult discrete_explore(
-    const TransitionSystem& ts,
-    const std::vector<const SafetyProperty*>& properties,
-    std::span<const ChokeRecord> chokes,
-    const DiscreteVerifyOptions& options = {});
 
 }  // namespace rtv

@@ -12,68 +12,26 @@
 // avoids.
 #pragma once
 
-#include <optional>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "rtv/ts/compose.hpp"
 #include "rtv/verify/engine.hpp"
-#include "rtv/verify/property.hpp"
-#include "rtv/zone/dbm.hpp"
 
 namespace rtv {
 
-struct ZoneVerifyOptions {
-  /// Hard ceiling on stored zones, enforced at insertion (the initial zone
-  /// is always admitted): the run never stores more zones than this.
-  std::size_t max_zones = 2'000'000;
-  bool track_chokes = true;
-  /// Worker threads (0 = one per hardware thread, 1 = sequential).  Only
-  /// the composition phase is parallel today: the zone expansion itself
-  /// stays sequential because subsumption makes its exploration order
-  /// load-bearing (sharding it is future work), but the knob is plumbed
-  /// through so a parallel zone backend can slot in without API churn.
-  std::size_t jobs = 1;
-  /// Wall-clock deadline in seconds; 0 means none.
-  double max_seconds = 0.0;
-  /// Optional cooperative cancellation (not owned; may be null).
-  const CancelToken* cancel = nullptr;
-  /// Invoked every progress_interval explored zones when set.
-  ProgressFn progress;
-  std::size_t progress_interval = kDefaultProgressInterval;
-  /// Advanced: share an external RunClock (deadline/cancel/progress state
-  /// and elapsed-seconds origin) instead of starting a fresh one —
-  /// zone_verify uses this so composition time counts against the budget.
-  RunClock* clock = nullptr;
-};
-
-struct ZoneVerifyResult {
-  bool violated = false;
-  bool truncated = false;
-  std::string truncated_reason;            ///< why, when truncated
-  std::string description;                 ///< first violation found
-  std::vector<std::string> trace_labels;   ///< events leading to it
-  std::size_t zones_explored = 0;
-  std::size_t discrete_states = 0;         ///< distinct TTS states reached in time
-  double seconds = 0.0;
-
-  /// The unified three-valued verdict: a truncated run is never verified.
-  Verdict verdict() const {
-    if (violated) return Verdict::kViolated;
-    return truncated ? Verdict::kInconclusive : Verdict::kVerified;
+/// Exact dense-time reachability over DBM zones, registered as "zone".
+/// It explores the request's composition, checking the properties plus
+/// containment chokes; EngineResult::states_explored counts stored zones,
+/// a hard ceiling enforced at insertion (the initial zone is always
+/// admitted).  The zone expansion is sequential (subsumption makes its
+/// exploration order load-bearing), so request.jobs is not used here.
+class ZoneEngine final : public Engine {
+ public:
+  std::string_view name() const override { return "zone"; }
+  std::string_view description() const override {
+    return "exact dense-time reachability over DBM zones (ground truth, "
+           "exponential in clocks)";
   }
+  EngineResult run(const EngineRequest& request) const override;
 };
-
-/// Explore the timed state space of the composition of `modules`, checking
-/// `properties` plus containment chokes.
-ZoneVerifyResult zone_verify(const std::vector<const Module*>& modules,
-                             const std::vector<const SafetyProperty*>& properties,
-                             const ZoneVerifyOptions& options = {});
-
-/// Timed reachability over an already-built transition system.
-ZoneVerifyResult zone_explore(const TransitionSystem& ts,
-                              const std::vector<const SafetyProperty*>& properties,
-                              std::span<const ChokeRecord> chokes,
-                              const ZoneVerifyOptions& options = {});
 
 }  // namespace rtv

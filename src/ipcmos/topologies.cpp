@@ -25,14 +25,22 @@ StageChannels fork_channels() {
   return ch;
 }
 
-VerificationResult verify_topology(const ModuleSet& set, const Netlist& nl,
-                                   const VerifyOptions& opts) {
+EngineResult verify_topology(const ModuleSet& set, const Netlist& nl,
+                             const ExperimentConfig& cfg) {
   DeadlockFreedom dead;
   PersistencyProperty pers;
   std::vector<const SafetyProperty*> props{&dead, &pers};
   const auto scs = short_circuit_properties(nl);
   for (const auto& p : scs) props.push_back(p.get());
-  return verify_modules(set.ptrs, props, opts);
+
+  Suite suite;
+  Obligation& ob = suite.add(nl.name(), set.ptrs, std::move(props));
+  ob.budget = cfg.budget;
+  ob.max_refinements = cfg.max_refinements;
+  SuiteOptions opts;
+  opts.engines = {"refine"};
+  opts.jobs = 1;
+  return run_suite(suite, opts).records.front().result;
 }
 
 }  // namespace
@@ -63,14 +71,14 @@ ModuleSet fork_system(const PipelineTiming& t) {
   return set;
 }
 
-VerificationResult verify_join(const ExperimentConfig& cfg) {
+EngineResult verify_join(const ExperimentConfig& cfg) {
   const ModuleSet set = join_system(cfg.timing);
-  return verify_topology(set, make_join_netlist(cfg.timing.stage), cfg.verify);
+  return verify_topology(set, make_join_netlist(cfg.timing.stage), cfg);
 }
 
-VerificationResult verify_fork(const ExperimentConfig& cfg) {
+EngineResult verify_fork(const ExperimentConfig& cfg) {
   const ModuleSet set = fork_system(cfg.timing);
-  return verify_topology(set, make_fork_netlist(cfg.timing.stage), cfg.verify);
+  return verify_topology(set, make_fork_netlist(cfg.timing.stage), cfg);
 }
 
 }  // namespace rtv::ipcmos

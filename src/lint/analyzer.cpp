@@ -31,26 +31,31 @@ bool selection_only_digitizes(const std::vector<std::string>& engines) {
 
 LintReport lint_modules(const std::vector<const Module*>& modules,
                         const std::vector<const SafetyProperty*>& properties,
-                        const LintOptions& options) {
+                        const LintOptions& options,
+                        const analysis::DepGraph* graph) {
   LintReport report;
-  CheckContext ctx{modules,
-                   properties,
-                   options,
-                   selection_digitizes(options.engines),
-                   selection_only_digitizes(options.engines),
-                   {},
-                   report.diagnostics};
-
   if (modules.empty()) {
-    ctx.emit(check::kNoInitialState, Severity::kError, "", "",
-             "obligation carries no modules — nothing to verify");
+    report.diagnostics.push_back(
+        Diagnostic{check::kNoInitialState, Severity::kError, "", "",
+                   "obligation carries no modules — nothing to verify"});
     return report;
   }
 
   // One dependency analysis per pass: per-module BFS reachability,
   // fireable events, and the shared-label structure — the same facts the
   // rtv/analysis slicer consumes.
-  ctx.graph = analysis::build_depgraph(modules);
+  analysis::DepGraph local;
+  if (!graph) {
+    local = analysis::build_depgraph(modules);
+    graph = &local;
+  }
+  CheckContext ctx{modules,
+                   properties,
+                   options,
+                   selection_digitizes(options.engines),
+                   selection_only_digitizes(options.engines),
+                   *graph,
+                   report.diagnostics};
 
   check_well_formed(ctx);
   check_reachability(ctx);
@@ -62,7 +67,8 @@ LintReport lint_modules(const std::vector<const Module*>& modules,
 }
 
 LintReport lint_obligation(const Obligation& obligation,
-                           const SuiteOptions& options) {
+                           const SuiteOptions& options,
+                           const analysis::DepGraph* graph) {
   // Mirror run_suite()'s engine and budget resolution exactly, so the
   // pre-flight judges the obligation the scheduler will actually run.
   LintOptions lo;
@@ -76,7 +82,7 @@ LintReport lint_obligation(const Obligation& obligation,
     lo.engines = engine_registry().names();
   lo.max_states = obligation.budget.max_states ? obligation.budget.max_states
                                                : options.budget.max_states;
-  return lint_modules(obligation.modules, obligation.properties, lo);
+  return lint_modules(obligation.modules, obligation.properties, lo, graph);
 }
 
 }  // namespace rtv::lint

@@ -27,7 +27,7 @@ struct CheckContext {
   bool only_discrete = false;
   /// Per-module reachability facts plus the shared-label structure, one
   /// computation shared between lint and the slicer.
-  analysis::DepGraph graph;
+  const analysis::DepGraph& graph;
   std::vector<Diagnostic>& out;
 
   /// Reachable states of module mi in BFS order (empty when the module
@@ -56,7 +56,7 @@ void check_well_formed(CheckContext& ctx);
 void check_reachability(CheckContext& ctx);
 
 /// RTV-L011..L013: delay constants vs. the time-infinity sentinel, the
-/// digitized state budget and the historical 16-bit age range.
+/// digitized state budget and the digitization-cost threshold.
 void check_engine_range(CheckContext& ctx);
 
 /// RTV-L016, L017: what the cone-of-influence slicer would drop.

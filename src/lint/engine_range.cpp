@@ -3,15 +3,14 @@
 // The discrete engine digitizes: it steps the composition tick by tick, so
 // its exploration cost is linear in the delay constants, and its config
 // budget caps how far it can step.  Both facts are knowable from the model
-// and the budget alone — this is where the historical 16-bit age-wrap bug
-// class (a model with constants past 65535 ticks silently truncating)
-// becomes a static finding instead of a mysterious inconclusive run.
+// and the budget alone, so a doomed or slow digitized run becomes a static
+// finding instead of a mysterious inconclusive one.
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "checks.hpp"
-#include "rtv/zone/discrete.hpp"
+#include "rtv/verify/engine.hpp"
 
 namespace rtv::lint {
 
@@ -29,7 +28,7 @@ std::string ticks_with_units(Time t) {
 void check_engine_range(CheckContext& ctx) {
   const std::size_t budget = ctx.options.max_states
                                  ? ctx.options.max_states
-                                 : DiscreteVerifyOptions{}.max_states;
+                                 : kDefaultDiscreteConfigs;
 
   for (std::size_t mi = 0; mi < ctx.modules.size(); ++mi) {
     const TransitionSystem& ts = ctx.modules[mi]->ts();
@@ -84,17 +83,17 @@ void check_engine_range(CheckContext& ctx) {
         continue;  // L013 would restate the same constant
       }
 
-      // RTV-L013: past the historical 16-bit age range the model still
-      // verifies correctly (ages are 64-bit), but digitized exploration
-      // walks every tick — constants this large make the discrete engine
-      // the wrong tool.
-      if (demand > kLegacyAgeRangeTicks) {
+      // RTV-L013: the model still verifies correctly, but digitized
+      // exploration walks every tick — constants this large make the
+      // discrete engine the wrong tool.
+      if (demand > kDigitizationCostTicks) {
         ctx.emit(check::kDigitizationCost, Severity::kWarning,
                  ctx.modules[mi]->name(), ev.label,
                  "event '" + ev.label + "' declares delay constant " +
                      ticks_with_units(demand) +
-                     ", beyond the historical 16-bit age range (65535 "
-                     "ticks); digitized exploration walks every tick, so "
+                     ", beyond the digitization-cost threshold of " +
+                     std::to_string(kDigitizationCostTicks) +
+                     " ticks; digitized exploration walks every tick, so "
                      "expect the discrete engine to be slow here — prefer "
                      "the zone or refinement engine");
       }

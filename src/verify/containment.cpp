@@ -1,21 +1,28 @@
 #include "rtv/verify/containment.hpp"
 
+#include <utility>
+
+#include "rtv/verify/suite.hpp"
+
 namespace rtv {
 
-VerificationResult check_containment(
+EngineResult check_containment(
     const std::vector<const Module*>& system, const Module& abstraction,
-    const std::vector<const SafetyProperty*>& extra_properties,
-    const VerifyOptions& options) {
+    const std::vector<const SafetyProperty*>& extra_properties) {
   // The abstraction participates as a monitor: it observes every event of
   // its alphabet, constrains neither timing nor enabling, and any event it
   // cannot accept surfaces as a choke in the composition.
-  const Module monitor = abstraction.as_monitor(abstraction.name() + "'");
+  Suite suite;
   std::vector<const Module*> modules = system;
-  modules.push_back(&monitor);
+  modules.push_back(suite.own(abstraction.as_monitor(abstraction.name() + "'")));
+  suite.add(abstraction.name(), std::move(modules), extra_properties);
 
-  VerifyOptions opts = options;
-  opts.track_chokes = true;
-  return verify_modules(modules, extra_properties, opts);
+  SuiteOptions opts;
+  opts.engines = {"refine"};
+  opts.jobs = 1;
+  opts.preflight = false;
+  opts.slice = false;
+  return run_suite(suite, opts).records.front().result;
 }
 
 }  // namespace rtv

@@ -1,11 +1,11 @@
 #include "rtv/verify/engine.hpp"
 
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "rtv/obs/metrics.hpp"
-#include "rtv/obs/trace.hpp"
 #include "rtv/verify/refinement.hpp"
 #include "rtv/zone/discrete.hpp"
 #include "rtv/zone/zone_graph.hpp"
@@ -69,15 +69,22 @@ const char* RunClock::tick(std::size_t states_explored) {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in engines
+// Shared engine plumbing
 // ---------------------------------------------------------------------------
 
-namespace {
+const Composition& checked_composition(const EngineRequest& request) {
+  if (!request.composition)
+    throw std::invalid_argument("engine request carries no composition");
+  if (request.composition->truncated)
+    throw std::invalid_argument(
+        "engine request carries a truncated composition");
+  return *request.composition;
+}
 
-/// One flush per finished run: cheap enough to do unconditionally from the
-/// engine adapters, so every caller (CLI, suite, serve, fuzz) gets the
-/// per-engine counters without opting in.
-void record_run_metrics(std::string_view engine, const EngineResult& r) {
+/// One flush per finished run: cheap enough to do unconditionally, so every
+/// caller (CLI, suite, serve, fuzz) gets the per-engine counters without
+/// opting in.
+void record_engine_run(std::string_view engine, const EngineResult& r) {
   if (!obs::metrics_enabled()) return;
   obs::Registry& reg = obs::Registry::global();
   const std::string label = "engine=\"" + std::string(engine) + '"';
@@ -98,118 +105,6 @@ void record_run_metrics(std::string_view engine, const EngineResult& r) {
         .add(static_cast<std::uint64_t>(
             st->refinements < 0 ? 0 : st->refinements));
 }
-
-class RefineEngine final : public Engine {
- public:
-  std::string_view name() const override { return "refine"; }
-  std::string_view description() const override {
-    return "relative-timing refinement (the paper's flow: untimed search + "
-           "derived timing constraints)";
-  }
-
-  EngineResult run(const EngineRequest& request) const override {
-    obs::Span span("engine:refine", "engine");
-    VerifyOptions opts;
-    opts.max_refinements = request.max_refinements;
-    if (request.budget.max_states) opts.max_states = request.budget.max_states;
-    opts.max_seconds = request.budget.max_seconds;
-    opts.cancel = request.budget.cancel;
-    opts.progress = request.progress;
-    opts.progress_interval = request.progress_interval;
-    opts.track_chokes = request.track_chokes;
-    opts.jobs = request.jobs;
-    const VerificationResult r =
-        verify_modules(request.modules, request.properties, opts);
-
-    EngineResult out;
-    out.verdict = r.verdict;
-    out.message =
-        r.verdict == Verdict::kViolated ? r.counterexample_text : r.message;
-    out.trace_labels = r.counterexample_labels;
-    out.states_explored = r.final_states_explored;
-    out.seconds = r.seconds;
-    out.truncated_reason = r.truncated_reason;
-
-    RefineEngineStats st;
-    st.refinements = r.refinements;
-    st.composed_states = r.composed_states;
-    for (const DerivedOrdering& o : r.constraints())
-      st.constraints.push_back(o.before + " before " + o.after);
-    out.stats = std::move(st);
-    record_run_metrics(name(), out);
-    return out;
-  }
-};
-
-class ZoneEngine final : public Engine {
- public:
-  std::string_view name() const override { return "zone"; }
-  std::string_view description() const override {
-    return "exact dense-time reachability over DBM zones (ground truth, "
-           "exponential in clocks)";
-  }
-
-  EngineResult run(const EngineRequest& request) const override {
-    obs::Span span("engine:zone", "engine");
-    ZoneVerifyOptions opts;
-    if (request.budget.max_states) opts.max_zones = request.budget.max_states;
-    opts.max_seconds = request.budget.max_seconds;
-    opts.cancel = request.budget.cancel;
-    opts.progress = request.progress;
-    opts.progress_interval = request.progress_interval;
-    opts.track_chokes = request.track_chokes;
-    opts.jobs = request.jobs;
-    const ZoneVerifyResult r =
-        zone_verify(request.modules, request.properties, opts);
-
-    EngineResult out;
-    out.verdict = r.verdict();
-    if (r.violated) out.message = r.description;
-    out.trace_labels = r.trace_labels;
-    out.states_explored = r.zones_explored;
-    out.seconds = r.seconds;
-    out.truncated_reason = r.truncated_reason;
-    out.stats = ZoneEngineStats{r.discrete_states};
-    record_run_metrics(name(), out);
-    return out;
-  }
-};
-
-class DiscreteEngine final : public Engine {
- public:
-  std::string_view name() const override { return "discrete"; }
-  std::string_view description() const override {
-    return "digitized reachability with integer ages (cost grows with the "
-           "timing constants)";
-  }
-
-  EngineResult run(const EngineRequest& request) const override {
-    obs::Span span("engine:discrete", "engine");
-    DiscreteVerifyOptions opts;
-    if (request.budget.max_states) opts.max_states = request.budget.max_states;
-    opts.max_seconds = request.budget.max_seconds;
-    opts.cancel = request.budget.cancel;
-    opts.progress = request.progress;
-    opts.progress_interval = request.progress_interval;
-    opts.track_chokes = request.track_chokes;
-    opts.jobs = request.jobs;
-    const DiscreteVerifyResult r =
-        discrete_verify(request.modules, request.properties, opts);
-
-    EngineResult out;
-    out.verdict = r.verdict();
-    if (r.violated) out.message = r.description;
-    out.trace_labels = r.trace_labels;
-    out.states_explored = r.states_explored;
-    out.seconds = r.seconds;
-    out.truncated_reason = r.truncated_reason;
-    out.stats = DiscreteEngineStats{r.discrete_states};
-    record_run_metrics(name(), out);
-    return out;
-  }
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Registry

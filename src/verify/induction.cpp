@@ -5,9 +5,13 @@
 namespace rtv {
 
 std::vector<DerivedOrdering> InductionResult::constraints() const {
-  std::vector<DerivedOrdering> all = base.constraints();
-  const std::vector<DerivedOrdering> s = step.constraints();
-  all.insert(all.end(), s.begin(), s.end());
+  std::vector<DerivedOrdering> all;
+  for (const EngineResult* r : {&base, &step}) {
+    if (const auto* st = std::get_if<RefineEngineStats>(&r->stats)) {
+      const std::vector<DerivedOrdering> c = st->constraints();
+      all.insert(all.end(), c.begin(), c.end());
+    }
+  }
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
   return all;
@@ -16,13 +20,12 @@ std::vector<DerivedOrdering> InductionResult::constraints() const {
 InductionResult prove_fixed_point(
     const Module& base_env, const Module& left_abstraction,
     const Module& component, const Module& context, const Module& abstraction,
-    const std::vector<const SafetyProperty*>& properties,
-    const VerifyOptions& options) {
+    const std::vector<const SafetyProperty*>& properties) {
   InductionResult r;
   r.base = check_containment({&base_env, &component, &context}, abstraction,
-                             properties, options);
+                             properties);
   r.step = check_containment({&left_abstraction, &component, &context},
-                             abstraction, properties, options);
+                             abstraction, properties);
   return r;
 }
 

@@ -10,7 +10,7 @@
 
 namespace rtv {
 
-std::vector<DerivedOrdering> VerificationResult::constraints() const {
+std::vector<DerivedOrdering> RefineEngineStats::constraints() const {
   std::vector<DerivedOrdering> all;
   for (const RefinementRecord& r : records)
     all.insert(all.end(), r.orderings.begin(), r.orderings.end());
@@ -19,17 +19,17 @@ std::vector<DerivedOrdering> VerificationResult::constraints() const {
   return all;
 }
 
-VerificationResult verify_modules(
-    const std::vector<const Module*>& modules,
-    const std::vector<const SafetyProperty*>& properties,
-    const VerifyOptions& options) {
-  RunBudget budget;
-  budget.max_states = options.max_states;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock clock("refine", budget, options.progress,
-                 options.progress_interval);
-  VerificationResult result;
+EngineResult RefineEngine::run(const EngineRequest& request) const {
+  obs::Span span("engine:refine", "engine");
+  const Composition& comp = checked_composition(request);
+  const std::size_t max_states = request.budget.max_states
+                                     ? request.budget.max_states
+                                     : kDefaultRefineStates;
+  RunClock clock(name(), request.budget, request.progress,
+                 request.progress_interval);
+  EngineResult result;
+  RefineEngineStats st;
+  st.composed_states = comp.ts.num_states();
 
   auto finish = [&](const char* truncated_reason) {
     if (truncated_reason) {
@@ -37,36 +37,27 @@ VerificationResult verify_modules(
       if (result.message.empty()) result.message = truncated_reason;
     }
     result.seconds = clock.seconds();
+    result.stats = std::move(st);
+    record_engine_run(name(), result);
     return result;
   };
 
-  ComposeOptions copts;
-  copts.track_chokes = options.track_chokes;
-  copts.max_states = options.max_states;
-  copts.jobs = options.jobs;
-  copts.stop = [&clock](std::size_t states) { return clock.tick(states); };
-  const Composition comp = compose(modules, copts);
-  result.composed_states = comp.ts.num_states();
-  if (comp.truncated) {
-    result.message = "composition truncated; verdict unavailable";
-    return finish(comp.truncated_reason ? comp.truncated_reason
-                                        : stop_reason::kComposeBudget);
-  }
   RTV_INFO << "composed " << comp.ts.num_states() << " states, "
            << comp.chokes.size() << " potential refusals";
 
   RefinedSystem refined(comp.ts);
-  refined.enable_age_rule(options.structural_rule);
-  refined.set_max_waves(options.max_waves);
+  refined.enable_age_rule(structural_rule_);
+  refined.set_max_waves(max_waves_);
   refined.set_chokes(comp.chokes);
 
   std::string last_signature;
-  for (std::size_t iter = 0; iter <= options.max_refinements; ++iter) {
-    obs::Span span("refine iteration " + std::to_string(iter), "engine");
+  for (std::size_t iter = 0; iter <= request.max_refinements; ++iter) {
+    obs::Span iter_span("refine iteration " + std::to_string(iter), "engine");
     FailureSearchStats stats;
-    const auto failure = find_failure(refined, comp.chokes, properties,
-                                      options.max_states, &stats, &clock);
-    result.final_states_explored = stats.states_explored;
+    const auto failure = find_failure(refined, comp.chokes,
+                                      request.properties, max_states, &stats,
+                                      &clock);
+    result.states_explored = stats.states_explored;
     if (stats.truncated) {
       const char* reason = stats.stop_reason ? stats.stop_reason
                                              : stop_reason::kStateBudget;
@@ -84,23 +75,21 @@ VerificationResult verify_modules(
                                  comp.chokes);
     if (model.consistent()) {
       result.verdict = Verdict::kViolated;
-      result.counterexample = failure->trace;
-      for (const TraceStep& st : failure->trace.steps)
-        result.counterexample_labels.push_back(comp.ts.label(st.event));
+      st.counterexample = failure->trace;
+      for (const TraceStep& step : failure->trace.steps)
+        result.trace_labels.push_back(comp.ts.label(step.event));
       if (failure->virtual_event.valid())
-        result.counterexample_labels.push_back(
-            comp.ts.label(failure->virtual_event));
+        result.trace_labels.push_back(comp.ts.label(failure->virtual_event));
       std::ostringstream os;
       os << failure->description << " via "
          << failure->trace.to_string(comp.ts);
       if (failure->virtual_event.valid())
         os << " then " << comp.ts.label(failure->virtual_event);
-      result.counterexample_text = os.str();
-      result.message = "timing-consistent failure: " + failure->description;
+      result.message = os.str();
       break;
     }
 
-    if (iter == options.max_refinements) {
+    if (iter == request.max_refinements) {
       result.message = stop_reason::kRefinementBudget;
       return finish(stop_reason::kRefinementBudget);
     }
@@ -163,8 +152,8 @@ VerificationResult verify_modules(
       refined.add_observer(std::move(obs));
     }
     last_signature = std::move(signature);
-    result.records.push_back(std::move(rec));
-    result.refinements = static_cast<int>(iter) + 1;
+    st.records.push_back(std::move(rec));
+    st.refinements = static_cast<int>(iter) + 1;
   }
 
   return finish(nullptr);

@@ -7,21 +7,26 @@
 namespace rtv {
 
 std::string format_report(const std::string& title,
-                          const VerificationResult& result) {
+                          const EngineResult& result) {
+  const auto* st = std::get_if<RefineEngineStats>(&result.stats);
   std::ostringstream os;
   os << "== " << title << " ==\n";
   os << "verdict:      " << to_string(result.verdict) << "\n";
-  os << "refinements:  " << result.refinements << "\n";
-  os << "composed:     " << result.composed_states << " states\n";
-  os << "explored:     " << result.final_states_explored
-     << " refined states (final iteration)\n";
+  if (st) {
+    os << "refinements:  " << st->refinements << "\n";
+    os << "composed:     " << st->composed_states << " states\n";
+    os << "explored:     " << result.states_explored
+       << " refined states (final iteration)\n";
+  } else {
+    os << "explored:     " << result.states_explored << " states\n";
+  }
   os << "time:         " << std::fixed << std::setprecision(3) << result.seconds
      << " s\n";
-  if (!result.message.empty()) os << "note:         " << result.message << "\n";
-  if (result.counterexample) {
-    os << "counterexample: " << result.counterexample_text << "\n";
-  }
-  for (const RefinementRecord& r : result.records) {
+  if (!result.message.empty())
+    os << (result.violated() ? "counterexample: " : "note:         ")
+       << result.message << "\n";
+  if (!st) return os.str();
+  for (const RefinementRecord& r : st->records) {
     os << "  iter " << std::setw(3) << r.iteration << ": " << r.failure << "\n";
     os << "           banned [";
     for (std::size_t i = 0; i < r.window_labels.size(); ++i) {
@@ -37,22 +42,12 @@ std::string format_report(const std::string& title,
   return os.str();
 }
 
-std::string format_constraints(const VerificationResult& result) {
+std::string format_constraints(const EngineResult& result) {
   std::ostringstream os;
-  for (const DerivedOrdering& o : result.constraints()) {
-    os << o.before << " before " << o.after << "\n";
-  }
+  if (const auto* st = std::get_if<RefineEngineStats>(&result.stats))
+    for (const DerivedOrdering& o : st->constraints())
+      os << o.before << " before " << o.after << "\n";
   return os.str();
-}
-
-ExperimentRow summarize(const std::string& name, const VerificationResult& r) {
-  ExperimentRow row;
-  row.name = name;
-  row.verdict = r.verdict;
-  row.seconds = r.seconds;
-  row.refinements = r.refinements;
-  row.states = r.composed_states;
-  return row;
 }
 
 ExperimentRow summarize(const std::string& name, const EngineResult& r) {
@@ -89,15 +84,19 @@ std::vector<ExperimentRow> rows_from(const SuiteReport& report) {
 }
 
 std::string format_table(const std::vector<ExperimentRow>& rows) {
+  std::size_t name_w = std::string("Experiment").size();
+  for (const ExperimentRow& r : rows) name_w = std::max(name_w, r.name.size());
+  const int name_col = static_cast<int>(name_w + 2);
+
   std::ostringstream os;
-  os << std::left << std::setw(44) << "Experiment" << std::setw(16) << "Verdict"
-     << std::setw(12) << "CPU time" << std::setw(13) << "Refinements"
-     << "States\n";
-  os << std::string(95, '-') << "\n";
+  os << std::left << std::setw(name_col) << "Experiment" << std::setw(16)
+     << "Verdict" << std::setw(12) << "CPU time" << std::setw(13)
+     << "Refinements" << "States\n";
+  os << std::string(name_w + 2 + 16 + 12 + 13 + 10, '-') << "\n";
   for (const ExperimentRow& r : rows) {
     std::ostringstream secs;
     secs << std::fixed << std::setprecision(3) << r.seconds << " s";
-    os << std::left << std::setw(44) << r.name << std::setw(16)
+    os << std::left << std::setw(name_col) << r.name << std::setw(16)
        << to_string(r.verdict) << std::setw(12) << secs.str() << std::setw(13)
        << r.refinements << r.states << "\n";
   }

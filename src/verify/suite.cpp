@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -83,7 +85,8 @@ double thread_cpu_seconds() {
   return 0.0;
 }
 
-/// Shared race state of one obligation's portfolio.
+/// Shared state of one obligation's tasks: the portfolio race and the one
+/// composition every engine of the obligation reads.
 struct ObligationControl {
   /// Handed to every run of the obligation; cancelled when a peer decides
   /// (portfolio) or when a suite-wide cancellation is observed.
@@ -93,6 +96,17 @@ struct ObligationControl {
   /// Monotonic stamp of the winner's cancel() (0 = never fired), so losers
   /// can report how long the cancellation took to land.
   std::atomic<std::uint64_t> cancel_ns{0};
+
+  /// The first task to need the composition builds it; its peers block in
+  /// call_once meanwhile.  The fields below are written once, inside it.
+  std::once_flag compose_once;
+  /// Null when compose() threw (compose_error) or once released.
+  std::unique_ptr<const Composition> composition;
+  std::optional<std::string> compose_error;  ///< compose() threw: what()
+  double compose_seconds = 0.0;
+  /// Tasks of the obligation still to finish; the last one frees the
+  /// composition, so at most the running obligations' products are live.
+  std::atomic<std::size_t> pending{0};
 };
 
 struct Task {
@@ -138,42 +152,44 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
   for (const Obligation& ob : suite.obligations()) {
     controls.emplace_back();
     ObligationControl& ctl = controls.back();
+    const std::size_t first = tasks.size();
     if (options.mode == SuiteMode::kBatch && !ob.engine.empty()) {
       tasks.push_back({&ob, &ctl, find_engine_or_throw(ob.engine), ob_index});
     } else {
       for (const Engine* e : selected)
         tasks.push_back({&ob, &ctl, e, ob_index});
     }
+    ctl.pending = tasks.size() - first;
     ++ob_index;
   }
 
-  // Lint pre-flight: a cheap structural pass per obligation, before any
-  // engine thread spawns.  Error-severity findings short-circuit every
-  // record of the obligation to kInconclusive/kLintError inside run_task;
-  // warnings ride along on the records.
+  // Per obligation, before any engine thread spawns, on one dependency
+  // graph (rtv/analysis/depgraph.hpp):
+  //  * the lint pre-flight, a cheap structural pass.  Error-severity
+  //    findings short-circuit every record of the obligation to
+  //    kInconclusive/kLintError inside run_task; warnings ride along on
+  //    the records;
+  //  * cone-of-influence slicing (rtv/analysis/slice.hpp), a verdict-
+  //    preserving reduction.  The results own the pruned module rebuilds,
+  //    so they must outlive the pool.  Lint-rejected obligations never
+  //    reach an engine, so their slice is skipped.
   std::vector<lint::LintReport> preflights;
-  if (options.preflight) {
-    preflights.reserve(suite.size());
-    for (const Obligation& ob : suite.obligations())
-      preflights.push_back(lint::lint_obligation(ob, options));
-  }
-
-  // Cone-of-influence slicing (rtv/analysis/slice.hpp): verdict-preserving
-  // reduction computed once per obligation, before any engine thread
-  // spawns; the results own the pruned module rebuilds, so they must
-  // outlive the pool.  Lint-rejected obligations never reach an engine,
-  // so their slice is skipped.
   std::vector<const analysis::SliceResult*> slice_of(suite.size(), nullptr);
   std::deque<analysis::SliceResult> slices;
-  if (options.slice) {
+  if (options.preflight || options.slice) {
     std::size_t si = 0;
     for (const Obligation& ob : suite.obligations()) {
-      const bool rejected =
-          !preflights.empty() && preflights[si].has_errors();
-      if (!rejected) {
+      const analysis::DepGraph graph = analysis::build_depgraph(ob.modules);
+      bool rejected = false;
+      if (options.preflight) {
+        preflights.push_back(lint::lint_obligation(ob, options, &graph));
+        rejected = preflights.back().has_errors();
+      }
+      if (options.slice && !rejected) {
         analysis::SliceOptions so;
         so.track_chokes = ob.track_chokes;
-        slices.push_back(analysis::slice(ob.modules, ob.properties, so));
+        slices.push_back(
+            analysis::slice(ob.modules, ob.properties, so, &graph));
         slice_of[si] = &slices.back();
       }
       ++si;
@@ -207,6 +223,15 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
     ObligationControl& ctl = *task.control;
     rec.obligation = ob.name;
     rec.engine = std::string(task.engine->name());
+    // However the task ends, the obligation's last one frees the shared
+    // composition.
+    struct Release {
+      ObligationControl& ctl;
+      ~Release() {
+        if (ctl.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          ctl.composition.reset();
+      }
+    } release{ctl};
 
     const bool metered = obs::metrics_enabled();
     if (metered) {
@@ -280,25 +305,19 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
       }
     }
 
-    EngineRequest req;
-    req.modules = sl && !sl->identity ? sl->modules : ob.modules;
-    req.properties = ob.properties;
-    req.budget.max_states = ob.budget.max_states ? ob.budget.max_states
-                                                 : options.budget.max_states;
-    req.budget.max_seconds = ob.budget.max_seconds > 0.0
-                                 ? ob.budget.max_seconds
-                                 : options.budget.max_seconds;
-    req.budget.cancel = &ctl.token;
-    req.max_refinements = ob.max_refinements != 500 ? ob.max_refinements
-                                                    : options.max_refinements;
-    req.track_chokes = ob.track_chokes;
-    req.jobs = intra_jobs;
-    req.progress_interval = options.progress_interval;
+    RunBudget budget;
+    budget.max_states = ob.budget.max_states ? ob.budget.max_states
+                                             : options.budget.max_states;
+    budget.max_seconds = ob.budget.max_seconds > 0.0
+                             ? ob.budget.max_seconds
+                             : options.budget.max_seconds;
+    budget.cancel = &ctl.token;
     // The wrapper piggybacks suite-wide cancellation on the progress hook:
-    // engines poll ctl.token every tick, so cancelling it here stops the
-    // run within one progress interval of the external token firing.
+    // composition and engines poll ctl.token every tick, so cancelling it
+    // here stops the run within one progress interval of the external
+    // token firing.
     const CancelToken* ob_cancel = ob.budget.cancel;
-    req.progress = [&, ob_cancel](const EngineProgress& p) {
+    const auto report_progress = [&, ob_cancel](const EngineProgress& p) {
       if ((suite_cancel && suite_cancel->cancelled()) ||
           (ob_cancel && ob_cancel->cancelled()))
         ctl.token.cancel();
@@ -308,18 +327,77 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
       }
     };
 
-    const double cpu0 = thread_cpu_seconds();
-    try {
-      rec.result = task.engine->run(req);
-    } catch (const std::exception& e) {
-      // An engine throw (compose() rejects contradictory delay bounds, a
-      // worker ran out of memory, ...) must not escape a pool thread —
-      // that would std::terminate the whole batch.  Record it against this
-      // obligation and let the rest of the suite finish.
+    // An exception (compose() rejects contradictory delay bounds, a worker
+    // ran out of memory, ...) must not escape a pool thread — that would
+    // std::terminate the whole batch.  Record it against this obligation
+    // and let the rest of the suite finish.
+    const auto record_error = [&rec](const char* what) {
       rec.result = EngineResult{};
       rec.result.verdict = Verdict::kInconclusive;
       rec.result.truncated_reason = stop_reason::kEngineError;
-      rec.result.message = e.what();
+      rec.result.message = what;
+    };
+
+    const double cpu0 = thread_cpu_seconds();
+    // The first task to get here composes, under its engine's name and on
+    // its clock: composition ticks its progress and counts against the
+    // obligation's deadline and cancel token.
+    std::call_once(ctl.compose_once, [&] {
+      RunClock clock(task.engine->name(), budget, report_progress,
+                     options.progress_interval);
+      ComposeOptions co;
+      co.track_chokes = ob.track_chokes;
+      if (budget.max_states) co.max_states = budget.max_states;
+      co.jobs = intra_jobs;
+      co.stop = [&clock](std::size_t states) { return clock.tick(states); };
+      try {
+        ctl.composition = std::make_unique<const Composition>(
+            compose(sl && !sl->identity ? sl->modules : ob.modules, co));
+      } catch (const std::exception& e) {
+        ctl.compose_error = e.what();
+      }
+      ctl.compose_seconds = clock.seconds();
+    });
+    const Composition* comp = ctl.composition.get();
+    if (ctl.compose_error) {
+      record_error(ctl.compose_error->c_str());
+    } else if (comp->truncated) {
+      // Frontier states of a truncated product have no outgoing
+      // transitions; exploring it would fabricate deadlocks, so no engine
+      // runs and no verdict can be trusted.
+      rec.result.verdict = Verdict::kInconclusive;
+      rec.result.truncated_reason = comp->truncated_reason
+                                        ? comp->truncated_reason
+                                        : stop_reason::kComposeBudget;
+      rec.result.seconds = ctl.compose_seconds;
+    } else {
+      // Each record's time and deadline include the composition, and its
+      // progress seconds count from the composition's start.
+      const double offset = ctl.compose_seconds;
+      EngineRequest req;
+      req.composition = comp;
+      req.properties = ob.properties;
+      req.budget = budget;
+      if (budget.max_seconds > 0.0)
+        req.budget.max_seconds =
+            std::max(budget.max_seconds - offset,
+                     std::numeric_limits<double>::min());
+      req.max_refinements = ob.max_refinements != 500
+                                ? ob.max_refinements
+                                : options.max_refinements;
+      req.jobs = intra_jobs;
+      req.progress_interval = options.progress_interval;
+      req.progress = [&report_progress, offset](const EngineProgress& p) {
+        EngineProgress shifted = p;
+        shifted.seconds += offset;
+        report_progress(shifted);
+      };
+      try {
+        rec.result = task.engine->run(req);
+        rec.result.seconds += offset;
+      } catch (const std::exception& e) {
+        record_error(e.what());
+      }
     }
     rec.cpu_seconds = thread_cpu_seconds() - cpu0;
 

@@ -11,6 +11,8 @@
 #include "rtv/base/hash.hpp"
 #include "rtv/base/log.hpp"
 #include "rtv/base/parallel.hpp"
+#include "rtv/obs/metrics.hpp"
+#include "rtv/obs/trace.hpp"
 
 namespace rtv {
 
@@ -22,8 +24,6 @@ struct Config {
   /// Time range: every representable delay bound (up to kTimeInfinity)
   /// digitizes without wrapping, so large mixed-magnitude constants are
   /// limited only by the state budget, not by the age representation.
-  /// (Ages were 16-bit once; constants past 65535 ticks had to be refused
-  /// with stop_reason::kDigitizationRange.)
   std::vector<Time> ages;
 
   friend bool operator==(const Config& a, const Config& b) {
@@ -67,23 +67,19 @@ struct Violation {
 
 }  // namespace
 
-DiscreteVerifyResult discrete_explore(
-    const TransitionSystem& ts,
-    const std::vector<const SafetyProperty*>& properties,
-    std::span<const ChokeRecord> chokes, const DiscreteVerifyOptions& options) {
-  RunBudget budget;
-  budget.max_states = options.max_states;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock local_clock("discrete", budget, options.progress,
-                       options.progress_interval);
-  RunClock& clock = options.clock ? *options.clock : local_clock;
-  DiscreteVerifyResult result;
+EngineResult DiscreteEngine::run(const EngineRequest& request) const {
+  obs::Span span("engine:discrete", "engine");
+  const Composition& comp = checked_composition(request);
+  const TransitionSystem& ts = comp.ts;
+  const std::vector<const SafetyProperty*>& properties = request.properties;
+  RunClock clock(name(), request.budget, request.progress,
+                 request.progress_interval);
+  EngineResult result;
 
   std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
       chokes_at;
   chokes_at.reserve(64);
-  for (const ChokeRecord& c : chokes) chokes_at[c.state.value()].push_back(&c);
+  for (const ChokeRecord& c : comp.chokes) chokes_at[c.state.value()].push_back(&c);
 
   auto pseudo_enabled = [&](StateId s) {
     std::vector<EventId> out = ts.enabled_events(s);
@@ -112,9 +108,9 @@ DiscreteVerifyResult discrete_explore(
   // merge phase sorts the layer's discoveries by key, so the next frontier
   // — and with it verdicts, the chosen violation and its counterexample
   // trace — is identical for every job count.
-  const std::size_t jobs = resolve_jobs(options.jobs);
-  // The initial config always fits: a zero budget truncates after it.
-  const std::size_t cap = std::max<std::size_t>(options.max_states, 1);
+  const std::size_t jobs = resolve_jobs(request.jobs);
+  const std::size_t cap = request.budget.max_states ? request.budget.max_states
+                                                    : kDefaultDiscreteConfigs;
   ShardedInterner<Config, ConfigMeta, ConfigHash> interner(
       cap, jobs == 1 ? 1 : 64);
   // Digitized exploration routinely visits 10^5-10^6 configs; a generous
@@ -273,9 +269,9 @@ DiscreteVerifyResult discrete_explore(
     return out;
   };
 
-  const auto finish = [&](DiscreteVerifyResult r) {
+  const auto finish = [&](EngineResult r) {
     r.states_explored = interner.size();
-    r.discrete_states = discrete_count;
+    r.stats = DiscreteEngineStats{discrete_count};
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
       // One flush per run: worker balance, steal activity, interner shape.
@@ -299,6 +295,7 @@ DiscreteVerifyResult discrete_explore(
                 "Largest interner shard's config count")
           .set(static_cast<std::int64_t>(shards.max_size));
     }
+    record_engine_run(name(), r);
     return r;
   };
 
@@ -323,20 +320,18 @@ DiscreteVerifyResult discrete_explore(
     }
 
     if (best) {
-      result.violated = true;
-      result.description = best->description;
+      result.verdict = Verdict::kViolated;
+      result.message = best->description;
       result.trace_labels = unwind_labels(best->leaf);
       if (!best->extra.empty()) result.trace_labels.push_back(best->extra);
       return false;
     }
     if (const char* reason = stop_flag.load(std::memory_order_relaxed)) {
-      result.truncated = true;
       result.truncated_reason = reason;
       RTV_WARN << "discrete exploration stopped: " << reason;
       return false;
     }
     if (interner.budget_hit()) {
-      result.truncated = true;
       result.truncated_reason = stop_reason::kStateBudget;
       RTV_WARN << "discrete exploration truncated at " << interner.size();
       return false;
@@ -355,7 +350,10 @@ DiscreteVerifyResult discrete_explore(
                   "Completed BFS layers")
           .inc();
     }
-    if (frontier.empty()) return false;
+    if (frontier.empty()) {
+      result.verdict = Verdict::kVerified;
+      return false;
+    }
     ranges.reset(frontier.size(), frontier_chunk_size(frontier.size(), jobs),
                  jobs);
     return true;
@@ -378,41 +376,6 @@ DiscreteVerifyResult discrete_explore(
 
   LayeredRunner(jobs).run(process, merge);
   return finish(result);
-}
-
-DiscreteVerifyResult discrete_verify(
-    const std::vector<const Module*>& modules,
-    const std::vector<const SafetyProperty*>& properties,
-    const DiscreteVerifyOptions& options) {
-  // One clock for the whole run: composition counts against the deadline
-  // and cancellation budget, and seconds include the compose phase.
-  RunBudget budget;
-  budget.max_states = options.max_states;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock clock("discrete", budget, options.progress,
-                 options.progress_interval);
-  ComposeOptions copts;
-  copts.track_chokes = options.track_chokes;
-  copts.max_states = options.max_states;
-  copts.jobs = options.jobs;
-  copts.stop = [&clock](std::size_t states) { return clock.tick(states); };
-  const Composition comp = compose(modules, copts);
-  if (comp.truncated) {
-    // A truncated composition has frontier states with no outgoing
-    // transitions; exploring it would fabricate deadlocks (and mangle
-    // enabled sets), so no verdict can be trusted — report inconclusive
-    // without exploring, like the refinement engine does.
-    DiscreteVerifyResult r;
-    r.truncated = true;
-    r.truncated_reason = comp.truncated_reason ? comp.truncated_reason
-                                               : stop_reason::kComposeBudget;
-    r.seconds = clock.seconds();
-    return r;
-  }
-  DiscreteVerifyOptions opts = options;
-  opts.clock = &clock;
-  return discrete_explore(comp.ts, properties, comp.chokes, opts);
 }
 
 }  // namespace rtv

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 
 #include "rtv/base/log.hpp"
 #include "rtv/obs/metrics.hpp"
+#include "rtv/obs/trace.hpp"
+#include "rtv/zone/dbm.hpp"
 
 namespace rtv {
 
@@ -24,23 +27,21 @@ using WaitIndex = std::unordered_map<StateId::underlying_type, std::vector<std::
 
 }  // namespace
 
-ZoneVerifyResult zone_explore(const TransitionSystem& ts,
-                              const std::vector<const SafetyProperty*>& properties,
-                              std::span<const ChokeRecord> chokes,
-                              const ZoneVerifyOptions& options) {
-  RunBudget budget;
-  budget.max_states = options.max_zones;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock local_clock("zone", budget, options.progress,
-                       options.progress_interval);
-  RunClock& clock = options.clock ? *options.clock : local_clock;
-  ZoneVerifyResult result;
+EngineResult ZoneEngine::run(const EngineRequest& request) const {
+  obs::Span span("engine:zone", "engine");
+  const Composition& comp = checked_composition(request);
+  const TransitionSystem& ts = comp.ts;
+  const std::vector<const SafetyProperty*>& properties = request.properties;
+  const std::size_t max_zones =
+      request.budget.max_states ? request.budget.max_states : kDefaultZones;
+  RunClock clock(name(), request.budget, request.progress,
+                 request.progress_interval);
+  EngineResult result;
 
   std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
       chokes_at;
   chokes_at.reserve(64);
-  for (const ChokeRecord& c : chokes) chokes_at[c.state.value()].push_back(&c);
+  for (const ChokeRecord& c : comp.chokes) chokes_at[c.state.value()].push_back(&c);
 
   // Clocks are tracked for "pseudo-enabled" events: composed-enabled ones
   // plus choked (refused) outputs, which are enabled in the implementation
@@ -71,7 +72,7 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
   std::size_t discrete_count = 0;
   // Exploration typically visits thousands of zones; pre-sizing the node
   // arena and the per-state index avoids the early rehash/realloc churn.
-  nodes.reserve(std::min<std::size_t>(options.max_zones, 4096));
+  nodes.reserve(std::min<std::size_t>(max_zones, 4096));
   stored.reserve(std::min<std::size_t>(ts.num_states(), 4096));
 
   auto unwind_labels = [&](std::ptrdiff_t leaf) {
@@ -101,7 +102,7 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
     // The zone budget is an insertion-time ceiling: a zone beyond the cap
     // is rejected outright (the initial zone is always admitted), so the
     // store never overshoots max_zones by a frontier layer.
-    if (!nodes.empty() && nodes.size() >= options.max_zones) {
+    if (!nodes.empty() && nodes.size() >= max_zones) {
       budget_hit = true;
       return std::nullopt;
     }
@@ -126,9 +127,9 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
     add_node(std::move(init));
   }
 
-  auto finish = [&](ZoneVerifyResult r) {
-    r.zones_explored = nodes.size();
-    r.discrete_states = discrete_count;
+  auto finish = [&](EngineResult r) {
+    r.states_explored = nodes.size();
+    r.stats = ZoneEngineStats{discrete_count};
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
       obs::Registry& reg = obs::Registry::global();
@@ -142,18 +143,19 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
                 "Zone waiting-queue size at the end of the run")
           .set(static_cast<std::int64_t>(queue.size()));
     }
+    record_engine_run(name(), r);
     return r;
   };
 
-  while (!queue.empty()) {
+  // A rejected insertion truncates the run even when it emptied the queue:
+  // the rejected zone was never explored.
+  while (budget_hit || !queue.empty()) {
     if (budget_hit) {
-      result.truncated = true;
       result.truncated_reason = stop_reason::kStateBudget;
       RTV_WARN << "zone exploration truncated at " << nodes.size();
       break;
     }
     if (const char* reason = clock.tick(nodes.size())) {
-      result.truncated = true;
       result.truncated_reason = reason;
       RTV_WARN << "zone exploration stopped: " << reason;
       break;
@@ -167,8 +169,8 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
 
     for (const SafetyProperty* p : properties) {
       if (auto v = p->check_state(ctx)) {
-        result.violated = true;
-        result.description = *v;
+        result.verdict = Verdict::kViolated;
+        result.message = *v;
         result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
         return finish(result);
       }
@@ -203,8 +205,8 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
     if (auto it = chokes_at.find(node.state.value()); it != chokes_at.end()) {
       for (const ChokeRecord* c : it->second) {
         if (fireable_zone(c->event)) {
-          result.violated = true;
-          result.description = "refusal: output '" + ts.label(c->event) +
+          result.verdict = Verdict::kViolated;
+          result.message = "refusal: output '" + ts.label(c->event) +
                                "' not accepted (containment violation)";
           result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
           result.trace_labels.push_back(ts.label(c->event));
@@ -221,8 +223,8 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
       const std::vector<EventId> succ_clocked = pseudo_enabled(t.target);
       for (const SafetyProperty* p : properties) {
         if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled)) {
-          result.violated = true;
-          result.description = *v;
+          result.verdict = Verdict::kViolated;
+          result.message = *v;
           result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
           result.trace_labels.push_back(ts.label(t.event));
           return finish(result);
@@ -258,40 +260,8 @@ ZoneVerifyResult zone_explore(const TransitionSystem& ts,
     }
   }
 
+  if (result.truncated_reason.empty()) result.verdict = Verdict::kVerified;
   return finish(result);
-}
-
-ZoneVerifyResult zone_verify(const std::vector<const Module*>& modules,
-                             const std::vector<const SafetyProperty*>& properties,
-                             const ZoneVerifyOptions& options) {
-  // One clock for the whole run: composition counts against the deadline
-  // and cancellation budget, and seconds include the compose phase.
-  RunBudget budget;
-  budget.max_states = options.max_zones;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock clock("zone", budget, options.progress, options.progress_interval);
-  ComposeOptions copts;
-  copts.track_chokes = options.track_chokes;
-  copts.max_states = options.max_zones;
-  copts.jobs = options.jobs;
-  copts.stop = [&clock](std::size_t states) { return clock.tick(states); };
-  const Composition comp = compose(modules, copts);
-  if (comp.truncated) {
-    // A truncated composition has frontier states with no outgoing
-    // transitions; exploring it would fabricate deadlocks (and mangle
-    // enabled sets), so no verdict can be trusted — report inconclusive
-    // without exploring, like the refinement engine does.
-    ZoneVerifyResult r;
-    r.truncated = true;
-    r.truncated_reason = comp.truncated_reason ? comp.truncated_reason
-                                               : stop_reason::kComposeBudget;
-    r.seconds = clock.seconds();
-    return r;
-  }
-  ZoneVerifyOptions opts = options;
-  opts.clock = &clock;
-  return zone_explore(comp.ts, properties, comp.chokes, opts);
 }
 
 }  // namespace rtv

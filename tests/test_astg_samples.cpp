@@ -5,6 +5,7 @@
 
 #include <fstream>
 
+#include "engine_support.hpp"
 #include "rtv/stg/astg.hpp"
 #include "rtv/stg/elaborate.hpp"
 #include "rtv/verify/property.hpp"
@@ -37,7 +38,7 @@ TEST(AstgSamples, HandshakeComposesAndVerifies) {
 
   DeadlockFreedom dead;
   PersistencyProperty pers;
-  const VerificationResult r = verify_modules({&env, &dev}, {&dead, &pers}, {});
+  const EngineResult r = test::decide("refine", {&env, &dev}, {&dead, &pers});
   EXPECT_TRUE(r.verified()) << r.message;
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "engine_support.hpp"
 #include "rtv/base/rng.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/zone/zone_graph.hpp"
@@ -15,9 +16,9 @@ TEST(Discrete, IntroExampleHolds) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const DiscreteVerifyResult r = discrete_verify({&sys, &mon}, {&bad});
-  EXPECT_FALSE(r.violated);
-  EXPECT_FALSE(r.truncated);
+  const EngineResult r = test::decide("discrete", {&sys, &mon}, {&bad});
+  EXPECT_FALSE(r.violated());
+  EXPECT_TRUE(r.truncated_reason.empty());
 }
 
 TEST(Discrete, BrokenDelaysViolate) {
@@ -27,13 +28,13 @@ TEST(Discrete, BrokenDelaysViolate) {
   const Module sys("broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  EXPECT_TRUE(discrete_verify({&sys, &mon}, {&bad}).violated);
+  EXPECT_TRUE(test::decide("discrete", {&sys, &mon}, {&bad}).violated());
 }
 
 TEST(Discrete, ViolationCarriesCounterexampleTrace) {
   // Regression: the engine used to report VIOLATED with no trace at all —
-  // DiscreteVerifyResult had no trace field and every violation path
-  // returned bare finish(result).  The counterexample must name the event
+  // its result had no trace field and every violation path returned bare
+  // finish(result).  The counterexample must name the event
   // sequence, ending with the premature 'd'.
   TransitionSystem ts = gallery::intro_example().ts();
   ts.set_event_delay(ts.event_by_label("g"), DelayInterval::units(10, 20));
@@ -41,8 +42,8 @@ TEST(Discrete, ViolationCarriesCounterexampleTrace) {
   const Module sys("broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const DiscreteVerifyResult r = discrete_verify({&sys, &mon}, {&bad});
-  ASSERT_TRUE(r.violated);
+  const EngineResult r = test::decide("discrete", {&sys, &mon}, {&bad});
+  ASSERT_TRUE(r.violated());
   ASSERT_FALSE(r.trace_labels.empty());
   // The monitor's fail state is entered by firing d before g.
   EXPECT_NE(std::find(r.trace_labels.begin(), r.trace_labels.end(), "d"),
@@ -57,7 +58,7 @@ TEST(Discrete, StateCountScalesWithConstants) {
   const auto count = [](double scale) {
     const Module m = gallery::diamond("x", DelayInterval::units(1 * scale, 2 * scale),
                                       "y", DelayInterval::units(1 * scale, 2 * scale));
-    return discrete_verify({&m}, {}).states_explored;
+    return test::decide("discrete", {&m}, {}).states_explored;
   };
   const std::size_t small = count(1);
   const std::size_t large = count(10);
@@ -71,8 +72,8 @@ TEST(Discrete, SaturationKeepsUnboundedLoopsFinite) {
   ts.add_transition(s0, x, s0);
   ts.set_initial(s0);
   const Module m("loop", std::move(ts));
-  const DiscreteVerifyResult r = discrete_verify({&m}, {});
-  EXPECT_FALSE(r.truncated);
+  const EngineResult r = test::decide("discrete", {&m}, {});
+  EXPECT_TRUE(r.truncated_reason.empty());
   EXPECT_LT(r.states_explored, 20u);
 }
 
@@ -90,9 +91,9 @@ TEST_P(DiscreteZoneAgreement, VerdictsMatchOnRandomRaces) {
       gallery::diamond("x", DelayInterval(xlo, xhi), "y", DelayInterval(ylo, yhi));
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x first", {{"fail", true}});
-  const DiscreteVerifyResult d = discrete_verify({&m, &mon}, {&bad});
-  const ZoneVerifyResult z = zone_verify({&m, &mon}, {&bad});
-  EXPECT_EQ(d.violated, z.violated)
+  const EngineResult d = test::decide("discrete", {&m, &mon}, {&bad});
+  const EngineResult z = test::decide("zone", {&m, &mon}, {&bad});
+  EXPECT_EQ(d.verdict, z.verdict)
       << "x [" << xlo << "," << xhi << "] y [" << ylo << "," << yhi << "]";
 }
 
@@ -121,9 +122,9 @@ TEST(Discrete, ChokeDetection) {
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
 
-  const DiscreteVerifyResult r = discrete_verify({&producer, &once}, {});
-  EXPECT_TRUE(r.violated);
-  EXPECT_NE(r.description.find("refusal"), std::string::npos);
+  const EngineResult r = test::decide("discrete", {&producer, &once}, {});
+  EXPECT_TRUE(r.violated());
+  EXPECT_NE(r.message.find("refusal"), std::string::npos);
   // The trace ends with the refused output.
   ASSERT_FALSE(r.trace_labels.empty());
   EXPECT_EQ(r.trace_labels.back(), "x+");
@@ -132,8 +133,8 @@ TEST(Discrete, ChokeDetection) {
 TEST(Discrete, VerifiesConstantsBeyondTheOld16BitAgeRange) {
   // Regression, inverted twice: with 16-bit ages a delay bound past 65535
   // ticks first silently wrapped (the event never fired and a violated
-  // system came back VERIFIED), then was refused with kDigitizationRange.
-  // 64-bit ages represent every Time, so the same obligation now verifies.
+  // system came back VERIFIED), then was refused outright.  64-bit ages
+  // represent every Time, so the same obligation now verifies.
   TransitionSystem ts;
   const StateId s0 = ts.add_state();
   const StateId s1 = ts.add_state();
@@ -142,9 +143,9 @@ TEST(Discrete, VerifiesConstantsBeyondTheOld16BitAgeRange) {
                     s1);
   ts.set_initial(s0);
   const Module m("overflow", std::move(ts));
-  const DiscreteVerifyResult r = discrete_verify({&m}, {});
-  EXPECT_EQ(r.verdict(), Verdict::kVerified);
-  EXPECT_FALSE(r.truncated);
+  const EngineResult r = test::decide("discrete", {&m}, {});
+  EXPECT_EQ(r.verdict, Verdict::kVerified);
+  EXPECT_TRUE(r.truncated_reason.empty());
   EXPECT_GT(r.states_explored, 65536u);  // the ages really counted past 2^16
 }
 
@@ -172,22 +173,22 @@ TEST_P(DiscreteAgeBoundary, LargeConstantsDecideInsteadOfRefusing) {
 
   const Module mon_bad = gallery::order_monitor("slow", "fast");
   const InvariantProperty bad("slow first", {{"fail", true}});
-  const DiscreteVerifyResult viol = discrete_verify({&m, &mon_bad}, {&bad});
-  EXPECT_TRUE(viol.violated) << c.name;
-  EXPECT_NE(viol.truncated_reason, stop_reason::kDigitizationRange) << c.name;
+  const EngineResult viol = test::decide("discrete", {&m, &mon_bad}, {&bad});
+  EXPECT_TRUE(viol.violated()) << c.name;
+  EXPECT_TRUE(viol.truncated_reason.empty()) << c.name;
 
   if (c.check_verified) {
     // The verified direction explores ~T configs (cost scales with the
     // constants — the digitization tradeoff); skipped for the largest T.
     const Module mon_ok = gallery::order_monitor("fast", "slow", "ok_fail");
     const InvariantProperty ok("fast first", {{"ok_fail", true}});
-    const DiscreteVerifyResult v = discrete_verify({&m, &mon_ok}, {&ok});
-    EXPECT_FALSE(v.violated) << c.name;
-    EXPECT_FALSE(v.truncated) << c.name;
+    const EngineResult v = test::decide("discrete", {&m, &mon_ok}, {&ok});
+    EXPECT_FALSE(v.violated()) << c.name;
+    EXPECT_TRUE(v.truncated_reason.empty()) << c.name;
     EXPECT_GT(v.states_explored, static_cast<std::size_t>(c.slow_ticks))
         << c.name;
-    const ZoneVerifyResult z = zone_verify({&m, &mon_ok}, {&ok});
-    EXPECT_EQ(v.violated, z.violated) << c.name;
+    const EngineResult z = test::decide("zone", {&m, &mon_ok}, {&ok});
+    EXPECT_EQ(v.verdict, z.verdict) << c.name;
   }
 }
 

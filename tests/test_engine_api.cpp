@@ -2,15 +2,19 @@
 //
 //   * registry enumeration and lookup,
 //   * verdict parity of all three engines on the Fig. 1 gallery system
-//     and on a boundary-2 obligation of the 2-stage IPCMOS pipeline,
+//     and on a boundary-2 obligation of the 2-stage IPCMOS pipeline, each
+//     engine reading the same composition,
 //   * budgets: a 1-state budget never yields kVerified (the truncation
 //     regression), a tiny wall-clock deadline stops a run, and a
 //     CancelToken fired from the progress callback stops a run mid-way —
-//     always surfacing as Verdict::kInconclusive.
+//     always surfacing as Verdict::kInconclusive,
+//   * the contract's precondition: no or a truncated composition throws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "engine_support.hpp"
 #include "rtv/ipcmos/pipeline.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/engine.hpp"
@@ -41,8 +45,9 @@ TEST(EngineParity, Fig1GalleryVerifiedByAllEngines) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   EngineRequest req;
-  req.modules = {&sys, &mon};
+  req.composition = &comp;
   req.properties = {&bad};
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
@@ -56,8 +61,9 @@ TEST(EngineParity, Fig1ReversedOrderViolatedByAllEngines) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("d", "g");
   const InvariantProperty bad("d before g", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   EngineRequest req;
-  req.modules = {&sys, &mon};
+  req.composition = &comp;
   req.properties = {&bad};
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
@@ -78,8 +84,10 @@ TEST(EngineParity, IpcmosBoundary2OfTwoStagePipeline) {
   const Module mon = ain.as_monitor("Ain2'");
   const DeadlockFreedom dead;
   const PersistencyProperty pers;
+  const Composition comp =
+      test::compose_for_engines({&in, &stage, &aout, &mon});
   EngineRequest req;
-  req.modules = {&in, &stage, &aout, &mon};
+  req.composition = &comp;
   req.properties = {&dead, &pers};
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
@@ -90,15 +98,16 @@ TEST(EngineParity, IpcmosBoundary2OfTwoStagePipeline) {
 TEST(EngineBudget, OneStateBudgetIsNeverVerified) {
   // Regression for the verdict-semantics drift: a truncated run used to
   // surface as violated=false, which callers read as "verified".  The
-  // deadlock property also guards against the dual failure mode: frontier
-  // states of a truncated composition have no outgoing transitions and
-  // must not be reported as (spurious) deadlock violations.
+  // deadlock property also guards against the dual failure mode: states
+  // left on a truncated run's frontier must not be reported as (spurious)
+  // deadlock violations.
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
   const DeadlockFreedom dead;
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   EngineRequest req;
-  req.modules = {&sys, &mon};
+  req.composition = &comp;
   req.properties = {&bad, &dead};
   req.budget.max_states = 1;
   for (const Engine* e : engine_registry().engines()) {
@@ -109,12 +118,33 @@ TEST(EngineBudget, OneStateBudgetIsNeverVerified) {
   }
 }
 
+TEST(EngineContract, MissingOrTruncatedCompositionThrows) {
+  // A truncated product has frontier states without outgoing transitions;
+  // exploring it would fabricate deadlocks, so every engine refuses it.
+  const Module sys = gallery::intro_example();
+  const DeadlockFreedom dead;
+  ComposeOptions co;
+  co.track_chokes = true;
+  co.max_states = 1;
+  const Composition truncated = compose({&sys}, co);
+  ASSERT_TRUE(truncated.truncated);
+  EngineRequest none;
+  none.properties = {&dead};
+  EngineRequest cut = none;
+  cut.composition = &truncated;
+  for (const Engine* e : engine_registry().engines()) {
+    EXPECT_THROW(e->run(none), std::invalid_argument) << e->name();
+    EXPECT_THROW(e->run(cut), std::invalid_argument) << e->name();
+  }
+}
+
 TEST(EngineBudget, DeadlineStopsRunEarlyWithInconclusive) {
   const Module sys = gallery::scaled_race(64);
   const Module mon = gallery::order_monitor("a", "c");
   const InvariantProperty bad("a before c", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   EngineRequest req;
-  req.modules = {&sys, &mon};
+  req.composition = &comp;
   req.properties = {&bad};
   req.budget.max_seconds = 1e-9;  // expires before the first state pops
   for (const Engine* e : engine_registry().engines()) {
@@ -128,13 +158,14 @@ TEST(EngineBudget, CancelTokenStopsRunEarlyWithInconclusive) {
   const Module sys = gallery::scaled_race(64);
   const Module mon = gallery::order_monitor("a", "c");
   const InvariantProperty bad("a before c", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
 
   // Pre-cancelled token: every engine refuses to explore.
   {
     CancelToken token;
     token.cancel();
     EngineRequest req;
-    req.modules = {&sys, &mon};
+    req.composition = &comp;
     req.properties = {&bad};
     req.budget.cancel = &token;
     for (const Engine* e : engine_registry().engines()) {
@@ -150,7 +181,7 @@ TEST(EngineBudget, CancelTokenStopsRunEarlyWithInconclusive) {
     CancelToken token;
     std::size_t callbacks = 0;
     EngineRequest req;
-    req.modules = {&sys, &mon};
+    req.composition = &comp;
     req.properties = {&bad};
     req.budget.cancel = &token;
     req.progress_interval = 16;
@@ -160,7 +191,7 @@ TEST(EngineBudget, CancelTokenStopsRunEarlyWithInconclusive) {
       token.cancel();
     };
     EngineRequest unbudgeted;
-    unbudgeted.modules = {&sys, &mon};
+    unbudgeted.composition = &comp;
     unbudgeted.properties = {&bad};
     const EngineResult full = engine("discrete")->run(unbudgeted);
     const EngineResult r = engine("discrete")->run(req);
@@ -181,11 +212,12 @@ TEST(EngineProgressApi, AllThreeEnginesFireProgressWithMetricsSnapshot) {
   const Module sys = gallery::scaled_race(64);
   const Module mon = gallery::order_monitor("a", "c");
   const InvariantProperty bad("a before c", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   for (const Engine* e : engine_registry().engines()) {
     std::size_t fires = 0;
     bool saw_metrics = false;
     EngineRequest req;
-    req.modules = {&sys, &mon};
+    req.composition = &comp;
     req.properties = {&bad};
     req.budget.max_states = 4096;  // bounded: progress parity, not verdicts
     // Interval 1 fires on every tick: the zone and refine explorations
@@ -208,8 +240,9 @@ TEST(EngineResultApi, VerdictHelpersAndStats) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   EngineRequest req;
-  req.modules = {&sys, &mon};
+  req.composition = &comp;
   req.properties = {&bad};
 
   const EngineResult rt = engine("refine")->run(req);
@@ -219,7 +252,7 @@ TEST(EngineResultApi, VerdictHelpersAndStats) {
   const auto* rst = std::get_if<RefineEngineStats>(&rt.stats);
   ASSERT_NE(rst, nullptr);
   EXPECT_GT(rst->composed_states, 0u);
-  EXPECT_FALSE(rst->constraints.empty());
+  EXPECT_FALSE(rst->constraints().empty());
 
   const EngineResult zn = engine("zone")->run(req);
   const auto* zst = std::get_if<ZoneEngineStats>(&zn.stats);
@@ -238,8 +271,9 @@ TEST(EngineResultApi, ViolationCarriesTraceLabels) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("d", "g");
   const InvariantProperty bad("d before g", {{"fail", true}});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
   EngineRequest req;
-  req.modules = {&sys, &mon};
+  req.composition = &comp;
   req.properties = {&bad};
   // The exact engines unwind a concrete timed trace; refine reports the
   // counterexample firing sequence.

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/circuit/invariants.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 namespace rtv::ipcmos {
 namespace {
@@ -70,28 +70,28 @@ TEST(IpcmosStage, StrobeSwitchEnablingConditions) {
 }
 
 TEST(IpcmosExperiments, Experiment1NoRefinements) {
-  const VerificationResult r = experiment1();
+  const EngineResult r = experiment1();
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_EQ(r.refinements, 0);
+  EXPECT_EQ(test::refine_stats(r).refinements, 0);
 }
 
 TEST(IpcmosExperiments, Experiment2GuaranteesAout) {
-  const VerificationResult r = experiment2();
+  const EngineResult r = experiment2();
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GT(r.refinements, 0);
+  EXPECT_GT(test::refine_stats(r).refinements, 0);
 }
 
 TEST(IpcmosExperiments, Experiment4FixedPoint) {
-  const VerificationResult r = experiment4();
+  const EngineResult r = experiment4();
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GT(r.refinements, 0);
+  EXPECT_GT(test::refine_stats(r).refinements, 0);
 }
 
 TEST(IpcmosExperiments, Experiment5BackAnnotatesPaperOrderings) {
-  const VerificationResult r = experiment5();
+  const EngineResult r = experiment5();
   ASSERT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GT(r.refinements, 0);
-  const auto cs = r.constraints();
+  EXPECT_GT(test::refine_stats(r).refinements, 0);
+  const auto cs = test::refine_stats(r).constraints();
   auto has = [&](const std::string& b, const std::string& a) {
     for (const DerivedOrdering& o : cs)
       if (o.before == b && o.after == a) return true;
@@ -112,8 +112,8 @@ TEST(IpcmosExperiments, ZoneEngineConfirmsExperiment5) {
   const PersistencyProperty pers;
   std::vector<const SafetyProperty*> props{&dead, &pers};
   for (const auto& p : scs) props.push_back(p.get());
-  const ZoneVerifyResult z = zone_verify(set.ptrs, props);
-  EXPECT_FALSE(z.violated) << z.description;
+  const EngineResult z = test::decide("zone", set.ptrs, props);
+  EXPECT_EQ(z.verdict, Verdict::kVerified) << z.message;
 }
 
 TEST(IpcmosExperiments, BrokenTimingIsRejected) {
@@ -121,7 +121,7 @@ TEST(IpcmosExperiments, BrokenTimingIsRejected) {
   // CLKE precharges Vint while the pass transistor still conducts.
   ExperimentConfig cfg;
   cfg.timing.stage.y_fall = DelayInterval::units(6, 8);
-  const VerificationResult r = experiment5(cfg);
+  const EngineResult r = experiment5(cfg);
   EXPECT_EQ(r.verdict, Verdict::kViolated);
 
   const ModuleSet set = flat_pipeline(1, cfg.timing);
@@ -132,8 +132,8 @@ TEST(IpcmosExperiments, BrokenTimingIsRejected) {
   const PersistencyProperty pers;
   std::vector<const SafetyProperty*> props{&dead, &pers};
   for (const auto& p : scs) props.push_back(p.get());
-  const ZoneVerifyResult z = zone_verify(set.ptrs, props);
-  EXPECT_TRUE(z.violated);
+  const EngineResult z = test::decide("zone", set.ptrs, props);
+  EXPECT_TRUE(z.violated());
 }
 
 TEST(IpcmosExperiments, RunAllProducesFiveRows) {
@@ -142,10 +142,12 @@ TEST(IpcmosExperiments, RunAllProducesFiveRows) {
   for (const auto& row : rows) {
     EXPECT_EQ(row.result.verdict, Verdict::kVerified) << row.name;
   }
-  // Experiment 5 (both ends pulse-driven) needs the most refinements,
-  // experiment 1 none — the shape of the paper's Table 1.
-  EXPECT_EQ(rows[0].result.refinements, 0);
-  EXPECT_GE(rows[4].result.refinements, rows[1].result.refinements);
+  // Experiment 1 needs no refinement, the containment and flat checks
+  // need tens — the shape of the paper's Table 1, pinned exactly.
+  const int expected[] = {0, 19, 26, 19, 25};
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    EXPECT_EQ(test::refine_stats(rows[i].result).refinements, expected[i])
+        << rows[i].name;
 }
 
 TEST(IpcmosPipeline, TwoStageCompositionIsFiniteAndAlive) {

@@ -49,8 +49,8 @@ Module simple_module(const std::string& name = "m",
   return Module(name, std::move(ts));
 }
 
-/// The PR-3 wrap-bug model class: one event whose constants digitize to
-/// 40000..80000 ticks — past the historical 16-bit age range.
+/// One event whose constants digitize to 40000..80000 ticks — past the
+/// digitization-cost threshold (kDigitizationCostTicks).
 Module wrap_module() {
   TransitionSystem ts;
   const StateId s0 = ts.add_state();
@@ -318,7 +318,7 @@ TEST(LintEngineRange, CertainTruncationDemotesToWarningWithAPeer) {
   EXPECT_FALSE(r.has_errors());
 }
 
-TEST(LintEngineRange, DigitizationCostIsL013PastTheLegacyRange) {
+TEST(LintEngineRange, DigitizationCostIsL013PastTheCostThreshold) {
   const Module m = wrap_module();
   LintOptions lo;
   lo.engines = {"discrete"};  // default budget: no certain truncation
@@ -332,7 +332,7 @@ TEST(LintEngineRange, DigitizationCostIsL013PastTheLegacyRange) {
 }
 
 TEST(LintEngineRange, SmallConstantsAndNonDiscreteSelectionsAreSilent) {
-  // Constants inside the legacy range: no engine-range findings at all.
+  // Constants below the cost threshold: no engine-range findings at all.
   EXPECT_TRUE(lint_one(simple_module()).clean());
   // Large constants but no digitizing engine selected: checks disarm.
   const Module m = wrap_module();

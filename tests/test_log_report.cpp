@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "rtv/base/log.hpp"
 #include "rtv/verify/report.hpp"
@@ -41,6 +42,28 @@ TEST(Report, TableAlignsColumns) {
   EXPECT_NE(t.find("Experiment"), std::string::npos);
 }
 
+TEST(Report, TableNameColumnFitsLongNames) {
+  // A name past the old fixed 44-character column must not run into the
+  // verdict: the column sizes to its content, like the suite table.
+  ExperimentRow r;
+  r.name = "4. Ain || I || Aout <= Ain (fixed point) [discrete]";
+  r.verdict = Verdict::kVerified;
+  ExperimentRow other;
+  other.name = "1. Ain || Aout |= S [refine]";
+  other.verdict = Verdict::kVerified;
+  const std::string t = format_table({r, other});
+  EXPECT_NE(t.find(r.name + "  VERIFIED"), std::string::npos) << t;
+  EXPECT_EQ(t.find("]VERIFIED"), std::string::npos) << t;
+  // Every row starts its verdict in the header's column.
+  std::istringstream lines(t);
+  std::string header, rule, row;
+  std::getline(lines, header);
+  std::getline(lines, rule);
+  const std::size_t column = header.find("Verdict");
+  while (std::getline(lines, row))
+    EXPECT_EQ(row.compare(column, 8, "VERIFIED"), 0) << t;
+}
+
 TEST(Report, TableRendersInconclusiveRows) {
   ExperimentRow r;
   r.name = "budget-limited run";
@@ -60,18 +83,6 @@ TEST(Report, TableWithNoRowsIsHeaderOnly) {
   EXPECT_EQ(t.find("INCONCLUSIVE"), std::string::npos);
   // Exactly the header line and its rule.
   EXPECT_EQ(std::count(t.begin(), t.end(), '\n'), 2);
-}
-
-TEST(Report, SummarizeVerificationResultInconclusive) {
-  VerificationResult r;
-  r.verdict = Verdict::kInconclusive;
-  r.truncated_reason = stop_reason::kStateBudget;
-  r.refinements = 2;
-  r.composed_states = 17;
-  const ExperimentRow row = summarize("truncated", r);
-  EXPECT_EQ(row.verdict, Verdict::kInconclusive);
-  EXPECT_EQ(row.refinements, 2);
-  EXPECT_EQ(row.states, 17u);
 }
 
 TEST(Report, SummarizeEngineResultPullsRefineStats) {
@@ -117,21 +128,35 @@ TEST(Report, SuiteReportTableHandlesEmptyAndInconclusive) {
 }
 
 TEST(Report, EmptyResultFormats) {
-  VerificationResult r;
+  const EngineResult r;
   const std::string s = format_report("empty", r);
   EXPECT_NE(s.find("INCONCLUSIVE"), std::string::npos);
   EXPECT_TRUE(format_constraints(r).empty());
 }
 
+TEST(Report, RefineDetailFormats) {
+  EngineResult r;
+  r.verdict = Verdict::kVerified;
+  RefineEngineStats st;
+  st.refinements = 1;
+  st.composed_states = 17;
+  RefinementRecord rec;
+  rec.iteration = 1;
+  rec.failure = "deadlock";
+  rec.orderings = {{"a", "b"}, {"a", "b"}};
+  st.records.push_back(rec);
+  r.stats = st;
+  const std::string s = format_report("refined", r);
+  EXPECT_NE(s.find("refinements:  1"), std::string::npos) << s;
+  EXPECT_NE(s.find("composed:     17 states"), std::string::npos) << s;
+  EXPECT_NE(s.find("constraint: a before b"), std::string::npos) << s;
+  // The constraints are deduplicated.
+  EXPECT_EQ(format_constraints(r), "a before b\n");
+}
+
 TEST(Report, VerdictNames) {
   EXPECT_STREQ(to_string(Verdict::kVerified), "VERIFIED");
   EXPECT_STREQ(to_string(Verdict::kViolated), "VIOLATED");
-  // kCounterexample remains a source-compatibility alias for kViolated,
-  // but is deprecated — new code uses kViolated.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_STREQ(to_string(Verdict::kCounterexample), "VIOLATED");
-#pragma GCC diagnostic pop
   EXPECT_STREQ(to_string(Verdict::kInconclusive), "INCONCLUSIVE");
 }
 

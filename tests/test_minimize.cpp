@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/stg/library.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
@@ -98,8 +99,8 @@ TEST(Minimize, QuotientPreservesVerificationVerdict) {
   const Module mon = gallery::order_monitor("g", "d");
   const Module mon_min = minimized(mon);
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult a = verify_modules({&sys, &mon}, {&bad});
-  const VerificationResult b = verify_modules({&sys, &mon_min}, {&bad});
+  const EngineResult a = test::decide("refine", {&sys, &mon}, {&bad});
+  const EngineResult b = test::decide("refine", {&sys, &mon_min}, {&bad});
   EXPECT_EQ(a.verdict, b.verdict);
 }
 

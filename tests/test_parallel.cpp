@@ -1,9 +1,9 @@
 // Parallel-exploration parity (rtv/base/parallel.hpp + the sharded BFS in
-// compose() and discrete_explore()):
+// compose() and the discrete engine):
 //
 //   * compose() is bit-identical across job counts — state numbering,
 //     transitions, valuations, chokes;
-//   * discrete_verify() produces identical verdicts, state counts and
+//   * the discrete engine produces identical verdicts, state counts and
 //     counterexample traces at jobs=1 and jobs=4 on randomized gallery
 //     systems, and every parallel counterexample replays through the
 //     sequential composition;
@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine_support.hpp"
 #include "rtv/base/rng.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
@@ -170,7 +171,7 @@ TEST(ParallelCompose, OutputIsIdenticalAcrossJobCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// discrete_verify() parity: verdicts, counts and traces
+// Discrete engine parity: verdicts, counts and traces
 // ---------------------------------------------------------------------------
 
 TEST(ParallelDiscrete, RandomizedGallerySystemsAgreeAcrossJobCounts) {
@@ -182,25 +183,24 @@ TEST(ParallelDiscrete, RandomizedGallerySystemsAgreeAcrossJobCounts) {
     const Module mon = gallery::order_monitor("x", "y");
     const InvariantProperty bad("x first", {{"fail", true}});
 
-    DiscreteVerifyOptions one, four;
-    one.jobs = 1;
-    four.jobs = 4;
-    one.max_states = four.max_states = kBudget;
-    const DiscreteVerifyResult a = discrete_verify({&m, &mon}, {&bad}, one);
-    const DiscreteVerifyResult b = discrete_verify({&m, &mon}, {&bad}, four);
+    const Composition comp = test::compose_for_engines({&m, &mon});
+    EngineRequest req;
+    req.composition = &comp;
+    req.properties = {&bad};
+    req.budget.max_states = kBudget;
+    req.jobs = 1;
+    const EngineResult a = DiscreteEngine().run(req);
+    req.jobs = 4;
+    const EngineResult b = DiscreteEngine().run(req);
 
-    EXPECT_EQ(a.violated, b.violated) << "seed " << seed;
-    EXPECT_EQ(a.truncated, b.truncated) << "seed " << seed;
+    EXPECT_EQ(a.verdict, b.verdict) << "seed " << seed;
+    EXPECT_EQ(a.truncated_reason, b.truncated_reason) << "seed " << seed;
     EXPECT_EQ(a.states_explored, b.states_explored) << "seed " << seed;
     EXPECT_LE(a.states_explored, kBudget);
     EXPECT_EQ(a.trace_labels, b.trace_labels) << "seed " << seed;
-    if (a.violated) {
+    if (a.violated()) {
       EXPECT_FALSE(b.trace_labels.empty()) << "seed " << seed;
-      const bool refusal =
-          a.description.find("refusal") != std::string::npos;
-      ComposeOptions copts;
-      copts.track_chokes = true;
-      const Composition comp = compose({&m, &mon}, copts);
+      const bool refusal = a.message.find("refusal") != std::string::npos;
       expect_replayable(comp, b.trace_labels, refusal);
     }
   }
@@ -234,17 +234,16 @@ TEST(ParallelDiscrete, ChokeCounterexampleReplaysUpToTheRefusal) {
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
 
+  const Composition comp = test::compose_for_engines({&producer, &once});
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    DiscreteVerifyOptions opts;
-    opts.jobs = jobs;
-    const DiscreteVerifyResult r = discrete_verify({&producer, &once}, {}, opts);
-    ASSERT_TRUE(r.violated) << jobs << " jobs";
+    EngineRequest req;
+    req.composition = &comp;
+    req.jobs = jobs;
+    const EngineResult r = DiscreteEngine().run(req);
+    ASSERT_TRUE(r.violated()) << jobs << " jobs";
     ASSERT_FALSE(r.trace_labels.empty()) << jobs << " jobs";
     EXPECT_EQ(r.trace_labels.back(), "x+");
-    ComposeOptions copts;
-    copts.track_chokes = true;
-    expect_replayable(compose({&producer, &once}, copts), r.trace_labels,
-                      /*refusal=*/true);
+    expect_replayable(comp, r.trace_labels, /*refusal=*/true);
   }
 }
 
@@ -253,20 +252,17 @@ TEST(ParallelDiscrete, StateBudgetIsAHardCeilingUnderConcurrency) {
   // config budget must truncate without a single config of overshoot even
   // with four workers inserting concurrently.
   const Module sys = gallery::scaled_race(64);
-  DiscreteVerifyOptions opts;
-  opts.jobs = 4;
-  opts.max_states = 1000;
-  // Explore the pre-built composition so the compose budget (tested
-  // elsewhere) does not trip first.
-  ComposeOptions copts;
-  copts.track_chokes = true;
-  const Composition comp = compose({&sys}, copts);
-  const DiscreteVerifyResult r =
-      discrete_explore(comp.ts, {}, comp.chokes, opts);
-  EXPECT_TRUE(r.truncated);
+  // The composition is built unbudgeted, so only the engine's budget can
+  // trip.
+  const Composition comp = test::compose_for_engines({&sys});
+  EngineRequest req;
+  req.composition = &comp;
+  req.jobs = 4;
+  req.budget.max_states = 1000;
+  const EngineResult r = DiscreteEngine().run(req);
   EXPECT_EQ(r.truncated_reason, stop_reason::kStateBudget);
   EXPECT_LE(r.states_explored, 1000u);
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
+  EXPECT_EQ(r.verdict, Verdict::kInconclusive);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,16 +273,12 @@ TEST(ParallelEngine, DiscreteEngineHonoursJobsAndAgrees) {
   const Module sys = gallery::scaled_race(16);
   const Module mon = gallery::order_monitor("a", "c");
   const InvariantProperty bad("a before c", {{"fail", true}});
-  const Engine* discrete = engine_registry().find("discrete");
-  ASSERT_NE(discrete, nullptr);
 
   EngineRequest req;
-  req.modules = {&sys, &mon};
-  req.properties = {&bad};
   req.jobs = 1;
-  const EngineResult a = discrete->run(req);
+  const EngineResult a = test::decide("discrete", {&sys, &mon}, {&bad}, req);
   req.jobs = 4;
-  const EngineResult b = discrete->run(req);
+  const EngineResult b = test::decide("discrete", {&sys, &mon}, {&bad}, req);
 
   EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_EQ(a.verdict, Verdict::kViolated);  // c can fire with a at 2k

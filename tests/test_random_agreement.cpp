@@ -9,6 +9,7 @@
 //   rtv fuzz --replay --seed <seed> --modules 3 --properties 2
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/base/rng.hpp"
 #include "rtv/fuzz/campaign.hpp"
 #include "rtv/fuzz/generator.hpp"
@@ -43,8 +44,8 @@ TEST_P(RandomAgreement, AllEnginesAgreeOnGeneratedScenarios) {
       << "): an engine came back inconclusive at smoke-test size";
 }
 
-/// Larger mixed-magnitude delays: constants past the old 16-bit discrete
-/// age boundary (65535 ticks) against the zone engine.  Kept at 2^16 —
+/// Larger mixed-magnitude delays: constants past 65535 ticks (the
+/// digitization-cost threshold) against the zone engine.  Kept at 2^16 —
 /// the digitized engine's runtime grows with the constants themselves
 /// (tick-by-tick time steps), not with the state count, so bigger caps
 /// belong in the nightly fuzz campaign with --timeout, not in tier-1.
@@ -99,8 +100,9 @@ TEST_P(RandomPersistency, RefinementMatchesZoneVerdict) {
   const Engine* zone = engine_registry().find("zone");
   ASSERT_NE(refine, nullptr);
   ASSERT_NE(zone, nullptr);
+  const Composition comp = test::compose_for_engines({&sys});
   EngineRequest req;
-  req.modules = {&sys};
+  req.composition = &comp;
   req.properties = {&pers};
   const EngineResult rt = refine->run(req);
   const EngineResult zn = zone->run(req);

@@ -8,6 +8,9 @@
 //     observably cancelled (stop reason = "cancelled by caller"), both via
 //     the pre-run skip (1 worker) and mid-run (racing workers); an
 //     inconclusive engine never masks a definitive peer,
+//   * each obligation is composed once, and every engine of it reads that
+//     one composition; a truncated or failing composition answers every
+//     record of the obligation without running an engine,
 //   * the JSON suite report round-trips through parse_suite_report and
 //     rejects corrupted documents,
 //   * exit-code mapping for scripted callers.
@@ -16,19 +19,15 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "engine_support.hpp"
 #include "rtv/ipcmos/experiments.hpp"
+#include "rtv/obs/metrics.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/verify/suite.hpp"
 
 namespace rtv {
 namespace {
-
-const Engine* engine(const char* name) {
-  const Engine* e = engine_registry().find(name);
-  EXPECT_NE(e, nullptr) << name;
-  return e;
-}
 
 /// The Fig. 1 gallery obligation ("g before d" holds in every timed run).
 void add_intro_obligation(Suite& suite, const std::string& name) {
@@ -57,12 +56,34 @@ void add_ipcmos_obligation(Suite& suite, const std::string& name) {
 /// Sequential ground truth for one obligation on one engine.
 EngineResult run_sequential(const Obligation& ob, const char* engine_name) {
   EngineRequest req;
-  req.modules = ob.modules;
-  req.properties = ob.properties;
   req.budget = ob.budget;
   req.max_refinements = ob.max_refinements;
-  req.track_chokes = ob.track_chokes;
-  return engine(engine_name)->run(req);
+  return test::decide(engine_name, ob.modules, ob.properties, req);
+}
+
+/// Two pulses declaring contradictory delay bounds on the shared "x+":
+/// compose() throws on them.
+void add_contradictory_obligation(Suite& suite, const std::string& name) {
+  auto pulse = [](const std::string& module, Time lo, Time hi,
+                  EventKind kind) {
+    TransitionSystem ts;
+    const StateId s0 = ts.add_state();
+    const StateId s1 = ts.add_state();
+    ts.add_transition(s0, ts.add_event("x+", DelayInterval::units(lo, hi), kind),
+                      s1);
+    ts.set_initial(s0);
+    return Module(module, std::move(ts));
+  };
+  const Module* early = suite.own(pulse("early", 1, 2, EventKind::kOutput));
+  const Module* late = suite.own(pulse("late", 5, 9, EventKind::kInput));
+  const SafetyProperty* dead = suite.own(std::make_unique<DeadlockFreedom>());
+  suite.add(name, {early, late}, {dead});
+}
+
+double composed_states_total() {
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const obs::MetricPoint* p = snap.find("rtv_compose_states_total", "");
+  return p ? p->value : 0.0;
 }
 
 TEST(SuiteApi, StorageAndObligationConstruction) {
@@ -98,22 +119,9 @@ TEST(SuiteBatch, ContradictoryDelaysShortCircuitOrThrow) {
   // the suite must record against the one bad obligation (kEngineError)
   // without terminating the batch.  Either way the other obligation
   // finishes.
-  auto pulse = [](const std::string& name, Time lo, Time hi, EventKind kind) {
-    TransitionSystem ts;
-    const StateId s0 = ts.add_state();
-    const StateId s1 = ts.add_state();
-    ts.add_transition(s0, ts.add_event("x+", DelayInterval::units(lo, hi), kind),
-                      s1);
-    ts.set_initial(s0);
-    return Module(name, std::move(ts));
-  };
-
   Suite suite;
   add_intro_obligation(suite, "good");
-  const Module* early = suite.own(pulse("early", 1, 2, EventKind::kOutput));
-  const Module* late = suite.own(pulse("late", 5, 9, EventKind::kInput));
-  const SafetyProperty* dead = suite.own(std::make_unique<DeadlockFreedom>());
-  suite.add("contradictory", {early, late}, {dead});
+  add_contradictory_obligation(suite, "contradictory");
 
   const auto bad_record = [](const SuiteReport& report) -> const SuiteRecord* {
     for (const SuiteRecord& rec : report.records)
@@ -150,6 +158,71 @@ TEST(SuiteBatch, ContradictoryDelaysShortCircuitOrThrow) {
   EXPECT_EQ(bad->result.truncated_reason, stop_reason::kEngineError);
   EXPECT_NE(bad->result.message.find("x+"), std::string::npos)
       << bad->result.message;
+}
+
+TEST(SuiteCompose, ThreeEngineBatchComposesOnce) {
+  // Refine, zone and discrete on one obligation all read one shared
+  // composition: the composed-state counter grows by one composition's
+  // states, not three times that.
+  obs::set_metrics_enabled(true);
+  Suite suite;
+  add_ipcmos_obligation(suite, "ipcmos boundary 2");
+  SuiteOptions opts;
+  opts.engines = {"refine", "zone", "discrete"};
+  opts.jobs = 4;
+  const double before = composed_states_total();
+  const SuiteReport report = run_suite(suite, opts);
+  const double delta = composed_states_total() - before;
+
+  ASSERT_EQ(report.records.size(), 3u);
+  for (const SuiteRecord& rec : report.records)
+    EXPECT_EQ(rec.result.verdict, Verdict::kVerified) << rec.engine;
+  const std::size_t states =
+      test::refine_stats(report.records[0].result).composed_states;
+  EXPECT_GT(states, 0u);
+  EXPECT_EQ(delta, static_cast<double>(states));
+}
+
+TEST(SuiteCompose, TruncatedCompositionAnswersEveryRecord) {
+  // A 1-state budget truncates the one composition: no engine runs, and
+  // every record carries the compose stop reason with nothing explored.
+  Suite suite;
+  add_intro_obligation(suite, "intro");
+  suite.obligations().front().budget.max_states = 1;
+  SuiteOptions opts;
+  opts.engines = {"refine", "zone", "discrete"};
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    opts.jobs = jobs;
+    const SuiteReport report = run_suite(suite, opts);
+    ASSERT_EQ(report.records.size(), 3u);
+    for (const SuiteRecord& rec : report.records) {
+      EXPECT_EQ(rec.result.verdict, Verdict::kInconclusive) << rec.engine;
+      EXPECT_EQ(rec.result.truncated_reason, stop_reason::kComposeBudget)
+          << rec.engine;
+      EXPECT_EQ(rec.result.states_explored, 0u) << rec.engine;
+    }
+  }
+}
+
+TEST(SuiteCompose, ComposeThrowAnswersEveryRecordWithTheError) {
+  // Contradictory delay bounds past a disabled pre-flight: compose()
+  // throws once, and every engine's record carries the same message.
+  Suite suite;
+  add_contradictory_obligation(suite, "contradictory");
+  SuiteOptions opts;
+  opts.preflight = false;
+  opts.engines = {"refine", "zone", "discrete"};
+  opts.jobs = 3;
+  const SuiteReport report = run_suite(suite, opts);
+  ASSERT_EQ(report.records.size(), 3u);
+  const std::string& message = report.records[0].result.message;
+  EXPECT_NE(message.find("x+"), std::string::npos) << message;
+  for (const SuiteRecord& rec : report.records) {
+    EXPECT_EQ(rec.result.verdict, Verdict::kInconclusive) << rec.engine;
+    EXPECT_EQ(rec.result.truncated_reason, stop_reason::kEngineError)
+        << rec.engine;
+    EXPECT_EQ(rec.result.message, message) << rec.engine;
+  }
 }
 
 TEST(SuiteApi, EmptySuiteIsVacuouslyVerified) {

@@ -2,22 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/verify/containment.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 namespace rtv {
 namespace {
+
+using test::decide;
+using test::refine_stats;
 
 TEST(Verify, IntroExampleVerifiesWithRefinements) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = decide("refine", {&sys, &mon}, {&bad});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
-  EXPECT_FALSE(r.constraints().empty());
+  EXPECT_GE(refine_stats(r).refinements, 1);
+  EXPECT_FALSE(refine_stats(r).constraints().empty());
 }
 
 TEST(Verify, BrokenDelaysGiveCounterexample) {
@@ -27,10 +30,11 @@ TEST(Verify, BrokenDelaysGiveCounterexample) {
   const Module sys("intro-broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = decide("refine", {&sys, &mon}, {&bad});
   EXPECT_EQ(r.verdict, Verdict::kViolated);
-  ASSERT_TRUE(r.counterexample.has_value());
-  EXPECT_FALSE(r.counterexample_text.empty());
+  ASSERT_TRUE(refine_stats(r).counterexample.has_value());
+  EXPECT_FALSE(r.message.empty());
+  EXPECT_FALSE(r.trace_labels.empty());
 }
 
 TEST(Verify, UntimedlyCorrectNeedsNoRefinement) {
@@ -39,15 +43,15 @@ TEST(Verify, UntimedlyCorrectNeedsNoRefinement) {
                                      {"y", DelayInterval::units(1, 2)}});
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x before y", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = decide("refine", {&sys, &mon}, {&bad});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_EQ(r.refinements, 0);
+  EXPECT_EQ(refine_stats(r).refinements, 0);
 }
 
 TEST(Verify, DeadlockIsACounterexampleWhenTimingConsistent) {
   const Module sys = gallery::chain({{"x", DelayInterval::units(1, 2)}});
   const DeadlockFreedom dead;
-  const VerificationResult r = verify_modules({&sys}, {&dead});
+  const EngineResult r = decide("refine", {&sys}, {&dead});
   EXPECT_EQ(r.verdict, Verdict::kViolated);
 }
 
@@ -68,22 +72,21 @@ TEST(Verify, PersistencyGlitchPrunedByTiming) {
   ts.set_initial(s0);
   const Module sys("glitch", std::move(ts));
   const PersistencyProperty pers;
-  const VerificationResult r = verify_modules({&sys}, {&pers});
+  const EngineResult r = decide("refine", {&sys}, {&pers});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
+  EXPECT_GE(refine_stats(r).refinements, 1);
 }
 
 TEST(Verify, StructuralRuleOffStillSoundJustSlower) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  VerifyOptions opts;
-  opts.structural_rule = false;
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad}, opts);
+  const RefineEngine windows_only(/*structural_rule=*/false);
+  const EngineResult r = decide(windows_only, {&sys, &mon}, {&bad});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   // Window observers only: at least as many iterations.
-  const VerificationResult fast = verify_modules({&sys, &mon}, {&bad});
-  EXPECT_GE(r.refinements, fast.refinements);
+  const EngineResult fast = decide("refine", {&sys, &mon}, {&bad});
+  EXPECT_GE(refine_stats(r).refinements, refine_stats(fast).refinements);
 }
 
 TEST(Verify, ContainmentAcceptsRefinement) {
@@ -99,7 +102,7 @@ TEST(Verify, ContainmentAcceptsRefinement) {
                                         EventKind::kOutput), s);
   spec.set_initial(s);
   const Module abs("spec", std::move(spec));
-  const VerificationResult r = check_containment({&impl}, abs);
+  const EngineResult r = check_containment({&impl}, abs);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
 }
 
@@ -124,7 +127,7 @@ TEST(Verify, ContainmentRejectsForbiddenOutput) {
   ats.set_initial(a0);
   const Module abs("spec", std::move(ats));
 
-  const VerificationResult r = check_containment({&impl}, abs);
+  const EngineResult r = check_containment({&impl}, abs);
   EXPECT_EQ(r.verdict, Verdict::kViolated);
   EXPECT_NE(r.message.find("refusal"), std::string::npos);
 }
@@ -147,25 +150,25 @@ TEST(Verify, TimedContainmentNeedsRefinement) {
                                        EventKind::kOutput), a2);
   ats.set_initial(a0);
   const Module abs("x-then-y", std::move(ats));
-  const VerificationResult r = check_containment({&impl}, abs);
+  const EngineResult r = check_containment({&impl}, abs);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
+  EXPECT_GE(refine_stats(r).refinements, 1);
 }
 
 TEST(Verify, VerdictAgreesWithZoneEngineOnIntro) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult rt = verify_modules({&sys, &mon}, {&bad});
-  const ZoneVerifyResult zn = zone_verify({&sys, &mon}, {&bad});
-  EXPECT_EQ(rt.verdict == Verdict::kVerified, !zn.violated);
+  const EngineResult rt = decide("refine", {&sys, &mon}, {&bad});
+  const EngineResult zn = decide("zone", {&sys, &mon}, {&bad});
+  EXPECT_EQ(rt.verdict, zn.verdict);
 }
 
 TEST(Verify, ReportFormatting) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = decide("refine", {&sys, &mon}, {&bad});
   const std::string report = format_report("intro", r);
   EXPECT_NE(report.find("VERIFIED"), std::string::npos);
   EXPECT_NE(report.find("refinements"), std::string::npos);
@@ -179,10 +182,11 @@ TEST(Verify, RefinementBudgetGivesInconclusive) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  VerifyOptions opts;
-  opts.max_refinements = 0;
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad}, opts);
+  EngineRequest req;
+  req.max_refinements = 0;
+  const EngineResult r = decide("refine", {&sys, &mon}, {&bad}, req);
   EXPECT_EQ(r.verdict, Verdict::kInconclusive);
+  EXPECT_EQ(r.truncated_reason, stop_reason::kRefinementBudget);
 }
 
 }  // namespace

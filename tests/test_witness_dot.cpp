@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/dot.hpp"
 #include "rtv/ts/gallery.hpp"
@@ -55,16 +56,18 @@ TEST(Witness, CounterexampleFromVerifierIsSchedulable) {
   const Module sys("intro-broken", std::move(broken));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const Composition comp = test::compose_for_engines({&sys, &mon});
+  EngineRequest req;
+  req.composition = &comp;
+  req.properties = {&bad};
+  const EngineResult r = RefineEngine().run(req);
   ASSERT_EQ(r.verdict, Verdict::kViolated);
-  ASSERT_TRUE(r.counterexample.has_value());
+  const std::optional<Trace>& cex = test::refine_stats(r).counterexample;
+  ASSERT_TRUE(cex.has_value());
 
-  // The counterexample lives in the composed system; rebuild the same
-  // composition and replay its labels there to extract a schedule.
-  const Composition comp = compose({&sys, &mon});
-  std::vector<std::string> labels;
-  for (const TraceStep& s : r.counterexample->steps)
-    labels.push_back(comp.ts.label(s.event));
+  // The counterexample is valid against the request's composition: replay
+  // its labels there to extract a schedule.
+  const std::vector<std::string> labels = cex->labels(comp.ts);
   const auto w = make_witness(comp.ts, replay(comp.ts, labels));
   ASSERT_TRUE(w.has_value());
   ASSERT_EQ(w->steps.size(), labels.size());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/property.hpp"
 
@@ -12,10 +13,10 @@ TEST(ZoneGraph, IntroExamplePropertyHoldsTimed) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&sys, &mon}, {&bad});
-  EXPECT_FALSE(r.violated);
-  EXPECT_FALSE(r.truncated);
-  EXPECT_GT(r.zones_explored, 0u);
+  const EngineResult r = test::decide("zone", {&sys, &mon}, {&bad});
+  EXPECT_FALSE(r.violated());
+  EXPECT_TRUE(r.truncated_reason.empty());
+  EXPECT_GT(r.states_explored, 0u);
 }
 
 TEST(ZoneGraph, PropertyFailsWhenDelaysAllowIt) {
@@ -26,8 +27,8 @@ TEST(ZoneGraph, PropertyFailsWhenDelaysAllowIt) {
   const Module sys("intro-broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&sys, &mon}, {&bad});
-  EXPECT_TRUE(r.violated);
+  const EngineResult r = test::decide("zone", {&sys, &mon}, {&bad});
+  EXPECT_TRUE(r.violated());
   EXPECT_FALSE(r.trace_labels.empty());
 }
 
@@ -37,8 +38,8 @@ TEST(ZoneGraph, RaceSemantics) {
                                     DelayInterval::units(5, 6));
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x before y", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&m, &mon}, {&bad});
-  EXPECT_FALSE(r.violated);
+  const EngineResult r = test::decide("zone", {&m, &mon}, {&bad});
+  EXPECT_FALSE(r.violated());
 }
 
 TEST(ZoneGraph, RaceTieIsPossible) {
@@ -49,8 +50,8 @@ TEST(ZoneGraph, RaceTieIsPossible) {
                                     DelayInterval::units(2, 4));
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x before y", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&m, &mon}, {&bad});
-  EXPECT_TRUE(r.violated);
+  const EngineResult r = test::decide("zone", {&m, &mon}, {&bad});
+  EXPECT_TRUE(r.violated());
 }
 
 TEST(ZoneGraph, UrgencyForcesProgress) {
@@ -63,17 +64,17 @@ TEST(ZoneGraph, UrgencyForcesProgress) {
   ts.set_initial(s0);
   const Module m("loop", std::move(ts));
   const DeadlockFreedom dead;
-  const ZoneVerifyResult r = zone_verify({&m}, {&dead});
-  EXPECT_FALSE(r.violated);
-  EXPECT_LT(r.zones_explored, 10u);
+  const EngineResult r = test::decide("zone", {&m}, {&dead});
+  EXPECT_FALSE(r.violated());
+  EXPECT_LT(r.states_explored, 10u);
 }
 
 TEST(ZoneGraph, DeadlockDetected) {
   const Module m = gallery::chain({{"a", DelayInterval::units(1, 2)}});
   const DeadlockFreedom dead;
-  const ZoneVerifyResult r = zone_verify({&m}, {&dead});
-  EXPECT_TRUE(r.violated);
-  EXPECT_EQ(r.description, "deadlock");
+  const EngineResult r = test::decide("zone", {&m}, {&dead});
+  EXPECT_TRUE(r.violated());
+  EXPECT_EQ(r.message, "deadlock");
   EXPECT_EQ(r.trace_labels, (std::vector<std::string>{"a"}));
 }
 
@@ -92,8 +93,8 @@ TEST(ZoneGraph, PersistencyViolationOnlyWhenTimedReachable) {
   ts.set_initial(s0);
   const Module m("race", std::move(ts));
   const PersistencyProperty pers;
-  const ZoneVerifyResult r = zone_verify({&m}, {&pers});
-  EXPECT_FALSE(r.violated);
+  const EngineResult r = test::decide("zone", {&m}, {&pers});
+  EXPECT_FALSE(r.violated());
 
   // Overlapping delays make it reachable.
   TransitionSystem ts2;
@@ -107,8 +108,8 @@ TEST(ZoneGraph, PersistencyViolationOnlyWhenTimedReachable) {
   ts2.add_transition(t1, y2, t2);
   ts2.set_initial(t0);
   const Module m2("race2", std::move(ts2));
-  const ZoneVerifyResult r2 = zone_verify({&m2}, {&pers});
-  EXPECT_TRUE(r2.violated);
+  const EngineResult r2 = test::decide("zone", {&m2}, {&pers});
+  EXPECT_TRUE(r2.violated());
 }
 
 TEST(ZoneGraph, ChokeOnlyCountsWhenTimedReachable) {
@@ -133,16 +134,18 @@ TEST(ZoneGraph, ChokeOnlyCountsWhenTimedReachable) {
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
 
-  const ZoneVerifyResult r = zone_verify({&producer, &once}, {});
-  EXPECT_TRUE(r.violated);
-  EXPECT_NE(r.description.find("refusal"), std::string::npos);
+  const EngineResult r = test::decide("zone", {&producer, &once}, {});
+  EXPECT_TRUE(r.violated());
+  EXPECT_NE(r.message.find("refusal"), std::string::npos);
 }
 
 TEST(ZoneGraph, ZoneCountExceedsDiscreteStates) {
   const Module sys = gallery::intro_example();
-  const ZoneVerifyResult r = zone_verify({&sys}, {});
-  EXPECT_GE(r.zones_explored, r.discrete_states);
-  EXPECT_GT(r.discrete_states, 0u);
+  const EngineResult r = test::decide("zone", {&sys}, {});
+  const std::size_t discrete =
+      std::get<ZoneEngineStats>(r.stats).discrete_states;
+  EXPECT_GE(r.states_explored, discrete);
+  EXPECT_GT(discrete, 0u);
 }
 
 }  // namespace

@@ -68,6 +68,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -324,7 +325,6 @@ int cmd_verify(const std::vector<std::string>& files,
   }
   const std::string name = cli.engines.empty() ? "refine" : cli.engines[0];
   if (!engines_exist({name})) return kExitUsage;
-  const Engine* engine = engine_registry().find(name);
 
   const LoadedModules mods = load_all(files);
   DeadlockFreedom dead;
@@ -333,17 +333,17 @@ int cmd_verify(const std::vector<std::string>& files,
   if (cli.deadlock) props.push_back(&dead);
   if (cli.persistency) props.push_back(&pers);
 
-  EngineRequest req;
-  req.modules = mods.ptrs;
-  req.properties = props;
-  req.budget.max_states = cli.max_states;
-  req.budget.max_seconds = cli.timeout_seconds;
-  req.max_refinements = cli.max_ref;
-  req.jobs = cli.jobs;  // 0 (the default) = one worker per hardware thread
-  if (cli.progress || cli.progress_json)
-    req.progress = progress_printer(cli.progress_json);
-
-  const EngineResult r = engine->run(req);
+  // One obligation, composed and then decided on the one engine, as given:
+  // no lint pre-flight, no slicing.
+  Suite suite;
+  suite.add("verify", mods.ptrs, props);
+  SuiteOptions opts = suite_options(cli, SuiteMode::kBatch);
+  opts.engines = {name};
+  opts.preflight = false;
+  opts.slice = false;
+  const EngineResult r = run_suite(suite, opts).records.front().result;
+  if (r.truncated_reason == stop_reason::kEngineError)
+    throw std::runtime_error(r.message);
   std::printf("== verify (engine: %s) ==\n", name.c_str());
   std::printf("verdict:      %s\n", to_string(r.verdict));
   // Each engine counts its own exploration unit.
@@ -369,10 +369,11 @@ int cmd_verify(const std::vector<std::string>& files,
   if (const auto* st = std::get_if<RefineEngineStats>(&r.stats)) {
     std::printf("refinements:  %d\n", st->refinements);
     std::printf("composed:     %zu states\n", st->composed_states);
-    if (r.verified() && !st->constraints.empty()) {
+    const std::vector<DerivedOrdering> constraints = st->constraints();
+    if (r.verified() && !constraints.empty()) {
       std::printf("\nrelative timing constraints:\n");
-      for (const std::string& c : st->constraints)
-        std::printf("%s\n", c.c_str());
+      for (const DerivedOrdering& c : constraints)
+        std::printf("%s before %s\n", c.before.c_str(), c.after.c_str());
     }
   }
   return exit_code(r.verdict);
