@@ -34,20 +34,6 @@ PropertyFacts classify(const std::vector<const SafetyProperty*>& properties) {
   return f;
 }
 
-SliceResult identity_slice(const std::vector<const Module*>& modules,
-                           std::string bailout_reason) {
-  SliceResult r;
-  r.modules = modules;
-  r.kept.resize(modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) r.kept[i] = i;
-  r.identity = true;
-  if (!bailout_reason.empty()) {
-    r.bailout = bailout_reason;
-    r.notes.push_back({"bailout", "", "", std::move(bailout_reason)});
-  }
-  return r;
-}
-
 /// Rebuild a module keeping only its reachable states and, where sound,
 /// dropping dead events.  `drop_event[ei]` marks events that label no
 /// reachable transition *and* whose label no other kept module declares
@@ -83,6 +69,20 @@ Module rebuild(const Module& m, const ModuleFacts& facts,
 }
 
 }  // namespace
+
+SliceResult identity_slice(const std::vector<const Module*>& modules,
+                           std::string bailout_reason) {
+  SliceResult r;
+  r.modules = modules;
+  r.kept.resize(modules.size());
+  for (std::size_t i = 0; i < modules.size(); ++i) r.kept[i] = i;
+  r.identity = true;
+  if (!bailout_reason.empty()) {
+    r.bailout = bailout_reason;
+    r.notes.push_back({"bailout", "", "", std::move(bailout_reason)});
+  }
+  return r;
+}
 
 std::vector<const Module*> canonical_order(
     const std::vector<const Module*>& modules) {

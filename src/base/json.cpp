@@ -93,8 +93,15 @@ class Parser {
 
   Value parse_value() {
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Bound the recursion so hostile nesting fails instead of
+      // overflowing the stack; a throw unwinds every level at once.
+      if (++depth_ > kMaxDepth)
+        fail("containers nested deeper than " + std::to_string(kMaxDepth));
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Value v;
       v.kind = Value::Kind::kString;
@@ -244,8 +251,12 @@ class Parser {
   }
 
   const std::string& text_;
+  /// Far above any document the writers emit (they nest a handful deep).
+  static constexpr std::size_t kMaxDepth = 512;
+
   std::string_view context_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -37,8 +37,9 @@ std::uint64_t monotonic_epoch_ns() {
 
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  const double up =
-      static_cast<double>(obs::monotonic_ns() - monotonic_epoch_ns()) * 1e-9;
+  // Epoch first: on the first line it is stamped now, so "now" comes after.
+  const std::uint64_t epoch = monotonic_epoch_ns();
+  const double up = static_cast<double>(obs::monotonic_ns() - epoch) * 1e-9;
   const std::time_t wall = std::chrono::system_clock::to_time_t(
       std::chrono::system_clock::now());
   std::tm tm{};

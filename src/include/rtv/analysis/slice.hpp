@@ -76,6 +76,11 @@ SliceResult slice(const std::vector<const Module*>& modules,
                   const SliceOptions& options = {},
                   const DepGraph* graph = nullptr);
 
+/// The identity slice of `modules`: every module kept, nothing pruned.  A
+/// non-empty `bailout_reason` records why slicing was refused.
+SliceResult identity_slice(const std::vector<const Module*>& modules,
+                           std::string bailout_reason = "");
+
 /// Canonical module order: ascending 64-bit content hash, stable for
 /// ties.  Two obligations with the same cone enumerate byte-identical
 /// module streams in this order no matter how their inputs were arranged

@@ -47,7 +47,7 @@ struct Value {
 
 /// Parse one JSON document.  `context` prefixes every error message
 /// (e.g. "suite report JSON"); throws std::runtime_error on malformed
-/// input or trailing characters.
+/// input, trailing characters, or containers nested more than 512 deep.
 Value parse(const std::string& text, std::string_view context);
 
 /// Fetch a required object member of the given kind; throws

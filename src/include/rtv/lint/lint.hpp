@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "rtv/analysis/depgraph.hpp"
+#include "rtv/analysis/slice.hpp"
 #include "rtv/base/interval.hpp"
 #include "rtv/lint/diagnostic.hpp"
 #include "rtv/ts/module.hpp"
@@ -93,20 +94,19 @@ struct LintOptions {
 /// Lint one obligation: modules composed over shared labels plus the
 /// properties checked against the composition.  Purely structural — never
 /// composes, never runs an engine; cost is linear in the component sizes.
-/// The report comes back severity-sorted (errors first).  `graph`, when
-/// given, is the modules' prebuilt dependency graph
-/// (analysis::build_depgraph) — run_suite() builds it once per obligation
-/// and hands it to the slicer too; null builds it here.
+/// The report comes back severity-sorted (errors first).  `graph` and
+/// `slice` are the modules' dependency graph and the slice cut on it, which
+/// the cone notes (RTV-L016/L017) describe; front_end() hands both in.
+/// Null builds them here, slicing with choke tracking on.
 LintReport lint_modules(const std::vector<const Module*>& modules,
                         const std::vector<const SafetyProperty*>& properties,
                         const LintOptions& options = {},
-                        const analysis::DepGraph* graph = nullptr);
+                        const analysis::DepGraph* graph = nullptr,
+                        const analysis::SliceResult* slice = nullptr);
 
-/// Lint one suite obligation with the engine selection and budget
-/// run_suite() would resolve for it (per-obligation overrides included) —
-/// exactly the pre-flight the scheduler runs.
+/// Lint one suite obligation exactly as run_suite()'s pre-flight does:
+/// front_end(obligation, options).lint, with the pre-flight forced on.
 LintReport lint_obligation(const Obligation& obligation,
-                           const SuiteOptions& options = {},
-                           const analysis::DepGraph* graph = nullptr);
+                           const SuiteOptions& options = {});
 
 }  // namespace rtv::lint

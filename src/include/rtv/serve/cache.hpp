@@ -14,7 +14,7 @@
 // budget change *must* miss — a cached Inconclusive at a small budget can
 // never answer a bigger-budget request.
 //
-// Value: the obligation's full record set (one CachedRecord per engine the
+// Value: the obligation's full record set (one SuiteRecord per engine the
 // request ran), so a hit replays the exact SuiteReport rows with
 // `cached: true`.
 //
@@ -59,10 +59,18 @@ struct CacheKeyHash {
 };
 
 /// The canonical content hash of one obligation (see the header comment
-/// for exactly what is and is not covered).  `engines` must be the
-/// *resolved* selection the obligation will actually run (per-obligation
-/// override or request/mode default), and the budget fields the *resolved*
-/// effective values.
+/// for exactly what is and is not covered), from its front end
+/// (rtv/verify/suite.hpp): the resolved engines and budget it carries and
+/// the modules of its slice.  `fe` must be front_end() of `ob`'s
+/// obligation view under the request's options; nothing is resolved,
+/// instantiated or sliced here.
+CacheKey obligation_cache_key(const WireObligation& ob, SuiteMode mode,
+                              const FrontEnd& fe);
+
+/// The same key from request-level values: `engines` the selection (an
+/// unregistered name throws std::invalid_argument) and the budget
+/// defaults, which `ob`'s own overrides win over as in the daemon.
+/// Computes the front end itself (slice only, no lint).
 CacheKey obligation_cache_key(const WireObligation& ob, SuiteMode mode,
                               const std::vector<std::string>& engines,
                               std::size_t max_states, double max_seconds,
@@ -72,23 +80,12 @@ CacheKey obligation_cache_key(const WireObligation& ob, SuiteMode mode,
 // Cached outcomes
 // ---------------------------------------------------------------------------
 
-/// One obligation×engine row of a cached outcome — everything needed to
-/// replay the SuiteRecord (the obligation name is supplied by the serving
-/// request; it is not part of the content).
-struct CachedRecord {
-  std::string engine;
-  Verdict verdict = Verdict::kInconclusive;
-  std::string stop_reason;
-  std::string message;
-  std::vector<std::string> trace_labels;
-  std::size_t states_explored = 0;
-  double seconds = 0.0;      ///< original computation wall time
-  double cpu_seconds = 0.0;  ///< original computation CPU time
-  bool winner = false;
-};
-
+/// One obligation's records.  Only content is kept and persisted: engine,
+/// verdict, stop reason, message, trace, states, the original wall and CPU
+/// seconds, winner.  The obligation name, the cached flag and the lint and
+/// slice facts belong to each serving request, and engine stats stay out.
 struct CachedOutcome {
-  std::vector<CachedRecord> records;
+  std::vector<SuiteRecord> records;
 };
 
 /// Storage policy: an outcome may enter the cache unless its records are

@@ -90,6 +90,11 @@ struct WireObligation {
   std::string engine;
 
   std::vector<const Module*> module_ptrs() const;
+  /// The suite Obligation over this one: its modules, its properties
+  /// instantiated into `properties` (which must outlive the view), and
+  /// its overrides mapped onto Obligation's inherit defaults.
+  Obligation obligation(
+      std::vector<std::unique_ptr<SafetyProperty>>& properties) const;
 };
 
 enum class RequestKind {

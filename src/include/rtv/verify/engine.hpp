@@ -57,6 +57,9 @@ enum class Verdict {
 };
 
 const char* to_string(Verdict v);
+/// Inverse of to_string(Verdict); throws std::runtime_error prefixed with
+/// `context` (e.g. "suite report JSON") on any other string.
+Verdict verdict_from_string(std::string_view s, std::string_view context);
 
 // ---------------------------------------------------------------------------
 // Budgets, cancellation, progress.

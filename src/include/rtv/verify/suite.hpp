@@ -7,6 +7,8 @@
 //   * a declarative Suite of named Obligations (modules + properties +
 //     per-obligation budget overrides), with storage helpers so monitors
 //     and properties built on the fly outlive the run;
+//   * front_end(), everything derived from an obligation before it is
+//     composed, computed once for the scheduler, lint and serve layers;
 //   * run_suite(), a scheduler executing the suite on an internal thread
 //     pool (SuiteOptions::jobs) in two modes —
 //       - kBatch: every (obligation, selected engine) pair runs to
@@ -31,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rtv/analysis/slice.hpp"
 #include "rtv/base/json.hpp"
 #include "rtv/lint/diagnostic.hpp"
 #include "rtv/ts/module.hpp"
@@ -42,6 +45,8 @@ namespace rtv {
 // ---------------------------------------------------------------------------
 // Obligations and suites.
 // ---------------------------------------------------------------------------
+
+struct FrontEnd;
 
 /// One named verification obligation.  Modules and properties are
 /// non-owning views; anything built on the fly (monitors, property
@@ -61,6 +66,10 @@ struct Obligation {
   /// Refinement-engine iteration cap; exact engines ignore it.
   std::size_t max_refinements = 500;
   bool track_chokes = true;
+  /// Precomputed front_end(*this, options) for the SuiteOptions the suite
+  /// runs under (not owned; must outlive run_suite), so nothing is redone.
+  /// Null = run_suite computes it.
+  const FrontEnd* front_end = nullptr;
 };
 
 /// A declarative batch of obligations plus the storage keeping their
@@ -102,6 +111,9 @@ enum class SuiteMode {
 };
 
 const char* to_string(SuiteMode mode);
+/// Inverse of to_string(SuiteMode); throws std::runtime_error prefixed
+/// with `context` on any other string.
+SuiteMode suite_mode_from_string(std::string_view s, std::string_view context);
 
 struct SuiteOptions {
   SuiteMode mode = SuiteMode::kBatch;
@@ -226,6 +238,40 @@ SuiteReport parse_suite_report(const json::Value& root);
 /// Map a verdict to the CLI/CI exit-code convention: 0 = verified,
 /// 1 = violated, 2 = inconclusive (64 is reserved for usage errors).
 int exit_code(Verdict v);
+
+// ---------------------------------------------------------------------------
+// The per-obligation front end.
+// ---------------------------------------------------------------------------
+
+/// Everything derived from one obligation before it is composed.
+struct FrontEnd {
+  /// Registry names: its own engine in batch mode, else
+  /// SuiteOptions::engines, else the mode default ({"refine"} in batch,
+  /// every registered engine).
+  std::vector<std::string> engines;
+  /// Nonzero per-obligation fields, else SuiteOptions' (no cancel token).
+  RunBudget budget;
+  std::size_t max_refinements = 500;
+  /// The lint pre-flight; empty when SuiteOptions::preflight is off.
+  lint::LintReport lint;
+  /// The slice under the obligation's track_chokes: the modules the
+  /// engines compose.  The identity when SuiteOptions::slice is off.
+  analysis::SliceResult slice;
+
+  /// Error-severity lint findings: no engine may run.
+  bool rejected() const { return lint.has_errors(); }
+  /// Copy the obligation's lint findings and, unless rejected, its slice
+  /// counts onto one of its records.
+  void annotate(SuiteRecord& rec) const;
+};
+
+/// Compute an obligation's front end under `options`.  Resolves the
+/// engines (throws std::invalid_argument on an unregistered name) and the
+/// budget; when the pre-flight or the slicer is on, builds the one
+/// dependency graph (rtv/analysis/depgraph.hpp), slices on it and lints
+/// with that graph and slice, so the lint's cone notes (RTV-L016/L017)
+/// describe exactly the slice the engines get.
+FrontEnd front_end(const Obligation& ob, const SuiteOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // The scheduler.

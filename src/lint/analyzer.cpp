@@ -7,7 +7,6 @@
 
 #include "checks.hpp"
 #include "rtv/lint/lint.hpp"
-#include "rtv/verify/engine.hpp"
 
 namespace rtv::lint {
 
@@ -32,7 +31,8 @@ bool selection_only_digitizes(const std::vector<std::string>& engines) {
 LintReport lint_modules(const std::vector<const Module*>& modules,
                         const std::vector<const SafetyProperty*>& properties,
                         const LintOptions& options,
-                        const analysis::DepGraph* graph) {
+                        const analysis::DepGraph* graph,
+                        const analysis::SliceResult* slice) {
   LintReport report;
   if (modules.empty()) {
     report.diagnostics.push_back(
@@ -49,12 +49,19 @@ LintReport lint_modules(const std::vector<const Module*>& modules,
     local = analysis::build_depgraph(modules);
     graph = &local;
   }
+  // Without properties there is no cone, so the cone notes need no slice.
+  analysis::SliceResult local_slice;
+  if (!slice && !properties.empty()) {
+    local_slice = analysis::slice(modules, properties, {}, graph);
+    slice = &local_slice;
+  }
   CheckContext ctx{modules,
                    properties,
                    options,
                    selection_digitizes(options.engines),
                    selection_only_digitizes(options.engines),
                    *graph,
+                   slice,
                    report.diagnostics};
 
   check_well_formed(ctx);
@@ -67,22 +74,10 @@ LintReport lint_modules(const std::vector<const Module*>& modules,
 }
 
 LintReport lint_obligation(const Obligation& obligation,
-                           const SuiteOptions& options,
-                           const analysis::DepGraph* graph) {
-  // Mirror run_suite()'s engine and budget resolution exactly, so the
-  // pre-flight judges the obligation the scheduler will actually run.
-  LintOptions lo;
-  if (options.mode == SuiteMode::kBatch && !obligation.engine.empty())
-    lo.engines = {obligation.engine};
-  else if (!options.engines.empty())
-    lo.engines = options.engines;
-  else if (options.mode == SuiteMode::kBatch)
-    lo.engines = {"refine"};
-  else
-    lo.engines = engine_registry().names();
-  lo.max_states = obligation.budget.max_states ? obligation.budget.max_states
-                                               : options.budget.max_states;
-  return lint_modules(obligation.modules, obligation.properties, lo, graph);
+                           const SuiteOptions& options) {
+  SuiteOptions with_preflight = options;
+  with_preflight.preflight = true;
+  return front_end(obligation, with_preflight).lint;
 }
 
 }  // namespace rtv::lint

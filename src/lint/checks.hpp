@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "rtv/analysis/depgraph.hpp"
+#include "rtv/analysis/slice.hpp"
 #include "rtv/lint/lint.hpp"
 
 namespace rtv::lint {
@@ -28,6 +29,8 @@ struct CheckContext {
   /// Per-module reachability facts plus the shared-label structure, one
   /// computation shared between lint and the slicer.
   const analysis::DepGraph& graph;
+  /// The slice the cone notes describe; null without properties.
+  const analysis::SliceResult* slice;
   std::vector<Diagnostic>& out;
 
   /// Reachable states of module mi in BFS order (empty when the module

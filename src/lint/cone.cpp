@@ -4,7 +4,6 @@
 #include <string>
 
 #include "checks.hpp"
-#include "rtv/analysis/slice.hpp"
 
 namespace rtv::lint {
 
@@ -13,12 +12,10 @@ void check_cone(CheckContext& ctx) {
   // would trivially qualify, which is noise, not a finding.
   if (ctx.modules.empty() || ctx.properties.empty()) return;
 
-  // The slicer reuses this pass's dependency graph, so the note costs no
-  // second reachability computation.  Lint has no obligation handle, so
-  // it assumes choke tracking (the Obligation default) — the
-  // conservative direction.
-  const analysis::SliceResult sl =
-      analysis::slice(ctx.modules, ctx.properties, {}, &ctx.graph);
+  // The slice is the front end's (rtv/verify/suite.hpp), cut under the
+  // obligation's own track_chokes, so the notes name exactly what the
+  // engines will not see.
+  const analysis::SliceResult& sl = *ctx.slice;
   if (!sl.bailout.empty()) return;
 
   for (const analysis::SliceNote& note : sl.notes) {

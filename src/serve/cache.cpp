@@ -42,19 +42,14 @@ namespace {
 /// module stream is the *sliced canonical reduced form* — the modules the
 /// engines actually verify, in content-hash order — so semantically-equal
 /// obligations (e.g. one padded with out-of-cone modules) share an entry.
-void feed_obligation(Fnv1a& h, const WireObligation& ob,
-                     const std::vector<const Module*>& canonical_modules,
-                     SuiteMode mode, const std::vector<std::string>& engines,
-                     std::size_t max_states, double max_seconds,
-                     std::size_t max_refinements) {
+void feed_obligation(Fnv1a& h, const WireObligation& ob, SuiteMode mode,
+                     const FrontEnd& fe,
+                     const std::vector<const Module*>& canonical_modules) {
   h.str("rtv-obligation-v2");
   h.str(rtv::to_string(mode));
-  h.u64(engines.size());
-  for (const std::string& e : engines) h.str(e);
-  RunBudget budget;
-  budget.max_states = max_states;
-  budget.max_seconds = max_seconds;
-  hash_budget(h, budget, max_refinements, ob.track_chokes);
+  h.u64(fe.engines.size());
+  for (const std::string& e : fe.engines) h.str(e);
+  hash_budget(h, fe.budget, fe.max_refinements, ob.track_chokes);
   h.u64(ob.properties.size());
   for (const PropertySpec& p : ob.properties) {
     h.str(to_string(p.kind));
@@ -74,35 +69,35 @@ void feed_obligation(Fnv1a& h, const WireObligation& ob,
 }  // namespace
 
 CacheKey obligation_cache_key(const WireObligation& ob, SuiteMode mode,
-                              const std::vector<std::string>& engines,
-                              std::size_t max_states, double max_seconds,
-                              std::size_t max_refinements) {
-  // Slice exactly as run_suite() will (rtv/analysis/slice.hpp): the key
-  // must address the question the engines answer, which is the reduced
-  // obligation.  Instantiated property views only live for this call.
-  std::vector<std::unique_ptr<SafetyProperty>> owned_props;
-  std::vector<const SafetyProperty*> prop_ptrs;
-  for (const PropertySpec& p : ob.properties) {
-    owned_props.push_back(p.instantiate());
-    prop_ptrs.push_back(owned_props.back().get());
-  }
-  analysis::SliceOptions so;
-  so.track_chokes = ob.track_chokes;
-  const analysis::SliceResult sl =
-      analysis::slice(ob.module_ptrs(), prop_ptrs, so);
-  const std::vector<const Module*> canonical = analysis::canonical_order(
-      sl.bailout.empty() ? sl.modules : ob.module_ptrs());
-
+                              const FrontEnd& fe) {
+  // A bailed-out slice is the identity, so its modules are the
+  // obligation's own: the key addresses what the engines verify.
+  const std::vector<const Module*> canonical =
+      analysis::canonical_order(fe.slice.modules);
   CacheKey key;
   Fnv1a a(0x6b65792d68690000ull);  // "key-hi" domain
   Fnv1a b(0x6b65792d6c6f0000ull);  // "key-lo" domain
-  feed_obligation(a, ob, canonical, mode, engines, max_states, max_seconds,
-                  max_refinements);
-  feed_obligation(b, ob, canonical, mode, engines, max_states, max_seconds,
-                  max_refinements);
+  feed_obligation(a, ob, mode, fe, canonical);
+  feed_obligation(b, ob, mode, fe, canonical);
   key.hi = a.digest();
   key.lo = b.digest();
   return key;
+}
+
+CacheKey obligation_cache_key(const WireObligation& ob, SuiteMode mode,
+                              const std::vector<std::string>& engines,
+                              std::size_t max_states, double max_seconds,
+                              std::size_t max_refinements) {
+  std::vector<std::unique_ptr<SafetyProperty>> properties;
+  SuiteOptions so;
+  so.mode = mode;
+  so.engines = engines;
+  so.budget.max_states = max_states;
+  so.budget.max_seconds = max_seconds;
+  so.max_refinements = max_refinements;
+  so.preflight = false;  // the key needs the slice, not the lint
+  return obligation_cache_key(ob, mode,
+                              front_end(ob.obligation(properties), so));
 }
 
 // ---------------------------------------------------------------------------
@@ -112,15 +107,15 @@ CacheKey obligation_cache_key(const WireObligation& ob, SuiteMode mode,
 bool cacheable(const CachedOutcome& outcome) {
   if (outcome.records.empty()) return false;
   bool has_winner = false;
-  for (const CachedRecord& r : outcome.records)
+  for (const SuiteRecord& r : outcome.records)
     if (r.winner) has_winner = true;
-  for (const CachedRecord& r : outcome.records) {
-    if (r.stop_reason == stop_reason::kEngineError) return false;
-    // Lint rejections are answered on the request path without touching
-    // the cache; a record that slipped through anyway (e.g. a pre-flight
-    // inside run_suite) must not displace computable entries either.
-    if (r.stop_reason == stop_reason::kLintError) return false;
-    if (r.stop_reason == stop_reason::kCancelled && !has_winner) return false;
+  for (const SuiteRecord& r : outcome.records) {
+    const std::string& stop = r.result.truncated_reason;
+    if (stop == stop_reason::kEngineError) return false;
+    // The daemon answers lint rejections without the cache; should one
+    // reach it anyway, it must not displace a computable entry.
+    if (stop == stop_reason::kLintError) return false;
+    if (stop == stop_reason::kCancelled && !has_winner) return false;
   }
   return true;
 }
@@ -201,50 +196,43 @@ const Value& require(const Value& obj, std::string_view key, Kind kind,
   return rtv::json::require(obj, key, kind, what, kCacheContext);
 }
 
-Verdict verdict_from_string(const std::string& s) {
-  if (s == "VERIFIED") return Verdict::kVerified;
-  if (s == "VIOLATED") return Verdict::kViolated;
-  if (s == "INCONCLUSIVE") return Verdict::kInconclusive;
-  throw std::runtime_error("verdict cache JSON: unknown verdict '" + s + "'");
-}
-
-void record_to_json(std::string& out, const CachedRecord& r) {
+void record_to_json(std::string& out, const SuiteRecord& r) {
   out += "{\"engine\":";
   append_string(out, r.engine);
   out += ",\"verdict\":";
-  append_string(out, rtv::to_string(r.verdict));
+  append_string(out, rtv::to_string(r.result.verdict));
   out += ",\"stop_reason\":";
-  append_string(out, r.stop_reason);
+  append_string(out, r.result.truncated_reason);
   out += ",\"message\":";
-  append_string(out, r.message);
-  out += ",\"states\":" + std::to_string(r.states_explored);
+  append_string(out, r.result.message);
+  out += ",\"states\":" + std::to_string(r.result.states_explored);
   out += ",\"wall_seconds\":";
-  append_double(out, r.seconds);
+  append_double(out, r.result.seconds);
   out += ",\"cpu_seconds\":";
   append_double(out, r.cpu_seconds);
   out += ",\"winner\":";
   out += r.winner ? "true" : "false";
   out += ",\"trace\":[";
-  for (std::size_t i = 0; i < r.trace_labels.size(); ++i) {
+  for (std::size_t i = 0; i < r.result.trace_labels.size(); ++i) {
     if (i) out += ",";
-    append_string(out, r.trace_labels[i]);
+    append_string(out, r.result.trace_labels[i]);
   }
   out += "]}";
 }
 
-CachedRecord record_from_json(const Value& v) {
+SuiteRecord record_from_json(const Value& v) {
   if (v.kind != Kind::kObject)
     throw std::runtime_error("verdict cache JSON: record is not an object");
-  CachedRecord r;
+  SuiteRecord r;
   r.engine = require(v, "engine", Kind::kString, "engine").string;
-  r.verdict = verdict_from_string(
-      require(v, "verdict", Kind::kString, "verdict").string);
-  r.stop_reason =
+  r.result.verdict = verdict_from_string(
+      require(v, "verdict", Kind::kString, "verdict").string, kCacheContext);
+  r.result.truncated_reason =
       require(v, "stop_reason", Kind::kString, "stop reason").string;
-  r.message = require(v, "message", Kind::kString, "message").string;
-  r.states_explored = static_cast<std::size_t>(
+  r.result.message = require(v, "message", Kind::kString, "message").string;
+  r.result.states_explored = static_cast<std::size_t>(
       require(v, "states", Kind::kNumber, "states").number);
-  r.seconds =
+  r.result.seconds =
       require(v, "wall_seconds", Kind::kNumber, "wall seconds").number;
   r.cpu_seconds =
       require(v, "cpu_seconds", Kind::kNumber, "cpu seconds").number;
@@ -254,7 +242,7 @@ CachedRecord record_from_json(const Value& v) {
     if (label.kind != Kind::kString)
       throw std::runtime_error(
           "verdict cache JSON: trace label is not a string");
-    r.trace_labels.push_back(label.string);
+    r.result.trace_labels.push_back(label.string);
   }
   return r;
 }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "rtv/base/parallel.hpp"
-#include "rtv/lint/lint.hpp"
 #include "rtv/obs/metrics.hpp"
 #include "rtv/obs/trace.hpp"
 #include "rtv/verify/engine.hpp"
@@ -52,16 +51,22 @@ bool send_all(int fd, const std::string& data) {
 // ---------------------------------------------------------------------------
 
 struct Server::Impl {
+  /// One request obligation, prepared once.  The lint fast-reject, the
+  /// key, the records' lint/slice fields and a miss's run_suite all read
+  /// its one front end.
+  struct Prepared {
+    WireObligation wire;
+    std::vector<std::unique_ptr<SafetyProperty>> properties;
+    Obligation ob;  ///< ob.front_end points at fe
+    FrontEnd fe;
+  };
+
   /// One pending computation, keyed by its content hash; every client
   /// asking the same question holds the same Job and waits on its cv.
   struct Job {
     CacheKey key;
-    WireObligation ob;  ///< modules are moved out when the batch builds
     SuiteMode mode = SuiteMode::kBatch;
-    std::vector<std::string> engines;  ///< resolved selection
-    std::size_t max_states = 0;
-    double max_seconds = 0.0;
-    std::size_t max_refinements = 500;
+    std::shared_ptr<const Prepared> prepared;
 
     std::mutex m;
     std::condition_variable cv;
@@ -274,9 +279,14 @@ struct Server::Impl {
         std::string line = buf.substr(0, pos);
         buf.erase(0, pos + 1);
         if (line.empty()) continue;
-        std::string response = handle_line(line);
+        bool shutdown = false;
+        std::string response = handle_line(line, shutdown);
         response += '\n';
-        if (!send_all(fd, response)) {
+        const bool sent = send_all(fd, response);
+        // Flag the owner only once the acknowledgement is out: its stop()
+        // closes every connection, this one included.
+        if (shutdown) request_shutdown();
+        if (!sent) {
           write_failed = true;
           break;
         }
@@ -290,7 +300,8 @@ struct Server::Impl {
 
   // ---- protocol -----------------------------------------------------------
 
-  std::string handle_line(const std::string& line) {
+  /// Answer one line; `shutdown` asks to flag the owner after the reply.
+  std::string handle_line(const std::string& line, bool& shutdown) {
     requests.fetch_add(1, std::memory_order_relaxed);
     m_requests.inc();
     obs::ScopedTimer timer(m_request_seconds);
@@ -318,7 +329,7 @@ struct Server::Impl {
           // a connection thread cannot join itself.
           if (!options.cache_path.empty()) save_cache();
           resp.ok = true;
-          request_shutdown();
+          shutdown = true;
           break;
         case RequestKind::kVerify:
           return handle_verify(std::move(req));
@@ -332,33 +343,13 @@ struct Server::Impl {
     return resp.to_json();
   }
 
-  /// Resolve the engine selection one obligation will actually run,
-  /// mirroring run_suite's defaults; throws std::runtime_error on an
-  /// unregistered name.
-  std::vector<std::string> resolve_engines(const ServeRequest& req,
-                                           const WireObligation& ob) {
-    std::vector<std::string> names;
-    if (req.mode == SuiteMode::kBatch && !ob.engine.empty())
-      names = {ob.engine};
-    else if (!req.engines.empty())
-      names = req.engines;
-    else if (req.mode == SuiteMode::kBatch)
-      names = {"refine"};
-    else
-      names = engine_registry().names();
-    for (const std::string& name : names)
-      if (!engine_registry().find(name))
-        throw std::runtime_error("unknown engine '" + name + "'");
-    return names;
-  }
-
   std::string handle_verify(ServeRequest req) {
     const auto t0 = std::chrono::steady_clock::now();
 
     /// Where each requested obligation's rows come from: the cache, an
     /// in-flight twin, or a job this request created.
     struct Pending {
-      std::string name;
+      std::shared_ptr<const Prepared> prepared;
       bool cached = false;  ///< answered without computing for this request
       std::shared_ptr<Job> job;  ///< null when `outcome` is already final
       CachedOutcome outcome;
@@ -369,52 +360,40 @@ struct Server::Impl {
     try {
       if (req.obligations.empty())
         throw std::runtime_error("verify request carries no obligations");
-      for (WireObligation& ob : req.obligations) {
-        Pending p;
-        p.name = ob.name;
-        const std::vector<std::string> engines = resolve_engines(req, ob);
-        const std::size_t eff_states =
-            ob.max_states ? ob.max_states : req.max_states;
-        const double eff_seconds =
-            ob.max_seconds > 0.0 ? ob.max_seconds : req.max_seconds;
-        const std::size_t eff_refinements =
-            ob.max_refinements ? ob.max_refinements : req.max_refinements;
-        const CacheKey key = obligation_cache_key(
-            ob, req.mode, engines, eff_states, eff_seconds, eff_refinements);
+      SuiteOptions so;
+      so.mode = req.mode;
+      so.engines = req.engines;
+      so.budget.max_states = req.max_states;
+      so.budget.max_seconds = req.max_seconds;
+      so.max_refinements = req.max_refinements;
+      for (WireObligation& wire : req.obligations) {
+        auto prep = std::make_shared<Prepared>();
+        prep->wire = std::move(wire);
+        prep->ob = prep->wire.obligation(prep->properties);
+        prep->fe = front_end(prep->ob, so);
+        prep->ob.front_end = &prep->fe;
         obligations.fetch_add(1, std::memory_order_relaxed);
+        Pending& p = pending.emplace_back();
+        p.prepared = prep;
 
         // Lint fast-reject: an obligation whose pre-flight has errors is
-        // answered right here — no job, no scheduler wake-up, and the
-        // verdict cache never sees the key (a broken model must not
+        // answered right here — no key, no job, no scheduler wake-up, and
+        // the verdict cache never sees it (a broken model must not
         // displace computable entries).
-        {
-          std::vector<std::unique_ptr<SafetyProperty>> props;
-          std::vector<const SafetyProperty*> prop_ptrs;
-          for (const PropertySpec& spec : ob.properties) {
-            props.push_back(spec.instantiate());
-            prop_ptrs.push_back(props.back().get());
+        if (prep->fe.rejected()) {
+          lint_rejected.fetch_add(1, std::memory_order_relaxed);
+          m_lint_rejected.inc();
+          for (const std::string& engine : prep->fe.engines) {
+            SuiteRecord& r = p.outcome.records.emplace_back();
+            r.engine = engine;
+            r.result.truncated_reason = stop_reason::kLintError;
+            r.result.message = prep->fe.lint.diagnostics.front().format();
           }
-          lint::LintOptions lo;
-          lo.engines = engines;
-          lo.max_states = eff_states;
-          const lint::LintReport pre =
-              lint::lint_modules(ob.module_ptrs(), prop_ptrs, lo);
-          if (pre.has_errors()) {
-            lint_rejected.fetch_add(1, std::memory_order_relaxed);
-            m_lint_rejected.inc();
-            for (const std::string& engine : engines) {
-              CachedRecord r;
-              r.engine = engine;
-              r.verdict = Verdict::kInconclusive;
-              r.stop_reason = stop_reason::kLintError;
-              r.message = pre.diagnostics.front().format();
-              p.outcome.records.push_back(std::move(r));
-            }
-            pending.push_back(std::move(p));
-            continue;
-          }
+          continue;
         }
 
+        const CacheKey key =
+            obligation_cache_key(prep->wire, req.mode, prep->fe);
         std::lock_guard<std::mutex> lock(dispatch_mutex);
         if (cache.get(key, &p.outcome)) {
           p.cached = true;
@@ -428,12 +407,8 @@ struct Server::Impl {
         } else {
           auto job = std::make_shared<Job>();
           job->key = key;
-          job->ob = std::move(ob);
           job->mode = req.mode;
-          job->engines = engines;
-          job->max_states = eff_states;
-          job->max_seconds = eff_seconds;
-          job->max_refinements = eff_refinements;
+          job->prepared = prep;
           inflight.emplace(key, job);
           queue.push_back(job);
           computed.fetch_add(1, std::memory_order_relaxed);
@@ -441,7 +416,6 @@ struct Server::Impl {
           scheduler_cv.notify_one();
           p.job = job;
         }
-        pending.push_back(std::move(p));
       }
 
       // Collect (outside the dispatch lock): every job fulfils exactly
@@ -451,7 +425,7 @@ struct Server::Impl {
         std::unique_lock<std::mutex> lock(p.job->m);
         p.job->cv.wait(lock, [&] { return p.job->done; });
         if (p.job->failed)
-          throw std::runtime_error("obligation '" + p.name +
+          throw std::runtime_error("obligation '" + p.prepared->ob.name +
                                    "': " + p.job->error);
         p.outcome = p.job->outcome;
       }
@@ -468,19 +442,12 @@ struct Server::Impl {
     resp.report.mode = req.mode;
     resp.report.jobs = resolve_jobs(options.jobs);
     for (const Pending& p : pending) {
-      for (const CachedRecord& r : p.outcome.records) {
-        SuiteRecord rec;
-        rec.obligation = p.name;
-        rec.engine = r.engine;
-        rec.result.verdict = r.verdict;
-        rec.result.message = r.message;
-        rec.result.trace_labels = r.trace_labels;
-        rec.result.states_explored = r.states_explored;
-        rec.result.seconds = r.seconds;
-        rec.result.truncated_reason = r.stop_reason;
-        rec.cpu_seconds = r.cpu_seconds;
-        rec.winner = r.winner;
+      for (SuiteRecord rec : p.outcome.records) {
+        rec.obligation = p.prepared->ob.name;
         rec.cached = p.cached;
+        // The request's own facts, as a direct run_suite would report
+        // them: a hit may come from a differently padded twin.
+        p.prepared->fe.annotate(rec);
         resp.report.records.push_back(std::move(rec));
       }
     }
@@ -516,7 +483,8 @@ struct Server::Impl {
         queue.pop_front();
         batch.push_back(head);
         for (auto it = queue.begin(); it != queue.end();) {
-          if ((*it)->mode == head->mode && (*it)->engines == head->engines) {
+          if ((*it)->mode == head->mode &&
+              (*it)->prepared->fe.engines == head->prepared->fe.engines) {
             batch.push_back(*it);
             it = queue.erase(it);
           } else {
@@ -532,23 +500,14 @@ struct Server::Impl {
     m_batch_size.observe(static_cast<double>(batch.size()));
     obs::Span span("batch:" + std::to_string(batch.size()) + " job(s)",
                    "serve");
+    // Each obligation carries the front end its request computed, so
+    // run_suite neither resolves, lints nor slices it again.
     Suite suite;
-    for (const auto& job : batch) {
-      std::vector<const Module*> mods;
-      for (Module& m : job->ob.modules) mods.push_back(suite.own(std::move(m)));
-      std::vector<const SafetyProperty*> props;
-      for (const PropertySpec& spec : job->ob.properties)
-        props.push_back(suite.own(spec.instantiate()));
-      Obligation& ob = suite.add(job->ob.name, std::move(mods), props);
-      ob.budget.max_states = job->max_states;
-      ob.budget.max_seconds = job->max_seconds;
-      ob.max_refinements = job->max_refinements;
-      ob.track_chokes = job->ob.track_chokes;
-    }
+    for (const auto& job : batch)
+      suite.obligations().push_back(job->prepared->ob);
 
     SuiteOptions opts;
     opts.mode = batch.front()->mode;
-    opts.engines = batch.front()->engines;
     opts.jobs = options.jobs;
     opts.budget.cancel = &cancel;
 
@@ -566,23 +525,18 @@ struct Server::Impl {
 
     // Slice the obligation-major records back onto their jobs: every
     // obligation produced exactly one record per selected engine.
-    const std::size_t per_job = batch.front()->engines.size();
+    const std::size_t per_job = batch.front()->prepared->fe.engines.size();
     std::size_t idx = 0;
     for (const auto& job : batch) {
       CachedOutcome outcome;
       for (std::size_t k = 0; k < per_job && idx < report.records.size();
            ++k, ++idx) {
-        const SuiteRecord& rec = report.records[idx];
-        CachedRecord r;
-        r.engine = rec.engine;
-        r.verdict = rec.result.verdict;
-        r.stop_reason = rec.result.truncated_reason;
-        r.message = rec.result.message;
-        r.trace_labels = rec.result.trace_labels;
-        r.states_explored = rec.result.states_explored;
-        r.seconds = rec.result.seconds;
-        r.cpu_seconds = rec.cpu_seconds;
-        r.winner = rec.winner;
+        SuiteRecord r = report.records[idx];
+        // Keep only content (see CachedOutcome).
+        r.obligation.clear();
+        r.lint.clear();
+        r.sliced_modules = r.sliced_events = 0;
+        r.result.stats = std::monostate{};
         outcome.records.push_back(std::move(r));
       }
       {

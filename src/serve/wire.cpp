@@ -356,6 +356,22 @@ std::vector<const Module*> WireObligation::module_ptrs() const {
   return out;
 }
 
+Obligation WireObligation::obligation(
+    std::vector<std::unique_ptr<SafetyProperty>>& properties) const {
+  Obligation ob;
+  ob.name = name;
+  ob.modules = module_ptrs();
+  ob.budget = {max_states, max_seconds};
+  ob.engine = engine;
+  if (max_refinements) ob.max_refinements = max_refinements;
+  ob.track_chokes = track_chokes;
+  for (const PropertySpec& spec : this->properties) {
+    properties.push_back(spec.instantiate());
+    ob.properties.push_back(properties.back().get());
+  }
+  return ob;
+}
+
 const char* to_string(RequestKind kind) {
   switch (kind) {
     case RequestKind::kVerify:
@@ -442,15 +458,8 @@ ServeRequest ServeRequest::parse(const std::string& line) {
                              kind + "'");
   if (req.kind != RequestKind::kVerify) return req;
 
-  const std::string& mode =
-      require(root, "mode", Kind::kString, "mode", ctx).string;
-  if (mode == "portfolio")
-    req.mode = SuiteMode::kPortfolio;
-  else if (mode == "batch")
-    req.mode = SuiteMode::kBatch;
-  else
-    throw std::runtime_error("serve request JSON: unknown mode '" + mode +
-                             "'");
+  req.mode = suite_mode_from_string(
+      require(root, "mode", Kind::kString, "mode", ctx).string, ctx);
   for (const Value& e :
        require(root, "engines", Kind::kArray, "engines", ctx).array) {
     if (e.kind != Kind::kString)

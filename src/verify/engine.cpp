@@ -24,6 +24,14 @@ const char* to_string(Verdict v) {
   return "?";
 }
 
+Verdict verdict_from_string(std::string_view s, std::string_view context) {
+  for (const Verdict v :
+       {Verdict::kVerified, Verdict::kViolated, Verdict::kInconclusive})
+    if (s == to_string(v)) return v;
+  throw std::runtime_error(std::string(context) + ": unknown verdict '" +
+                           std::string(s) + "'");
+}
+
 // ---------------------------------------------------------------------------
 // RunClock
 // ---------------------------------------------------------------------------

@@ -54,6 +54,14 @@ const char* to_string(SuiteMode mode) {
   return mode == SuiteMode::kPortfolio ? "portfolio" : "batch";
 }
 
+SuiteMode suite_mode_from_string(std::string_view s,
+                                 std::string_view context) {
+  for (const SuiteMode m : {SuiteMode::kBatch, SuiteMode::kPortfolio})
+    if (s == to_string(m)) return m;
+  throw std::runtime_error(std::string(context) + ": unknown mode '" +
+                           std::string(s) + "'");
+}
+
 int exit_code(Verdict v) {
   switch (v) {
     case Verdict::kVerified:
@@ -65,10 +73,6 @@ int exit_code(Verdict v) {
   }
   return 2;
 }
-
-// ---------------------------------------------------------------------------
-// The scheduler
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -85,9 +89,10 @@ double thread_cpu_seconds() {
   return 0.0;
 }
 
-/// Shared state of one obligation's tasks: the portfolio race and the one
-/// composition every engine of the obligation reads.
+/// Shared state of one obligation's tasks: its front end, the portfolio
+/// race and the one composition every engine of the obligation reads.
 struct ObligationControl {
+  const FrontEnd* front_end = nullptr;
   /// Handed to every run of the obligation; cancelled when a peer decides
   /// (portfolio) or when a suite-wide cancellation is observed.
   CancelToken token;
@@ -113,87 +118,89 @@ struct Task {
   const Obligation* obligation = nullptr;
   ObligationControl* control = nullptr;
   const Engine* engine = nullptr;
-  /// Position of the obligation in the suite (indexes the pre-flight
-  /// lint reports).
-  std::size_t ob_index = 0;
 };
 
 const Engine* find_engine_or_throw(std::string_view name) {
   const Engine* e = engine_registry().find(name);
   if (!e)
-    throw std::invalid_argument("run_suite: unknown engine '" +
-                                std::string(name) + "'");
+    throw std::invalid_argument("unknown engine '" + std::string(name) + "'");
   return e;
 }
 
 }  // namespace
 
-SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
-  // Resolve the suite-wide engine selection up front so a typo fails fast,
-  // before any thread spawns.
-  std::vector<const Engine*> selected;
-  if (options.engines.empty()) {
-    if (options.mode == SuiteMode::kPortfolio) {
-      selected = engine_registry().engines();
-    } else {
-      selected.push_back(find_engine_or_throw("refine"));
-    }
-  } else {
-    for (const std::string& name : options.engines)
-      selected.push_back(find_engine_or_throw(name));
-  }
+// ---------------------------------------------------------------------------
+// The front end
+// ---------------------------------------------------------------------------
 
-  // One control block per obligation, one task per obligation×engine, in
-  // deterministic obligation-major order (records mirror this order no
-  // matter which worker finishes first).
+void FrontEnd::annotate(SuiteRecord& rec) const {
+  rec.lint = lint.diagnostics;
+  if (rejected()) return;  // no engine sees the slice
+  rec.sliced_modules = slice.dropped_modules;
+  rec.sliced_events = slice.dropped_events;
+}
+
+FrontEnd front_end(const Obligation& ob, const SuiteOptions& options) {
+  FrontEnd fe;
+  if (options.mode == SuiteMode::kBatch && !ob.engine.empty())
+    fe.engines = {ob.engine};
+  else if (!options.engines.empty())
+    fe.engines = options.engines;
+  else if (options.mode == SuiteMode::kBatch)
+    fe.engines = {"refine"};
+  else
+    fe.engines = engine_registry().names();
+  for (const std::string& name : fe.engines) find_engine_or_throw(name);
+  fe.budget.max_states =
+      ob.budget.max_states ? ob.budget.max_states : options.budget.max_states;
+  fe.budget.max_seconds = ob.budget.max_seconds > 0.0
+                              ? ob.budget.max_seconds
+                              : options.budget.max_seconds;
+  fe.max_refinements = ob.max_refinements != 500 ? ob.max_refinements
+                                                 : options.max_refinements;
+
+  // One dependency graph feeds the slicer and the lint pass, and lint's
+  // cone notes read this slice rather than slicing again.
+  if (options.preflight || options.slice) {
+    const analysis::DepGraph graph = analysis::build_depgraph(ob.modules);
+    analysis::SliceOptions so;
+    so.track_chokes = ob.track_chokes;
+    fe.slice = analysis::slice(ob.modules, ob.properties, so, &graph);
+    if (options.preflight) {
+      lint::LintOptions lo;
+      lo.engines = fe.engines;
+      lo.max_states = fe.budget.max_states;
+      fe.lint = lint::lint_modules(ob.modules, ob.properties, lo, &graph,
+                                   &fe.slice);
+    }
+  }
+  if (!options.slice) fe.slice = analysis::identity_slice(ob.modules);
+  return fe;
+}
+
+// ---------------------------------------------------------------------------
+// The scheduler
+// ---------------------------------------------------------------------------
+
+SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
+  // Every obligation's front end before any thread spawns: an unknown
+  // engine fails fast, and the slices own the pruned module rebuilds the
+  // engines compose, so they must outlive the pool.  One control block per
+  // obligation, one task per obligation×engine, in deterministic
+  // obligation-major order (records mirror this order no matter which
+  // worker finishes first).
+  std::deque<FrontEnd> computed;
   std::deque<ObligationControl> controls;
   std::vector<Task> tasks;
-  std::size_t ob_index = 0;
   for (const Obligation& ob : suite.obligations()) {
-    controls.emplace_back();
-    ObligationControl& ctl = controls.back();
-    const std::size_t first = tasks.size();
-    if (options.mode == SuiteMode::kBatch && !ob.engine.empty()) {
-      tasks.push_back({&ob, &ctl, find_engine_or_throw(ob.engine), ob_index});
-    } else {
-      for (const Engine* e : selected)
-        tasks.push_back({&ob, &ctl, e, ob_index});
-    }
-    ctl.pending = tasks.size() - first;
-    ++ob_index;
-  }
-
-  // Per obligation, before any engine thread spawns, on one dependency
-  // graph (rtv/analysis/depgraph.hpp):
-  //  * the lint pre-flight, a cheap structural pass.  Error-severity
-  //    findings short-circuit every record of the obligation to
-  //    kInconclusive/kLintError inside run_task; warnings ride along on
-  //    the records;
-  //  * cone-of-influence slicing (rtv/analysis/slice.hpp), a verdict-
-  //    preserving reduction.  The results own the pruned module rebuilds,
-  //    so they must outlive the pool.  Lint-rejected obligations never
-  //    reach an engine, so their slice is skipped.
-  std::vector<lint::LintReport> preflights;
-  std::vector<const analysis::SliceResult*> slice_of(suite.size(), nullptr);
-  std::deque<analysis::SliceResult> slices;
-  if (options.preflight || options.slice) {
-    std::size_t si = 0;
-    for (const Obligation& ob : suite.obligations()) {
-      const analysis::DepGraph graph = analysis::build_depgraph(ob.modules);
-      bool rejected = false;
-      if (options.preflight) {
-        preflights.push_back(lint::lint_obligation(ob, options, &graph));
-        rejected = preflights.back().has_errors();
-      }
-      if (options.slice && !rejected) {
-        analysis::SliceOptions so;
-        so.track_chokes = ob.track_chokes;
-        slices.push_back(
-            analysis::slice(ob.modules, ob.properties, so, &graph));
-        slice_of[si] = &slices.back();
-      }
-      ++si;
-    }
+    const FrontEnd& fe = ob.front_end
+                             ? *ob.front_end
+                             : computed.emplace_back(front_end(ob, options));
+    ObligationControl& ctl = controls.emplace_back();
+    ctl.front_end = &fe;
+    ctl.pending = fe.engines.size();
+    for (const std::string& name : fe.engines)
+      tasks.push_back({&ob, &ctl, find_engine_or_throw(name)});
   }
 
   SuiteReport report;
@@ -217,12 +224,37 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
 
   std::mutex progress_mutex;
 
+  // A definitive record decides its obligation: every one in batch mode,
+  // only the first in portfolio mode, which then stops its peers.
+  const auto decide = [&options](ObligationControl& ctl, SuiteRecord& rec,
+                                 bool metered) {
+    if (options.mode == SuiteMode::kPortfolio) {
+      bool expected = false;
+      if (!ctl.decided.compare_exchange_strong(expected, true)) return;
+      ctl.cancel_ns.store(obs::monotonic_ns(), std::memory_order_relaxed);
+      ctl.token.cancel();
+      obs::trace_instant("winner: " + rec.obligation + " [" + rec.engine +
+                         "]", "suite");
+    }
+    rec.winner = true;
+    if (metered)
+      obs::Registry::global()
+          .counter("rtv_suite_winner_total",
+                   "engine=\"" + rec.engine + '"',
+                   "Definitive verdicts per engine")
+          .inc();
+  };
+
   const auto t0 = std::chrono::steady_clock::now();
   const auto run_task = [&](const Task& task, SuiteRecord& rec) {
     const Obligation& ob = *task.obligation;
     ObligationControl& ctl = *task.control;
+    const FrontEnd& fe = *ctl.front_end;
     rec.obligation = ob.name;
     rec.engine = std::string(task.engine->name());
+    // Warnings and slice counts ride along on every record; lint errors
+    // short-circuit below without invoking the engine.
+    fe.annotate(rec);
     // However the task ends, the obligation's last one frees the shared
     // composition.
     struct Release {
@@ -255,62 +287,37 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
       return;
     }
 
-    // Pre-flight verdict: errors mean no engine run can be useful, so the
-    // record short-circuits without invoking the engine at all; warnings
-    // only annotate the record.
-    if (!preflights.empty()) {
-      const lint::LintReport& pre = preflights[task.ob_index];
-      rec.lint = pre.diagnostics;
-      if (pre.has_errors()) {
-        rec.result.verdict = Verdict::kInconclusive;
-        rec.result.truncated_reason = stop_reason::kLintError;
-        rec.result.message = pre.diagnostics.front().format();
-        if (metered)
-          obs::Registry::global()
-              .counter("rtv_suite_lint_rejected_total", "",
-                       "Suite tasks short-circuited by the lint pre-flight")
-              .inc();
-        return;
-      }
+    if (fe.rejected()) {
+      rec.result.verdict = Verdict::kInconclusive;
+      rec.result.truncated_reason = stop_reason::kLintError;
+      rec.result.message = fe.lint.diagnostics.front().format();
+      if (metered)
+        obs::Registry::global()
+            .counter("rtv_suite_lint_rejected_total", "",
+                     "Suite tasks short-circuited by the lint pre-flight")
+            .inc();
+      return;
     }
 
-    // Apply the cone-of-influence slice: engines verify the reduced
-    // obligation.  An empty cone means no property can be violated (and,
-    // all dropped components being choke-free, no output refused), so the
-    // record is answered kVerified without running any engine.
-    const analysis::SliceResult* sl = slice_of[task.ob_index];
-    if (sl) {
-      rec.sliced_modules = sl->dropped_modules;
-      rec.sliced_events = sl->dropped_events;
-      if (sl->modules.empty() && sl->bailout.empty()) {
-        rec.result.verdict = Verdict::kVerified;
-        rec.result.message =
-            "statically verified: every module is outside the cone of "
-            "influence of every property";
-        if (options.mode == SuiteMode::kPortfolio) {
-          bool expected = false;
-          if (ctl.decided.compare_exchange_strong(expected, true)) {
-            rec.winner = true;
-            ctl.token.cancel();
-          }
-        } else {
-          rec.winner = true;
-        }
-        if (metered)
-          obs::Registry::global()
-              .counter("rtv_suite_sliced_verified_total", "",
-                       "Suite tasks answered by an empty property cone")
-              .inc();
-        return;
-      }
+    // Engines verify the sliced obligation.  An empty cone means no
+    // property can be violated (and, all dropped components being
+    // choke-free, no output refused), so the record is answered kVerified
+    // without running any engine.
+    if (!fe.slice.identity && fe.slice.modules.empty()) {
+      rec.result.verdict = Verdict::kVerified;
+      rec.result.message =
+          "statically verified: every module is outside the cone of "
+          "influence of every property";
+      if (metered)
+        obs::Registry::global()
+            .counter("rtv_suite_sliced_verified_total", "",
+                     "Suite tasks answered by an empty property cone")
+            .inc();
+      decide(ctl, rec, metered);
+      return;
     }
 
-    RunBudget budget;
-    budget.max_states = ob.budget.max_states ? ob.budget.max_states
-                                             : options.budget.max_states;
-    budget.max_seconds = ob.budget.max_seconds > 0.0
-                             ? ob.budget.max_seconds
-                             : options.budget.max_seconds;
+    RunBudget budget = fe.budget;
     budget.cancel = &ctl.token;
     // The wrapper piggybacks suite-wide cancellation on the progress hook:
     // composition and engines poll ctl.token every tick, so cancelling it
@@ -351,8 +358,8 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
       co.jobs = intra_jobs;
       co.stop = [&clock](std::size_t states) { return clock.tick(states); };
       try {
-        ctl.composition = std::make_unique<const Composition>(
-            compose(sl && !sl->identity ? sl->modules : ob.modules, co));
+        ctl.composition =
+            std::make_unique<const Composition>(compose(fe.slice.modules, co));
       } catch (const std::exception& e) {
         ctl.compose_error = e.what();
       }
@@ -382,9 +389,7 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
         req.budget.max_seconds =
             std::max(budget.max_seconds - offset,
                      std::numeric_limits<double>::min());
-      req.max_refinements = ob.max_refinements != 500
-                                ? ob.max_refinements
-                                : options.max_refinements;
+      req.max_refinements = fe.max_refinements;
       req.jobs = intra_jobs;
       req.progress_interval = options.progress_interval;
       req.progress = [&report_progress, offset](const EngineProgress& p) {
@@ -414,25 +419,7 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
       }
     }
 
-    if (!definitive(rec.result.verdict)) return;
-    if (options.mode == SuiteMode::kPortfolio) {
-      bool expected = false;
-      if (ctl.decided.compare_exchange_strong(expected, true)) {
-        rec.winner = true;
-        ctl.cancel_ns.store(obs::monotonic_ns(), std::memory_order_relaxed);
-        ctl.token.cancel();  // the verdict is in; stop the peers
-        obs::trace_instant("winner: " + rec.obligation + " [" + rec.engine +
-                           "]", "suite");
-      }
-    } else {
-      rec.winner = true;
-    }
-    if (metered && rec.winner)
-      obs::Registry::global()
-          .counter("rtv_suite_winner_total",
-                   "engine=\"" + rec.engine + '"',
-                   "Definitive verdicts per engine")
-          .inc();
+    if (definitive(rec.result.verdict)) decide(ctl, rec, metered);
   };
 
   std::atomic<std::size_t> next{0};
@@ -597,13 +584,6 @@ const json::Value& require(const json::Value& obj, std::string_view key,
   return json::require(obj, key, kind, what, kJsonContext);
 }
 
-Verdict verdict_from_string(const std::string& s) {
-  if (s == "VERIFIED") return Verdict::kVerified;
-  if (s == "VIOLATED") return Verdict::kViolated;
-  if (s == "INCONCLUSIVE") return Verdict::kInconclusive;
-  throw std::runtime_error("suite report JSON: unknown verdict '" + s + "'");
-}
-
 }  // namespace
 
 SuiteReport parse_suite_report(const std::string& json) {
@@ -633,14 +613,8 @@ SuiteReport parse_suite_report(const json::Value& root) {
                              std::to_string(version));
 
   SuiteReport report;
-  const std::string& mode =
-      require(root, "mode", Kind::kString, "mode").string;
-  if (mode == "portfolio")
-    report.mode = SuiteMode::kPortfolio;
-  else if (mode == "batch")
-    report.mode = SuiteMode::kBatch;
-  else
-    throw std::runtime_error("suite report JSON: unknown mode '" + mode + "'");
+  report.mode = suite_mode_from_string(
+      require(root, "mode", Kind::kString, "mode").string, kJsonContext);
   report.jobs = static_cast<std::size_t>(
       require(root, "jobs", Kind::kNumber, "jobs").number);
   report.wall_seconds =
@@ -655,7 +629,8 @@ SuiteReport parse_suite_report(const json::Value& root) {
         require(rec, "obligation", Kind::kString, "obligation name").string;
     out.engine = require(rec, "engine", Kind::kString, "engine name").string;
     out.result.verdict = verdict_from_string(
-        require(rec, "verdict", Kind::kString, "verdict").string);
+        require(rec, "verdict", Kind::kString, "verdict").string,
+        kJsonContext);
     out.result.truncated_reason =
         require(rec, "stop_reason", Kind::kString, "stop reason").string;
     out.result.states_explored = static_cast<std::size_t>(

@@ -445,6 +445,62 @@ TEST(SliceSuite, ReducedTraceReplaysThroughTheFullComposition) {
   }
 }
 
+TEST(SliceSuite, ConeNotesFollowTheObligationsChokeTracking) {
+  // Without choke tracking, a conflict-free two-module component is
+  // outside the persistency cone.  The suite drops both modules, and the
+  // lint notes, cut from the same slice, name both.
+  const Module sys = conflict("x", "y");
+  Module out = gallery::ring({{"p_a", d(1, 2)}, {"p_b", d(1, 2)}});
+  out.set_name("pad_out");
+  Module in = out;
+  in.set_name("pad_in");
+  for (std::size_t ei = 0; ei < in.ts().num_events(); ++ei)
+    in.ts().set_event_kind(EventId(static_cast<std::uint32_t>(ei)),
+                           EventKind::kInput);
+  const PersistencyProperty pers;
+
+  Suite suite;
+  Obligation& ob = suite.add("ob", {&sys, &out, &in}, {&pers});
+  ob.track_chokes = false;
+  SuiteOptions opts;
+  opts.engines = {"refine"};
+  const SuiteReport report = run_suite(suite, opts);
+  ASSERT_EQ(report.records.size(), 1u);
+  const SuiteRecord& rec = report.records[0];
+  EXPECT_EQ(rec.sliced_modules, 2u);
+  std::vector<std::string> noted;
+  for (const lint::Diagnostic& diag : rec.lint)
+    if (diag.code == lint::check::kOutsideCone) noted.push_back(diag.module);
+  std::sort(noted.begin(), noted.end());
+  EXPECT_EQ(noted, (std::vector<std::string>{"pad_in", "pad_out"}));
+
+  // lint_obligation reads the same front end, so it reports the same.
+  EXPECT_EQ(lint::lint_obligation(ob, opts).format(),
+            lint::LintReport{rec.lint}.format());
+}
+
+TEST(SliceSuite, HandedInFrontEndIsNotRecomputed) {
+  // A front end computed with slicing on drives the run even under
+  // options that would not slice: run_suite reads it as given.
+  const Module sys = gallery::chain({{"x", d(1, 2)}, {"y", d(1, 2)}});
+  const Module mon = gallery::order_monitor("x", "y", "fail");
+  const Module pad = toggler("pad0");
+  const InvariantProperty inv("order", {{"fail", true}});
+
+  Suite suite;
+  Obligation& ob = suite.add("ob", {&sys, &mon, &pad}, {&inv});
+  SuiteOptions opts;
+  opts.engines = {"refine"};
+  const FrontEnd fe = front_end(ob, opts);
+  EXPECT_EQ(fe.slice.dropped_modules, 1u);
+  ob.front_end = &fe;
+  opts.slice = false;
+  const SuiteReport report = run_suite(suite, opts);
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.records[0].sliced_modules, 1u);
+  EXPECT_EQ(report.records[0].result.verdict, Verdict::kVerified);
+}
+
 // ---------------------------------------------------------------------------
 // Lint notes
 // ---------------------------------------------------------------------------

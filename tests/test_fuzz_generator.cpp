@@ -139,6 +139,8 @@ TEST(FuzzGenerator, ConfigJsonRoundTrips) {
   EXPECT_THROW(GeneratorConfig::from_json("not json"), std::runtime_error);
   EXPECT_THROW(GeneratorConfig::from_json("{\"schema\":\"bogus\"}"),
                std::runtime_error);
+  EXPECT_THROW(GeneratorConfig::from_json(std::string(2000000, '[')),
+               std::runtime_error);
 }
 
 TEST(FuzzGenerator, PreSlicerConfigsParseWithoutPadding) {

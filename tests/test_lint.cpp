@@ -473,6 +473,8 @@ TEST(LintReportJson, RejectsCorruptedDocuments) {
   future.replace(future.find("\"schema_version\":1"), 18,
                  "\"schema_version\":99");
   EXPECT_THROW(lint::parse_lint_report(future), std::runtime_error);
+  EXPECT_THROW(lint::parse_lint_report(std::string(2000000, '[')),
+               std::runtime_error);
 }
 
 TEST(LintReport, ExitCodeConvention) {
@@ -592,6 +594,8 @@ TEST(LintServe, FastRejectAnswersWithoutEngineOrCache) {
     EXPECT_EQ(rec.result.verdict, Verdict::kInconclusive);
     EXPECT_EQ(rec.result.truncated_reason, stop_reason::kLintError);
     EXPECT_NE(rec.result.message.find("x+"), std::string::npos);
+    ASSERT_FALSE(rec.lint.empty()) << "the findings ride on the record";
+    EXPECT_EQ(rec.lint.front().format(), rec.result.message);
     EXPECT_FALSE(rec.cached) << "lint rejections must not enter the cache";
   }
 

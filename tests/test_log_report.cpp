@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 #include "rtv/base/log.hpp"
@@ -21,6 +22,21 @@ TEST(Log, LevelGating) {
   RTV_DEBUG << "yes " << ++evaluated;
   EXPECT_EQ(evaluated, 1);
   set_log_level(prev);
+}
+
+TEST(Log, FirstLineOfAProcessShowsANonNegativeUptime) {
+  // The threadsafe style re-executes the test binary, so the child's line
+  // is the first of its process: the one that initialises the epoch.  An
+  // uptime read before that initialisation wraps to +18446744073.710s.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        set_log_level(LogLevel::kWarn);
+        log_line(LogLevel::kWarn, "first line");
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "\\[rtv WARN  \\+[0-9]{1,3}\\.[0-9]{3}s .*\\] first line");
 }
 
 TEST(Report, TableAlignsColumns) {

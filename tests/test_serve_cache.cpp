@@ -36,10 +36,10 @@ CacheKey key_of(const WireObligation& ob, std::size_t max_states = 0,
 CachedOutcome outcome_with(const char* engine, Verdict verdict,
                            const char* stop = "", bool winner = true) {
   CachedOutcome o;
-  CachedRecord r;
+  SuiteRecord r;
   r.engine = engine;
-  r.verdict = verdict;
-  r.stop_reason = stop;
+  r.result.verdict = verdict;
+  r.result.truncated_reason = stop;
   r.winner = winner;
   o.records.push_back(std::move(r));
   return o;
@@ -92,6 +92,13 @@ TEST(ModuleContentHash, SensitiveToDelaysStructureAndValuations) {
 // ---------------------------------------------------------------------------
 // What the obligation key covers.
 // ---------------------------------------------------------------------------
+
+// Persisted caches outlive library versions, so the key of a fixed
+// obligation is pinned: a change here orphans every cache file on disk.
+TEST(ObligationCacheKey, PinnedHexIsStable) {
+  EXPECT_EQ(key_of(make_obligation()).hex(),
+            "47bd0275300250a82f114e69ad7df75a");
+}
 
 TEST(ObligationCacheKey, ObligationNameIsNotContent) {
   WireObligation a = make_obligation();
@@ -163,7 +170,7 @@ TEST(VerdictCache, HitMissAndStats) {
   ASSERT_TRUE(cache.get(key, &out));
   ASSERT_EQ(out.records.size(), 1u);
   EXPECT_EQ(out.records[0].engine, "refine");
-  EXPECT_EQ(out.records[0].verdict, Verdict::kVerified);
+  EXPECT_EQ(out.records[0].result.verdict, Verdict::kVerified);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
@@ -194,7 +201,7 @@ TEST(VerdictCache, PutOverwritesInPlace) {
   ASSERT_TRUE(cache.get(k, &out));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(out.records[0].engine, "zone");
-  EXPECT_EQ(out.records[0].verdict, Verdict::kVerified);
+  EXPECT_EQ(out.records[0].result.verdict, Verdict::kVerified);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,10 +217,10 @@ TEST(CacheablePolicy, RejectsAccidentsKeepsHonestTruncations) {
                                       stop_reason::kCancelled, false)));
   // A portfolio loser cancelled BY a winner is a deterministic outcome.
   CachedOutcome race = outcome_with("refine", Verdict::kVerified, "", true);
-  CachedRecord loser;
+  SuiteRecord loser;
   loser.engine = "zone";
-  loser.verdict = Verdict::kInconclusive;
-  loser.stop_reason = stop_reason::kCancelled;
+  loser.result.verdict = Verdict::kInconclusive;
+  loser.result.truncated_reason = stop_reason::kCancelled;
   race.records.push_back(loser);
   EXPECT_TRUE(cacheable(race));
   // Honest budget truncation is cacheable — the budget is in the key.
@@ -230,10 +237,10 @@ TEST(VerdictCachePersistence, FileRoundTripPreservesEntriesAndRecency) {
   VerdictCache cache(8);
   const CacheKey k1{1, 10}, k2{2, 20};
   CachedOutcome rich = outcome_with("zone", Verdict::kViolated);
-  rich.records[0].message = "fail reached \"quoted\"";
-  rich.records[0].trace_labels = {"a+", "b-"};
-  rich.records[0].states_explored = 42;
-  rich.records[0].seconds = 0.25;
+  rich.records[0].result.message = "fail reached \"quoted\"";
+  rich.records[0].result.trace_labels = {"a+", "b-"};
+  rich.records[0].result.states_explored = 42;
+  rich.records[0].result.seconds = 0.25;
   rich.records[0].cpu_seconds = 0.5;
   cache.put(k1, rich);
   cache.put(k2, outcome_with("refine", Verdict::kVerified));
@@ -250,11 +257,11 @@ TEST(VerdictCachePersistence, FileRoundTripPreservesEntriesAndRecency) {
   ASSERT_TRUE(loaded.get(k1, &out));
   ASSERT_EQ(out.records.size(), 1u);
   EXPECT_EQ(out.records[0].engine, "zone");
-  EXPECT_EQ(out.records[0].verdict, Verdict::kViolated);
-  EXPECT_EQ(out.records[0].message, "fail reached \"quoted\"");
-  EXPECT_EQ(out.records[0].trace_labels,
+  EXPECT_EQ(out.records[0].result.verdict, Verdict::kViolated);
+  EXPECT_EQ(out.records[0].result.message, "fail reached \"quoted\"");
+  EXPECT_EQ(out.records[0].result.trace_labels,
             (std::vector<std::string>{"a+", "b-"}));
-  EXPECT_EQ(out.records[0].states_explored, 42u);
+  EXPECT_EQ(out.records[0].result.states_explored, 42u);
   EXPECT_TRUE(out.records[0].winner);
 
   // Replayed recency: with cap 1, inserting one more evicts k2 first.
@@ -295,6 +302,10 @@ TEST(VerdictCachePersistence, RejectsCorruptAndVersionSkewedFiles) {
   std::string bad_key = good;
   bad_key.replace(bad_key.find("\"key\":\"") + 7, 1, "Z");
   EXPECT_THROW(victim.load_json(bad_key), std::runtime_error);
+
+  // Deep nesting is malformed input too, not a stack overflow.
+  EXPECT_THROW(victim.load_json(std::string(2000000, '[')),
+               std::runtime_error);
 
   // A rejected load leaves the victim untouched.
   EXPECT_EQ(victim.size(), 0u);

@@ -4,15 +4,19 @@
 // and restart persistence.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "rtv/base/json.hpp"
 #include "rtv/serve/client.hpp"
 #include "rtv/serve/server.hpp"
 #include "rtv/ts/gallery.hpp"
@@ -93,7 +97,118 @@ class CountingEngine final : public Engine {
   }
 };
 
+/// Send one raw line and read one response line, bypassing the client's
+/// serializer so the daemon sees exactly `line`.
+std::string raw_call(const std::string& socket, const std::string& line) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", socket.c_str());
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return "";
+  }
+  const std::string out = line + '\n';
+  for (std::size_t off = 0; off < out.size();) {
+    const ssize_t n = ::send(fd, out.data() + off, out.size() - off, 0);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  std::string resp;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') resp += c;
+  ::close(fd);
+  return resp;
+}
+
+/// The intro obligation padded with a disconnected always-live toggler:
+/// outside the invariant's cone, so it slices to the unpadded key.
+WireObligation padded_intro(const std::string& name = "padded") {
+  WireObligation ob = intro_obligation(name);
+  Module pad = gallery::ring({{"pad_a", DelayInterval(1, 2)},
+                              {"pad_b", DelayInterval(1, 2)}});
+  for (std::size_t ei = 0; ei < pad.ts().num_events(); ++ei)
+    pad.ts().set_event_kind(EventId(static_cast<std::uint32_t>(ei)),
+                            EventKind::kInternal);
+  pad.set_name("pad_toggler");
+  ob.modules.push_back(std::move(pad));
+  return ob;
+}
+
+/// A direct run_suite of one wire obligation under default options: the
+/// reference for the lint and slice facts a daemon record must carry.
+SuiteRecord direct_record(const WireObligation& wire) {
+  std::vector<std::unique_ptr<SafetyProperty>> props;
+  Suite suite;
+  suite.obligations().push_back(wire.obligation(props));
+  const SuiteReport report = run_suite(suite);
+  EXPECT_EQ(report.records.size(), 1u);
+  return report.records.front();
+}
+
+std::vector<std::string> formatted(const std::vector<lint::Diagnostic>& ds) {
+  std::vector<std::string> out;
+  for (const lint::Diagnostic& d : ds) out.push_back(d.format());
+  return out;
+}
+
 }  // namespace
+
+TEST(ServeProtocol, DeeplyNestedRequestIsAnErrorNotACrash) {
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+
+  const std::string resp = raw_call(socket, std::string(2000000, '['));
+  ASSERT_FALSE(resp.empty()) << "the daemon dropped the connection";
+  const json::Value v = json::parse(resp, "response");
+  const json::Value* ok = v.find("ok");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_FALSE(ok->boolean);
+
+  // The daemon keeps serving.
+  Client client;
+  client.connect(socket);
+  EXPECT_TRUE(client.ping());
+  const ServeResponse verify = client.call(verify_request({intro_obligation()}));
+  ASSERT_TRUE(verify.ok) << verify.error;
+  EXPECT_EQ(verify.report.records[0].result.verdict, Verdict::kVerified);
+  EXPECT_EQ(client.get_stats().errors, 1u);
+  server->stop();
+}
+
+TEST(ServeVerify, RecordsCarryTheRequestsOwnLintAndSliceFacts) {
+  // A miss, an exact hit and a padded hit through the sliced key: each
+  // record reports the lint and slice of the obligation it answers, as a
+  // direct run_suite of that obligation would.
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+  Client client;
+  client.connect(socket);
+
+  const std::vector<std::pair<WireObligation, bool>> rounds = {
+      {intro_obligation(), false},
+      {intro_obligation(), true},
+      {padded_intro(), true}};
+  for (const auto& [ob, cached] : rounds) {
+    const ServeResponse resp = client.call(verify_request({ob}));
+    ASSERT_TRUE(resp.ok) << resp.error;
+    ASSERT_EQ(resp.report.records.size(), 1u);
+    const SuiteRecord& served = resp.report.records[0];
+    EXPECT_EQ(served.cached, cached) << ob.name;
+    const SuiteRecord direct = direct_record(ob);
+    EXPECT_EQ(formatted(served.lint), formatted(direct.lint)) << ob.name;
+    EXPECT_EQ(served.sliced_modules, direct.sliced_modules) << ob.name;
+    EXPECT_EQ(served.sliced_events, direct.sliced_events) << ob.name;
+    EXPECT_EQ(served.result.verdict, direct.result.verdict) << ob.name;
+  }
+  // The padded request is the one that drops a module and says so.
+  const SuiteRecord padded = direct_record(padded_intro());
+  EXPECT_EQ(padded.sliced_modules, 1u);
+  EXPECT_FALSE(padded.lint.empty());
+  EXPECT_EQ(client.get_stats().computed, 1u);
+  server->stop();
+}
 
 TEST(ServeProtocol, PingStatsAndUnknownEngineError) {
   const std::string socket = unique_socket();
@@ -309,18 +424,6 @@ TEST(ServePersistence, PaddedObligationHitsUnpaddedEntryAcrossRestart) {
   const std::string socket = unique_socket();
   TempFile cache_file("padded");
 
-  const auto padded_intro = [] {
-    WireObligation ob = intro_obligation("padded");
-    Module pad = gallery::ring({{"pad_a", DelayInterval(1, 2)},
-                                {"pad_b", DelayInterval(1, 2)}});
-    for (std::size_t ei = 0; ei < pad.ts().num_events(); ++ei)
-      pad.ts().set_event_kind(EventId(static_cast<std::uint32_t>(ei)),
-                              EventKind::kInternal);
-    pad.set_name("pad_toggler");
-    ob.modules.push_back(std::move(pad));
-    return ob;
-  };
-
   {
     auto server = start_server(socket, cache_file.path);
     Client client;
@@ -346,6 +449,34 @@ TEST(ServePersistence, PaddedObligationHitsUnpaddedEntryAcrossRestart) {
     EXPECT_EQ(stats.cache_hits, 1u);
     server->stop();
   }
+}
+
+TEST(ServePersistence, PreviouslyWrittenCacheFileLoadsAndHits) {
+  // A cache file as an earlier library version wrote it for the intro
+  // obligation: the same schema and the same key, so it answers now.
+  const std::string socket = unique_socket();
+  TempFile cache_file("pinned");
+  {
+    std::ofstream f(cache_file.path);
+    f << "{\"schema\":\"rtv-verdict-cache\",\"schema_version\":1,"
+         "\"entries\":[\n{\"key\":\"74068946328d8dd3c957bebcb7ced361\","
+         "\"records\":[{\"engine\":\"refine\",\"verdict\":\"VERIFIED\","
+         "\"stop_reason\":\"\",\"message\":\"no failure reachable under "
+         "derived timing constraints\",\"states\":7,"
+         "\"wall_seconds\":0.00023290299999999999,"
+         "\"cpu_seconds\":0.00026062300000000003,\"winner\":true,"
+         "\"trace\":[]}]}\n]}\n";
+  }
+  auto server = start_server(socket, cache_file.path);
+  Client client;
+  client.connect(socket);
+  const ServeResponse resp = client.call(verify_request({intro_obligation()}));
+  ASSERT_TRUE(resp.ok) << resp.error;
+  ASSERT_EQ(resp.report.records.size(), 1u);
+  EXPECT_TRUE(resp.report.records[0].cached);
+  EXPECT_EQ(resp.report.records[0].result.states_explored, 7u);
+  EXPECT_EQ(server->stats().computed, 0u);
+  server->stop();
 }
 
 TEST(ServePersistence, CorruptCacheFileRefusesToStart) {

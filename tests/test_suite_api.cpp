@@ -290,6 +290,51 @@ TEST(SuiteBatch, PerObligationEngineOverride) {
   EXPECT_EQ(report.overall(), Verdict::kVerified);
 }
 
+TEST(SuiteFrontEnd, ResolvesEnginesAndBudgetLikeTheScheduler) {
+  Suite suite;
+  add_intro_obligation(suite, "intro");
+  Obligation& ob = suite.obligations().front();
+  SuiteOptions opts;
+  opts.budget.max_states = 100;
+  opts.budget.max_seconds = 2.0;
+  opts.max_refinements = 7;
+
+  // Batch default, then the suite-wide selection, then the per-obligation
+  // override; portfolio ignores the override and runs every engine.
+  EXPECT_EQ(front_end(ob, opts).engines,
+            std::vector<std::string>{"refine"});
+  opts.engines = {"zone", "discrete"};
+  EXPECT_EQ(front_end(ob, opts).engines,
+            (std::vector<std::string>{"zone", "discrete"}));
+  ob.engine = "discrete";
+  EXPECT_EQ(front_end(ob, opts).engines,
+            std::vector<std::string>{"discrete"});
+  opts.mode = SuiteMode::kPortfolio;
+  opts.engines.clear();
+  EXPECT_EQ(front_end(ob, opts).engines, engine_registry().names());
+
+  // Nonzero per-obligation fields win; the rest inherit.
+  FrontEnd fe = front_end(ob, opts);
+  EXPECT_EQ(fe.budget.max_states, 100u);
+  EXPECT_EQ(fe.budget.max_seconds, 2.0);
+  EXPECT_EQ(fe.max_refinements, 7u);
+  ob.budget.max_states = 5;
+  ob.max_refinements = 9;
+  fe = front_end(ob, opts);
+  EXPECT_EQ(fe.budget.max_states, 5u);
+  EXPECT_EQ(fe.budget.max_seconds, 2.0);
+  EXPECT_EQ(fe.max_refinements, 9u);
+
+  // With the pre-flight and the slicer off there is nothing to lint and
+  // the slice is the identity.
+  opts.preflight = false;
+  opts.slice = false;
+  fe = front_end(ob, opts);
+  EXPECT_TRUE(fe.lint.clean());
+  EXPECT_TRUE(fe.slice.identity);
+  EXPECT_EQ(fe.slice.modules, ob.modules);
+}
+
 TEST(SuitePortfolio, WinnerMatchesSequentialAndLoserIsCancelled) {
   // Zones decide race3 in a handful of zones no matter how large the
   // constants; the digitized engine needs tens of thousands of configs at
@@ -476,6 +521,10 @@ TEST(SuiteReportJson, RejectsCorruptedDocuments) {
   future.replace(future.find("\"schema_version\": 1"), 19,
                  "\"schema_version\": 99");
   EXPECT_THROW(parse_suite_report(future), std::runtime_error);
+  // Deep nesting fails like any malformed input, not by overflowing the
+  // stack.
+  EXPECT_THROW(parse_suite_report(std::string(2000000, '[')),
+               std::runtime_error);
 }
 
 TEST(SuiteReportJson, NewerSchemaVersionErrorNamesBothVersions) {
