@@ -10,13 +10,10 @@
 // and the enabled-mode regression in percent.  Exit 1 when the regression
 // exceeds the acceptance threshold (3% by default, --max-overhead-pct to
 // widen on noisy shared runners).
-//
-// Writes a machine-readable summary to BENCH_obs.json (--json to rename).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +44,6 @@ struct ModeResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_obs.json";
   double max_overhead_pct = 3.0;
   int reps = 5;
   std::size_t jobs = 1;  // single worker: per-state overhead, lowest noise
@@ -60,13 +56,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--json") json_path = next();
-    else if (arg == "--max-overhead-pct") max_overhead_pct = std::atof(next());
+    if (arg == "--max-overhead-pct") max_overhead_pct = std::atof(next());
     else if (arg == "--reps") reps = std::atoi(next());
     else if (arg == "--jobs") jobs = static_cast<std::size_t>(std::atoll(next()));
     else {
-      std::fprintf(stderr, "usage: obs_overhead [--json FILE] [--reps N]\n"
-                           "       [--jobs N] [--max-overhead-pct P]\n");
+      std::fprintf(stderr, "usage: obs_overhead [--reps N] [--jobs N]\n"
+                           "       [--max-overhead-pct P]\n");
       return 64;
     }
   }
@@ -132,29 +127,6 @@ int main(int argc, char** argv) {
   if (on.states != off.states)
     std::printf("WARNING: state counts differ (%zu vs %zu)\n", on.states,
                 off.states);
-
-  std::string json = "{\"bench\":\"obs_overhead\",\"workload\":"
-                     "\"ipcmos-boundary-2\",\"jobs\":";
-  json += std::to_string(jobs);
-  json += ",\"reps\":" + std::to_string(reps);
-  json += ",\"states\":" + std::to_string(off.states);
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                ",\"on_seconds\":%.6f,\"off_seconds\":%.6f,"
-                "\"on_states_per_sec\":%.1f,\"off_states_per_sec\":%.1f,"
-                "\"overhead_pct\":%.3f}",
-                on.best_seconds, off.best_seconds, on.states_per_sec(),
-                off.states_per_sec(), overhead_pct);
-  json += buf;
-  json += '\n';
-  std::ofstream out(json_path);
-  out << json;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 70;
-  }
-  std::printf("JSON written to %s\n", json_path.c_str());
 
   return overhead_pct <= max_overhead_pct && on.states == off.states ? 0 : 1;
 }

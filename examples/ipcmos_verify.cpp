@@ -25,20 +25,14 @@ int main() {
               stage.transistor_count(), stage.num_nodes(),
               stage.stacks().size());
 
-  const auto rows = run_all_experiments();
-  std::vector<ExperimentRow> table;
-  bool ok = true;
-  for (const auto& row : rows) {
-    table.push_back(summarize(row.name, row.result));
-    ok = ok && row.result.verified();
-  }
-  std::printf("%s\n", format_table(table).c_str());
+  const SuiteReport report = run_suite(table1_suite());
+  std::printf("%s\n", format_table(report).c_str());
 
-  if (!ok) {
-    for (const auto& row : rows) {
-      if (!row.result.verified()) {
-        std::printf("FAILED %s: %s\n", row.name.c_str(),
-                    row.result.message.c_str());
+  if (report.overall() != Verdict::kVerified) {
+    for (const SuiteRecord& rec : report.records) {
+      if (!rec.result.verified()) {
+        std::printf("FAILED %s: %s\n", rec.obligation.c_str(),
+                    rec.result.message.c_str());
       }
     }
     return 1;
@@ -51,6 +45,6 @@ int main() {
               "  - step 1 ties the abstractions to the specification.\n\n");
 
   std::printf("sufficient relative timing constraints (from step 5):\n%s",
-              format_constraints(rows[4].result).c_str());
+              format_constraints(report.records[4].result).c_str());
   return 0;
 }

@@ -275,4 +275,24 @@ const Value& require(const Value& obj, std::string_view key, Value::Kind kind,
   return *v;
 }
 
+void check_schema(const Value& root, std::string_view name, int max_version,
+                  std::string_view context) {
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(std::string(context) + ": " + what);
+  };
+  if (root.kind != Value::Kind::kObject) fail("root is not an object");
+  if (require(root, "schema", Value::Kind::kString, "schema tag", context)
+          .string != name)
+    fail("wrong schema tag");
+  const int version = static_cast<int>(
+      require(root, "schema_version", Value::Kind::kNumber, "schema version",
+              context)
+          .number);
+  if (version > max_version)
+    fail("schema version " + std::to_string(version) +
+         " is newer than this library supports (max " +
+         std::to_string(max_version) + ")");
+  if (version < 1) fail("invalid schema version " + std::to_string(version));
+}
+
 }  // namespace rtv::json

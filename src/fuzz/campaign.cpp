@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rtv/analysis/slice.hpp"
 #include "rtv/base/hash.hpp"
 #include "rtv/base/json.hpp"
 #include "rtv/lint/lint.hpp"
@@ -100,13 +99,15 @@ CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
   const Scenario sc = generate(seed, config);
 
   Suite suite;
-  suite.add(sc.name, sc.module_ptrs(), sc.property_ptrs());
+  Obligation& ob = suite.add(sc.name, sc.module_ptrs(), sc.property_ptrs());
   SuiteOptions sopt;
   sopt.mode = SuiteMode::kBatch;
   sopt.jobs = options.jobs;
   sopt.engines = options.engines;
   sopt.budget.max_states = options.max_states;
   sopt.budget.max_seconds = options.max_seconds;
+  const FrontEnd fe = front_end(ob, sopt);
+  ob.front_end = &fe;
   const SuiteReport report = run_suite(suite, sopt);
 
   std::vector<EngineVerdict> verdicts;
@@ -216,26 +217,25 @@ CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
   // contradictory definitive verdicts mean the slicer dropped something
   // that mattered.  kInconclusive never counts (the unsliced run explores
   // more states, so it may hit the budget where the sliced run did not).
-  {
-    const analysis::SliceResult sl =
-        analysis::slice(sc.module_ptrs(), sc.property_ptrs());
-    if (!sl.identity) {
-      SuiteOptions unsliced = sopt;
-      unsliced.slice = false;
-      const SuiteReport full = run_suite(suite, unsliced);
-      for (const SuiteRecord& a : report.records) {
-        for (const SuiteRecord& b : full.records) {
-          if (a.engine != b.engine) continue;
-          const bool contradictory =
-              (a.result.verified() && b.result.violated()) ||
-              (a.result.violated() && b.result.verified());
-          if (contradictory) {
-            fail(FailureKind::kSliceMismatch,
-                 a.engine + " flips " + to_string(a.result.verdict) +
-                     " (sliced) to " + to_string(b.result.verdict) +
-                     " (unsliced) — the slicer is unsound on this case");
-            return out;
-          }
+  if (!fe.slice.identity) {
+    SuiteOptions unsliced = sopt;
+    unsliced.slice = false;
+    // The handed-in front end carries the slice: the rerun must compute
+    // its own, or it would verify the sliced modules a second time.
+    ob.front_end = nullptr;
+    const SuiteReport full = run_suite(suite, unsliced);
+    for (const SuiteRecord& a : report.records) {
+      for (const SuiteRecord& b : full.records) {
+        if (a.engine != b.engine) continue;
+        const bool contradictory =
+            (a.result.verified() && b.result.violated()) ||
+            (a.result.violated() && b.result.verified());
+        if (contradictory) {
+          fail(FailureKind::kSliceMismatch,
+               a.engine + " flips " + to_string(a.result.verdict) +
+                   " (sliced) to " + to_string(b.result.verdict) +
+                   " (unsliced) — the slicer is unsound on this case");
+          return out;
         }
       }
     }

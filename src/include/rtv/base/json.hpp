@@ -56,4 +56,12 @@ Value parse(const std::string& text, std::string_view context);
 const Value& require(const Value& obj, std::string_view key, Value::Kind kind,
                      const char* what, std::string_view context);
 
+/// Check a versioned document's envelope: `root` is an object whose
+/// "schema" is `name` and whose "schema_version" is in [1, max_version].
+/// Strict in both directions, so a document written by a newer library
+/// fails loudly, naming both versions; throws std::runtime_error prefixed
+/// with `context` otherwise.
+void check_schema(const Value& root, std::string_view name, int max_version,
+                  std::string_view context);
+
 }  // namespace rtv::json

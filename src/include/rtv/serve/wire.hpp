@@ -107,6 +107,11 @@ enum class RequestKind {
 
 const char* to_string(RequestKind kind);
 
+/// Longest request line the daemon reads, newline excluded: 64 MiB.  One
+/// Table 1 obligation is about 425 KB on the wire, all five about 1.7 MB.
+/// A longer line is answered ok:false and its connection closed.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
+
 struct ServeRequest {
   /// Bumped whenever the wire layout changes incompatibly.
   static constexpr int kSchemaVersion = 1;

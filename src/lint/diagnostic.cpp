@@ -148,23 +148,8 @@ std::string LintReport::to_json() const {
 LintReport parse_lint_report(const std::string& json) {
   using Kind = json::Value::Kind;
   const json::Value root = json::parse(json, kJsonContext);
-  if (root.kind != Kind::kObject)
-    throw std::runtime_error("lint report JSON: root is not an object");
-  if (require(root, "schema", Kind::kString, "schema tag", kJsonContext)
-          .string != LintReport::kSchemaName)
-    throw std::runtime_error("lint report JSON: wrong schema tag");
-  const int version = static_cast<int>(
-      require(root, "schema_version", Kind::kNumber, "schema version",
-              kJsonContext)
-          .number);
-  if (version > LintReport::kSchemaVersion)
-    throw std::runtime_error(
-        "lint report JSON: schema version " + std::to_string(version) +
-        " is newer than this library supports (max " +
-        std::to_string(LintReport::kSchemaVersion) + ")");
-  if (version < 1)
-    throw std::runtime_error("lint report JSON: invalid schema version " +
-                             std::to_string(version));
+  json::check_schema(root, LintReport::kSchemaName,
+                     LintReport::kSchemaVersion, kJsonContext);
   LintReport report;
   for (const json::Value& d :
        require(root, "diagnostics", Kind::kArray, "diagnostics", kJsonContext)

@@ -267,17 +267,33 @@ struct Server::Impl {
 
   void connection_loop(int fd) {
     std::string buf;
+    // Leading bytes of buf known to hold no '\n': each byte is searched
+    // once, not once per recv, so a line near the limit stays linear.
+    std::size_t scanned = 0;
     char chunk[4096];
     while (!stopping.load(std::memory_order_relaxed)) {
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
       buf.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos;
-      bool write_failed = false;
-      while ((pos = buf.find('\n')) != std::string::npos) {
+      bool hang_up = false;
+      for (;;) {
+        const std::size_t pos = buf.find('\n', scanned);
+        if ((pos == std::string::npos ? buf.size() : pos) >
+            kMaxRequestLineBytes) {
+          // The rest of an over-long line cannot be told apart from the
+          // next request, so the connection closes after the answer.
+          send_all(fd, line_too_long() + '\n');
+          hang_up = true;
+          break;
+        }
+        if (pos == std::string::npos) {
+          scanned = buf.size();
+          break;
+        }
         std::string line = buf.substr(0, pos);
         buf.erase(0, pos + 1);
+        scanned = 0;
         if (line.empty()) continue;
         bool shutdown = false;
         std::string response = handle_line(line, shutdown);
@@ -287,11 +303,11 @@ struct Server::Impl {
         // closes every connection, this one included.
         if (shutdown) request_shutdown();
         if (!sent) {
-          write_failed = true;
+          hang_up = true;
           break;
         }
       }
-      if (write_failed) break;
+      if (hang_up) break;
     }
     ::close(fd);
     std::lock_guard<std::mutex> lock(conn_mutex);
@@ -299,6 +315,24 @@ struct Server::Impl {
   }
 
   // ---- protocol -----------------------------------------------------------
+
+  /// Count a failed request and answer it ok:false.
+  std::string failed(std::string error) {
+    errors.fetch_add(1, std::memory_order_relaxed);
+    m_errors.inc();
+    ServeResponse resp;
+    resp.ok = false;
+    resp.error = std::move(error);
+    return resp.to_json();
+  }
+
+  /// The answer to a request line past kMaxRequestLineBytes.
+  std::string line_too_long() {
+    requests.fetch_add(1, std::memory_order_relaxed);
+    m_requests.inc();
+    return failed("serve request line exceeds the limit of " +
+                  std::to_string(kMaxRequestLineBytes) + " bytes");
+  }
 
   /// Answer one line; `shutdown` asks to flag the owner after the reply.
   std::string handle_line(const std::string& line, bool& shutdown) {
@@ -335,10 +369,7 @@ struct Server::Impl {
           return handle_verify(std::move(req));
       }
     } catch (const std::exception& e) {
-      errors.fetch_add(1, std::memory_order_relaxed);
-      m_errors.inc();
-      resp.ok = false;
-      resp.error = e.what();
+      return failed(e.what());
     }
     return resp.to_json();
   }
@@ -430,11 +461,7 @@ struct Server::Impl {
         p.outcome = p.job->outcome;
       }
     } catch (const std::exception& e) {
-      errors.fetch_add(1, std::memory_order_relaxed);
-      m_errors.inc();
-      resp.ok = false;
-      resp.error = e.what();
-      return resp.to_json();
+      return failed(e.what());
     }
 
     resp.ok = true;

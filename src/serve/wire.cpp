@@ -25,29 +25,6 @@ std::size_t size_from(const Value& obj, std::string_view key,
       require(obj, key, Kind::kNumber, what, context).number);
 }
 
-/// Strict schema envelope check shared by both message types; names both
-/// versions on a mismatch so version skew is diagnosable from the error.
-void check_envelope(const Value& root, const char* schema_name,
-                    int schema_version, std::string_view context) {
-  if (root.kind != Kind::kObject)
-    throw std::runtime_error(std::string(context) + ": root is not an object");
-  if (require(root, "schema", Kind::kString, "schema tag", context).string !=
-      schema_name)
-    throw std::runtime_error(std::string(context) + ": wrong schema tag");
-  const int version = static_cast<int>(
-      require(root, "schema_version", Kind::kNumber, "schema version", context)
-          .number);
-  if (version > schema_version)
-    throw std::runtime_error(
-        std::string(context) + ": schema version " + std::to_string(version) +
-        " is newer than this library supports (max " +
-        std::to_string(schema_version) + ")");
-  if (version < 1)
-    throw std::runtime_error(std::string(context) +
-                             ": invalid schema version " +
-                             std::to_string(version));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -438,7 +415,7 @@ std::string ServeRequest::to_json() const {
 ServeRequest ServeRequest::parse(const std::string& line) {
   constexpr std::string_view ctx = kRequestContext;
   const Value root = rtv::json::parse(line, ctx);
-  check_envelope(root, kSchemaName, kSchemaVersion, ctx);
+  rtv::json::check_schema(root, kSchemaName, kSchemaVersion, ctx);
 
   ServeRequest req;
   const std::string& kind =
@@ -600,7 +577,7 @@ std::string ServeResponse::to_json() const {
 ServeResponse ServeResponse::parse(const std::string& line) {
   constexpr std::string_view ctx = kResponseContext;
   const Value root = rtv::json::parse(line, ctx);
-  check_envelope(root, kSchemaName, kSchemaVersion, ctx);
+  rtv::json::check_schema(root, kSchemaName, kSchemaVersion, ctx);
 
   ServeResponse resp;
   resp.ok = require(root, "ok", Kind::kBool, "ok flag", ctx).boolean;

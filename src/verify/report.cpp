@@ -50,59 +50,6 @@ std::string format_constraints(const EngineResult& result) {
   return os.str();
 }
 
-ExperimentRow summarize(const std::string& name, const EngineResult& r) {
-  ExperimentRow row;
-  row.name = name;
-  row.verdict = r.verdict;
-  row.seconds = r.seconds;
-  if (const auto* st = std::get_if<RefineEngineStats>(&r.stats)) {
-    row.refinements = st->refinements;
-    row.states = st->composed_states;
-  } else {
-    row.states = r.states_explored;
-  }
-  return row;
-}
-
-std::vector<ExperimentRow> rows_from(const SuiteReport& report) {
-  // Name rows by obligation alone when every obligation ran on one engine,
-  // else disambiguate with the engine.
-  bool multi_engine = false;
-  for (const SuiteRecord& rec : report.records)
-    for (const SuiteRecord& other : report.records)
-      if (&rec != &other && rec.obligation == other.obligation)
-        multi_engine = true;
-  std::vector<ExperimentRow> rows;
-  rows.reserve(report.records.size());
-  for (const SuiteRecord& rec : report.records) {
-    const std::string name = multi_engine
-                                 ? rec.obligation + " [" + rec.engine + "]"
-                                 : rec.obligation;
-    rows.push_back(summarize(name, rec.result));
-  }
-  return rows;
-}
-
-std::string format_table(const std::vector<ExperimentRow>& rows) {
-  std::size_t name_w = std::string("Experiment").size();
-  for (const ExperimentRow& r : rows) name_w = std::max(name_w, r.name.size());
-  const int name_col = static_cast<int>(name_w + 2);
-
-  std::ostringstream os;
-  os << std::left << std::setw(name_col) << "Experiment" << std::setw(16)
-     << "Verdict" << std::setw(12) << "CPU time" << std::setw(13)
-     << "Refinements" << "States\n";
-  os << std::string(name_w + 2 + 16 + 12 + 13 + 10, '-') << "\n";
-  for (const ExperimentRow& r : rows) {
-    std::ostringstream secs;
-    secs << std::fixed << std::setprecision(3) << r.seconds << " s";
-    os << std::left << std::setw(name_col) << r.name << std::setw(16)
-       << to_string(r.verdict) << std::setw(12) << secs.str() << std::setw(13)
-       << r.refinements << r.states << "\n";
-  }
-  return os.str();
-}
-
 std::string format_table(const SuiteReport& report) {
   // Column widths adapt to content so long obligation names do not shear
   // the table.
@@ -118,13 +65,15 @@ std::string format_table(const SuiteReport& report) {
   std::ostringstream os;
   os << std::left << std::setw(static_cast<int>(name_w + 2)) << "Obligation"
      << std::setw(static_cast<int>(engine_w + 2)) << "Engine" << std::setw(16)
-     << "Verdict" << std::setw(12) << "States" << std::setw(11) << "Wall"
+     << "Verdict" << std::setw(12) << "States" << std::setw(13)
+     << "Refinements" << std::setw(11) << "Wall"
      << std::setw(11) << "CPU" << "Stop reason\n";
-  os << std::string(name_w + engine_w + 4 + 16 + 12 + 22 +
+  os << std::string(name_w + engine_w + 4 + 16 + 12 + 13 + 22 +
                         std::max<std::size_t>(reason_w, 11),
                     '-')
      << "\n";
   for (const SuiteRecord& rec : report.records) {
+    const auto* st = std::get_if<RefineEngineStats>(&rec.result.stats);
     std::ostringstream wall, cpu;
     wall << std::fixed << std::setprecision(3) << rec.result.seconds << " s";
     cpu << std::fixed << std::setprecision(3) << rec.cpu_seconds << " s";
@@ -133,7 +82,8 @@ std::string format_table(const SuiteReport& report) {
        << rec.engine << std::setw(16)
        << (std::string(to_string(rec.result.verdict)) +
            (rec.winner ? " *" : ""))
-       << std::setw(12) << rec.result.states_explored << std::setw(11)
+       << std::setw(12) << rec.result.states_explored << std::setw(13)
+       << (st ? std::to_string(st->refinements) : "-") << std::setw(11)
        << wall.str() << std::setw(11) << cpu.str()
        << rec.result.truncated_reason << "\n";
   }

@@ -591,27 +591,10 @@ SuiteReport parse_suite_report(const std::string& json) {
 }
 
 SuiteReport parse_suite_report(const json::Value& root) {
-  if (root.kind != json::Value::Kind::kObject)
-    throw std::runtime_error("suite report JSON: root is not an object");
+  json::check_schema(root, SuiteReport::kSchemaName,
+                     SuiteReport::kSchemaVersion, kJsonContext);
 
   using Kind = json::Value::Kind;
-  if (require(root, "schema", Kind::kString, "schema tag").string !=
-      SuiteReport::kSchemaName)
-    throw std::runtime_error("suite report JSON: wrong schema tag");
-  const int version = static_cast<int>(
-      require(root, "schema_version", Kind::kNumber, "schema version").number);
-  // Strict in both directions: a report written by a *newer* library must
-  // not be best-effort parsed — the verdict cache and the serve wire
-  // protocol rely on version skew failing loudly, naming both versions.
-  if (version > SuiteReport::kSchemaVersion)
-    throw std::runtime_error(
-        "suite report JSON: schema version " + std::to_string(version) +
-        " is newer than this library supports (max " +
-        std::to_string(SuiteReport::kSchemaVersion) + ")");
-  if (version < 1)
-    throw std::runtime_error("suite report JSON: invalid schema version " +
-                             std::to_string(version));
-
   SuiteReport report;
   report.mode = suite_mode_from_string(
       require(root, "mode", Kind::kString, "mode").string, kJsonContext);

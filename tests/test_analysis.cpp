@@ -8,6 +8,8 @@
 
 #include "rtv/analysis/depgraph.hpp"
 #include "rtv/analysis/slice.hpp"
+#include "rtv/circuit/invariants.hpp"
+#include "rtv/ipcmos/pipeline.hpp"
 #include "rtv/lint/lint.hpp"
 #include "rtv/serve/cache.hpp"
 #include "rtv/serve/wire.hpp"
@@ -499,6 +501,46 @@ TEST(SliceSuite, HandedInFrontEndIsNotRecomputed) {
   ASSERT_EQ(report.records.size(), 1u);
   EXPECT_EQ(report.records[0].sliced_modules, 1u);
   EXPECT_EQ(report.records[0].result.verdict, Verdict::kVerified);
+}
+
+TEST(SliceSuite, PaddedTable1StagePaysOffAtLeastFiveFold) {
+  // The slicer's payoff on the paper's own stage: the experiment-5 flat
+  // pipeline under persistency and the stage's short-circuit invariants
+  // (deadlock-freedom would pin every live module into the cone), padded
+  // with four private-label togglers.  Sliced, the zone engine decides it;
+  // unsliced, it cannot within five times the sliced run's states.
+  const ipcmos::PipelineTiming timing;
+  ipcmos::ModuleSet mods = ipcmos::flat_pipeline(1, timing);
+  for (int k = 0; k < 4; ++k) mods.add(toggler("pad" + std::to_string(k)));
+  std::vector<std::unique_ptr<SafetyProperty>> owned;
+  owned.push_back(std::make_unique<PersistencyProperty>());
+  for (auto& p : short_circuit_properties(ipcmos::make_stage_netlist(
+           "I1", ipcmos::linear_channels(1), timing.stage)))
+    owned.push_back(std::move(p));
+  std::vector<const SafetyProperty*> props;
+  for (const auto& p : owned) props.push_back(p.get());
+
+  const auto run = [&](bool slice_on, std::size_t max_states) {
+    Suite suite;
+    suite.add("exp5-padded", mods.ptrs, props);
+    SuiteOptions opts;
+    opts.engines = {"zone"};
+    opts.jobs = 1;
+    opts.slice = slice_on;
+    opts.budget.max_states = max_states;
+    const SuiteReport report = run_suite(suite, opts);
+    EXPECT_EQ(report.records.size(), 1u);
+    return report.records.front();
+  };
+  const SuiteRecord sliced = run(true, 0);
+  EXPECT_EQ(sliced.result.verdict, Verdict::kVerified);
+  EXPECT_EQ(sliced.sliced_modules, 4u);
+  ASSERT_GT(sliced.result.states_explored, 0u);
+
+  const SuiteRecord full = run(false, 5 * sliced.result.states_explored);
+  EXPECT_EQ(full.sliced_modules, 0u);
+  EXPECT_EQ(full.result.verdict, Verdict::kInconclusive);
+  EXPECT_FALSE(full.result.truncated_reason.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Differential campaign end-to-end: a deliberately lying engine must be
-// caught and auto-minimized, broken counterexample traces and throwing
-// engines must surface as failures, and case-limited campaigns must be
-// bit-reproducible (fingerprint contract).
+// caught and auto-minimized, broken counterexample traces, throwing
+// engines and verdicts that flip under slicing must surface as failures,
+// and case-limited campaigns must be bit-reproducible (fingerprint
+// contract).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -59,12 +60,32 @@ class ThrowingEngine : public Engine {
   }
 };
 
+/// An engine whose verdict depends on whether the first padding toggler
+/// is in its composition: kVerified when the slice dropped it, kViolated
+/// (no trace) when it is composed in — a stand-in for a slicer that drops
+/// a module the verdict depends on.
+class PaddingSensitiveEngine : public Engine {
+ public:
+  std::string_view name() const override { return "liar_padding"; }
+  std::string_view description() const override {
+    return "test double: violated exactly when padding is composed in";
+  }
+  EngineResult run(const EngineRequest& req) const override {
+    EngineResult r;
+    r.verdict = req.composition->ts.event_by_label("pad0_a").valid()
+                    ? Verdict::kViolated
+                    : Verdict::kVerified;
+    return r;
+  }
+};
+
 class FuzzCampaign : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     register_engine(std::make_unique<AlwaysVerifiedEngine>());
     register_engine(std::make_unique<BogusTraceEngine>());
     register_engine(std::make_unique<ThrowingEngine>());
+    register_engine(std::make_unique<PaddingSensitiveEngine>());
   }
 };
 
@@ -110,6 +131,28 @@ TEST_F(FuzzCampaign, ThrowingEngineIsAFailure) {
   const CaseResult res = run_case(case_seed(3, 1), GeneratorConfig{}, opt);
   ASSERT_TRUE(res.failure.has_value());
   EXPECT_EQ(res.failure->kind, FailureKind::kEngineError);
+}
+
+TEST_F(FuzzCampaign, VerdictThatFlipsUnslicedIsASliceMismatch) {
+  // The padding is outside every cone, so the suite slices it away and the
+  // engine answers kVerified; the unsliced rerun composes it back in and
+  // gets kViolated.  A rerun that reused the sliced front end would verify
+  // the sliced modules again and never see the flip.
+  CampaignOptions opt;
+  opt.seed = 5;
+  opt.cases = 10;
+  opt.config.padding_modules = 1;
+  opt.engines = {"liar_padding"};
+  opt.minimize = false;
+  const CampaignReport report = run_campaign(opt);
+  ASSERT_FALSE(report.ok()) << report.to_json();
+  for (const CampaignFailure& f : report.failures) {
+    EXPECT_EQ(to_string(f.kind), std::string("slice-mismatch")) << f.detail;
+    EXPECT_NE(f.detail.find("liar_padding flips VERIFIED (sliced) to "
+                            "VIOLATED (unsliced)"),
+              std::string::npos)
+        << f.detail;
+  }
 }
 
 TEST_F(FuzzCampaign, CleanCampaignAgreesAcrossAllThreeEngines) {

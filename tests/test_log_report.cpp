@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "rtv/base/log.hpp"
 #include "rtv/verify/report.hpp"
@@ -39,106 +40,75 @@ TEST(Log, FirstLineOfAProcessShowsANonNegativeUptime) {
       "\\[rtv WARN  \\+[0-9]{1,3}\\.[0-9]{3}s .*\\] first line");
 }
 
-TEST(Report, TableAlignsColumns) {
-  ExperimentRow a;
-  a.name = "short";
-  a.verdict = Verdict::kVerified;
-  a.seconds = 1.5;
-  a.refinements = 3;
-  a.states = 42;
-  ExperimentRow b;
-  b.name = "a much longer experiment name here";
-  b.verdict = Verdict::kViolated;
-  const std::string t = format_table({a, b});
-  EXPECT_NE(t.find("VERIFIED"), std::string::npos);
-  EXPECT_NE(t.find("VIOLATED"), std::string::npos);
-  EXPECT_NE(t.find("1.500 s"), std::string::npos);
-  EXPECT_NE(t.find("42"), std::string::npos);
-  // Header present.
-  EXPECT_NE(t.find("Experiment"), std::string::npos);
-}
+TEST(Report, TableAlignsColumnsAndFitsLongNames) {
+  // Columns size to their content, so a long name cannot run into the
+  // engine or the verdict.  States is states_explored for every engine
+  // (the JSON `states`), never the refine engine's composed-state count;
+  // Refinements is `-` without RefineEngineStats.
+  SuiteRecord refined;
+  refined.obligation = "4. Ain || I || Aout <= Ain (fixed point)";
+  refined.engine = "refine";
+  refined.result.verdict = Verdict::kVerified;
+  refined.result.seconds = 1.5;
+  refined.result.states_explored = 42;
+  RefineEngineStats st;
+  st.refinements = 3;
+  st.composed_states = 123;
+  refined.result.stats = st;
+  SuiteRecord zoned;
+  zoned.obligation = "1. Ain || Aout |= S";
+  zoned.engine = "zone";
+  zoned.result.verdict = Verdict::kViolated;
+  zoned.result.states_explored = 55;
+  zoned.result.stats = ZoneEngineStats{11};
+  SuiteReport report;
+  report.records = {refined, zoned};
 
-TEST(Report, TableNameColumnFitsLongNames) {
-  // A name past the old fixed 44-character column must not run into the
-  // verdict: the column sizes to its content, like the suite table.
-  ExperimentRow r;
-  r.name = "4. Ain || I || Aout <= Ain (fixed point) [discrete]";
-  r.verdict = Verdict::kVerified;
-  ExperimentRow other;
-  other.name = "1. Ain || Aout |= S [refine]";
-  other.verdict = Verdict::kVerified;
-  const std::string t = format_table({r, other});
-  EXPECT_NE(t.find(r.name + "  VERIFIED"), std::string::npos) << t;
-  EXPECT_EQ(t.find("]VERIFIED"), std::string::npos) << t;
-  // Every row starts its verdict in the header's column.
+  const std::string t = format_table(report);
+  EXPECT_NE(t.find(refined.obligation + "  refine"), std::string::npos) << t;
+  EXPECT_NE(t.find("1.500 s"), std::string::npos) << t;
+  EXPECT_EQ(t.find("123"), std::string::npos) << t;
   std::istringstream lines(t);
-  std::string header, rule, row;
+  std::string header, rule, first, second;
   std::getline(lines, header);
   std::getline(lines, rule);
-  const std::size_t column = header.find("Verdict");
-  while (std::getline(lines, row))
-    EXPECT_EQ(row.compare(column, 8, "VERIFIED"), 0) << t;
-}
-
-TEST(Report, TableRendersInconclusiveRows) {
-  ExperimentRow r;
-  r.name = "budget-limited run";
-  r.verdict = Verdict::kInconclusive;
-  r.seconds = 0.25;
-  const std::string t = format_table({r});
-  EXPECT_NE(t.find("INCONCLUSIVE"), std::string::npos);
-  EXPECT_NE(t.find("budget-limited run"), std::string::npos);
-  EXPECT_NE(t.find("0.250 s"), std::string::npos);
-}
-
-TEST(Report, TableWithNoRowsIsHeaderOnly) {
-  const std::string t = format_table(std::vector<ExperimentRow>{});
-  EXPECT_NE(t.find("Experiment"), std::string::npos);
-  EXPECT_NE(t.find("Verdict"), std::string::npos);
-  EXPECT_EQ(t.find("VERIFIED"), std::string::npos);
-  EXPECT_EQ(t.find("INCONCLUSIVE"), std::string::npos);
-  // Exactly the header line and its rule.
-  EXPECT_EQ(std::count(t.begin(), t.end(), '\n'), 2);
-}
-
-TEST(Report, SummarizeEngineResultPullsRefineStats) {
-  EngineResult r;
-  r.verdict = Verdict::kVerified;
-  r.seconds = 0.5;
-  r.states_explored = 999;
-  RefineEngineStats st;
-  st.refinements = 4;
-  st.composed_states = 123;
-  r.stats = st;
-  const ExperimentRow row = summarize("refined", r);
-  EXPECT_EQ(row.refinements, 4);
-  EXPECT_EQ(row.states, 123u);
-
-  EngineResult zone;
-  zone.verdict = Verdict::kInconclusive;
-  zone.states_explored = 55;
-  zone.stats = ZoneEngineStats{11};
-  const ExperimentRow zrow = summarize("zoned", zone);
-  EXPECT_EQ(zrow.refinements, 0);
-  EXPECT_EQ(zrow.states, 55u);
-  EXPECT_EQ(zrow.verdict, Verdict::kInconclusive);
+  std::getline(lines, first);
+  std::getline(lines, second);
+  const std::size_t verdict = header.find("Verdict");
+  const std::size_t states = header.find("States");
+  const std::size_t refinements = header.find("Refinements");
+  ASSERT_NE(refinements, std::string::npos) << t;
+  EXPECT_EQ(header.rfind("Obligation", 0), 0u) << t;
+  EXPECT_EQ(first.compare(verdict, 8, "VERIFIED"), 0) << t;
+  EXPECT_EQ(second.compare(verdict, 8, "VIOLATED"), 0) << t;
+  EXPECT_EQ(first.compare(states, 3, "42 "), 0) << t;
+  EXPECT_EQ(second.compare(states, 3, "55 "), 0) << t;
+  EXPECT_EQ(first.compare(refinements, 2, "3 "), 0) << t;
+  EXPECT_EQ(second.compare(refinements, 2, "- "), 0) << t;
 }
 
 TEST(Report, SuiteReportTableHandlesEmptyAndInconclusive) {
   SuiteReport empty;
   const std::string t0 = format_table(empty);
   EXPECT_NE(t0.find("Obligation"), std::string::npos);
+  EXPECT_NE(t0.find("Verdict"), std::string::npos);
   EXPECT_NE(t0.find("overall: VERIFIED"), std::string::npos);
+  EXPECT_EQ(t0.find("INCONCLUSIVE"), std::string::npos);
+  // Exactly the header line, its rule and the roll-up.
+  EXPECT_EQ(std::count(t0.begin(), t0.end(), '\n'), 3);
 
   SuiteReport report;
   SuiteRecord rec;
-  rec.obligation = "stuck";
+  rec.obligation = "budget-limited run";
   rec.engine = "discrete";
   rec.result.verdict = Verdict::kInconclusive;
+  rec.result.seconds = 0.25;
   rec.result.truncated_reason = stop_reason::kDeadline;
   report.records.push_back(rec);
   const std::string t1 = format_table(report);
+  EXPECT_NE(t1.find("budget-limited run"), std::string::npos);
   EXPECT_NE(t1.find("INCONCLUSIVE"), std::string::npos);
+  EXPECT_NE(t1.find("0.250 s"), std::string::npos);
   EXPECT_NE(t1.find(stop_reason::kDeadline), std::string::npos);
   EXPECT_NE(t1.find("overall: INCONCLUSIVE"), std::string::npos);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -97,9 +98,11 @@ class CountingEngine final : public Engine {
   }
 };
 
-/// Send one raw line and read one response line, bypassing the client's
-/// serializer so the daemon sees exactly `line`.
-std::string raw_call(const std::string& socket, const std::string& line) {
+/// Send `bytes` raw and read one response line, bypassing the client's
+/// serializer so the daemon sees exactly `bytes`.  With `closed`, also
+/// report whether the daemon closed the connection after that line.
+std::string raw_call(const std::string& socket, const std::string& bytes,
+                     bool* closed = nullptr) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_un addr{};
@@ -109,15 +112,19 @@ std::string raw_call(const std::string& socket, const std::string& line) {
     ::close(fd);
     return "";
   }
-  const std::string out = line + '\n';
-  for (std::size_t off = 0; off < out.size();) {
-    const ssize_t n = ::send(fd, out.data() + off, out.size() - off, 0);
+  // A daemon that never answers fails the test instead of hanging it.
+  const timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
   std::string resp;
   char c;
   while (::recv(fd, &c, 1, 0) == 1 && c != '\n') resp += c;
+  if (closed) *closed = ::recv(fd, &c, 1, 0) == 0;
   ::close(fd);
   return resp;
 }
@@ -159,7 +166,7 @@ TEST(ServeProtocol, DeeplyNestedRequestIsAnErrorNotACrash) {
   const std::string socket = unique_socket();
   auto server = start_server(socket);
 
-  const std::string resp = raw_call(socket, std::string(2000000, '['));
+  const std::string resp = raw_call(socket, std::string(2000000, '[') + '\n');
   ASSERT_FALSE(resp.empty()) << "the daemon dropped the connection";
   const json::Value v = json::parse(resp, "response");
   const json::Value* ok = v.find("ok");
@@ -174,6 +181,34 @@ TEST(ServeProtocol, DeeplyNestedRequestIsAnErrorNotACrash) {
   ASSERT_TRUE(verify.ok) << verify.error;
   EXPECT_EQ(verify.report.records[0].result.verdict, Verdict::kVerified);
   EXPECT_EQ(client.get_stats().errors, 1u);
+  server->stop();
+}
+
+TEST(ServeProtocol, OverlongRequestLineIsAnErrorAndTheDaemonKeepsServing) {
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+  Client other;
+  other.connect(socket);
+
+  // One byte past the limit and no newline: the daemon answers as soon as
+  // the limit is passed instead of buffering on, then hangs up.
+  bool closed = false;
+  const ServeResponse answer = ServeResponse::parse(
+      raw_call(socket, std::string(kMaxRequestLineBytes + 1, 'x'), &closed));
+  EXPECT_FALSE(answer.ok);
+  EXPECT_NE(answer.error.find(std::to_string(kMaxRequestLineBytes)),
+            std::string::npos)
+      << answer.error;
+  EXPECT_TRUE(closed);
+
+  // The other client, connected all along, and a new one are still served.
+  const ServeResponse verify = other.call(verify_request({intro_obligation()}));
+  ASSERT_TRUE(verify.ok) << verify.error;
+  EXPECT_EQ(verify.report.records[0].result.verdict, Verdict::kVerified);
+  Client late;
+  late.connect(socket);
+  EXPECT_TRUE(late.ping());
+  EXPECT_EQ(late.get_stats().errors, 1u);
   server->stop();
 }
 

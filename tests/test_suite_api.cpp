@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "engine_support.hpp"
@@ -527,6 +528,25 @@ TEST(SuiteReportJson, RejectsCorruptedDocuments) {
                std::runtime_error);
 }
 
+TEST(SuiteReportJson, EnvelopeErrorsAreExact) {
+  const auto error = [](const std::string& doc) {
+    try {
+      parse_suite_report(doc);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error("[]"), "suite report JSON: root is not an object");
+  EXPECT_EQ(error(R"({"schema":"x","schema_version":1})"),
+            "suite report JSON: wrong schema tag");
+  EXPECT_EQ(error(R"({"schema":"rtv-suite-report","schema_version":99})"),
+            "suite report JSON: schema version 99 is newer than this "
+            "library supports (max 1)");
+  EXPECT_EQ(error(R"({"schema":"rtv-suite-report","schema_version":0})"),
+            "suite report JSON: invalid schema version 0");
+}
+
 TEST(SuiteReportJson, NewerSchemaVersionErrorNamesBothVersions) {
   Suite suite;
   add_intro_obligation(suite, "intro");
@@ -598,10 +618,15 @@ TEST(SuiteReportApi, TableRendersRecordsAndRollup) {
   EXPECT_NE(table.find("zone"), std::string::npos);
   EXPECT_NE(table.find("VERIFIED"), std::string::npos);
   EXPECT_NE(table.find("overall: VERIFIED"), std::string::npos);
-  // rows_from disambiguates multi-engine reports with the engine name.
-  const auto rows = rows_from(report);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].name, "fig1 gallery obligation [refine]");
+  // One line per obligation x engine record, each naming its engine.
+  std::istringstream lines(table);
+  std::string header, rule, first, second;
+  std::getline(lines, header);
+  std::getline(lines, rule);
+  std::getline(lines, first);
+  std::getline(lines, second);
+  EXPECT_EQ(first.rfind("fig1 gallery obligation  refine", 0), 0u) << table;
+  EXPECT_EQ(second.rfind("fig1 gallery obligation  zone", 0), 0u) << table;
 }
 
 TEST(SuiteIpcmos, Table1SuiteMatchesRunAllExperiments) {

@@ -174,7 +174,13 @@ TEST(Verify, ReportFormatting) {
   EXPECT_NE(report.find("refinements"), std::string::npos);
   const std::string cs = format_constraints(r);
   EXPECT_FALSE(cs.empty());
-  const std::string table = format_table({summarize("intro", r)});
+  SuiteReport suite_report;
+  SuiteRecord rec;
+  rec.obligation = "intro";
+  rec.engine = "refine";
+  rec.result = r;
+  suite_report.records.push_back(rec);
+  const std::string table = format_table(suite_report);
   EXPECT_NE(table.find("intro"), std::string::npos);
 }
 

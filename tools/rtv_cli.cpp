@@ -604,8 +604,7 @@ int cmd_ipcmos(const VerifyCliOptions& cli) {
   const Suite suite = ipcmos::table1_suite();
   const SuiteReport report =
       run_suite(suite, suite_options(cli, SuiteMode::kBatch));
-  // The paper's table shape: refinement counts per experiment.
-  std::printf("%s", format_table(rows_from(report)).c_str());
+  std::printf("%s", format_table(report).c_str());
   if (!cli.json_path.empty() && !write_text(report.to_json(), cli.json_path))
     return kExitRuntime;
   return exit_code(report.overall());
