@@ -1,0 +1,82 @@
+// The explored part of a refined system, kept across refinement iterations.
+//
+// Between two changes of the refined-state encoding the successor function
+// of a RefinedSystem is fixed: advance() reads the activated pairs only
+// through "any pair active", and activate_pair() only adds *blocking*.  So
+// a graph of interned states with memoised successors stays valid while
+// pairs accumulate; a search re-evaluates blocked() per edge and calls
+// advance() only for edges it never expanded.  Adding an observer, or
+// activating the first pair, changes the encoding and drops every state.
+//
+// Layout (the flat, interned, successor-memoising zone graph idiom):
+//   * each state is one packed record in a uint16 arena — base id, the
+//     lengths of codes, order and gaps, then their entries — interned once
+//     and looked up through an open-addressing table of ids that compares
+//     against the arena;
+//   * successors are one int32 slot per base transition of the state's
+//     base state, in one CSR array; kUnexpanded until first used.
+//
+// Views returned by state() point into the arena and dangle once a
+// successor() interns a new state: re-fetch by id.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "rtv/lazy/refined_system.hpp"
+
+namespace rtv {
+
+class RefinedGraph {
+ public:
+  static constexpr std::int32_t kUnexpanded = -1;
+
+  explicit RefinedGraph(const RefinedSystem& sys);
+
+  const TransitionSystem& base() const { return sys_->base(); }
+
+  /// Drop every state if the system's encoding changed since the graph
+  /// was filled (an observer added, or the first pair activated).
+  void sync();
+
+  /// Number of interned states; ids are 0 .. size() - 1 in interning order.
+  std::size_t size() const { return record_.size(); }
+
+  /// Id of the system's initial state, interned on first use.
+  std::int32_t initial();
+
+  RefinedStateView state(std::int32_t id) const;
+  StateId base_state(std::int32_t id) const;
+
+  /// True iff firing `e` from state `id` is blocked right now.
+  bool blocked(std::int32_t id, EventId e) const {
+    return sys_->blocked(state(id), e);
+  }
+
+  /// Target of base transition `k` (an index into
+  /// base().transitions_from(base_state(id))), which must not be blocked:
+  /// advanced and interned on first use.  Returns {target, newly interned}.
+  std::pair<std::int32_t, bool> successor(std::int32_t id, std::size_t k);
+
+ private:
+  using Tag = std::pair<std::size_t, bool>;
+  Tag current_tag() const;
+  std::pair<std::int32_t, bool> intern(const RefinedState& s);
+  void grow_table();
+
+  const RefinedSystem* sys_;
+  Tag tag_;
+  std::int32_t initial_ = kUnexpanded;
+  std::vector<std::uint16_t> arena_;
+  std::vector<std::size_t> record_;  ///< arena offset per state
+  std::vector<std::size_t> hash_;    ///< record hash per state
+  std::vector<std::size_t> slots_;   ///< offset into succ_ per state
+  std::vector<std::int32_t> succ_;
+  std::vector<std::int32_t> table_;  ///< open addressing over ids, -1 empty
+  int table_bits_ = 0;
+  RefinedState scratch_;  ///< advance() target, reused
+};
+
+}  // namespace rtv

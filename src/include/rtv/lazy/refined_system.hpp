@@ -16,10 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
-
-#include <unordered_map>
 
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/transition_system.hpp"
@@ -34,8 +33,8 @@ struct BanObserver {
 };
 
 /// A state of the refined system: a base state plus, per observer, the set
-/// of active match positions.  Codes are (observer_index << 16) | position,
-/// kept sorted so states hash canonically.
+/// of active match positions.  Codes are flattened (observer, position)
+/// pairs, kept sorted so states compare and hash canonically.
 ///
 /// When the structural relative-timing rule is enabled the state also
 /// carries the *enabling order* of the currently enabled events: event ids
@@ -43,7 +42,7 @@ struct BanObserver {
 /// firing instant).  Bit 15 of an entry marks the start of a new wave.
 struct RefinedState {
   StateId base;
-  std::vector<std::uint32_t> codes;
+  std::vector<std::uint16_t> codes;
   std::vector<std::uint16_t> order;
   /// Capped difference-bound matrix over wave-creation instants, row-major
   /// n x n for n waves: decoded entry (i, j) bounds t(wave_i) - t(wave_j).
@@ -61,9 +60,25 @@ struct RefinedStateHash {
   std::size_t operator()(const RefinedState& s) const noexcept;
 };
 
+/// Read-only view of a refined state: over a RefinedState, or over a
+/// packed record of a RefinedGraph.
+struct RefinedStateView {
+  StateId base;
+  std::span<const std::uint16_t> codes;
+  std::span<const std::uint16_t> order;
+  std::span<const std::uint16_t> gaps;
+
+  RefinedStateView(StateId b, std::span<const std::uint16_t> c,
+                   std::span<const std::uint16_t> o,
+                   std::span<const std::uint16_t> g)
+      : base(b), codes(c), order(o), gaps(g) {}
+  RefinedStateView(const RefinedState& s)  // NOLINT: implicit by design
+      : base(s.base), codes(s.codes), order(s.order), gaps(s.gaps) {}
+};
+
 class RefinedSystem {
  public:
-  explicit RefinedSystem(const TransitionSystem& base) : base_(&base) {}
+  explicit RefinedSystem(const TransitionSystem& base);
 
   const TransitionSystem& base() const { return *base_; }
 
@@ -87,7 +102,7 @@ class RefinedSystem {
   /// Activate the ordering "before fires before after while both pending".
   /// Returns false if the pair was already active.
   bool activate_pair(EventId before, EventId after);
-  std::size_t num_active_pairs() const { return pairs_.size(); }
+  std::size_t num_active_pairs() const { return num_pairs_; }
 
   /// Register refused outputs (containment chokes): they are enabled in the
   /// implementation even though the composed graph has no transition, so
@@ -101,26 +116,38 @@ class RefinedSystem {
 
   RefinedState initial() const;
 
-  /// True iff firing e from s would complete some observer window.
-  bool blocked(const RefinedState& s, EventId e) const;
+  /// True iff firing e from s is blocked: it would complete some observer
+  /// window, or an activated ordering justifies pruning it.
+  bool blocked(RefinedStateView s, EventId e) const;
 
   /// Successor after firing e (e must be base-enabled and not blocked).
-  RefinedState advance(const RefinedState& s, EventId e) const;
+  RefinedState advance(RefinedStateView s, EventId e) const;
+  /// Same, written into `out` (reusing its capacity; must not be the
+  /// storage `s` views).
+  void advance(RefinedStateView s, EventId e, RefinedState* out) const;
 
  private:
-  bool blocked_by_age(const RefinedState& s, EventId e) const;
+  bool blocked_by_age(RefinedStateView s, EventId e) const;
   /// Base-enabled events plus choked events of this state, sorted.
-  std::vector<EventId> pseudo_enabled(StateId s) const;
+  std::span<const EventId> pseudo_enabled(StateId s) const;
+  void index_pseudo_enabled(std::span<const ChokeRecord> chokes);
   std::vector<std::uint16_t> initial_order() const;
-  void advance_age(const RefinedState& s, EventId fired, StateId succ,
+  void advance_age(RefinedStateView s, EventId fired, StateId succ,
                    RefinedState* out) const;
   Time decode_gap(std::uint16_t v) const;
   std::uint16_t encode_gap(Time v) const;
 
   const TransitionSystem* base_;
   std::vector<BanObserver> observers_;
-  std::vector<std::pair<EventId, EventId>> pairs_;  ///< activated orderings
-  std::unordered_map<StateId::underlying_type, std::vector<EventId>> chokes_;
+  /// Activated orderings as a num_events^2 bitset, row `after`, column
+  /// `before`; befores_[after] counts the set bits of a row.
+  std::vector<bool> pairs_;
+  std::vector<std::uint32_t> befores_;
+  std::size_t num_pairs_ = 0;
+  /// Pseudo-enabled sets of every base state, CSR: state s owns
+  /// pseudo_enabled_[pseudo_offset_[s] .. pseudo_offset_[s + 1]).
+  std::vector<std::size_t> pseudo_offset_;
+  std::vector<EventId> pseudo_enabled_;
   bool age_rule_ = false;
   Time cap_ = 1;
   std::size_t max_waves_ = 6;

@@ -6,11 +6,13 @@
 // enabled sets, ready for timing analysis.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
-#include "rtv/lazy/refined_system.hpp"
+#include "rtv/lazy/refined_graph.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/trace.hpp"
 #include "rtv/verify/engine.hpp"
@@ -27,21 +29,65 @@ struct Failure {
 };
 
 struct FailureSearchStats {
+  /// States discovered by this search (the per-iteration unit of
+  /// max_states and RunClock::tick).
   std::size_t states_explored = 0;
+  /// Of those, states the graph had never interned before.
+  std::size_t states_interned = 0;
   bool truncated = false;
   /// Why the search stopped early (a rtv::stop_reason string, static
   /// storage); null when not truncated.
   const char* stop_reason = nullptr;
 };
 
-/// BFS over `sys`; `chokes` (may be empty) come from the composition.
-/// Property and choke checks skip firings blocked by the refinement
-/// observers — blocked firings are timing-impossible.  `clock` (optional)
-/// threads a shared wall-clock deadline / cancellation / progress guard
-/// through the loop.
-std::optional<Failure> find_failure(
-    const RefinedSystem& sys, std::span<const ChokeRecord> chokes,
-    std::span<const SafetyProperty* const> properties, std::size_t max_states,
-    FailureSearchStats* stats, RunClock* clock = nullptr);
+/// The checks of a failure search over one composition: safety properties
+/// and refusals (`chokes`, may be empty).  Property verdicts depend only
+/// on the base graph, so the first violating property of each base state
+/// and base transition — and each base state's sorted enabled set — are
+/// computed once and kept for the checks' lifetime; a violation's message
+/// is built only when a check hits.  `base`, `chokes` and `properties` are
+/// referenced, not copied, and must outlive the checks.
+class FailureChecks {
+ public:
+  FailureChecks(const TransitionSystem& base,
+                std::span<const ChokeRecord> chokes,
+                std::span<const SafetyProperty* const> properties);
+
+  /// Sorted base-enabled events of `s`.
+  const std::vector<EventId>& enabled(StateId s);
+  /// Chokes at base state `s`.
+  std::span<const ChokeRecord* const> chokes_at(StateId s) const;
+  /// Message of the first property `s` violates.
+  std::optional<std::string> state_violation(StateId s);
+  /// Message of the first property base transition `k` of `s` violates.
+  std::optional<std::string> event_violation(StateId s, std::size_t k);
+
+ private:
+  const TransitionSystem* base_;
+  std::span<const SafetyProperty* const> properties_;
+  std::vector<std::vector<const ChokeRecord*>> chokes_at_;  ///< empty if none
+  std::vector<std::vector<EventId>> enabled_;
+  std::vector<bool> have_enabled_;
+  /// First violating property index, or "clean" / "unchecked" (negative):
+  /// per base state, and per base transition (CSR over transition_offset_).
+  std::vector<std::int32_t> state_verdict_;
+  std::vector<std::size_t> transition_offset_;
+  std::vector<std::int32_t> event_verdict_;
+};
+
+/// Shallowest failure in the refined system `graph` explores: BFS from its
+/// initial state over unblocked firings, in the same order as a search
+/// that rebuilt the graph from scratch.  The graph and `checks` persist
+/// across calls (one of each per refinement run): states and successors
+/// stay interned while the system only gains activated pairs, and the
+/// graph drops them itself when the encoding changes.  Property and choke
+/// checks skip firings blocked by the refinement — blocked firings are
+/// timing-impossible.  `max_states` and `clock` (optional: a shared
+/// wall-clock deadline / cancellation / progress guard) count the states
+/// this call discovers.
+std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
+                                    std::size_t max_states,
+                                    FailureSearchStats* stats,
+                                    RunClock* clock = nullptr);
 
 }  // namespace rtv

@@ -9,7 +9,7 @@ namespace rtv {
 
 std::size_t RefinedStateHash::operator()(const RefinedState& s) const noexcept {
   std::size_t h = std::hash<StateId>()(s.base);
-  for (std::uint32_t c : s.codes) h = hash_mix(h, c);
+  for (std::uint16_t c : s.codes) h = hash_mix(h, c);
   for (std::uint16_t o : s.order) h = hash_mix(h, o);
   for (std::uint16_t g : s.gaps) h = hash_mix(h, g);
   return h;
@@ -20,28 +20,22 @@ namespace {
 constexpr std::uint16_t kWaveStart = 0x8000;
 constexpr std::uint16_t kIdMask = 0x7fff;
 
+/// Codes travel as (observer, position) pairs; packed into one word they
+/// sort exactly like the pairs.
 std::uint32_t code(std::size_t obs, std::uint32_t pos) {
   return static_cast<std::uint32_t>(obs << 16) | pos;
-}
-std::size_t code_obs(std::uint32_t c) { return c >> 16; }
-std::uint32_t code_pos(std::uint32_t c) { return c & 0xffffu; }
-
-/// Wave index of every entry of an order vector.
-std::vector<std::size_t> wave_of_entries(const std::vector<std::uint16_t>& order) {
-  std::vector<std::size_t> w(order.size());
-  std::size_t wave = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] & kWaveStart) ++wave;
-    w[i] = wave;
-  }
-  return w;
 }
 
 }  // namespace
 
+RefinedSystem::RefinedSystem(const TransitionSystem& base) : base_(&base) {
+  index_pseudo_enabled({});
+}
+
 void RefinedSystem::add_observer(BanObserver obs) {
   assert(!obs.window.empty());
   assert(obs.window.size() < 0x10000);
+  assert(observers_.size() < 0x10000);
   observers_.push_back(std::move(obs));
 }
 
@@ -60,23 +54,35 @@ void RefinedSystem::enable_age_rule(bool on) {
 }
 
 void RefinedSystem::set_chokes(std::span<const ChokeRecord> chokes) {
-  for (const ChokeRecord& c : chokes)
-    chokes_[c.state.value()].push_back(c.event);
-  for (auto& [state, events] : chokes_) {
-    std::sort(events.begin(), events.end());
-    events.erase(std::unique(events.begin(), events.end()), events.end());
+  index_pseudo_enabled(chokes);
+}
+
+void RefinedSystem::index_pseudo_enabled(std::span<const ChokeRecord> chokes) {
+  const std::size_t n = base_->num_states();
+  std::vector<std::vector<EventId>> choked(chokes.empty() ? 0 : n);
+  for (const ChokeRecord& c : chokes) choked[c.state.value()].push_back(c.event);
+  pseudo_offset_.assign(1, 0);
+  pseudo_enabled_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t start = pseudo_enabled_.size();
+    for (const Transition& t :
+         base_->transitions_from(StateId(static_cast<StateId::underlying_type>(i))))
+      pseudo_enabled_.push_back(t.event);
+    if (!choked.empty())
+      pseudo_enabled_.insert(pseudo_enabled_.end(), choked[i].begin(),
+                             choked[i].end());
+    const auto first = pseudo_enabled_.begin() + static_cast<std::ptrdiff_t>(start);
+    std::sort(first, pseudo_enabled_.end());
+    pseudo_enabled_.erase(std::unique(first, pseudo_enabled_.end()),
+                          pseudo_enabled_.end());
+    pseudo_offset_.push_back(pseudo_enabled_.size());
   }
 }
 
-std::vector<EventId> RefinedSystem::pseudo_enabled(StateId s) const {
-  std::vector<EventId> out = base_->enabled_events(s);
-  const auto it = chokes_.find(s.value());
-  if (it != chokes_.end()) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
-  return out;
+std::span<const EventId> RefinedSystem::pseudo_enabled(StateId s) const {
+  const std::size_t i = s.value();
+  return std::span<const EventId>(pseudo_enabled_)
+      .subspan(pseudo_offset_[i], pseudo_offset_[i + 1] - pseudo_offset_[i]);
 }
 
 std::vector<std::uint16_t> RefinedSystem::initial_order() const {
@@ -96,13 +102,13 @@ RefinedState RefinedSystem::initial() const {
   for (std::size_t i = 0; i < observers_.size(); ++i) {
     const BanObserver& o = observers_[i];
     if (o.from_start || o.anchor_state == s.base) {
-      s.codes.push_back(code(i, 0));
+      s.codes.push_back(static_cast<std::uint16_t>(i));
+      s.codes.push_back(0);
     }
   }
-  std::sort(s.codes.begin(), s.codes.end());
   // Wave bookkeeping only matters once an ordering is active; the first
   // iteration explores the plain untimed product.
-  if (age_rule_ && !pairs_.empty()) {
+  if (age_rule_ && num_pairs_ > 0) {
     s.order = initial_order();
     if (!s.order.empty()) s.gaps.assign(1, encode_gap(0));  // one wave
   }
@@ -127,25 +133,28 @@ std::uint16_t RefinedSystem::encode_gap(Time v) const {
 }
 
 bool RefinedSystem::activate_pair(EventId before, EventId after) {
-  const auto pair = std::make_pair(before, after);
-  if (std::find(pairs_.begin(), pairs_.end(), pair) != pairs_.end())
-    return false;
-  pairs_.push_back(pair);
+  const std::size_t n = base_->num_events();
+  if (pairs_.empty()) {
+    pairs_.assign(n * n, false);
+    befores_.assign(n, 0);
+  }
+  const std::size_t bit = after.value() * n + before.value();
+  if (pairs_[bit]) return false;
+  pairs_[bit] = true;
+  ++befores_[after.value()];
+  ++num_pairs_;
   return true;
 }
 
-bool RefinedSystem::blocked_by_age(const RefinedState& s, EventId e) const {
-  if (pairs_.empty()) return false;
-  const Time lo = base_->delay(e).lo();
-  const std::vector<std::size_t> waves = wave_of_entries(s.order);
-  const std::size_t n =
-      s.order.empty() ? 0 : waves.back() + 1;
+bool RefinedSystem::blocked_by_age(RefinedStateView s, EventId e) const {
+  if (num_pairs_ == 0 || befores_[e.value()] == 0) return false;
+  // Wave count and e's wave, in one pass over the order.
+  std::size_t n = 0;
   std::size_t e_wave = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    if (EventId(s.order[i] & kIdMask) == e) {
-      e_wave = waves[i];
-      break;
-    }
+  for (std::uint16_t entry : s.order) {
+    if (entry & kWaveStart) ++n;
+    if (e_wave == static_cast<std::size_t>(-1) && EventId(entry & kIdMask) == e)
+      e_wave = n - 1;
   }
   if (e_wave == static_cast<std::size_t>(-1)) return false;
 
@@ -154,15 +163,15 @@ bool RefinedSystem::blocked_by_age(const RefinedState& s, EventId e) const {
   //   lower(t(wave_e) - t(wave_x)) + lo(e) > hi(x).
   // In every consistent timing x then fires (or is disabled) strictly
   // first, so pruning e only removes timing-inconsistent runs.
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    const EventId x(s.order[i] & kIdMask);
-    if (x == e) continue;
-    if (std::find(pairs_.begin(), pairs_.end(), std::make_pair(x, e)) ==
-        pairs_.end())
-      continue;
+  const Time lo = base_->delay(e).lo();
+  const std::size_t row = e.value() * base_->num_events();
+  std::size_t w = static_cast<std::size_t>(-1);
+  for (std::uint16_t entry : s.order) {
+    if (entry & kWaveStart) ++w;
+    const EventId x(entry & kIdMask);
+    if (x == e || !pairs_[row + x.value()]) continue;
     const DelayInterval dx = base_->delay(x);
     if (!dx.upper_bounded()) continue;
-    const std::size_t w = waves[i];
     Time lower = 0;
     if (w != e_wave) {
       const std::uint16_t ub = s.gaps[w * n + e_wave];  // t(w) - t(e_wave) <= ub
@@ -179,34 +188,52 @@ bool RefinedSystem::blocked_by_age(const RefinedState& s, EventId e) const {
   return false;
 }
 
-bool RefinedSystem::blocked(const RefinedState& s, EventId e) const {
+bool RefinedSystem::blocked(RefinedStateView s, EventId e) const {
   if (age_rule_ && blocked_by_age(s, e)) return true;
-  for (std::uint32_t c : s.codes) {
-    const BanObserver& o = observers_[code_obs(c)];
-    const std::uint32_t pos = code_pos(c);
-    if (pos + 1 == o.window.size() && o.window[pos] == e) return true;
+  for (std::size_t i = 0; i < s.codes.size(); i += 2) {
+    const BanObserver& o = observers_[s.codes[i]];
+    const std::uint16_t pos = s.codes[i + 1];
+    if (pos + 1u == o.window.size() && o.window[pos] == e) return true;
   }
   return false;
 }
 
-void RefinedSystem::advance_age(const RefinedState& s, EventId fired,
-                                StateId succ, RefinedState* out) const {
-  const std::vector<EventId> enabled = pseudo_enabled(succ);
-  const std::vector<std::size_t> old_wave = wave_of_entries(s.order);
-  const std::size_t n_old = s.order.empty() ? 0 : old_wave.back() + 1;
+namespace {
 
-  std::size_t fired_wave = 0;
+/// advance_age's working buffers, reused across calls on one thread so the
+/// hot path allocates nothing once they have grown.
+struct AgeScratch {
+  std::vector<std::size_t> old_wave;  ///< wave index of every order entry
+  std::vector<Time> m;                ///< working DBM
+  std::vector<std::pair<EventId, std::size_t>> survivors;  ///< (event, wave)
+  std::vector<EventId> fresh;
+  std::vector<std::size_t> kept;
+};
+
+}  // namespace
+
+void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
+                                StateId succ, RefinedState* out) const {
+  thread_local AgeScratch scratch;
+  const std::span<const EventId> enabled = pseudo_enabled(succ);
+  std::vector<std::size_t>& old_wave = scratch.old_wave;
+  old_wave.resize(s.order.size());
+  std::size_t n_old = 0;
+  std::size_t fired_wave = static_cast<std::size_t>(-1);
   for (std::size_t i = 0; i < s.order.size(); ++i) {
-    if (EventId(s.order[i] & kIdMask) == fired) {
+    if (s.order[i] & kWaveStart) ++n_old;
+    old_wave[i] = n_old - 1;
+    if (fired_wave == static_cast<std::size_t>(-1) &&
+        EventId(s.order[i] & kIdMask) == fired)
       fired_wave = old_wave[i];
-      break;
-    }
   }
+  if (fired_wave == static_cast<std::size_t>(-1)) fired_wave = 0;
 
   // Working DBM over the old waves plus the firing instant W = index n_old,
   // in plain Time with kTimeInfinity for "unbounded".
   const std::size_t n = n_old + 1;
-  std::vector<Time> m(n * n, kTimeInfinity);
+  std::vector<Time>& m = scratch.m;
+  m.assign(n * n, kTimeInfinity);
   auto at = [&](std::size_t i, std::size_t j) -> Time& { return m[i * n + j]; };
   for (std::size_t i = 0; i < n_old; ++i) {
     for (std::size_t j = 0; j < n_old; ++j) {
@@ -245,109 +272,122 @@ void RefinedSystem::advance_age(const RefinedState& s, EventId fired,
     }
 
   // Survivors and the fresh wave (events newly enabled at instant W).
-  struct Entry {
-    EventId event;
-    std::size_t wave;
-  };
-  std::vector<Entry> survivors;
-  survivors.reserve(s.order.size());
+  auto& survivors = scratch.survivors;
+  survivors.clear();
   for (std::size_t i = 0; i < s.order.size(); ++i) {
     const EventId e(s.order[i] & kIdMask);
     if (e == fired) continue;
     if (!std::binary_search(enabled.begin(), enabled.end(), e)) continue;
-    survivors.push_back({e, old_wave[i]});
+    survivors.emplace_back(e, old_wave[i]);
   }
-  std::vector<EventId> fresh;
-  fresh.reserve(enabled.size());
+  std::vector<EventId>& fresh = scratch.fresh;
+  fresh.clear();
   for (EventId e : enabled) {
     const bool surviving =
         std::any_of(survivors.begin(), survivors.end(),
-                    [&](const Entry& en) { return en.event == e; });
+                    [&](const auto& en) { return en.first == e; });
     if (!surviving) fresh.push_back(e);
   }
 
-  std::vector<std::size_t> kept;  // old wave indices with survivors
-  kept.reserve(survivors.size() + 1);
-  for (const Entry& en : survivors) {
-    if (std::find(kept.begin(), kept.end(), en.wave) == kept.end())
-      kept.push_back(en.wave);
+  // Old wave indices with survivors (ascending), then the fresh instant.
+  std::vector<std::size_t>& kept = scratch.kept;
+  kept.clear();
+  for (const auto& en : survivors) {
+    if (kept.empty() || kept.back() != en.second) kept.push_back(en.second);
   }
-  if (!fresh.empty()) kept.push_back(n_old);  // the fresh wave instant
+  if (!fresh.empty()) kept.push_back(n_old);
 
   // Bound the tracked waves: merge the oldest two into one pseudo-instant
   // whose bounds cover both (elementwise weaker), reassigning the older
   // wave's events.  Sound: every constraint stated about the merged
-  // instant holds for both original instants.
-  std::vector<std::vector<std::size_t>> merged_into(kept.size());
-  for (std::size_t a = 0; a < kept.size(); ++a) merged_into[a] = {kept[a]};
-  while (kept.size() > std::max<std::size_t>(2, max_waves_)) {
-    const std::size_t w0 = kept[0], w1 = kept[1];
+  // instant holds for both original instants.  After `merges` rounds the
+  // oldest tracked wave is kept[merges], covering kept[0 .. merges].
+  const std::size_t cap = std::max<std::size_t>(2, max_waves_);
+  const std::size_t merges = kept.size() > cap ? kept.size() - cap : 0;
+  for (std::size_t t = 0; t < merges; ++t) {
+    const std::size_t w0 = kept[t], w1 = kept[t + 1];
     for (std::size_t j = 0; j < n; ++j) {
       at(w1, j) = std::max(at(w1, j), at(w0, j));
       at(j, w1) = std::max(at(j, w1), at(j, w0));
     }
     at(w1, w1) = 0;
-    merged_into[1].insert(merged_into[1].end(), merged_into[0].begin(),
-                          merged_into[0].end());
-    merged_into.erase(merged_into.begin());
-    kept.erase(kept.begin());
   }
-  const std::size_t n_new = kept.size();
+  const std::size_t n_new = kept.size() - merges;
+  auto wave = [&](std::size_t a) { return kept[merges + a]; };
 
   out->order.clear();
   out->gaps.assign(n_new * n_new, kGapInf);
   for (std::size_t a = 0; a < n_new; ++a)
     for (std::size_t b = 0; b < n_new; ++b)
-      out->gaps[a * n_new + b] = encode_gap(at(kept[a], kept[b]));
-  for (std::size_t a = 0; a < n_new; ++a)
-    out->gaps[a * n_new + a] = encode_gap(0);
+      out->gaps[a * n_new + b] = a == b ? encode_gap(0)
+                                        : encode_gap(at(wave(a), wave(b)));
 
-  for (std::size_t a = 0; a < n_new; ++a) {
-    bool first = true;
-    for (std::size_t src : merged_into[a]) {
-      if (src == n_old) {
-        for (EventId e : fresh) {
-          out->order.push_back(static_cast<std::uint16_t>(e.value()) |
-                               (first ? kWaveStart : 0));
-          first = false;
-        }
-      } else {
-        for (const Entry& en : survivors) {
-          if (en.wave != src) continue;
-          out->order.push_back(static_cast<std::uint16_t>(en.event.value()) |
-                               (first ? kWaveStart : 0));
-          first = false;
-        }
+  // Order entries per tracked wave.
+  bool first = true;
+  auto emit = [&](std::size_t src) {
+    if (src == n_old) {
+      for (EventId e : fresh) {
+        out->order.push_back(static_cast<std::uint16_t>(e.value()) |
+                             (first ? kWaveStart : 0));
+        first = false;
       }
+      return;
     }
+    for (const auto& en : survivors) {
+      if (en.second != src) continue;
+      out->order.push_back(static_cast<std::uint16_t>(en.first.value()) |
+                           (first ? kWaveStart : 0));
+      first = false;
+    }
+  };
+  for (std::size_t a = 0; a < n_new; ++a) {
+    first = true;
+    if (a > 0) {
+      emit(wave(a));
+      continue;
+    }
+    // The merged oldest wave lists its sources newest first.
+    for (std::size_t t = merges + 1; t-- > 0;) emit(kept[t]);
   }
 }
 
-RefinedState RefinedSystem::advance(const RefinedState& s, EventId e) const {
+RefinedState RefinedSystem::advance(RefinedStateView s, EventId e) const {
+  RefinedState out;
+  advance(s, e, &out);
+  return out;
+}
+
+void RefinedSystem::advance(RefinedStateView s, EventId e,
+                            RefinedState* out) const {
   assert(!blocked(s, e));
   const auto succ = base_->successor(s.base, e);
   assert(succ.has_value());
-  RefinedState out;
-  out.base = *succ;
-  for (std::uint32_t c : s.codes) {
-    const BanObserver& o = observers_[code_obs(c)];
-    const std::uint32_t pos = code_pos(c);
-    if (o.window[pos] == e && pos + 1 < o.window.size()) {
-      out.codes.push_back(code(code_obs(c), pos + 1));
+  out->base = *succ;
+  out->codes.clear();
+  out->order.clear();
+  out->gaps.clear();
+  if (!observers_.empty()) {
+    std::vector<std::uint32_t> codes;
+    for (std::size_t i = 0; i < s.codes.size(); i += 2) {
+      const BanObserver& o = observers_[s.codes[i]];
+      const std::uint32_t pos = s.codes[i + 1];
+      if (o.window[pos] == e && pos + 1 < o.window.size())
+        codes.push_back(code(s.codes[i], pos + 1));
+      // Non-matching positions die: the run diverged from the window.
     }
-    // Non-matching positions die: the run diverged from the window.
-  }
-  for (std::size_t i = 0; i < observers_.size(); ++i) {
-    const BanObserver& o = observers_[i];
-    if (!o.from_start && o.anchor_state == out.base) {
-      out.codes.push_back(code(i, 0));
+    for (std::size_t i = 0; i < observers_.size(); ++i) {
+      const BanObserver& o = observers_[i];
+      if (!o.from_start && o.anchor_state == out->base)
+        codes.push_back(code(i, 0));
+    }
+    std::sort(codes.begin(), codes.end());
+    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+    for (std::uint32_t c : codes) {
+      out->codes.push_back(static_cast<std::uint16_t>(c >> 16));
+      out->codes.push_back(static_cast<std::uint16_t>(c & 0xffffu));
     }
   }
-  std::sort(out.codes.begin(), out.codes.end());
-  out.codes.erase(std::unique(out.codes.begin(), out.codes.end()),
-                  out.codes.end());
-  if (age_rule_ && !pairs_.empty()) advance_age(s, e, out.base, &out);
-  return out;
+  if (age_rule_ && num_pairs_ > 0) advance_age(s, e, out->base, out);
 }
 
 }  // namespace rtv

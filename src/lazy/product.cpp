@@ -1,8 +1,5 @@
-#include <deque>
-#include <unordered_map>
-
 #include "rtv/base/log.hpp"
-#include "rtv/lazy/refined_system.hpp"
+#include "rtv/lazy/refined_graph.hpp"
 
 namespace rtv {
 
@@ -16,41 +13,40 @@ MaterializedLazyTs materialize(const RefinedSystem& sys, std::size_t max_states)
     out.ts.add_event(e.label, e.delay, e.kind);
   }
 
-  std::unordered_map<RefinedState, StateId, RefinedStateHash> index;
-  std::deque<RefinedState> queue;
-
-  auto intern = [&](const RefinedState& rs) {
-    auto it = index.find(rs);
-    if (it != index.end()) return it->second;
-    const StateId s = out.ts.add_state(base.state_name(rs.base));
-    out.base_state.push_back(rs.base);
+  // Graph ids are handed out in BFS order, so they double as the refined
+  // StateIds and the expansion queue.
+  RefinedGraph graph(sys);
+  auto add_state = [&](std::int32_t id) {
+    const StateId b = graph.base_state(id);
+    const StateId s = out.ts.add_state(base.state_name(b));
+    out.base_state.push_back(b);
     if (base.has_valuations()) {
       if (out.ts.signal_names().empty())
         out.ts.set_signal_names(base.signal_names());
-      out.ts.set_state_valuation(s, base.valuation(rs.base));
+      out.ts.set_state_valuation(s, base.valuation(b));
     }
-    index.emplace(rs, s);
-    queue.push_back(rs);
     return s;
   };
 
-  out.ts.set_initial(intern(sys.initial()));
+  out.ts.set_initial(add_state(graph.initial()));
 
-  while (!queue.empty()) {
-    if (out.ts.num_states() > max_states) {
+  for (std::int32_t id = 0; static_cast<std::size_t>(id) < graph.size(); ++id) {
+    if (graph.size() > max_states) {
       out.truncated = true;
-      RTV_WARN << "lazy materialisation truncated at " << out.ts.num_states();
+      RTV_WARN << "lazy materialisation truncated at " << graph.size();
       break;
     }
-    const RefinedState rs = queue.front();
-    queue.pop_front();
-    const StateId from = index.at(rs);
-    for (const Transition& t : base.transitions_from(rs.base)) {
-      if (sys.blocked(rs, t.event)) {
+    const StateId from(static_cast<StateId::underlying_type>(id));
+    const auto transitions = base.transitions_from(graph.base_state(id));
+    for (std::size_t k = 0; k < transitions.size(); ++k) {
+      if (graph.blocked(id, transitions[k].event)) {
         ++out.blocked_firings;
         continue;
       }
-      out.ts.add_transition(from, t.event, intern(sys.advance(rs, t.event)));
+      const auto [to, fresh] = graph.successor(id, k);
+      if (fresh) add_state(to);
+      out.ts.add_transition(from, transitions[k].event,
+                            StateId(static_cast<StateId::underlying_type>(to)));
     }
   }
   return out;

@@ -1,0 +1,153 @@
+#include "rtv/lazy/refined_graph.hpp"
+
+#include <algorithm>
+#include <cassert>
+
+#include "rtv/base/hash.hpp"
+
+namespace rtv {
+
+namespace {
+
+// Record header: base id and the lengths of codes, order and gaps, each
+// as two uint16 words (low, high).
+constexpr std::size_t kHeaderWords = 8;
+
+void put32(std::vector<std::uint16_t>& a, std::size_t v) {
+  a.push_back(static_cast<std::uint16_t>(v & 0xffffu));
+  a.push_back(static_cast<std::uint16_t>((v >> 16) & 0xffffu));
+}
+
+std::size_t get32(const std::uint16_t* p) {
+  return static_cast<std::size_t>(p[0]) | (static_cast<std::size_t>(p[1]) << 16);
+}
+
+std::size_t record_words(const std::uint16_t* rec) {
+  return kHeaderWords + get32(rec + 2) + get32(rec + 4) + get32(rec + 6);
+}
+
+/// One pass over the record, four words per mix.
+std::size_t hash_record(const std::uint16_t* rec, std::size_t words) {
+  std::size_t h = words;
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4)
+    h = hash_mix(h, static_cast<std::uint64_t>(rec[i]) |
+                        (static_cast<std::uint64_t>(rec[i + 1]) << 16) |
+                        (static_cast<std::uint64_t>(rec[i + 2]) << 32) |
+                        (static_cast<std::uint64_t>(rec[i + 3]) << 48));
+  for (; i < words; ++i) h = hash_mix(h, rec[i]);
+  return h;
+}
+
+}  // namespace
+
+RefinedGraph::RefinedGraph(const RefinedSystem& sys)
+    : sys_(&sys), tag_(current_tag()) {}
+
+RefinedGraph::Tag RefinedGraph::current_tag() const {
+  return {sys_->num_observers(), sys_->num_active_pairs() > 0};
+}
+
+void RefinedGraph::sync() {
+  const Tag now = current_tag();
+  if (now == tag_) return;
+  tag_ = now;
+  initial_ = kUnexpanded;
+  arena_.clear();
+  record_.clear();
+  hash_.clear();
+  slots_.clear();
+  succ_.clear();
+  std::fill(table_.begin(), table_.end(), -1);
+}
+
+std::int32_t RefinedGraph::initial() {
+  assert(tag_ == current_tag());
+  if (initial_ == kUnexpanded) initial_ = intern(sys_->initial()).first;
+  return initial_;
+}
+
+RefinedStateView RefinedGraph::state(std::int32_t id) const {
+  const std::uint16_t* rec = arena_.data() + record_[static_cast<std::size_t>(id)];
+  const std::size_t nc = get32(rec + 2), no = get32(rec + 4), ng = get32(rec + 6);
+  const std::uint16_t* p = rec + kHeaderWords;
+  return RefinedStateView(
+      StateId(static_cast<StateId::underlying_type>(get32(rec))),
+      std::span<const std::uint16_t>(p, nc),
+      std::span<const std::uint16_t>(p + nc, no),
+      std::span<const std::uint16_t>(p + nc + no, ng));
+}
+
+StateId RefinedGraph::base_state(std::int32_t id) const {
+  return StateId(static_cast<StateId::underlying_type>(
+      get32(arena_.data() + record_[static_cast<std::size_t>(id)])));
+}
+
+std::pair<std::int32_t, bool> RefinedGraph::successor(std::int32_t id,
+                                                      std::size_t k) {
+  assert(tag_ == current_tag());
+  const std::size_t slot = slots_[static_cast<std::size_t>(id)] + k;
+  if (succ_[slot] != kUnexpanded) return {succ_[slot], false};
+  const StateId b = base_state(id);
+  sys_->advance(state(id), base().transitions_from(b)[k].event, &scratch_);
+  const auto result = intern(scratch_);  // may grow arena_ and succ_
+  succ_[slot] = result.first;
+  return result;
+}
+
+std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
+  // Pack the candidate at the arena's tail; drop it again if known.
+  const std::size_t off = arena_.size();
+  put32(arena_, s.base.value());
+  put32(arena_, s.codes.size());
+  put32(arena_, s.order.size());
+  put32(arena_, s.gaps.size());
+  arena_.insert(arena_.end(), s.codes.begin(), s.codes.end());
+  arena_.insert(arena_.end(), s.order.begin(), s.order.end());
+  arena_.insert(arena_.end(), s.gaps.begin(), s.gaps.end());
+  const std::size_t words = arena_.size() - off;
+  const std::size_t h = hash_record(arena_.data() + off, words);
+
+  if (table_.empty()) {
+    table_bits_ = 10;
+    table_.assign(std::size_t{1} << table_bits_, -1);
+  }
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = hash_spread(h) >> (64 - table_bits_);
+  for (;; i = (i + 1) & mask) {
+    const std::int32_t id = table_[i];
+    if (id < 0) break;
+    const std::size_t other = record_[static_cast<std::size_t>(id)];
+    if (hash_[static_cast<std::size_t>(id)] == h &&
+        record_words(arena_.data() + other) == words &&
+        std::equal(arena_.begin() + static_cast<std::ptrdiff_t>(off),
+                   arena_.end(),
+                   arena_.begin() + static_cast<std::ptrdiff_t>(other))) {
+      arena_.resize(off);
+      return {id, false};
+    }
+  }
+
+  const auto id = static_cast<std::int32_t>(record_.size());
+  table_[i] = id;
+  record_.push_back(off);
+  hash_.push_back(h);
+  slots_.push_back(succ_.size());
+  succ_.resize(succ_.size() + base().transitions_from(s.base).size(),
+               kUnexpanded);
+  if (2 * record_.size() > table_.size()) grow_table();
+  return {id, true};
+}
+
+void RefinedGraph::grow_table() {
+  ++table_bits_;
+  table_.assign(std::size_t{1} << table_bits_, -1);
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t id = 0; id < record_.size(); ++id) {
+    std::size_t i = hash_spread(hash_[id]) >> (64 - table_bits_);
+    while (table_[i] >= 0) i = (i + 1) & mask;
+    table_[i] = static_cast<std::int32_t>(id);
+  }
+}
+
+}  // namespace rtv

@@ -1,27 +1,102 @@
 #include "rtv/verify/failure_search.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
-
 #include "rtv/base/log.hpp"
 
 namespace rtv {
 
 namespace {
 
-/// Rebuild a trace (over base states, with raw enabling sets) from BFS
-/// parent pointers in refined-state space.
-Trace unwind(const TransitionSystem& base,
-             const std::vector<RefinedState>& states,
-             const std::vector<std::ptrdiff_t>& parent,
-             const std::vector<EventId>& via, std::ptrdiff_t leaf) {
+constexpr std::int32_t kUnchecked = -2;
+constexpr std::int32_t kClean = -1;
+
+/// First of `n` properties `check` reports violated, memoised in `verdict`
+/// (a property index, kClean or kUnchecked).
+template <typename Check>
+std::optional<std::string> first_violation(std::int32_t& verdict,
+                                           std::size_t n, const Check& check) {
+  if (verdict >= 0) return check(static_cast<std::size_t>(verdict));
+  for (std::size_t p = 0; p < n; ++p) {
+    if (auto v = check(p)) {
+      verdict = static_cast<std::int32_t>(p);
+      return v;
+    }
+  }
+  verdict = kClean;
+  return std::nullopt;
+}
+
+}  // namespace
+
+FailureChecks::FailureChecks(const TransitionSystem& base,
+                             std::span<const ChokeRecord> chokes,
+                             std::span<const SafetyProperty* const> properties)
+    : base_(&base),
+      properties_(properties),
+      enabled_(base.num_states()),
+      have_enabled_(base.num_states(), false),
+      state_verdict_(base.num_states(), kUnchecked) {
+  if (!chokes.empty()) {
+    chokes_at_.resize(base.num_states());
+    for (const ChokeRecord& c : chokes)
+      chokes_at_[c.state.value()].push_back(&c);
+  }
+  transition_offset_.reserve(base.num_states() + 1);
+  transition_offset_.push_back(0);
+  for (std::size_t i = 0; i < base.num_states(); ++i)
+    transition_offset_.push_back(
+        transition_offset_.back() +
+        base.transitions_from(StateId(static_cast<StateId::underlying_type>(i)))
+            .size());
+  event_verdict_.assign(transition_offset_.back(), kUnchecked);
+}
+
+const std::vector<EventId>& FailureChecks::enabled(StateId s) {
+  if (!have_enabled_[s.value()]) {
+    enabled_[s.value()] = base_->enabled_events(s);
+    have_enabled_[s.value()] = true;
+  }
+  return enabled_[s.value()];
+}
+
+std::span<const ChokeRecord* const> FailureChecks::chokes_at(StateId s) const {
+  if (chokes_at_.empty()) return {};
+  return chokes_at_[s.value()];
+}
+
+std::optional<std::string> FailureChecks::state_violation(StateId s) {
+  std::int32_t& verdict = state_verdict_[s.value()];
+  if (verdict == kClean) return std::nullopt;
+  const PropertyContext ctx{*base_, s, enabled(s)};
+  return first_violation(verdict, properties_.size(), [&](std::size_t p) {
+    return properties_[p]->check_state(ctx);
+  });
+}
+
+std::optional<std::string> FailureChecks::event_violation(StateId s,
+                                                          std::size_t k) {
+  std::int32_t& verdict = event_verdict_[transition_offset_[s.value()] + k];
+  if (verdict == kClean) return std::nullopt;
+  const Transition& t = base_->transitions_from(s)[k];
+  const PropertyContext ctx{*base_, s, enabled(s)};
+  const std::vector<EventId>& succ_enabled = enabled(t.target);
+  return first_violation(verdict, properties_.size(), [&](std::size_t p) {
+    return properties_[p]->check_event(ctx, t.event, t.target, succ_enabled);
+  });
+}
+
+namespace {
+
+/// Rebuild a trace (over base states, with raw enabling sets) from the
+/// search's parent pointers, indexed by discovery order.
+Trace unwind(const RefinedGraph& graph, FailureChecks& checks,
+             const std::vector<std::int32_t>& found,
+             const std::vector<std::int32_t>& parent,
+             const std::vector<EventId>& via, std::size_t leaf) {
   std::vector<std::pair<StateId, EventId>> rev;
-  std::ptrdiff_t cur = leaf;
-  while (parent[static_cast<std::size_t>(cur)] >= 0) {
-    const std::ptrdiff_t par = parent[static_cast<std::size_t>(cur)];
-    rev.emplace_back(states[static_cast<std::size_t>(par)].base,
-                     via[static_cast<std::size_t>(cur)]);
+  std::size_t cur = leaf;
+  while (parent[cur] >= 0) {
+    const auto par = static_cast<std::size_t>(parent[cur]);
+    rev.emplace_back(graph.base_state(found[par]), via[cur]);
     cur = par;
   }
   Trace t;
@@ -29,67 +104,61 @@ Trace unwind(const TransitionSystem& base,
     TraceStep step;
     step.state = it->first;
     step.event = it->second;
-    step.enabled = base.enabled_events(it->first);
+    step.enabled = checks.enabled(it->first);
     t.steps.push_back(std::move(step));
   }
-  t.final_state = states[static_cast<std::size_t>(leaf)].base;
-  t.final_enabled = base.enabled_events(t.final_state);
+  t.final_state = graph.base_state(found[leaf]);
+  t.final_enabled = checks.enabled(t.final_state);
   return t;
 }
 
 }  // namespace
 
-std::optional<Failure> find_failure(
-    const RefinedSystem& sys, std::span<const ChokeRecord> chokes,
-    std::span<const SafetyProperty* const> properties, std::size_t max_states,
-    FailureSearchStats* stats, RunClock* clock) {
-  const TransitionSystem& base = sys.base();
+std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
+                                    std::size_t max_states,
+                                    FailureSearchStats* stats,
+                                    RunClock* clock) {
+  const TransitionSystem& base = graph.base();
+  graph.sync();
+  const std::size_t known = graph.size();
 
-  // Chokes indexed by base state for O(1) lookup.
-  std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
-      chokes_at;
-  for (const ChokeRecord& c : chokes) chokes_at[c.state.value()].push_back(&c);
-
-  std::unordered_map<RefinedState, std::ptrdiff_t, RefinedStateHash> index;
-  std::vector<RefinedState> states;
-  std::vector<std::ptrdiff_t> parent;
+  // This search's discoveries, in BFS order: graph id, parent discovery
+  // index and the event fired from it.  `seen` maps graph ids back.
+  std::vector<std::int32_t> found;
+  std::vector<std::int32_t> parent;
   std::vector<EventId> via;
-  std::deque<std::ptrdiff_t> queue;
-  // Pre-sizing skips the early growth reallocations; the hint is capped
-  // because find_failure runs once per refinement iteration and most
-  // iterations stop at a shallow failure — sizing to the full base graph
-  // would pay MBs of zeroed memory hundreds of times per run.
-  const std::size_t hint = std::min<std::size_t>(
-      {std::max<std::size_t>(base.num_states(), 256), max_states, 4096});
-  index.reserve(hint);
-  states.reserve(hint);
-  parent.reserve(hint);
-  via.reserve(hint);
+  std::vector<std::int32_t> seen(graph.size(), -1);
 
-  auto intern = [&](const RefinedState& rs, std::ptrdiff_t par, EventId e) {
-    auto it = index.find(rs);
-    if (it != index.end()) return;
-    const std::ptrdiff_t id = static_cast<std::ptrdiff_t>(states.size());
-    index.emplace(rs, id);
-    states.push_back(rs);
+  auto discover = [&](std::int32_t id, std::int32_t par, EventId e) {
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= seen.size()) seen.resize(graph.size(), -1);
+    if (seen[i] >= 0) return;
+    seen[i] = static_cast<std::int32_t>(found.size());
+    found.push_back(id);
     parent.push_back(par);
     via.push_back(e);
-    queue.push_back(id);
+  };
+  auto finish = [&](std::optional<Failure> f) {
+    if (stats) {
+      stats->states_explored = found.size();
+      stats->states_interned = graph.size() - known;
+    }
+    return f;
   };
 
-  intern(sys.initial(), -1, EventId::invalid());
+  discover(graph.initial(), -1, EventId::invalid());
 
-  while (!queue.empty()) {
-    if (states.size() > max_states) {
+  for (std::size_t head = 0; head < found.size(); ++head) {
+    if (found.size() > max_states) {
       if (stats) {
         stats->truncated = true;
         stats->stop_reason = stop_reason::kStateBudget;
       }
-      RTV_WARN << "failure search truncated at " << states.size() << " states";
+      RTV_WARN << "failure search truncated at " << found.size() << " states";
       break;
     }
     if (clock) {
-      if (const char* reason = clock->tick(states.size())) {
+      if (const char* reason = clock->tick(found.size())) {
         if (stats) {
           stats->truncated = true;
           stats->stop_reason = reason;
@@ -98,64 +167,53 @@ std::optional<Failure> find_failure(
         break;
       }
     }
-    const std::ptrdiff_t id = queue.front();
-    queue.pop_front();
-    const RefinedState rs = states[static_cast<std::size_t>(id)];
-    const std::vector<EventId> raw_enabled = base.enabled_events(rs.base);
-    const PropertyContext ctx{base, rs.base, raw_enabled};
+    const std::int32_t id = found[head];
+    const StateId b = graph.base_state(id);
 
     // 1. State violations.
-    for (const SafetyProperty* p : properties) {
-      if (auto v = p->check_state(ctx)) {
-        Failure f;
-        f.trace = unwind(base, states, parent, via, id);
-        f.description = *v;
-        if (stats) stats->states_explored = states.size();
-        return f;
-      }
+    if (auto v = checks.state_violation(b)) {
+      Failure f;
+      f.trace = unwind(graph, checks, found, parent, via, head);
+      f.description = std::move(*v);
+      return finish(std::move(f));
     }
 
     // 2. Chokes at this base state (virtual firings refused by a monitor).
-    if (auto it = chokes_at.find(rs.base.value()); it != chokes_at.end()) {
-      for (const ChokeRecord* c : it->second) {
-        if (sys.blocked(rs, c->event)) continue;  // timing-pruned
-        Failure f;
-        f.trace = unwind(base, states, parent, via, id);
-        f.virtual_event = c->event;
-        f.description = "refusal: output '" + base.label(c->event) +
-                        "' not accepted (containment violation)";
-        if (stats) stats->states_explored = states.size();
-        return f;
-      }
+    for (const ChokeRecord* c : checks.chokes_at(b)) {
+      if (graph.blocked(id, c->event)) continue;  // timing-pruned
+      Failure f;
+      f.trace = unwind(graph, checks, found, parent, via, head);
+      f.virtual_event = c->event;
+      f.description = "refusal: output '" + base.label(c->event) +
+                      "' not accepted (containment violation)";
+      return finish(std::move(f));
     }
 
     // 3. Firings: event checks, then expansion.
-    for (const Transition& t : base.transitions_from(rs.base)) {
-      if (sys.blocked(rs, t.event)) continue;
-      const std::vector<EventId> succ_enabled = base.enabled_events(t.target);
-      for (const SafetyProperty* p : properties) {
-        if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled)) {
-          Failure f;
-          f.trace = unwind(base, states, parent, via, id);
-          // The violating firing becomes the last step of the trace.
-          TraceStep step;
-          step.state = rs.base;
-          step.event = t.event;
-          step.enabled = raw_enabled;
-          f.trace.steps.push_back(std::move(step));
-          f.trace.final_state = t.target;
-          f.trace.final_enabled = succ_enabled;
-          f.description = *v;
-          if (stats) stats->states_explored = states.size();
-          return f;
-        }
+    const std::span<const Transition> transitions = base.transitions_from(b);
+    for (std::size_t k = 0; k < transitions.size(); ++k) {
+      const Transition& t = transitions[k];
+      if (graph.blocked(id, t.event)) continue;
+      if (auto v = checks.event_violation(b, k)) {
+        Failure f;
+        f.trace = unwind(graph, checks, found, parent, via, head);
+        // The violating firing becomes the last step of the trace.
+        TraceStep step;
+        step.state = b;
+        step.event = t.event;
+        step.enabled = checks.enabled(b);
+        f.trace.steps.push_back(std::move(step));
+        f.trace.final_state = t.target;
+        f.trace.final_enabled = checks.enabled(t.target);
+        f.description = std::move(*v);
+        return finish(std::move(f));
       }
-      intern(sys.advance(rs, t.event), id, t.event);
+      discover(graph.successor(id, k).first, static_cast<std::int32_t>(head),
+               t.event);
     }
   }
 
-  if (stats) stats->states_explored = states.size();
-  return std::nullopt;
+  return finish(std::nullopt);
 }
 
 }  // namespace rtv

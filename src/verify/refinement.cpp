@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "rtv/base/log.hpp"
-#include "rtv/lazy/refined_system.hpp"
+#include "rtv/lazy/refined_graph.hpp"
 #include "rtv/obs/trace.hpp"
 #include "rtv/verify/failure_search.hpp"
 
@@ -49,15 +49,20 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
   refined.enable_age_rule(structural_rule_);
   refined.set_max_waves(max_waves_);
   refined.set_chokes(comp.chokes);
+  // Kept for the whole run: the graph drops its states only when the
+  // refined-state encoding changes (the first activated pair, an observer).
+  RefinedGraph graph(refined);
+  FailureChecks checks(comp.ts, comp.chokes, request.properties);
 
   std::string last_signature;
   for (std::size_t iter = 0; iter <= request.max_refinements; ++iter) {
     obs::Span iter_span("refine iteration " + std::to_string(iter), "engine");
     FailureSearchStats stats;
-    const auto failure = find_failure(refined, comp.chokes,
-                                      request.properties, max_states, &stats,
-                                      &clock);
+    const auto failure =
+        find_failure(graph, checks, max_states, &stats, &clock);
     result.states_explored = stats.states_explored;
+    RTV_INFO << "iteration " << iter << ": visited " << stats.states_explored
+             << ", newly interned " << stats.states_interned;
     if (stats.truncated) {
       const char* reason = stats.stop_reason ? stats.stop_reason
                                              : stop_reason::kStateBudget;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "engine_support.hpp"
 #include "rtv/circuit/invariants.hpp"
 
@@ -143,11 +146,75 @@ TEST(IpcmosExperiments, RunAllProducesFiveRows) {
     EXPECT_EQ(row.result.verdict, Verdict::kVerified) << row.name;
   }
   // Experiment 1 needs no refinement, the containment and flat checks
-  // need tens — the shape of the paper's Table 1, pinned exactly.
+  // need tens — the shape of the paper's Table 1, pinned exactly, with the
+  // states the last failure search discovered and every back-annotated
+  // relative timing constraint ("before < after", sorted).
   const int expected[] = {0, 19, 26, 19, 25};
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    EXPECT_EQ(test::refine_stats(rows[i].result).refinements, expected[i])
+  const std::size_t expected_states[] = {6, 16074, 117366, 16210, 129126};
+  const std::vector<std::vector<std::string>> expected_constraints = {
+      {},
+      {
+        "A1- < A2+", "A1- < I1.Z-", "A2- < I1.CLKE-", "I1.A2+ < I1.CLKE-",
+        "I1.A2+ < I1.Z-", "I1.A2- < I1.Y+", "I1.CLKE+ < A2-",
+        "I1.CLKE+ < I1.Y+", "I1.CLKE- < A1-", "I1.D+ < A2+",
+        "I1.D+ < I1.CLKE-", "I1.D- < I1.CLKE+", "I1.D- < I1.Z-", "I1.R+ < A2-",
+        "I1.R- < I1.CLKE+", "I1.R- < I1.D-", "I1.R- < I1.Z-", "I1.Vint+ < A2+",
+        "I1.Vint+ < A2-", "I1.Vint+ < I1.CLKE+", "I1.X- < I1.D+",
+        "I1.X- < I1.Z-", "I1.Y+ < A2-", "I1.Y- < I1.A2+", "I1.Y- < I1.CLKE-",
+        "I1.Z+ < A1+", "I1.Z- < A2+", "V1+ < I1.CLKE+", "V1+ < I1.CLKE-",
+        "V2+ < I1.CLKE-", "V2- < I1.D+", "V2- < I1.Y+", "V2- < I1.Z-",
+      },
+      {
+        "A1- < I1.Z-", "A1- < V1+", "A2+ < V1+", "A2- < A1+", "A2- < I1.A2+",
+        "A2- < V1+", "I1.A2+ < I1.Z-", "I1.A2- < I1.Y+", "I1.CLKE+ < A2-",
+        "I1.CLKE+ < I1.Y+", "I1.CLKE+ < V1+", "I1.CLKE+ < V1-",
+        "I1.CLKE- < A1-", "I1.CLKE- < V1+", "I1.D+ < A1+", "I1.D+ < V1+",
+        "I1.D- < I1.CLKE+", "I1.D- < I1.Z-", "I1.R+ < A2-", "I1.R- < I1.CLKE+",
+        "I1.R- < I1.D-", "I1.R- < I1.Z-", "I1.Vint+ < A2-",
+        "I1.Vint+ < I1.CLKE+", "I1.Vint+ < V1+", "I1.Vint+ < V1-",
+        "I1.Vint- < V1+", "I1.X+ < V1+", "I1.X- < I1.D+", "I1.X- < I1.Z-",
+        "I1.Y+ < A2-", "I1.Y+ < V1+", "I1.Y- < I1.A2+", "I1.Y- < I1.CLKE-",
+        "I1.Z+ < A1+", "I1.Z+ < V1+", "I1.Z- < A2-", "I1.Z- < V1+",
+        "V1+ < A1+", "V1+ < A2-", "V2+ < A2-", "V2+ < I1.A2+", "V2+ < I1.D-",
+        "V2+ < V1+", "V2- < I1.D+", "V2- < I1.Y+", "V2- < I1.Z-", "V2- < V1+",
+        "V2- < V1-",
+      },
+      {
+        "A1- < A2+", "A1- < I1.Z-", "A2- < I1.CLKE-", "I1.A2+ < I1.CLKE-",
+        "I1.A2+ < I1.Z-", "I1.A2- < I1.Y+", "I1.CLKE+ < A2-",
+        "I1.CLKE+ < I1.Y+", "I1.CLKE- < A1-", "I1.D+ < A2+",
+        "I1.D+ < I1.CLKE-", "I1.D- < I1.CLKE+", "I1.D- < I1.Z-", "I1.R+ < A2-",
+        "I1.R- < I1.CLKE+", "I1.R- < I1.D-", "I1.R- < I1.Z-", "I1.Vint+ < A2+",
+        "I1.Vint+ < A2-", "I1.Vint+ < I1.CLKE+", "I1.X- < I1.D+",
+        "I1.X- < I1.Z-", "I1.Y+ < A2-", "I1.Y- < I1.A2+", "I1.Y- < I1.CLKE-",
+        "I1.Z+ < A1+", "I1.Z- < A2+", "V1+ < I1.CLKE+", "V1+ < I1.CLKE-",
+        "V2+ < I1.CLKE-", "V2- < I1.D+", "V2- < I1.Y+", "V2- < I1.Z-",
+      },
+      {
+        "A1- < I1.Z-", "A1- < V1+", "A2+ < V1+", "A2- < A1+", "A2- < I1.CLKE-",
+        "A2- < V1+", "I1.A2+ < I1.Z-", "I1.A2- < I1.Y+", "I1.CLKE+ < A2-",
+        "I1.CLKE+ < I1.Y+", "I1.CLKE+ < V1+", "I1.CLKE- < A1-",
+        "I1.CLKE- < V1+", "I1.D+ < A1+", "I1.D+ < V1+", "I1.D- < I1.CLKE+",
+        "I1.D- < I1.Z-", "I1.R+ < A2-", "I1.R- < I1.CLKE+", "I1.R- < I1.D-",
+        "I1.R- < I1.Z-", "I1.Vint+ < A2-", "I1.Vint+ < I1.CLKE+",
+        "I1.Vint+ < V1+", "I1.Vint- < V1+", "I1.X+ < V1+", "I1.X- < I1.D+",
+        "I1.X- < I1.Z-", "I1.Y+ < A2-", "I1.Y+ < V1+", "I1.Y- < I1.A2+",
+        "I1.Y- < I1.CLKE-", "I1.Z+ < A1+", "I1.Z+ < V1+", "I1.Z- < A2-",
+        "I1.Z- < V1+", "V1+ < A1+", "V1+ < A2-", "V2+ < A2-", "V2+ < I1.CLKE-",
+        "V2+ < I1.D-", "V2+ < V1+", "V2- < I1.D+", "V2- < I1.Y+",
+        "V2- < I1.Z-", "V2- < V1+",
+      },
+  };
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const RefineEngineStats& st = test::refine_stats(rows[i].result);
+    EXPECT_EQ(st.refinements, expected[i]) << rows[i].name;
+    EXPECT_EQ(rows[i].result.states_explored, expected_states[i])
         << rows[i].name;
+    std::vector<std::string> constraints;
+    for (const DerivedOrdering& o : st.constraints())
+      constraints.push_back(o.before + " < " + o.after);
+    EXPECT_EQ(constraints, expected_constraints[i]) << rows[i].name;
+  }
 }
 
 TEST(IpcmosPipeline, TwoStageCompositionIsFiniteAndAlive) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "engine_support.hpp"
+#include "rtv/ipcmos/experiments.hpp"
+#include "rtv/timing/trace_timing.hpp"
 #include "rtv/verify/containment.hpp"
+#include "rtv/verify/failure_search.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
 
@@ -193,6 +198,160 @@ TEST(Verify, RefinementBudgetGivesInconclusive) {
   const EngineResult r = decide("refine", {&sys, &mon}, {&bad}, req);
   EXPECT_EQ(r.verdict, Verdict::kInconclusive);
   EXPECT_EQ(r.truncated_reason, stop_reason::kRefinementBudget);
+}
+
+// ---------------------------------------------------------------------------
+// Graph reuse: a failure search on the graph a run keeps across iterations
+// must agree exactly with a search on a fresh graph (the from-scratch
+// reference) at every step of the refinement loop.
+
+struct Search {
+  std::optional<Failure> failure;
+  FailureSearchStats stats;
+};
+
+Search search(RefinedGraph& graph, FailureChecks& checks) {
+  Search s;
+  s.failure = find_failure(graph, checks, kDefaultRefineStates, &s.stats);
+  return s;
+}
+
+void expect_same(const Search& reused, const Search& fresh, std::size_t iter) {
+  SCOPED_TRACE("iteration " + std::to_string(iter));
+  EXPECT_EQ(reused.stats.states_explored, fresh.stats.states_explored);
+  EXPECT_EQ(reused.stats.truncated, fresh.stats.truncated);
+  ASSERT_EQ(reused.failure.has_value(), fresh.failure.has_value());
+  if (!fresh.failure) return;
+  const Failure& a = *reused.failure;
+  const Failure& b = *fresh.failure;
+  EXPECT_EQ(a.description, b.description);
+  EXPECT_EQ(a.virtual_event, b.virtual_event);
+  ASSERT_EQ(a.trace.steps.size(), b.trace.steps.size());
+  for (std::size_t i = 0; i < a.trace.steps.size(); ++i) {
+    EXPECT_EQ(a.trace.steps[i].state, b.trace.steps[i].state) << "step " << i;
+    EXPECT_EQ(a.trace.steps[i].event, b.trace.steps[i].event) << "step " << i;
+    EXPECT_EQ(a.trace.steps[i].enabled, b.trace.steps[i].enabled) << "step " << i;
+  }
+  EXPECT_EQ(a.trace.final_state, b.trace.final_state);
+  EXPECT_EQ(a.trace.final_enabled, b.trace.final_enabled);
+}
+
+constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+/// RefineEngine::run's loop, with every failure search run twice — on a
+/// graph kept across iterations and on a fresh one — and compared.  The
+/// refinement decisions follow the fresh search; `force_window_at` also
+/// takes the ban-window fallback (an observer, which invalidates the kept
+/// graph) at that iteration.  Returns the run's RefinementRecords.
+std::vector<RefinementRecord> refine_differentially(
+    const Composition& comp, const std::vector<const SafetyProperty*>& props,
+    bool structural_rule, std::size_t max_refinements,
+    std::size_t force_window_at = kNever) {
+  RefinedSystem refined(comp.ts);
+  refined.enable_age_rule(structural_rule);
+  refined.set_chokes(comp.chokes);
+  RefinedGraph kept(refined);
+  FailureChecks kept_checks(comp.ts, comp.chokes, props);
+  std::vector<RefinementRecord> records;
+  std::string last_signature;
+  bool invalidated = false;
+  for (std::size_t iter = 0; iter <= max_refinements; ++iter) {
+    RefinedGraph fresh(refined);
+    FailureChecks fresh_checks(comp.ts, comp.chokes, props);
+    const Search b = search(fresh, fresh_checks);
+    const Search a = search(kept, kept_checks);
+    expect_same(a, b, iter);
+    if (invalidated) {
+      // Nothing survives an encoding change.
+      EXPECT_EQ(a.stats.states_interned, a.stats.states_explored);
+      invalidated = false;
+    }
+    if (!b.failure) break;
+    const TraceTimingModel model(comp.ts, b.failure->trace,
+                                 b.failure->virtual_event, comp.chokes);
+    if (model.consistent() || iter == max_refinements) break;
+    const auto window = model.find_ban_window();
+    if (!window) break;
+
+    RefinementRecord rec;
+    rec.iteration = static_cast<int>(iter) + 1;
+    rec.failure = b.failure->description;
+    rec.from_start = window->from_start;
+    rec.orderings = model.explain(*window);
+    std::string signature = b.failure->description;
+    for (const TraceStep& st : b.failure->trace.steps)
+      signature += "|" + comp.ts.label(st.event);
+    bool progressed = false;
+    for (const DerivedOrdering& o : rec.orderings) {
+      const EventId before = comp.ts.event_by_label(o.before);
+      const EventId after = comp.ts.event_by_label(o.after);
+      if (before.valid() && after.valid() &&
+          refined.activate_pair(before, after))
+        progressed = true;
+    }
+    if (!progressed || signature == last_signature || iter == force_window_at) {
+      rec.used_window = true;
+      BanObserver obs;
+      obs.from_start = window->from_start;
+      obs.anchor_state = model.state_at(window->anchor_point);
+      for (int k = window->anchor_point; k <= window->last_point; ++k) {
+        obs.window.push_back(model.fired(k));
+        rec.window_labels.push_back(comp.ts.label(model.fired(k)));
+      }
+      rec.anchor = window->from_start
+                       ? std::string("run start")
+                       : "state " + comp.describe_state(obs.anchor_state);
+      refined.add_observer(std::move(obs));
+      invalidated = true;
+    }
+    last_signature = std::move(signature);
+    records.push_back(std::move(rec));
+  }
+  return records;
+}
+
+TEST(GraphReuse, Table1Obligation2MatchesFreshSearchEveryIteration) {
+  const Suite suite = ipcmos::table1_suite();
+  const Obligation& ob = suite.obligations()[1];
+  const Composition comp = test::compose_for_engines(ob.modules);
+  // The engine's own pair sequence, plus one ban-window observer at
+  // iteration 5: neither Table 1 nor the fuzz campaign reaches that path.
+  const auto records = refine_differentially(comp, ob.properties,
+                                             /*structural_rule=*/true,
+                                             ob.max_refinements,
+                                             /*force_window_at=*/5);
+  ASSERT_GT(records.size(), 6u);
+  EXPECT_TRUE(records[5].used_window);
+}
+
+TEST(GraphReuse, BanWindowAblationRecordsMatchFreshReference) {
+  // Without the structural rule every refinement ends in an observer, so
+  // the kept graph is invalidated on every iteration.
+  const Module sys = gallery::intro_example();
+  const Module mon = gallery::order_monitor("g", "d");
+  const InvariantProperty bad("g before d", {{"fail", true}});
+  const std::vector<const SafetyProperty*> props{&bad};
+  const Composition comp = test::compose_for_engines({&sys, &mon});
+  EngineRequest req;
+  req.composition = &comp;
+  req.properties = props;
+  const EngineResult r = RefineEngine(/*structural_rule=*/false).run(req);
+  ASSERT_EQ(r.verdict, Verdict::kVerified);
+  const auto& engine_records = refine_stats(r).records;
+  const auto reference = refine_differentially(
+      comp, props, /*structural_rule=*/false, req.max_refinements);
+  ASSERT_EQ(engine_records.size(), reference.size());
+  ASSERT_GE(reference.size(), 2u);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(engine_records[i].iteration, reference[i].iteration);
+    EXPECT_EQ(engine_records[i].failure, reference[i].failure);
+    EXPECT_EQ(engine_records[i].window_labels, reference[i].window_labels);
+    EXPECT_EQ(engine_records[i].from_start, reference[i].from_start);
+    EXPECT_EQ(engine_records[i].used_window, reference[i].used_window);
+    EXPECT_EQ(engine_records[i].anchor, reference[i].anchor);
+    EXPECT_EQ(engine_records[i].orderings, reference[i].orderings);
+  }
 }
 
 }  // namespace
