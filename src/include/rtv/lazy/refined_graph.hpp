@@ -14,10 +14,13 @@
 //     and looked up through an open-addressing table of ids that compares
 //     against the arena;
 //   * successors are one int32 slot per base transition of the state's
-//     base state, in one CSR array; kUnexpanded until first used.
+//     base state, in one CSR array; kUnexpanded until first used;
+//   * each state also gets a dense *key id* naming its (base, codes, order)
+//     — the record minus its gaps — interned through a second table, so a
+//     search can group states that differ only in their gap matrix.
 //
 // Views returned by state() point into the arena and dangle once a
-// successor() interns a new state: re-fetch by id.
+// successor() or intern() interns a new state: re-fetch by id.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +50,21 @@ class RefinedGraph {
   /// Id of the system's initial state, interned on first use.
   std::int32_t initial();
 
+  /// Id of `s` (a state of the system's current encoding), interned on
+  /// first use.  Returns {id, newly interned}.
+  std::pair<std::int32_t, bool> intern(const RefinedState& s);
+
   RefinedStateView state(std::int32_t id) const;
   StateId base_state(std::int32_t id) const;
+
+  /// Number of distinct (base, codes, order) keys among the interned
+  /// states; key ids are 0 .. num_keys() - 1 in first-interning order.
+  std::size_t num_keys() const { return key_hash_.size(); }
+  /// Key id of state `id`: equal for two states iff they differ at most in
+  /// their gaps.
+  std::int32_t key(std::int32_t id) const {
+    return key_[static_cast<std::size_t>(id)];
+  }
 
   /// True iff firing `e` from state `id` is blocked right now.
   bool blocked(std::int32_t id, EventId e) const {
@@ -62,9 +78,24 @@ class RefinedGraph {
 
  private:
   using Tag = std::pair<std::size_t, bool>;
+
+  /// Open addressing over ids (-1 empty), probed by the high bits of the
+  /// spread hash.
+  struct OpenTable {
+    std::vector<std::int32_t> slots;
+    int bits = 0;
+    /// Slot of the first id `same` accepts on `h`'s probe sequence, or of
+    /// the empty slot that ends it.
+    template <typename Same>
+    std::size_t find(std::size_t h, const Same& same);
+    /// Put `id` into empty slot `i`; rehash from `hashes` (one per id, id
+    /// included) once the table is half full.
+    void fill(std::size_t i, std::int32_t id,
+              const std::vector<std::size_t>& hashes);
+  };
+
   Tag current_tag() const;
-  std::pair<std::int32_t, bool> intern(const RefinedState& s);
-  void grow_table();
+  std::int32_t intern_key(std::int32_t id);
 
   const RefinedSystem* sys_;
   Tag tag_;
@@ -72,10 +103,14 @@ class RefinedGraph {
   std::vector<std::uint16_t> arena_;
   std::vector<std::size_t> record_;  ///< arena offset per state
   std::vector<std::size_t> hash_;    ///< record hash per state
+  std::vector<std::int32_t> key_;    ///< key id per state
   std::vector<std::size_t> slots_;   ///< offset into succ_ per state
   std::vector<std::int32_t> succ_;
-  std::vector<std::int32_t> table_;  ///< open addressing over ids, -1 empty
-  int table_bits_ = 0;
+  OpenTable table_;                  ///< state ids by record hash
+  /// Per key id: the hash of its words and the first state with that key.
+  std::vector<std::size_t> key_hash_;
+  std::vector<std::int32_t> key_state_;
+  OpenTable key_table_;              ///< key ids by key hash
   RefinedState scratch_;  ///< advance() target, reused
 };
 

@@ -56,10 +56,6 @@ struct RefinedState {
   }
 };
 
-struct RefinedStateHash {
-  std::size_t operator()(const RefinedState& s) const noexcept;
-};
-
 /// Read-only view of a refined state: over a RefinedState, or over a
 /// packed record of a RefinedGraph.
 struct RefinedStateView {

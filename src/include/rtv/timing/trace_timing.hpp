@@ -36,6 +36,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rtv/timing/difference_constraints.hpp"
@@ -64,6 +65,8 @@ struct BanWindow {
   bool from_start = false;  ///< anchored at the run's start vs at a state visit
   int anchor_point = 0;     ///< first point of the window
   int last_point = 0;       ///< point whose firing is blocked
+
+  friend bool operator==(const BanWindow&, const BanWindow&) = default;
 };
 
 /// Back-annotated ordering: `before` must fire before `after` (a relative
@@ -80,6 +83,22 @@ struct DerivedOrdering {
   }
 };
 
+/// Reverse adjacency of a transition system: the (source, event) of every
+/// transition into each state, as one CSR.  It depends only on the graph,
+/// so a refinement run builds it once and shares it with the timing model
+/// of every failure trace.
+class PredecessorIndex {
+ public:
+  explicit PredecessorIndex(const TransitionSystem& ts);
+
+  /// Transitions into `s`, by ascending source state.
+  std::span<const std::pair<StateId, EventId>> into(StateId s) const;
+
+ private:
+  std::vector<std::size_t> offset_;  ///< state s owns [offset_[s], offset_[s + 1])
+  std::vector<std::pair<StateId, EventId>> preds_;
+};
+
 class TraceTimingModel {
  public:
   /// `virtual_final`: an event treated as fired from the trace's final
@@ -93,7 +112,11 @@ class TraceTimingModel {
   /// at its true enabling point instead of at the refusal itself (without
   /// this, exact delay bounds start too late and feasible refusals are
   /// judged impossible — an unsound "verified").
-  TraceTimingModel(const TransitionSystem& ts, const Trace& trace,
+  ///
+  /// `ts`, `preds` (the PredecessorIndex of `ts`) and `trace` are
+  /// referenced, not copied.
+  TraceTimingModel(const TransitionSystem& ts, const PredecessorIndex& preds,
+                   const Trace& trace,
                    EventId virtual_final = EventId::invalid(),
                    std::span<const ChokeRecord> chokes = {});
 
@@ -133,6 +156,7 @@ class TraceTimingModel {
   bool enabled_or_choked(StateId state, EventId event) const;
 
   const TransitionSystem& ts_;
+  const PredecessorIndex& preds_;
   const Trace& trace_;
   EventId virtual_final_;
   int n_points_;
@@ -142,9 +166,6 @@ class TraceTimingModel {
   /// Per-point enabled sets augmented with the state's choked events
   /// (sorted); empty when no augmentation was needed at that point.
   std::vector<std::vector<EventId>> augmented_;
-  /// Reverse adjacency (built lazily): predecessor (state, event) pairs.
-  mutable std::vector<std::vector<std::pair<StateId, EventId>>> preds_;
-  mutable bool preds_built_ = false;
 };
 
 }  // namespace rtv

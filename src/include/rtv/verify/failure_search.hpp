@@ -29,10 +29,15 @@ struct Failure {
 };
 
 struct FailureSearchStats {
-  /// States discovered by this search (the per-iteration unit of
-  /// max_states and RunClock::tick).
+  /// States this search discovered and kept — every discovery but the
+  /// subsumed ones; the per-iteration unit of max_states and
+  /// RunClock::tick.
   std::size_t states_explored = 0;
-  /// Of those, states the graph had never interned before.
+  /// Discoveries skipped because a kept state of this search covers them
+  /// (same base, codes and order, entry-wise >= gaps): never queued or
+  /// expanded.
+  std::size_t states_subsumed = 0;
+  /// States the graph interned during this search, kept or subsumed.
   std::size_t states_interned = 0;
   bool truncated = false;
   /// Why the search stopped early (a rtv::stop_reason string, static
@@ -82,9 +87,11 @@ class FailureChecks {
 /// stay interned while the system only gains activated pairs, and the
 /// graph drops them itself when the encoding changes.  Property and choke
 /// checks skip firings blocked by the refinement — blocked firings are
-/// timing-impossible.  `max_states` and `clock` (optional: a shared
-/// wall-clock deadline / cancellation / progress guard) count the states
-/// this call discovers.
+/// timing-impossible.  A discovered state is skipped (subsumed) when a
+/// state kept earlier in the same call has the same base, codes and order
+/// and entry-wise >= gaps: it has no behaviour its dominator lacks.
+/// `max_states` and `clock` (optional: a shared wall-clock deadline /
+/// cancellation / progress guard) count the states this call keeps.
 std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
                                     std::size_t max_states,
                                     FailureSearchStats* stats,

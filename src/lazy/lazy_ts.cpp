@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "rtv/base/hash.hpp"
-
 namespace rtv {
-
-std::size_t RefinedStateHash::operator()(const RefinedState& s) const noexcept {
-  std::size_t h = std::hash<StateId>()(s.base);
-  for (std::uint16_t c : s.codes) h = hash_mix(h, c);
-  for (std::uint16_t o : s.order) h = hash_mix(h, o);
-  for (std::uint16_t g : s.gaps) h = hash_mix(h, g);
-  return h;
-}
 
 namespace {
 

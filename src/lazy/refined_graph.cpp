@@ -56,9 +56,13 @@ void RefinedGraph::sync() {
   arena_.clear();
   record_.clear();
   hash_.clear();
+  key_.clear();
   slots_.clear();
   succ_.clear();
-  std::fill(table_.begin(), table_.end(), -1);
+  key_hash_.clear();
+  key_state_.clear();
+  std::fill(table_.slots.begin(), table_.slots.end(), -1);
+  std::fill(key_table_.slots.begin(), key_table_.slots.end(), -1);
 }
 
 std::int32_t RefinedGraph::initial() {
@@ -95,6 +99,32 @@ std::pair<std::int32_t, bool> RefinedGraph::successor(std::int32_t id,
   return result;
 }
 
+template <typename Same>
+std::size_t RefinedGraph::OpenTable::find(std::size_t h, const Same& same) {
+  if (slots.empty()) {
+    bits = 10;
+    slots.assign(std::size_t{1} << bits, -1);
+  }
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = hash_spread(h) >> (64 - bits);
+  while (slots[i] >= 0 && !same(slots[i])) i = (i + 1) & mask;
+  return i;
+}
+
+void RefinedGraph::OpenTable::fill(std::size_t i, std::int32_t id,
+                                   const std::vector<std::size_t>& hashes) {
+  slots[i] = id;
+  if (2 * hashes.size() <= slots.size()) return;
+  ++bits;
+  slots.assign(std::size_t{1} << bits, -1);
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t k = 0; k < hashes.size(); ++k) {
+    std::size_t j = hash_spread(hashes[k]) >> (64 - bits);
+    while (slots[j] >= 0) j = (j + 1) & mask;
+    slots[j] = static_cast<std::int32_t>(k);
+  }
+}
+
 std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
   // Pack the candidate at the arena's tail; drop it again if known.
   const std::size_t off = arena_.size();
@@ -108,46 +138,49 @@ std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
   const std::size_t words = arena_.size() - off;
   const std::size_t h = hash_record(arena_.data() + off, words);
 
-  if (table_.empty()) {
-    table_bits_ = 10;
-    table_.assign(std::size_t{1} << table_bits_, -1);
-  }
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = hash_spread(h) >> (64 - table_bits_);
-  for (;; i = (i + 1) & mask) {
-    const std::int32_t id = table_[i];
-    if (id < 0) break;
+  const std::size_t i = table_.find(h, [&](std::int32_t id) {
     const std::size_t other = record_[static_cast<std::size_t>(id)];
-    if (hash_[static_cast<std::size_t>(id)] == h &&
-        record_words(arena_.data() + other) == words &&
-        std::equal(arena_.begin() + static_cast<std::ptrdiff_t>(off),
-                   arena_.end(),
-                   arena_.begin() + static_cast<std::ptrdiff_t>(other))) {
-      arena_.resize(off);
-      return {id, false};
-    }
+    return hash_[static_cast<std::size_t>(id)] == h &&
+           record_words(arena_.data() + other) == words &&
+           std::equal(arena_.begin() + static_cast<std::ptrdiff_t>(off),
+                      arena_.end(),
+                      arena_.begin() + static_cast<std::ptrdiff_t>(other));
+  });
+  if (table_.slots[i] >= 0) {
+    arena_.resize(off);
+    return {table_.slots[i], false};
   }
 
   const auto id = static_cast<std::int32_t>(record_.size());
-  table_[i] = id;
   record_.push_back(off);
   hash_.push_back(h);
+  table_.fill(i, id, hash_);
+  key_.push_back(intern_key(id));
   slots_.push_back(succ_.size());
   succ_.resize(succ_.size() + base().transitions_from(s.base).size(),
                kUnexpanded);
-  if (2 * record_.size() > table_.size()) grow_table();
   return {id, true};
 }
 
-void RefinedGraph::grow_table() {
-  ++table_bits_;
-  table_.assign(std::size_t{1} << table_bits_, -1);
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t id = 0; id < record_.size(); ++id) {
-    std::size_t i = hash_spread(hash_[id]) >> (64 - table_bits_);
-    while (table_[i] >= 0) i = (i + 1) & mask;
-    table_[i] = static_cast<std::int32_t>(id);
-  }
+std::int32_t RefinedGraph::intern_key(std::int32_t id) {
+  // The key is the record up to its gaps: the header (whose gap length
+  // follows from the order) plus codes and order.
+  const std::uint16_t* rec = arena_.data() + record_[static_cast<std::size_t>(id)];
+  const std::size_t words = kHeaderWords + get32(rec + 2) + get32(rec + 4);
+  const std::size_t h = hash_record(rec, words);
+  const std::size_t i = key_table_.find(h, [&](std::int32_t k) {
+    const std::uint16_t* other =
+        arena_.data() + record_[static_cast<std::size_t>(
+                            key_state_[static_cast<std::size_t>(k)])];
+    return key_hash_[static_cast<std::size_t>(k)] == h &&
+           std::equal(rec, rec + words, other);
+  });
+  if (key_table_.slots[i] >= 0) return key_table_.slots[i];
+  const auto k = static_cast<std::int32_t>(key_hash_.size());
+  key_hash_.push_back(h);
+  key_state_.push_back(id);
+  key_table_.fill(i, k, key_hash_);
+  return k;
 }
 
 }  // namespace rtv

@@ -45,7 +45,7 @@ namespace {
 void feed_obligation(Fnv1a& h, const WireObligation& ob, SuiteMode mode,
                      const FrontEnd& fe,
                      const std::vector<const Module*>& canonical_modules) {
-  h.str("rtv-obligation-v2");
+  h.str("rtv-obligation-v3");
   h.str(rtv::to_string(mode));
   h.u64(fe.engines.size());
   for (const std::string& e : fe.engines) h.str(e);

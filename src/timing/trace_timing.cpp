@@ -13,10 +13,35 @@ bool contains(const std::vector<EventId>& sorted, EventId e) {
 }
 }  // namespace
 
-TraceTimingModel::TraceTimingModel(const TransitionSystem& ts, const Trace& trace,
-                                   EventId virtual_final,
+PredecessorIndex::PredecessorIndex(const TransitionSystem& ts)
+    : offset_(ts.num_states() + 1, 0) {
+  auto from_each = [&](auto&& visit) {
+    for (std::size_t from = 0; from < ts.num_states(); ++from) {
+      const StateId s(static_cast<StateId::underlying_type>(from));
+      for (const Transition& t : ts.transitions_from(s)) visit(s, t);
+    }
+  };
+  // Counting sort by target: count, prefix-sum, then place in source order.
+  from_each([&](StateId, const Transition& t) { ++offset_[t.target.value() + 1]; });
+  for (std::size_t i = 1; i < offset_.size(); ++i) offset_[i] += offset_[i - 1];
+  preds_.resize(offset_.back());
+  std::vector<std::size_t> next(offset_.begin(), offset_.end() - 1);
+  from_each([&](StateId s, const Transition& t) {
+    preds_[next[t.target.value()]++] = {s, t.event};
+  });
+}
+
+std::span<const std::pair<StateId, EventId>> PredecessorIndex::into(
+    StateId s) const {
+  return std::span<const std::pair<StateId, EventId>>(preds_).subspan(
+      offset_[s.value()], offset_[s.value() + 1] - offset_[s.value()]);
+}
+
+TraceTimingModel::TraceTimingModel(const TransitionSystem& ts,
+                                   const PredecessorIndex& preds,
+                                   const Trace& trace, EventId virtual_final,
                                    std::span<const ChokeRecord> chokes)
-    : ts_(ts), trace_(trace), virtual_final_(virtual_final) {
+    : ts_(ts), preds_(preds), trace_(trace), virtual_final_(virtual_final) {
   n_points_ = static_cast<int>(trace.steps.size()) + (virtual_final.valid() ? 1 : 0);
 
   choked_.reserve(chokes.size());
@@ -86,18 +111,7 @@ int TraceTimingModel::enabling_point(EventId event, int point) const {
 }
 
 bool TraceTimingModel::freshly_enabled_at(StateId state, EventId event) const {
-  if (!preds_built_) {
-    preds_.resize(ts_.num_states());
-    for (std::size_t from = 0; from < ts_.num_states(); ++from) {
-      for (const Transition& t : ts_.transitions_from(
-               StateId(static_cast<StateId::underlying_type>(from)))) {
-        preds_[t.target.value()].emplace_back(
-            StateId(static_cast<StateId::underlying_type>(from)), t.event);
-      }
-    }
-    preds_built_ = true;
-  }
-  for (const auto& [from, via] : preds_[state.value()]) {
+  for (const auto& [from, via] : preds_.into(state)) {
     if (via == event) continue;  // the firing itself re-enables it freshly
     if (enabled_or_choked(from, event)) return false;
   }

@@ -1,5 +1,8 @@
 #include "rtv/verify/failure_search.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "rtv/base/log.hpp"
 
 namespace rtv {
@@ -8,6 +11,10 @@ namespace {
 
 constexpr std::int32_t kUnchecked = -2;
 constexpr std::int32_t kClean = -1;
+
+// find_failure's marks for graph ids it has not kept.
+constexpr std::int32_t kUnseen = -1;
+constexpr std::int32_t kSubsumed = -2;
 
 /// First of `n` properties `check` reports violated, memoised in `verdict`
 /// (a property index, kClean or kUnchecked).
@@ -123,17 +130,57 @@ std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
   const std::size_t known = graph.size();
 
   // This search's discoveries, in BFS order: graph id, parent discovery
-  // index and the event fired from it.  `seen` maps graph ids back.
+  // index and the event fired from it.  `seen` maps graph ids back
+  // (kUnseen, kSubsumed or a discovery index).
   std::vector<std::int32_t> found;
   std::vector<std::int32_t> parent;
   std::vector<EventId> via;
-  std::vector<std::int32_t> seen(graph.size(), -1);
+  std::vector<std::int32_t> seen(graph.size(), kUnseen);
+  // Subsumption index of this call only: per key id the newest kept
+  // discovery with that key, chained through `same_key`.
+  std::vector<std::int32_t> newest(graph.num_keys(), -1);
+  std::vector<std::int32_t> same_key;
+  std::size_t subsumed = 0;
 
   auto discover = [&](std::int32_t id, std::int32_t par, EventId e) {
     const auto i = static_cast<std::size_t>(id);
-    if (i >= seen.size()) seen.resize(graph.size(), -1);
-    if (seen[i] >= 0) return;
-    seen[i] = static_cast<std::int32_t>(found.size());
+    if (i >= seen.size()) seen.resize(graph.size(), kUnseen);
+    if (seen[i] != kUnseen) return;
+    // Subsumption: skip a state when a kept discovery of this call has the
+    // same (base, codes, order) and entry-wise >= gaps.  Sound because
+    //   * blocked() is antitone in the gaps: a larger entry is a weaker
+    //     upper bound, which justifies fewer age blockings, and observer
+    //     blocking reads only the codes;
+    //   * advance() is monotone in the gaps: decoding, the min with the
+    //     firing's constants, the shortest-path closure (min and +), the
+    //     max-join wave merge and encode_gap's clamp are all monotone, and
+    //     the successor's base, codes and order do not read the gaps.
+    // So by induction every firing sequence of the skipped state is one of
+    // its dominator's, through states that dominate it step by step, and
+    // the property and choke checks (which read the base state and the
+    // unblocked firings) fail on the dominator's side whenever they fail
+    // on the skipped one.  The dominator was discovered first, so in BFS
+    // its depth is <= the skipped state's: the failure found is still a
+    // shallowest one.  Only this call's discoveries may dominate — a state
+    // interned in an earlier iteration may be unreachable now.
+    const auto key = static_cast<std::size_t>(graph.key(id));
+    if (key >= newest.size()) newest.resize(graph.num_keys(), -1);
+    const std::span<const std::uint16_t> gaps = graph.state(id).gaps;
+    for (std::int32_t d = newest[key]; d >= 0;
+         d = same_key[static_cast<std::size_t>(d)]) {
+      const std::span<const std::uint16_t> cover =
+          graph.state(found[static_cast<std::size_t>(d)]).gaps;
+      if (std::equal(gaps.begin(), gaps.end(), cover.begin(),
+                     std::less_equal<>())) {
+        seen[i] = kSubsumed;
+        ++subsumed;
+        return;
+      }
+    }
+    const auto index = static_cast<std::int32_t>(found.size());
+    seen[i] = index;
+    same_key.push_back(newest[key]);
+    newest[key] = index;
     found.push_back(id);
     parent.push_back(par);
     via.push_back(e);
@@ -141,6 +188,7 @@ std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
   auto finish = [&](std::optional<Failure> f) {
     if (stats) {
       stats->states_explored = found.size();
+      stats->states_subsumed = subsumed;
       stats->states_interned = graph.size() - known;
     }
     return f;

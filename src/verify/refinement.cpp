@@ -50,9 +50,11 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
   refined.set_max_waves(max_waves_);
   refined.set_chokes(comp.chokes);
   // Kept for the whole run: the graph drops its states only when the
-  // refined-state encoding changes (the first activated pair, an observer).
+  // refined-state encoding changes (the first activated pair, an observer);
+  // the checks and the predecessor index depend on the composition only.
   RefinedGraph graph(refined);
   FailureChecks checks(comp.ts, comp.chokes, request.properties);
+  const PredecessorIndex preds(comp.ts);
 
   std::string last_signature;
   for (std::size_t iter = 0; iter <= request.max_refinements; ++iter) {
@@ -62,7 +64,8 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
         find_failure(graph, checks, max_states, &stats, &clock);
     result.states_explored = stats.states_explored;
     RTV_INFO << "iteration " << iter << ": visited " << stats.states_explored
-             << ", newly interned " << stats.states_interned;
+             << ", subsumed " << stats.states_subsumed << ", newly interned "
+             << stats.states_interned;
     if (stats.truncated) {
       const char* reason = stats.stop_reason ? stats.stop_reason
                                              : stop_reason::kStateBudget;
@@ -76,8 +79,8 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
       break;
     }
 
-    const TraceTimingModel model(comp.ts, failure->trace, failure->virtual_event,
-                                 comp.chokes);
+    const TraceTimingModel model(comp.ts, preds, failure->trace,
+                                 failure->virtual_event, comp.chokes);
     if (model.consistent()) {
       result.verdict = Verdict::kViolated;
       st.counterexample = failure->trace;

@@ -18,7 +18,8 @@ std::optional<TimedWitness> make_witness(const TransitionSystem& ts,
                                          const Trace& trace,
                                          EventId virtual_final,
                                          std::span<const ChokeRecord> chokes) {
-  const TraceTimingModel model(ts, trace, virtual_final, chokes);
+  const PredecessorIndex preds(ts);
+  const TraceTimingModel model(ts, preds, trace, virtual_final, chokes);
   if (model.num_points() == 0) return TimedWitness{};
   const BuiltTraceSystem built =
       model.build_system(0, model.num_points() - 1, /*clamped=*/false);

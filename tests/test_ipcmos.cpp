@@ -147,10 +147,10 @@ TEST(IpcmosExperiments, RunAllProducesFiveRows) {
   }
   // Experiment 1 needs no refinement, the containment and flat checks
   // need tens — the shape of the paper's Table 1, pinned exactly, with the
-  // states the last failure search discovered and every back-annotated
+  // states the last failure search kept and every back-annotated
   // relative timing constraint ("before < after", sorted).
   const int expected[] = {0, 19, 26, 19, 25};
-  const std::size_t expected_states[] = {6, 16074, 117366, 16210, 129126};
+  const std::size_t expected_states[] = {6, 3963, 7757, 3952, 9453};
   const std::vector<std::vector<std::string>> expected_constraints = {
       {},
       {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rtv/lazy/refined_graph.hpp"
 #include "rtv/ts/gallery.hpp"
 
 namespace rtv {
@@ -179,7 +180,16 @@ TEST(RefinedSystem, StateHashingConsistent) {
   const RefinedState a = rs.initial();
   const RefinedState b = rs.initial();
   EXPECT_EQ(a, b);
-  EXPECT_EQ(RefinedStateHash{}(a), RefinedStateHash{}(b));
+  ASSERT_FALSE(a.gaps.empty());
+  // Two equal states intern to one id and one key.
+  RefinedGraph graph(rs);
+  const auto first = graph.intern(a);
+  const auto second = graph.intern(b);
+  EXPECT_TRUE(first.second);
+  EXPECT_FALSE(second.second);
+  EXPECT_EQ(first.first, second.first);
+  EXPECT_EQ(graph.size(), 1u);
+  EXPECT_EQ(graph.num_keys(), 1u);
 }
 
 }  // namespace

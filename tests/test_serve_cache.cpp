@@ -97,7 +97,7 @@ TEST(ModuleContentHash, SensitiveToDelaysStructureAndValuations) {
 // obligation is pinned: a change here orphans every cache file on disk.
 TEST(ObligationCacheKey, PinnedHexIsStable) {
   EXPECT_EQ(key_of(make_obligation()).hex(),
-            "47bd0275300250a82f114e69ad7df75a");
+            "6b1683c7d93ac41bda12313a3462e27d");
 }
 
 TEST(ObligationCacheKey, ObligationNameIsNotContent) {

@@ -486,15 +486,21 @@ TEST(ServePersistence, PaddedObligationHitsUnpaddedEntryAcrossRestart) {
   }
 }
 
-TEST(ServePersistence, PreviouslyWrittenCacheFileLoadsAndHits) {
-  // A cache file as an earlier library version wrote it for the intro
-  // obligation: the same schema and the same key, so it answers now.
+struct PinnedFileRun {
+  ServeResponse resp;
+  std::uint64_t computed = 0;  ///< the daemon's computed count afterwards
+};
+
+/// Serve the intro obligation once from a daemon that loaded a cache file
+/// as a library version wrote it: one VERIFIED refine entry under `key`
+/// with 7 states.
+PinnedFileRun serve_from_pinned_file(const char* tag, const char* key) {
   const std::string socket = unique_socket();
-  TempFile cache_file("pinned");
+  TempFile cache_file(tag);
   {
     std::ofstream f(cache_file.path);
     f << "{\"schema\":\"rtv-verdict-cache\",\"schema_version\":1,"
-         "\"entries\":[\n{\"key\":\"74068946328d8dd3c957bebcb7ced361\","
+         "\"entries\":[\n{\"key\":\"" << key << "\","
          "\"records\":[{\"engine\":\"refine\",\"verdict\":\"VERIFIED\","
          "\"stop_reason\":\"\",\"message\":\"no failure reachable under "
          "derived timing constraints\",\"states\":7,"
@@ -505,13 +511,35 @@ TEST(ServePersistence, PreviouslyWrittenCacheFileLoadsAndHits) {
   auto server = start_server(socket, cache_file.path);
   Client client;
   client.connect(socket);
-  const ServeResponse resp = client.call(verify_request({intro_obligation()}));
-  ASSERT_TRUE(resp.ok) << resp.error;
-  ASSERT_EQ(resp.report.records.size(), 1u);
-  EXPECT_TRUE(resp.report.records[0].cached);
-  EXPECT_EQ(resp.report.records[0].result.states_explored, 7u);
-  EXPECT_EQ(server->stats().computed, 0u);
+  PinnedFileRun run;
+  run.resp = client.call(verify_request({intro_obligation()}));
+  run.computed = server->stats().computed;
   server->stop();
+  return run;
+}
+
+TEST(ServePersistence, PreviouslyWrittenCacheFileLoadsAndHits) {
+  // Key tag rtv-obligation-v3: the same schema and the same key as this
+  // version computes for the intro obligation, so the entry answers.
+  const PinnedFileRun v3 =
+      serve_from_pinned_file("pinned-v3", "2e548cb747acb8bca0139c1908229182");
+  ASSERT_TRUE(v3.resp.ok) << v3.resp.error;
+  ASSERT_EQ(v3.resp.report.records.size(), 1u);
+  EXPECT_TRUE(v3.resp.report.records[0].cached);
+  EXPECT_EQ(v3.resp.report.records[0].result.states_explored, 7u);
+  EXPECT_EQ(v3.computed, 0u);
+
+  // Key tag rtv-obligation-v2, written before refine's failure search
+  // skipped subsumed states: the file still loads, but its key no longer
+  // matches, so the obligation is recomputed instead of answered with a
+  // count (or an INCONCLUSIVE) of the old search.
+  const PinnedFileRun v2 =
+      serve_from_pinned_file("pinned-v2", "74068946328d8dd3c957bebcb7ced361");
+  ASSERT_TRUE(v2.resp.ok) << v2.resp.error;
+  ASSERT_EQ(v2.resp.report.records.size(), 1u);
+  EXPECT_FALSE(v2.resp.report.records[0].cached);
+  EXPECT_EQ(v2.resp.report.records[0].result.verdict, Verdict::kVerified);
+  EXPECT_EQ(v2.computed, 1u);
 }
 
 TEST(ServePersistence, CorruptCacheFileRefusesToStart) {

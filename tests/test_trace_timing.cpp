@@ -30,14 +30,15 @@ TEST(TraceTiming, ConsistentTraceAccepted) {
   const Module m = gallery::intro_example();
   // b, g, a, c, d is the "natural" timed order.
   const Trace t = replay(m.ts(), {"b", "g", "a", "c", "d"});
-  EXPECT_TRUE(TraceTimingModel(m.ts(), t).consistent());
+  EXPECT_TRUE(TraceTimingModel(m.ts(), PredecessorIndex(m.ts()), t).consistent());
 }
 
 TEST(TraceTiming, InconsistentByPendingDeadline) {
   const Module m = gallery::intro_example();
   // a, c, d with b pending: d fires at >= 3.5 while b's deadline is 2.
   const Trace t = replay(m.ts(), {"a", "c", "d"});
-  TraceTimingModel model(m.ts(), t);
+  const PredecessorIndex preds(m.ts());
+  TraceTimingModel model(m.ts(), preds, t);
   EXPECT_FALSE(model.consistent());
   const auto win = model.find_ban_window();
   ASSERT_TRUE(win.has_value());
@@ -53,14 +54,16 @@ TEST(TraceTiming, InconsistentByFiringOrder) {
   const Module m = gallery::intro_example();
   // a before b: a's earliest (2.5) exceeds b's deadline (2).
   const Trace t = replay(m.ts(), {"a", "b"});
-  TraceTimingModel model(m.ts(), t);
+  const PredecessorIndex preds(m.ts());
+  TraceTimingModel model(m.ts(), preds, t);
   EXPECT_FALSE(model.consistent());
 }
 
 TEST(TraceTiming, ExplainNamesThePendingBlocker) {
   const Module m = gallery::intro_example();
   const Trace t = replay(m.ts(), {"a", "c", "d"});
-  TraceTimingModel model(m.ts(), t);
+  const PredecessorIndex preds(m.ts());
+  TraceTimingModel model(m.ts(), preds, t);
   const auto win = model.find_ban_window();
   ASSERT_TRUE(win.has_value());
   const auto orderings = model.explain(*win);
@@ -72,7 +75,8 @@ TEST(TraceTiming, ExplainNamesThePendingBlocker) {
 TEST(TraceTiming, EnablingPointsRespectDisabling) {
   const Module m = gallery::intro_example();
   const Trace t = replay(m.ts(), {"b", "a", "c"});
-  TraceTimingModel model(m.ts(), t);
+  const PredecessorIndex preds(m.ts());
+  TraceTimingModel model(m.ts(), preds, t);
   // c (fired at point 2) became enabled when a fired (point 1 -> enabling
   // point 2); a and b were enabled from the start.
   const TransitionSystem& ts = m.ts();
@@ -87,7 +91,8 @@ TEST(TraceTiming, VirtualFinalEventIsTimed) {
   // firing: same inconsistency as firing it for real (b's deadline).
   const Trace t = replay(m.ts(), {"a", "c"});
   const EventId d = m.ts().event_by_label("d");
-  TraceTimingModel model(m.ts(), t, d);
+  const PredecessorIndex preds(m.ts());
+  TraceTimingModel model(m.ts(), preds, t, d);
   EXPECT_EQ(model.num_points(), 3);
   EXPECT_FALSE(model.consistent());
   const auto win = model.find_ban_window();
@@ -100,7 +105,7 @@ TEST(TraceTiming, EmptyTraceIsConsistent) {
   Trace t;
   t.final_state = m.ts().initial();
   t.final_enabled = m.ts().enabled_events(t.final_state);
-  EXPECT_TRUE(TraceTimingModel(m.ts(), t).consistent());
+  EXPECT_TRUE(TraceTimingModel(m.ts(), PredecessorIndex(m.ts()), t).consistent());
 }
 
 TEST(TraceTiming, AnchoredWindowPrefersLatestAnchor) {
@@ -122,7 +127,8 @@ TEST(TraceTiming, AnchoredWindowPrefersLatestAnchor) {
   ts.set_initial(s0);
 
   const Trace t = replay(ts, {"u", "y"});
-  TraceTimingModel model(ts, t);
+  const PredecessorIndex preds(ts);
+  TraceTimingModel model(ts, preds, t);
   EXPECT_FALSE(model.consistent());
   const auto win = model.find_ban_window();
   ASSERT_TRUE(win.has_value());
@@ -156,7 +162,8 @@ TEST(TraceTiming, ClampedWindowDropsStaleLowerBounds) {
   ts.add_transition(s1, z, s3);
   ts.set_initial(s0);
   const Trace t = replay(ts, {"u", "x"});
-  TraceTimingModel model(ts, t);
+  const PredecessorIndex preds(ts);
+  TraceTimingModel model(ts, preds, t);
   // The full trace is genuinely inconsistent (x's enabling at time 0 and
   // z's deadline after u), so a ban window exists...
   EXPECT_FALSE(model.consistent());

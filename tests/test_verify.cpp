@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
+#include <span>
 
 #include "engine_support.hpp"
 #include "rtv/ipcmos/experiments.hpp"
@@ -219,6 +222,7 @@ Search search(RefinedGraph& graph, FailureChecks& checks) {
 void expect_same(const Search& reused, const Search& fresh, std::size_t iter) {
   SCOPED_TRACE("iteration " + std::to_string(iter));
   EXPECT_EQ(reused.stats.states_explored, fresh.stats.states_explored);
+  EXPECT_EQ(reused.stats.states_subsumed, fresh.stats.states_subsumed);
   EXPECT_EQ(reused.stats.truncated, fresh.stats.truncated);
   ASSERT_EQ(reused.failure.has_value(), fresh.failure.has_value());
   if (!fresh.failure) return;
@@ -242,7 +246,10 @@ constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 /// graph kept across iterations and on a fresh one — and compared.  The
 /// refinement decisions follow the fresh search; `force_window_at` also
 /// takes the ban-window fallback (an observer, which invalidates the kept
-/// graph) at that iteration.  Returns the run's RefinementRecords.
+/// graph) at that iteration.  Every failure trace is also timed twice —
+/// over the run's shared PredecessorIndex, as the engine does, and over an
+/// index built for that model alone — and the ban windows and their
+/// explanations compared.  Returns the run's RefinementRecords.
 std::vector<RefinementRecord> refine_differentially(
     const Composition& comp, const std::vector<const SafetyProperty*>& props,
     bool structural_rule, std::size_t max_refinements,
@@ -252,6 +259,7 @@ std::vector<RefinementRecord> refine_differentially(
   refined.set_chokes(comp.chokes);
   RefinedGraph kept(refined);
   FailureChecks kept_checks(comp.ts, comp.chokes, props);
+  const PredecessorIndex preds(comp.ts);
   std::vector<RefinementRecord> records;
   std::string last_signature;
   bool invalidated = false;
@@ -262,16 +270,24 @@ std::vector<RefinementRecord> refine_differentially(
     const Search a = search(kept, kept_checks);
     expect_same(a, b, iter);
     if (invalidated) {
-      // Nothing survives an encoding change.
-      EXPECT_EQ(a.stats.states_interned, a.stats.states_explored);
+      // Nothing survives an encoding change: every state this search
+      // interned was discovered, and kept or subsumed.
+      EXPECT_EQ(a.stats.states_interned,
+                a.stats.states_explored + a.stats.states_subsumed);
       invalidated = false;
     }
     if (!b.failure) break;
-    const TraceTimingModel model(comp.ts, b.failure->trace,
+    const TraceTimingModel model(comp.ts, preds, b.failure->trace,
                                  b.failure->virtual_event, comp.chokes);
+    const PredecessorIndex own_preds(comp.ts);
+    const TraceTimingModel own(comp.ts, own_preds, b.failure->trace,
+                               b.failure->virtual_event, comp.chokes);
+    EXPECT_EQ(model.consistent(), own.consistent());
     if (model.consistent() || iter == max_refinements) break;
     const auto window = model.find_ban_window();
     if (!window) break;
+    EXPECT_EQ(own.find_ban_window(), window) << "iteration " << iter;
+    EXPECT_EQ(own.explain(*window), model.explain(*window)) << "iteration " << iter;
 
     RefinementRecord rec;
     rec.iteration = static_cast<int>(iter) + 1;
@@ -352,6 +368,82 @@ TEST(GraphReuse, BanWindowAblationRecordsMatchFreshReference) {
     EXPECT_EQ(engine_records[i].anchor, reference[i].anchor);
     EXPECT_EQ(engine_records[i].orderings, reference[i].orderings);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Subsumption: find_failure skips a state whose gaps a kept state with the
+// same (base, codes, order) covers entry-wise.  That is sound only because
+// blocked() is antitone and advance() monotone in the gaps; check both on
+// every dominated pair of reachable refined states of Table 1 obligation 2.
+
+TEST(Subsumption, BlockingAntitoneAndAdvanceMonotoneOnTable1Obligation2) {
+  const Suite suite = ipcmos::table1_suite();
+  const Obligation& ob = suite.obligations()[1];
+  const Composition comp = test::compose_for_engines(ob.modules);
+  EngineRequest req;
+  req.composition = &comp;
+  req.properties = ob.properties;
+  const EngineResult r = RefineEngine().run(req);
+  ASSERT_EQ(r.verdict, Verdict::kVerified);
+
+  // The refined system of the engine's last failure search, after its 19
+  // refinements: pairs only, so the activated orderings rebuild it exactly.
+  const auto& records = refine_stats(r).records;
+  ASSERT_EQ(records.size(), 19u);
+  RefinedSystem refined(comp.ts);
+  refined.enable_age_rule(true);
+  refined.set_chokes(comp.chokes);
+  for (const RefinementRecord& rec : records) {
+    ASSERT_FALSE(rec.used_window);
+    for (const DerivedOrdering& o : rec.orderings)
+      refined.activate_pair(comp.ts.event_by_label(o.before),
+                            comp.ts.event_by_label(o.after));
+  }
+
+  // Every reachable refined state (no subsumption): graph ids are handed
+  // out in BFS order, so they double as the queue.
+  RefinedGraph graph(refined);
+  graph.initial();
+  for (std::int32_t id = 0; static_cast<std::size_t>(id) < graph.size(); ++id) {
+    const auto transitions = comp.ts.transitions_from(graph.base_state(id));
+    for (std::size_t k = 0; k < transitions.size(); ++k)
+      if (!graph.blocked(id, transitions[k].event)) graph.successor(id, k);
+  }
+  std::vector<std::vector<std::int32_t>> by_key(graph.num_keys());
+  for (std::int32_t id = 0; static_cast<std::size_t>(id) < graph.size(); ++id)
+    by_key[static_cast<std::size_t>(graph.key(id))].push_back(id);
+
+  auto covers = [](std::span<const std::uint16_t> d,
+                   std::span<const std::uint16_t> x) {
+    return std::equal(x.begin(), x.end(), d.begin(), std::less_equal<>());
+  };
+  std::size_t pairs = 0, firings = 0;
+  for (const auto& ids : by_key) {
+    for (const std::int32_t x : ids) {
+      for (const std::int32_t d : ids) {
+        const RefinedStateView xs = graph.state(x), ds = graph.state(d);
+        if (x == d || !covers(ds.gaps, xs.gaps)) continue;
+        ++pairs;
+        for (const Transition& t : comp.ts.transitions_from(xs.base)) {
+          const bool x_blocked = refined.blocked(xs, t.event);
+          EXPECT_TRUE(!refined.blocked(ds, t.event) || x_blocked)
+              << "blocked from the dominator only: " << comp.ts.label(t.event);
+          if (x_blocked) continue;
+          ++firings;
+          const RefinedState xn = refined.advance(xs, t.event);
+          const RefinedState dn = refined.advance(ds, t.event);
+          EXPECT_EQ(xn.base, dn.base);
+          EXPECT_EQ(xn.codes, dn.codes);
+          EXPECT_EQ(xn.order, dn.order);
+          EXPECT_TRUE(covers(dn.gaps, xn.gaps))
+              << "successor gaps not covered after " << comp.ts.label(t.event);
+        }
+      }
+    }
+  }
+  // Not vacuous: 214,894 dominated pairs over 16,074 states and 1,404 keys.
+  EXPECT_GT(pairs, graph.size());
+  EXPECT_GT(firings, pairs);
 }
 
 }  // namespace
