@@ -1,7 +1,7 @@
 // Intra-obligation scaling: one large obligation, sharded across workers.
 //
-// bench/portfolio_scaling measures obligation-level parallelism (many
-// obligations, one worker each); this bench measures the complement — the
+// run_suite() parallelises across obligations (many obligations, one
+// worker each); this bench measures the complement — the
 // sharded-frontier BFS inside a *single* obligation (rtv/base/parallel.hpp):
 //
 //   * compose() on a flat product of independent togglers (2^k states, the

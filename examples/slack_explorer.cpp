@@ -7,9 +7,12 @@
 //
 //   $ ./slack_explorer                 # sweep the default parameter
 //   $ ./slack_explorer y_fall 1 6 0.5  # sweep y_fall's upper bound
+//
+// A bad argument (unknown delay, unparsable or non-finite number, step
+// <= 0, more than kMaxPoints points) prints a usage line and exits 2.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "rtv/ipcmos/experiments.hpp"
@@ -43,33 +46,62 @@ DelayInterval* select(StageTiming& t, const std::string& name) {
   return nullptr;
 }
 
+/// Each point re-runs experiment 5.
+constexpr int kMaxPoints = 1000;
+
+int usage(const char* why) {
+  std::fprintf(stderr,
+               "slack_explorer: %s\n"
+               "usage: slack_explorer [DELAY [FROM [TO [STEP]]]]  "
+               "(finite numbers, STEP > 0)\n",
+               why);
+  return 2;
+}
+
+/// The whole of `text` as a finite number.
+bool parse_finite(const char* text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string param = argc > 1 ? argv[1] : "y_fall";
-  const double from = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const double to = argc > 3 ? std::atof(argv[3]) : 6.0;
-  const double step = argc > 4 ? std::atof(argv[4]) : 0.5;
+  double range[3] = {1.0, 6.0, 0.5};  // from, to, step
+  if (argc > 5) return usage("too many arguments");
+  for (int i = 2; i < argc; ++i)
+    if (!parse_finite(argv[i], &range[i - 2]))
+      return usage(("not a finite number: '" + std::string(argv[i]) + "'").c_str());
+  const auto [from, to, step] = range;
+  if (step <= 0) return usage("STEP must be > 0");
+  // Points are from + i * step for i = 0 .. points - 1, up to `to`.
+  const double span = to < from ? -1 : std::floor((to - from) / step + 1e-9);
+  if (span >= kMaxPoints)
+    return usage(("more than " + std::to_string(kMaxPoints) + " points").c_str());
+  const int points = static_cast<int>(span) + 1;
 
   StageTiming probe;
   DelayInterval* slot = select(probe, param);
-  if (slot == nullptr) {
-    std::printf("unknown stage delay '%s'\n", param.c_str());
-    return 2;
-  }
+  if (slot == nullptr)
+    return usage(("unknown stage delay '" + param + "'").c_str());
   std::printf("sweeping %s upper bound over [%.2f, %.2f] step %.2f\n"
               "(lower bound kept at %.2f; experiment 5 re-run per point)\n\n",
               param.c_str(), from, to, step, units_from_ticks(slot->lo()));
 
   double last_ok = -1, first_bad = -1;
-  for (double v = from; v <= to + 1e-9; v += step) {
+  for (int i = 0; i < points; ++i) {
+    const double v = from + i * step;
     ExperimentConfig cfg;
     DelayInterval* target = select(cfg.timing.stage, param);
     const Time lo = target->lo();
     const Time hi = ticks_from_units(v);
     if (hi < lo) continue;
     *target = DelayInterval(lo, hi);
-    const EngineResult r = experiment5(cfg);
+    const EngineResult r = experiment(5, cfg);
     std::printf("  %s = [%.2f, %.2f] : %s", param.c_str(),
                 units_from_ticks(lo), v, to_string(r.verdict));
     if (r.violated()) {

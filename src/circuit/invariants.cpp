@@ -14,9 +14,4 @@ std::vector<std::unique_ptr<SafetyProperty>> short_circuit_properties(
   return out;
 }
 
-std::unique_ptr<SafetyProperty> persistency_property(
-    std::vector<std::string> exempt_labels) {
-  return std::make_unique<PersistencyProperty>(std::move(exempt_labels));
-}
-
 }  // namespace rtv

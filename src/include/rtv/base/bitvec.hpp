@@ -43,10 +43,6 @@ class BitVec {
   void reset(std::size_t i) { set(i, false); }
   void flip(std::size_t i) { words_[i >> 6] ^= std::uint64_t{1} << (i & 63); }
 
-  void clear_all() {
-    for (auto& w : words_) w = 0;
-  }
-
   std::size_t count() const {
     std::size_t c = 0;
     for (auto w : words_) c += static_cast<std::size_t>(__builtin_popcountll(w));

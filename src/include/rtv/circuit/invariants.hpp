@@ -1,6 +1,6 @@
 // CMOS correctness conditions as safety properties (Section 5.1):
-// short-circuit freedom per candidate node, and persistency of the
-// circuit-driven events.
+// short-circuit freedom per candidate node.  Persistency of the
+// circuit-driven events is PersistencyProperty (rtv/verify/property.hpp).
 #pragma once
 
 #include <memory>
@@ -15,9 +15,5 @@ namespace rtv {
 /// signal emitted by the elaboration must never be true.
 std::vector<std::unique_ptr<SafetyProperty>> short_circuit_properties(
     const Netlist& netlist);
-
-/// Persistency of non-input events (glitch freedom under inertial delays).
-std::unique_ptr<SafetyProperty> persistency_property(
-    std::vector<std::string> exempt_labels = {});
 
 }  // namespace rtv

@@ -40,13 +40,10 @@ struct ExperimentConfig {
 /// five obligations; everything below runs it.
 Suite table1_suite(const ExperimentConfig& cfg = {});
 
-/// Obligation N of table1_suite(cfg), decided on the "refine" engine with
-/// one worker (lint pre-flight and slicing on, as `rtv ipcmos` runs it).
-EngineResult experiment1(const ExperimentConfig& cfg = {});
-EngineResult experiment2(const ExperimentConfig& cfg = {});
-EngineResult experiment3(const ExperimentConfig& cfg = {});
-EngineResult experiment4(const ExperimentConfig& cfg = {});
-EngineResult experiment5(const ExperimentConfig& cfg = {});
+/// Obligation `n` (1..5) of table1_suite(cfg), decided on the "refine"
+/// engine with one worker (lint pre-flight and slicing on, as `rtv ipcmos`
+/// runs it).  Throws std::out_of_range for any other `n`.
+EngineResult experiment(std::size_t n, const ExperimentConfig& cfg = {});
 
 /// All five in order, with the paper's row labels (the obligation names).
 struct NamedResult {
@@ -54,11 +51,5 @@ struct NamedResult {
   EngineResult result;
 };
 std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg = {});
-
-/// Flat (no abstraction) verification of an n-stage pipeline on refine:
-/// IN || I1 || ... || In || OUT |= S (obligation 5 is n = 1).  Used by the
-/// scaling bench to reproduce the paper's observation that flat
-/// verification is impractical beyond ~2 stages.
-EngineResult flat_experiment(int n_stages, const ExperimentConfig& cfg = {});
 
 }  // namespace rtv::ipcmos

@@ -87,7 +87,6 @@ class RefinedSystem {
   /// activated pair is exactly one of the paper's back-annotated relative
   /// timing constraints.
   void enable_age_rule(bool on = true);
-  bool age_rule() const { return age_rule_; }
 
   /// Cap on tracked waves: beyond it the two oldest waves merge with
   /// weaker-bound joins (sound — the merged instant covers both).  Smaller
@@ -148,17 +147,5 @@ class RefinedSystem {
   Time cap_ = 1;
   std::size_t max_waves_ = 6;
 };
-
-/// Materialised refined system, for inspection and statistics (the paper's
-/// Fig. 1(c,d) LzTS snapshots).
-struct MaterializedLazyTs {
-  TransitionSystem ts;              ///< refined (pruned) graph
-  std::vector<StateId> base_state;  ///< per refined state
-  std::size_t blocked_firings = 0;  ///< transitions removed by observers
-  bool truncated = false;
-};
-
-MaterializedLazyTs materialize(const RefinedSystem& sys,
-                               std::size_t max_states = 1'000'000);
 
 }  // namespace rtv

@@ -53,9 +53,6 @@ std::string stop_tracing_json();
 /// be opened.
 bool write_trace(const std::string& path);
 
-/// Discard a running session without serializing.
-void stop_tracing();
-
 /// Name the calling thread's track ("worker 3", "serve scheduler", ...).
 /// Effective for the whole session regardless of when it is called.
 void set_thread_name(std::string_view name);

@@ -46,8 +46,8 @@ Module diamond(const std::string& x, DelayInterval x_delay,
 /// and c [2,3]·k concurrent from the initial state (a 2×2×2 cube of
 /// interleavings).  Zones and relative timing decide it in a handful of
 /// states no matter the scale, while the digitized engine's work grows
-/// linearly with k — the asymmetry the engines-comparison sweep and the
-/// portfolio-cancellation tests rely on.  "a before c" is genuinely
+/// linearly with k — the asymmetry the EngineParity scaled-race test and
+/// the portfolio-cancellation tests rely on.  "a before c" is genuinely
 /// violated (c may fire together with a at exactly 2k).
 Module scaled_race(int k);
 

@@ -25,13 +25,8 @@ class Module {
   /// Labels this module synchronises on (its whole alphabet).
   std::vector<std::string> alphabet() const;
 
-  /// Labels of the given kind.
-  std::vector<std::string> labels_of_kind(EventKind kind) const;
-
   /// Kind of the event with this label; kInternal if absent.
   EventKind kind_of(const std::string& label) const;
-
-  bool has_label(const std::string& label) const;
 
   /// Marks every event of this module as input (useful when re-using a
   /// specification STG as a passive monitor).

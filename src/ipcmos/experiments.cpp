@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -15,16 +16,13 @@ namespace {
 using PropertySet = std::vector<std::unique_ptr<SafetyProperty>>;
 
 /// Deadlock-freedom, persistency and the short-circuit invariants of the
-/// transistor-level stages I1..In (Section 5.1).
-PropertySet stage_properties(int stages, const PipelineTiming& t) {
+/// transistor-level stage I1 (Section 5.1).
+PropertySet stage_properties(const PipelineTiming& t) {
   PropertySet ps;
   ps.push_back(std::make_unique<DeadlockFreedom>());
   ps.push_back(std::make_unique<PersistencyProperty>());
-  for (int k = 1; k <= stages; ++k) {
-    const Netlist nl = make_stage_netlist("I" + std::to_string(k),
-                                          linear_channels(k), t.stage);
-    for (auto& p : short_circuit_properties(nl)) ps.push_back(std::move(p));
-  }
+  const Netlist nl = make_stage_netlist("I1", linear_channels(1), t.stage);
+  for (auto& p : short_circuit_properties(nl)) ps.push_back(std::move(p));
   return ps;
 }
 
@@ -42,33 +40,11 @@ void configure(Obligation& ob, const ExperimentConfig& cfg) {
   ob.max_refinements = cfg.max_refinements;
 }
 
-/// IN || I1 || ... || In || OUT |= S, both ends pulse-driven.
-void add_flat(Suite& suite, std::string name, int n_stages,
-              const ExperimentConfig& cfg) {
-  ModuleSet set = flat_pipeline(n_stages, cfg.timing);
-  std::vector<const Module*> modules;
-  for (auto& m : set.owned) modules.push_back(suite.own(std::move(*m)));
-  configure(suite.add(std::move(name), std::move(modules),
-                      own_props(suite, stage_properties(n_stages, cfg.timing))),
-            cfg);
-}
-
 SuiteReport run_on_refine(const Suite& suite) {
   SuiteOptions opts;
   opts.engines = {"refine"};
   opts.jobs = 1;
   return run_suite(suite, opts);
-}
-
-/// Obligation `index` of table1_suite(cfg), alone, on refine.
-EngineResult run_experiment(std::size_t index, const ExperimentConfig& cfg) {
-  Suite suite = table1_suite(cfg);
-  std::deque<Obligation>& obligations = suite.obligations();
-  obligations.erase(obligations.begin() + static_cast<std::ptrdiff_t>(index) + 1,
-                    obligations.end());
-  obligations.erase(obligations.begin(),
-                    obligations.begin() + static_cast<std::ptrdiff_t>(index));
-  return run_on_refine(suite).records.front().result;
 }
 
 }  // namespace
@@ -98,42 +74,47 @@ Suite table1_suite(const ExperimentConfig& cfg) {
   configure(suite.add("2. Ain || I || OUT <= Aout",
                       {suite.own(make_ain(1)), suite.own(make_stage(1, t)),
                        suite.own(make_out_env(1, t)), monitor_of(make_aout(1))},
-                      own_props(suite, stage_properties(1, t))),
+                      own_props(suite, stage_properties(t))),
             cfg);
   // 3. Guarantee A_in (induction base):  IN || I || A_out  <=  A_in at
   // boundary 2 (Fig. 9(b); the checked output is VALID = V2).
   configure(suite.add("3. IN || I || Aout <= Ain",
                       {suite.own(make_in_env(t)), suite.own(make_stage(1, t)),
                        suite.own(make_aout(2)), monitor_of(make_ain(2))},
-                      own_props(suite, stage_properties(1, t))),
+                      own_props(suite, stage_properties(t))),
             cfg);
   // 4. A_in is a behavioural fixed point:  A_in || I || A_out  <=  A_in at
   // boundary 2 (Fig. 9(c)) — the induction step for any pipeline length.
   configure(suite.add("4. Ain || I || Aout <= Ain (fixed point)",
                       {suite.own(make_ain(1)), suite.own(make_stage(1, t)),
                        suite.own(make_aout(2)), monitor_of(make_ain(2))},
-                      own_props(suite, stage_properties(1, t))),
+                      own_props(suite, stage_properties(t))),
             cfg);
-  // 5. IN || I || OUT |= S — the 1-stage pipeline, both ends pulsed
-  // (Section 5).
-  add_flat(suite, "5. IN || I || OUT |= S", 1, cfg);
+  {
+    // 5. IN || I || OUT |= S — the 1-stage pipeline, both ends pulsed
+    // (Section 5).
+    ModuleSet set = flat_pipeline(1, t);
+    std::vector<const Module*> modules;
+    for (auto& m : set.owned) modules.push_back(suite.own(std::move(*m)));
+    configure(suite.add("5. IN || I || OUT |= S", std::move(modules),
+                        own_props(suite, stage_properties(t))),
+              cfg);
+  }
   return suite;
 }
 
-EngineResult experiment1(const ExperimentConfig& cfg) {
-  return run_experiment(0, cfg);
-}
-EngineResult experiment2(const ExperimentConfig& cfg) {
-  return run_experiment(1, cfg);
-}
-EngineResult experiment3(const ExperimentConfig& cfg) {
-  return run_experiment(2, cfg);
-}
-EngineResult experiment4(const ExperimentConfig& cfg) {
-  return run_experiment(3, cfg);
-}
-EngineResult experiment5(const ExperimentConfig& cfg) {
-  return run_experiment(4, cfg);
+EngineResult experiment(std::size_t n, const ExperimentConfig& cfg) {
+  Suite suite = table1_suite(cfg);
+  std::deque<Obligation>& obligations = suite.obligations();
+  if (n < 1 || n > obligations.size())
+    throw std::out_of_range("experiment: n must be in 1.." +
+                            std::to_string(obligations.size()));
+  const std::size_t index = n - 1;
+  obligations.erase(obligations.begin() + static_cast<std::ptrdiff_t>(index) + 1,
+                    obligations.end());
+  obligations.erase(obligations.begin(),
+                    obligations.begin() + static_cast<std::ptrdiff_t>(index));
+  return run_on_refine(suite).records.front().result;
 }
 
 std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg) {
@@ -141,13 +122,6 @@ std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg) {
   for (SuiteRecord& rec : run_on_refine(table1_suite(cfg)).records)
     out.push_back({std::move(rec.obligation), std::move(rec.result)});
   return out;
-}
-
-EngineResult flat_experiment(int n_stages, const ExperimentConfig& cfg) {
-  Suite suite;
-  add_flat(suite, "flat " + std::to_string(n_stages) + "-stage pipeline",
-           n_stages, cfg);
-  return run_on_refine(suite).records.front().result;
 }
 
 }  // namespace rtv::ipcmos

@@ -142,14 +142,6 @@ bool write_trace(const std::string& path) {
   return std::fclose(f) == 0 && ok;
 }
 
-void stop_tracing() {
-  Session& s = session();
-  std::lock_guard<std::mutex> lock(s.mu);
-  detail::g_tracing_active.store(false, std::memory_order_relaxed);
-  s.active = false;
-  s.events.clear();
-}
-
 void set_thread_name(std::string_view name) {
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.mu);

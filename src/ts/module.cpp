@@ -13,25 +13,10 @@ std::vector<std::string> Module::alphabet() const {
   return out;
 }
 
-std::vector<std::string> Module::labels_of_kind(EventKind kind) const {
-  std::vector<std::string> out;
-  for (std::size_t i = 0; i < ts_.num_events(); ++i) {
-    const Event& e = ts_.event(EventId(static_cast<EventId::underlying_type>(i)));
-    if (e.kind == kind) out.push_back(e.label);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 EventKind Module::kind_of(const std::string& label) const {
   const EventId e = ts_.event_by_label(label);
   if (!e.valid()) return EventKind::kInternal;
   return ts_.event(e).kind;
-}
-
-bool Module::has_label(const std::string& label) const {
-  return ts_.event_by_label(label).valid();
 }
 
 Module Module::as_monitor(const std::string& new_name) const {

@@ -1,9 +1,10 @@
 // The unified engine seam (rtv/verify/engine.hpp):
 //
 //   * registry enumeration and lookup,
-//   * verdict parity of all three engines on the Fig. 1 gallery system
-//     and on a boundary-2 obligation of the 2-stage IPCMOS pipeline, each
-//     engine reading the same composition,
+//   * verdict parity of all three engines on the Fig. 1 gallery system,
+//     on a boundary-2 obligation of the 2-stage IPCMOS pipeline and on a
+//     race whose constants scale by k, each engine reading the same
+//     composition,
 //   * budgets: a 1-state budget never yields kVerified (the truncation
 //     regression), a tiny wall-clock deadline stops a run, and a
 //     CancelToken fired from the progress callback stops a run mid-way —
@@ -92,6 +93,32 @@ TEST(EngineParity, IpcmosBoundary2OfTwoStagePipeline) {
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
     EXPECT_EQ(r.verdict, Verdict::kVerified) << e->name() << ": " << r.message;
+  }
+}
+
+TEST(EngineParity, ScaledRaceAgreesAndRefineZoneCostIsFlatInConstants) {
+  // A 3-way race with every constant scaled by k (the paper's Section 1
+  // argument): the engines agree at every k that "a before c" is
+  // violated, and relative timing and zones explore as much at k = 8 as at
+  // k = 1.  The digitized engine's growth with k is
+  // Discrete.StateCountScalesWithConstants.
+  for (int k = 1; k <= 8; k *= 2) {
+    SCOPED_TRACE(k);
+    const Module sys = gallery::scaled_race(k);
+    const Module mon = gallery::order_monitor("a", "c");
+    const InvariantProperty bad("a before c", {{"fail", true}});
+    const Composition comp = test::compose_for_engines({&sys, &mon});
+    EngineRequest req;
+    req.composition = &comp;
+    req.properties = {&bad};
+    const EngineResult refine = engine("refine")->run(req);
+    const EngineResult zone = engine("zone")->run(req);
+    const EngineResult discrete = engine("discrete")->run(req);
+    EXPECT_EQ(refine.verdict, Verdict::kViolated) << refine.message;
+    EXPECT_EQ(zone.verdict, refine.verdict);
+    EXPECT_EQ(discrete.verdict, refine.verdict);
+    EXPECT_EQ(refine.states_explored, 7u);
+    EXPECT_EQ(zone.states_explored, 7u);
   }
 }
 

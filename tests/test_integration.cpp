@@ -1,5 +1,5 @@
 // Cross-module integration tests: simulation runs stay inside the timed
-// (zone-reachable) state space; the lazy materialisation reproduces the
+// (zone-reachable) state space; the refined graph reproduces the
 // Fig. 1(c,d) pruning; STG-file environments verify end to end.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "rtv/stg/library.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
+#include "rtv/verify/failure_search.hpp"
 #include "rtv/verify/refinement.hpp"
 
 namespace rtv {
@@ -20,6 +21,7 @@ namespace {
 
 using test::decide;
 using test::refine_stats;
+using test::walk_refined;
 
 TEST(Integration, SimulationVisitsOnlyZoneReachableStates) {
   // Every discrete state visited by a timed simulation must be reachable
@@ -61,14 +63,19 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
     refined.activate_pair(comp.ts.event_by_label(o.before),
                           comp.ts.event_by_label(o.after));
   }
-  const MaterializedLazyTs lazy = materialize(refined);
-  EXPECT_GT(lazy.blocked_firings, 0u);
+  RefinedGraph graph(refined);
+  EXPECT_GT(walk_refined(graph).blocked_firings, 0u);
   // The bad state (fail signal) is unreachable in the refined system.
-  const std::size_t fail_idx = lazy.ts.signal_index("fail");
+  const std::size_t fail_idx = comp.ts.signal_index("fail");
   ASSERT_NE(fail_idx, static_cast<std::size_t>(-1));
-  for (StateId s : lazy.ts.reachable_states()) {
-    EXPECT_FALSE(lazy.ts.valuation(s).test(fail_idx));
+  for (std::int32_t id = 0; static_cast<std::size_t>(id) < graph.size(); ++id) {
+    EXPECT_FALSE(comp.ts.valuation(graph.base_state(id)).test(fail_idx));
   }
+  const std::vector<const SafetyProperty*> props{&bad};
+  FailureChecks checks(comp.ts, comp.chokes, props);
+  FailureSearchStats stats;
+  EXPECT_FALSE(find_failure(graph, checks, 1'000'000, &stats).has_value());
+  EXPECT_FALSE(stats.truncated);
 }
 
 TEST(Integration, AstgEnvironmentVerifiesAgainstAbstraction) {

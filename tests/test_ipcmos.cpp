@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,25 +74,28 @@ TEST(IpcmosStage, StrobeSwitchEnablingConditions) {
 }
 
 TEST(IpcmosExperiments, Experiment1NoRefinements) {
-  const EngineResult r = experiment1();
+  const EngineResult r = experiment(1);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   EXPECT_EQ(test::refine_stats(r).refinements, 0);
+  // Obligations are numbered 1..5, as in Table 1.
+  EXPECT_THROW(experiment(0), std::out_of_range);
+  EXPECT_THROW(experiment(6), std::out_of_range);
 }
 
 TEST(IpcmosExperiments, Experiment2GuaranteesAout) {
-  const EngineResult r = experiment2();
+  const EngineResult r = experiment(2);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   EXPECT_GT(test::refine_stats(r).refinements, 0);
 }
 
 TEST(IpcmosExperiments, Experiment4FixedPoint) {
-  const EngineResult r = experiment4();
+  const EngineResult r = experiment(4);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   EXPECT_GT(test::refine_stats(r).refinements, 0);
 }
 
 TEST(IpcmosExperiments, Experiment5BackAnnotatesPaperOrderings) {
-  const EngineResult r = experiment5();
+  const EngineResult r = experiment(5);
   ASSERT_EQ(r.verdict, Verdict::kVerified);
   EXPECT_GT(test::refine_stats(r).refinements, 0);
   const auto cs = test::refine_stats(r).constraints();
@@ -122,21 +126,60 @@ TEST(IpcmosExperiments, ZoneEngineConfirmsExperiment5) {
 TEST(IpcmosExperiments, BrokenTimingIsRejected) {
   // Slowing Y's fall (the isolation after ACK+) breaks invariant (2):
   // CLKE precharges Vint while the pass transistor still conducts.
-  ExperimentConfig cfg;
-  cfg.timing.stage.y_fall = DelayInterval::units(6, 8);
-  const EngineResult r = experiment5(cfg);
-  EXPECT_EQ(r.verdict, Verdict::kViolated);
+  ExperimentConfig slow_y;
+  slow_y.timing.stage.y_fall = DelayInterval::units(6, 8);
+  // Slowing Z's rise past ACK+ breaks invariant (1): the short circuit at
+  // Y that Fig. 13(b)'s Z+ before ACK+ avoids.
+  ExperimentConfig slow_z;
+  slow_z.timing.stage.z_rise = DelayInterval::units(9, 12);
+  for (const ExperimentConfig* broken : {&slow_y, &slow_z}) {
+    SCOPED_TRACE(broken == &slow_y ? "slow Y-" : "slow Z+");
+    const ExperimentConfig& cfg = *broken;
+    const EngineResult r = experiment(5, cfg);
+    EXPECT_EQ(r.verdict, Verdict::kViolated);
 
-  const ModuleSet set = flat_pipeline(1, cfg.timing);
-  const Netlist nl =
-      make_stage_netlist("I1", linear_channels(1), cfg.timing.stage);
-  const auto scs = short_circuit_properties(nl);
-  const DeadlockFreedom dead;
-  const PersistencyProperty pers;
-  std::vector<const SafetyProperty*> props{&dead, &pers};
-  for (const auto& p : scs) props.push_back(p.get());
-  const EngineResult z = test::decide("zone", set.ptrs, props);
-  EXPECT_TRUE(z.violated());
+    const ModuleSet set = flat_pipeline(1, cfg.timing);
+    const Netlist nl =
+        make_stage_netlist("I1", linear_channels(1), cfg.timing.stage);
+    const auto scs = short_circuit_properties(nl);
+    const DeadlockFreedom dead;
+    const PersistencyProperty pers;
+    std::vector<const SafetyProperty*> props{&dead, &pers};
+    for (const auto& p : scs) props.push_back(p.get());
+    const EngineResult z = test::decide("zone", set.ptrs, props);
+    EXPECT_TRUE(z.violated());
+  }
+}
+
+TEST(IpcmosExperiments, SlackBoundariesMatchBackAnnotatedOrderings) {
+  // Section 5.3: the back-annotated constraints give the slack a delay may
+  // drift by.  Raising one stage delay's upper bound at a time, experiment
+  // 5 flips from VERIFIED to VIOLATED where an ordering stops holding:
+  //   * Y- [1,hi] must beat CLKE- (lo 3): Fig. 13(c) Y- before CLKE-;
+  //   * Z+ [0,hi] must beat ACK+ (lo 8): Fig. 13(b) Z+ before ACK+;
+  //   * R- [1,hi] must finish before CLKE+ disables it (persistency).
+  struct Boundary {
+    DelayInterval StageTiming::*delay;
+    double lo, last_ok, first_bad;
+    const char* failure;
+  };
+  const Boundary boundaries[] = {
+      {&StageTiming::y_fall, 1, 2.5, 3, "short-circuit at I1.Vint"},
+      {&StageTiming::z_rise, 0, 8, 9, "short-circuit at I1.Y"},
+      {&StageTiming::r_fall, 1, 4, 5, "persistency violated: I1.R-"},
+  };
+  for (const Boundary& b : boundaries) {
+    SCOPED_TRACE(b.failure);
+    ExperimentConfig ok;
+    ok.timing.stage.*b.delay = DelayInterval::units(b.lo, b.last_ok);
+    EXPECT_EQ(experiment(5, ok).verdict, Verdict::kVerified);
+
+    ExperimentConfig bad;
+    bad.timing.stage.*b.delay = DelayInterval::units(b.lo, b.first_bad);
+    const EngineResult r = experiment(5, bad);
+    EXPECT_EQ(r.verdict, Verdict::kViolated);
+    EXPECT_NE(r.message.find(b.failure), std::string::npos) << r.message;
+  }
 }
 
 TEST(IpcmosExperiments, RunAllProducesFiveRows) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_support.hpp"
 #include "rtv/lazy/refined_graph.hpp"
 #include "rtv/ts/gallery.hpp"
 
@@ -99,12 +100,13 @@ TEST(RefinedSystem, MaterializePrunesBlockedFirings) {
                 ts.event_by_label("d")};
   rs.add_observer(std::move(obs));
 
-  const MaterializedLazyTs lazy = materialize(rs);
-  EXPECT_EQ(lazy.blocked_firings, 1u);
-  EXPECT_FALSE(lazy.truncated);
+  RefinedGraph graph(rs);
+  const test::RefinedWalk walk = test::walk_refined(graph);
+  EXPECT_EQ(walk.blocked_firings, 1u);
+  EXPECT_FALSE(walk.truncated);
   // The refined system has no more behaviours than the base one.
-  EXPECT_LE(lazy.ts.num_transitions() + lazy.blocked_firings,
-            ts.num_transitions() + lazy.ts.num_states());
+  EXPECT_LE(walk.transitions + walk.blocked_firings,
+            ts.num_transitions() + walk.states);
 }
 
 TEST(RefinedSystem, PairBlockingNeedsActivationAndJustification) {

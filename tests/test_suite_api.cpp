@@ -632,11 +632,11 @@ TEST(SuiteReportApi, TableRendersRecordsAndRollup) {
 TEST(SuiteIpcmos, Table1SuiteMatchesRunAllExperiments) {
   // The declarative Table 1 suite reproduces the classic sequential
   // driver's verdicts record for record (the full five run in
-  // test_ipcmos/bench; one obligation keeps this suite fast).
+  // test_ipcmos; one obligation keeps this suite fast).
   const Suite suite = ipcmos::table1_suite();
   ASSERT_EQ(suite.size(), 5u);
   const std::vector<ipcmos::NamedResult> classic = {
-      {"1. Ain || Aout |= S", ipcmos::experiment1()}};
+      {"1. Ain || Aout |= S", ipcmos::experiment(1)}};
   SuiteOptions opts;
   opts.jobs = 1;
   // Run only the cheap first obligation here by building a 1-obligation
