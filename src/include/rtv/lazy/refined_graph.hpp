@@ -11,8 +11,8 @@
 // Layout (the flat, interned, successor-memoising zone graph idiom):
 //   * each state is one packed record in a uint16 arena — base id, the
 //     lengths of codes, order and gaps, then their entries — interned once
-//     and looked up through an open-addressing table of ids that compares
-//     against the arena;
+//     and looked up through an OpenTable (rtv/base/open_table.hpp) of ids
+//     that compares against the arena;
 //   * successors are one int32 slot per base transition of the state's
 //     base state, in one CSR array; kUnexpanded until first used;
 //   * each state also gets a dense *key id* naming its (base, codes, order)
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "rtv/base/open_table.hpp"
 #include "rtv/lazy/refined_system.hpp"
 
 namespace rtv {
@@ -78,21 +79,6 @@ class RefinedGraph {
 
  private:
   using Tag = std::pair<std::size_t, bool>;
-
-  /// Open addressing over ids (-1 empty), probed by the high bits of the
-  /// spread hash.
-  struct OpenTable {
-    std::vector<std::int32_t> slots;
-    int bits = 0;
-    /// Slot of the first id `same` accepts on `h`'s probe sequence, or of
-    /// the empty slot that ends it.
-    template <typename Same>
-    std::size_t find(std::size_t h, const Same& same);
-    /// Put `id` into empty slot `i`; rehash from `hashes` (one per id, id
-    /// included) once the table is half full.
-    void fill(std::size_t i, std::int32_t id,
-              const std::vector<std::size_t>& hashes);
-  };
 
   Tag current_tag() const;
   std::int32_t intern_key(std::int32_t id);

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,9 @@ struct ComposeOptions {
   bool track_chokes = false;
   /// Hard ceiling on composed states, enforced at insertion: the result
   /// never holds more than max_states states (the initial state is always
-  /// admitted); a rejected insertion truncates the composition.
+  /// admitted); a rejected insertion truncates the composition.  A
+  /// truncated result keeps exactly the states, transitions and chokes
+  /// the sequential exploration found before that insertion.
   std::size_t max_states = 2'000'000;
   /// Worker threads for the product BFS (0 = one per hardware thread,
   /// 1 = sequential).  The result is bit-identical for every job count:
@@ -49,16 +52,28 @@ struct ComposeOptions {
 struct Composition {
   TransitionSystem ts;
   std::vector<std::string> module_names;
-  /// Per composed state: the tuple of component states.
-  std::vector<std::vector<StateId>> component_states;
   std::vector<ChokeRecord> chokes;
   bool truncated = false;
   /// Why composition stopped early (static storage); null when not
   /// truncated or truncated by the state cap.
   const char* truncated_reason = nullptr;
 
+  /// The component states of composed state `s`, one per module in
+  /// module_names order.  Points into the composition.
+  std::span<const StateId> tuple(StateId s) const {
+    const std::size_t n = module_names.size();
+    return {tuples_.data() + s.value() * n, n};
+  }
+
   /// Component-state tuple rendering for diagnostics.
   std::string describe_state(StateId s) const;
+
+ private:
+  friend Composition compose(const std::vector<const Module*>& modules,
+                             const ComposeOptions& options);
+
+  /// Every state's tuple, packed back to back in state order.
+  std::vector<StateId> tuples_;
 };
 
 /// Compose modules over their shared alphabets.  The result's initial state

@@ -61,8 +61,8 @@ void RefinedGraph::sync() {
   succ_.clear();
   key_hash_.clear();
   key_state_.clear();
-  std::fill(table_.slots.begin(), table_.slots.end(), -1);
-  std::fill(key_table_.slots.begin(), key_table_.slots.end(), -1);
+  table_.clear();
+  key_table_.clear();
 }
 
 std::int32_t RefinedGraph::initial() {
@@ -99,32 +99,6 @@ std::pair<std::int32_t, bool> RefinedGraph::successor(std::int32_t id,
   return result;
 }
 
-template <typename Same>
-std::size_t RefinedGraph::OpenTable::find(std::size_t h, const Same& same) {
-  if (slots.empty()) {
-    bits = 10;
-    slots.assign(std::size_t{1} << bits, -1);
-  }
-  const std::size_t mask = slots.size() - 1;
-  std::size_t i = hash_spread(h) >> (64 - bits);
-  while (slots[i] >= 0 && !same(slots[i])) i = (i + 1) & mask;
-  return i;
-}
-
-void RefinedGraph::OpenTable::fill(std::size_t i, std::int32_t id,
-                                   const std::vector<std::size_t>& hashes) {
-  slots[i] = id;
-  if (2 * hashes.size() <= slots.size()) return;
-  ++bits;
-  slots.assign(std::size_t{1} << bits, -1);
-  const std::size_t mask = slots.size() - 1;
-  for (std::size_t k = 0; k < hashes.size(); ++k) {
-    std::size_t j = hash_spread(hashes[k]) >> (64 - bits);
-    while (slots[j] >= 0) j = (j + 1) & mask;
-    slots[j] = static_cast<std::int32_t>(k);
-  }
-}
-
 std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
   // Pack the candidate at the arena's tail; drop it again if known.
   const std::size_t off = arena_.size();
@@ -146,9 +120,9 @@ std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
                       arena_.end(),
                       arena_.begin() + static_cast<std::ptrdiff_t>(other));
   });
-  if (table_.slots[i] >= 0) {
+  if (table_.at(i) >= 0) {
     arena_.resize(off);
-    return {table_.slots[i], false};
+    return {table_.at(i), false};
   }
 
   const auto id = static_cast<std::int32_t>(record_.size());
@@ -175,7 +149,7 @@ std::int32_t RefinedGraph::intern_key(std::int32_t id) {
     return key_hash_[static_cast<std::size_t>(k)] == h &&
            std::equal(rec, rec + words, other);
   });
-  if (key_table_.slots[i] >= 0) return key_table_.slots[i];
+  if (key_table_.at(i) >= 0) return key_table_.at(i);
   const auto k = static_cast<std::int32_t>(key_hash_.size());
   key_hash_.push_back(h);
   key_state_.push_back(id);

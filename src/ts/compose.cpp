@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "rtv/base/hash.hpp"
 #include "rtv/base/log.hpp"
+#include "rtv/base/open_table.hpp"
 #include "rtv/base/parallel.hpp"
 #include "rtv/ts/delay_bounds.hpp"
 
@@ -17,24 +19,48 @@ namespace rtv {
 
 namespace {
 
-struct TupleHash {
-  std::size_t operator()(const std::vector<StateId>& v) const noexcept {
-    std::size_t h = v.size();
-    for (StateId s : v) h = hash_mix(h, std::hash<StateId>()(s));
-    return h;
-  }
+constexpr std::uint32_t kNoSuccessor =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// One module taking part in a composed label.  `column` points at the
+/// label's local event in the module's successor table, so the successor
+/// of local state q is column[q * stride].
+struct Participant {
+  std::size_t module;
+  const std::uint32_t* column;
+  std::size_t stride;
+  bool output;
 };
 
-/// One product transition discovered during a layer's expansion.  Targets
-/// already interned before the layer started carry `known`; fresh tuples
-/// carry the tuple plus its pre-merged valuation so the sequential merge
-/// only pays for the hash-map insert.
+/// Dense successor table of one module: entry (state * num_events + event)
+/// is the target of the *first* transition on `event` from `state`, as
+/// TransitionSystem::successor() returns it, or kNoSuccessor.
+std::vector<std::uint32_t> successor_table(const TransitionSystem& ts) {
+  const std::size_t ne = ts.num_events();
+  std::vector<std::uint32_t> table(ts.num_states() * ne, kNoSuccessor);
+  for (std::size_t q = 0; q < ts.num_states(); ++q) {
+    std::uint32_t* row = table.data() + q * ne;
+    for (const Transition& t :
+         ts.transitions_from(StateId(static_cast<StateId::underlying_type>(q))))
+      if (row[t.event.value()] == kNoSuccessor)
+        row[t.event.value()] = t.target.value();
+  }
+  return table;
+}
+
+std::size_t hash_tuple(const StateId* tuple, std::size_t n) {
+  std::size_t h = n;
+  for (std::size_t i = 0; i < n; ++i) h = hash_mix(h, tuple[i].value());
+  return h;
+}
+
+/// One product transition discovered during a layer's expansion.  A target
+/// interned before the layer started is `known`; otherwise the target is
+/// the chunk's next fresh tuple (fresh tuples are kept in edge order).
 struct PendingEdge {
-  std::uint32_t src = 0;    ///< index into the current frontier
-  std::uint32_t label = 0;  ///< composed label index
-  StateId known = StateId::invalid();
-  std::vector<StateId> tuple;
-  BitVec valuation;
+  std::uint32_t src;    ///< index into the current frontier
+  std::uint32_t label;  ///< composed label index
+  StateId known;
 };
 
 /// Per-chunk expansion output; merged in chunk-ordinal order, which equals
@@ -43,6 +69,11 @@ struct PendingEdge {
 struct ChunkOut {
   std::vector<PendingEdge> edges;
   std::vector<ChokeRecord> chokes;
+  /// The fresh targets: their tuples back to back, and per tuple its hash
+  /// and (when the composition has signals) its merged valuation.
+  std::vector<StateId> tuples;
+  std::vector<std::size_t> hashes;
+  std::vector<BitVec> valuations;
 };
 
 }  // namespace
@@ -50,10 +81,10 @@ struct ChunkOut {
 std::string Composition::describe_state(StateId s) const {
   std::ostringstream os;
   os << "(";
-  const auto& tuple = component_states[s.value()];
-  for (std::size_t i = 0; i < tuple.size(); ++i) {
+  const auto states = tuple(s);
+  for (std::size_t i = 0; i < states.size(); ++i) {
     if (i) os << ", ";
-    os << module_names[i] << ":" << tuple[i].value();
+    os << module_names[i] << ":" << states[i].value();
   }
   os << ")";
   return os.str();
@@ -66,7 +97,6 @@ Composition compose(const std::vector<const Module*>& modules,
   for (const Module* m : modules) out.module_names.push_back(m->name());
 
   // ---- build the composed alphabet --------------------------------------
-  // label -> (per-module local EventId or invalid)
   std::vector<std::string> labels;
   for (const Module* m : modules)
     for (const std::string& l : m->alphabet()) labels.push_back(l);
@@ -74,21 +104,30 @@ Composition compose(const std::vector<const Module*>& modules,
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
 
   const std::size_t n_mod = modules.size();
-  std::vector<std::vector<EventId>> local_event(labels.size(),
-                                                std::vector<EventId>(n_mod));
+  std::vector<std::vector<std::uint32_t>> successors(n_mod);
+  for (std::size_t mi = 0; mi < n_mod; ++mi)
+    successors[mi] = successor_table(modules[mi]->ts());
+
+  // Per label: its participants in module order, parts[first[li]] up to
+  // parts[first[li + 1]].
+  std::vector<Participant> parts;
+  std::vector<std::size_t> first{0};
   std::vector<EventId> composed_event(labels.size());
   for (std::size_t li = 0; li < labels.size(); ++li) {
     DelayInterval delay = DelayInterval::unbounded();
     EventKind kind = EventKind::kInternal;
     bool any_output = false, any_input = false;
     for (std::size_t mi = 0; mi < n_mod; ++mi) {
-      const EventId le = modules[mi]->ts().event_by_label(labels[li]);
-      local_event[li][mi] = le;
-      if (!le.valid()) continue;
-      const Event& ev = modules[mi]->ts().event(le);
+      const TransitionSystem& mts = modules[mi]->ts();
+      const EventId le = mts.event_by_label(labels[li]);
+      if (!le.valid()) continue;  // module does not participate
+      const Event& ev = mts.event(le);
       delay = delay.intersect(ev.delay);
       if (ev.kind == EventKind::kOutput) any_output = true;
       if (ev.kind == EventKind::kInput) any_input = true;
+      parts.push_back(Participant{mi, successors[mi].data() + le.value(),
+                                  mts.num_events(),
+                                  ev.kind == EventKind::kOutput});
     }
     if (!delay.valid()) {
       // An empty intersection would leave the event forever unfireable —
@@ -99,11 +138,10 @@ Composition compose(const std::vector<const Module*>& modules,
       // never drift.
       DelayContradiction c;
       c.label = labels[li];
-      for (std::size_t mi = 0; mi < n_mod; ++mi) {
-        const EventId le = local_event[li][mi];
-        if (!le.valid()) continue;
-        c.participants.emplace_back(modules[mi]->name(),
-                                    modules[mi]->ts().event(le).delay);
+      for (std::size_t k = first.back(); k < parts.size(); ++k) {
+        const Module& m = *modules[parts[k].module];
+        c.participants.emplace_back(
+            m.name(), m.ts().delay(m.ts().event_by_label(labels[li])));
       }
       throw std::invalid_argument(describe_delay_contradiction(c));
     }
@@ -113,6 +151,7 @@ Composition compose(const std::vector<const Module*>& modules,
       kind = EventKind::kInput;
     }
     composed_event[li] = out.ts.add_event(labels[li], delay, kind);
+    first.push_back(parts.size());
   }
 
   // ---- merged signal table -----------------------------------------------
@@ -135,7 +174,7 @@ Composition compose(const std::vector<const Module*>& modules,
   }
   if (with_valuations) out.ts.set_signal_names(signals);
 
-  auto merged_valuation = [&](const std::vector<StateId>& tuple) {
+  auto merged_valuation = [&](const StateId* tuple) {
     BitVec v(signals.size());
     for (std::size_t mi = 0; mi < n_mod; ++mi) {
       const TransitionSystem& mts = modules[mi]->ts();
@@ -152,28 +191,48 @@ Composition compose(const std::vector<const Module*>& modules,
   //
   // Layer-synchronous parallel BFS (rtv/base/parallel.hpp): workers expand
   // disjoint chunks of the current frontier into per-chunk buckets (probing
-  // the interning map read-only — it is written only between layers), then
-  // the merge phase interns fresh tuples and appends transitions/chokes in
-  // chunk order.  That order equals the sequential (frontier, label) order,
-  // so the composition is identical for every job count.
-  std::unordered_map<std::vector<StateId>, StateId, TupleHash> index;
+  // the tuple table read-only — it and the tuple arena are written only
+  // between layers), then the merge phase interns fresh tuples and appends
+  // transitions/chokes in chunk order.  That order equals the sequential
+  // (frontier, label) order, so the composition is identical for every job
+  // count.
+  std::vector<StateId>& arena = out.tuples_;
+  std::vector<std::size_t> state_hash;  ///< tuple hash per composed state
+  OpenTable table;                      ///< composed state ids by tuple hash
   std::vector<StateId> frontier, next_frontier;
   bool truncated_budget = false;
 
-  auto intern = [&](std::vector<StateId>&& tuple,
-                    BitVec&& valuation) -> std::optional<StateId> {
-    const auto it = index.find(tuple);
-    if (it != index.end()) return it->second;
+  const auto same_tuple = [&](const StateId* tuple, std::size_t h) {
+    return [&arena, &state_hash, tuple, h, n_mod](std::int32_t id) {
+      const auto k = static_cast<std::size_t>(id);
+      return state_hash[k] == h &&
+             std::equal(tuple, tuple + n_mod, arena.data() + k * n_mod);
+    };
+  };
+
+  // Append a new composed state for `tuple`, whose probe ended at empty
+  // slot `slot` of the table.
+  const auto admit = [&](const StateId* tuple, std::size_t h,
+                         std::size_t slot, BitVec&& valuation) {
+    const StateId s = out.ts.add_state();
+    if (with_valuations) out.ts.set_state_valuation(s, std::move(valuation));
+    arena.insert(arena.end(), tuple, tuple + n_mod);
+    state_hash.push_back(h);
+    table.fill(slot, static_cast<std::int32_t>(s.value()), state_hash);
+    next_frontier.push_back(s);
+    return s;
+  };
+
+  const auto intern = [&](const StateId* tuple, std::size_t h,
+                          BitVec&& valuation) -> std::optional<StateId> {
+    const std::size_t slot = table.find(h, same_tuple(tuple, h));
+    if (table.at(slot) >= 0)
+      return StateId(static_cast<StateId::underlying_type>(table.at(slot)));
     if (out.ts.num_states() >= options.max_states) {
       truncated_budget = true;
       return std::nullopt;
     }
-    const StateId s = out.ts.add_state();
-    if (with_valuations) out.ts.set_state_valuation(s, std::move(valuation));
-    out.component_states.push_back(tuple);
-    index.emplace(std::move(tuple), s);
-    next_frontier.push_back(s);
-    return s;
+    return admit(tuple, h, slot, std::move(valuation));
   };
 
   {
@@ -184,13 +243,11 @@ Composition compose(const std::vector<const Module*>& modules,
     }
     // The initial state bypasses the cap: a composition without its initial
     // state is meaningless.  A zero budget still yields it, truncated.
-    const StateId s0 = out.ts.add_state();
-    if (with_valuations)
-      out.ts.set_state_valuation(s0, merged_valuation(init_tuple));
-    out.component_states.push_back(init_tuple);
-    index.emplace(std::move(init_tuple), s0);
+    const std::size_t h = hash_tuple(init_tuple.data(), n_mod);
+    const StateId s0 = admit(
+        init_tuple.data(), h, table.find(h, same_tuple(init_tuple.data(), h)),
+        with_valuations ? merged_valuation(init_tuple.data()) : BitVec());
     out.ts.set_initial(s0);
-    next_frontier.push_back(s0);
     if (out.ts.num_states() > options.max_states) truncated_budget = true;
   }
 
@@ -198,11 +255,15 @@ Composition compose(const std::vector<const Module*>& modules,
   LayeredRunner runner(jobs);
   WorkStealingRanges ranges;
   std::vector<ChunkOut> buckets;
+  // One scratch tuple per worker: the expanded state's tuple with the
+  // current label's participants stepped.
+  std::vector<std::vector<StateId>> scratch(jobs, std::vector<StateId>(n_mod));
   // Cooperative stop, set by worker 0 from the caller's stop hook (which is
   // not thread-safe; only worker 0 ever polls it).
   std::atomic<const char*> stop_flag{nullptr};
 
   const auto process = [&](std::size_t worker) {
+    StateId* next = scratch[worker].data();
     while (const auto chunk = ranges.next(worker)) {
       if (stop_flag.load(std::memory_order_relaxed)) return;
       ChunkOut& bucket = buckets[chunk->ordinal];
@@ -214,50 +275,50 @@ Composition compose(const std::vector<const Module*>& modules,
           }
         }
         const StateId s = frontier[i];
-        const std::vector<StateId>& tuple = out.component_states[s.value()];
-        for (std::size_t li = 0; li < labels.size(); ++li) {
-          bool all_ready = true;
-          bool producer_ready = false;
+        const StateId* tuple = arena.data() + s.value() * n_mod;
+        std::copy(tuple, tuple + n_mod, next);
+        for (std::size_t li = 0; li + 1 < first.size(); ++li) {
+          const Participant* begin = parts.data() + first[li];
+          const Participant* end = parts.data() + first[li + 1];
+          // The label fires iff no participant blocks it, produced or not:
+          // a label nobody outputs is driven by the implicit environment
+          // (open-system semantics).  A choke names the first blocker and
+          // the last ready producer, so only chokes scan past a blocker.
           std::size_t producer = n_mod, blocker = n_mod;
-          std::vector<StateId> next = tuple;
-          for (std::size_t mi = 0; mi < n_mod; ++mi) {
-            const EventId le = local_event[li][mi];
-            if (!le.valid()) continue;  // module does not participate
-            const auto succ = modules[mi]->ts().successor(tuple[mi], le);
-            if (succ) {
-              next[mi] = *succ;
-              if (modules[mi]->ts().event(le).kind == EventKind::kOutput) {
-                producer_ready = true;
-                producer = mi;
-              }
+          for (const Participant* p = begin; p != end; ++p) {
+            const std::uint32_t t =
+                p->column[tuple[p->module].value() * p->stride];
+            if (t == kNoSuccessor) {
+              if (blocker == n_mod) blocker = p->module;
+              if (!options.track_chokes) break;
             } else {
-              all_ready = false;
-              if (blocker == n_mod) blocker = mi;
+              next[p->module] = StateId(t);
+              if (p->output) producer = p->module;
             }
           }
-          if (all_ready && producer == n_mod) {
-            // Purely-input label: fires only if some module owns it as
-            // output elsewhere; a label that nobody produces is driven by
-            // the implicit environment, so it still fires (open-system
-            // semantics).
-            producer_ready = true;
-          }
-          if (all_ready) {
-            PendingEdge edge;
-            edge.src = static_cast<std::uint32_t>(i);
-            edge.label = static_cast<std::uint32_t>(li);
-            const auto it = index.find(next);
-            if (it != index.end()) {
-              edge.known = it->second;
+          if (blocker == n_mod) {
+            const std::size_t h = hash_tuple(next, n_mod);
+            const std::int32_t known =
+                table.at(table.find(h, same_tuple(next, h)));
+            PendingEdge edge{static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(li),
+                             StateId::invalid()};
+            if (known >= 0) {
+              edge.known =
+                  StateId(static_cast<StateId::underlying_type>(known));
             } else {
-              if (with_valuations) edge.valuation = merged_valuation(next);
-              edge.tuple = std::move(next);
+              bucket.tuples.insert(bucket.tuples.end(), next, next + n_mod);
+              bucket.hashes.push_back(h);
+              if (with_valuations)
+                bucket.valuations.push_back(merged_valuation(next));
             }
-            bucket.edges.push_back(std::move(edge));
-          } else if (options.track_chokes && producer_ready) {
+            bucket.edges.push_back(edge);
+          } else if (options.track_chokes && producer != n_mod) {
             bucket.chokes.push_back(
                 ChokeRecord{s, composed_event[li], producer, blocker});
           }
+          for (const Participant* p = begin; p != end; ++p)
+            next[p->module] = tuple[p->module];
         }
       }
     }
@@ -271,12 +332,28 @@ Composition compose(const std::vector<const Module*>& modules,
       return false;
     }
     for (ChunkOut& bucket : buckets) {
-      for (PendingEdge& edge : bucket.edges) {
+      std::size_t fresh = 0;
+      for (const PendingEdge& edge : bucket.edges) {
         StateId target = edge.known;
         if (!target.valid()) {
-          const auto interned =
-              intern(std::move(edge.tuple), std::move(edge.valuation));
-          if (!interned) break;  // budget ceiling: stop adding outright
+          const auto interned = intern(
+              bucket.tuples.data() + fresh * n_mod, bucket.hashes[fresh],
+              with_valuations ? std::move(bucket.valuations[fresh]) : BitVec());
+          ++fresh;
+          if (!interned) {
+            // Budget ceiling: stop adding outright, keeping the chunk's
+            // chokes that precede this edge in (state, label) order.
+            const auto cut = std::pair(frontier[edge.src].value(),
+                                       composed_event[edge.label].value());
+            out.chokes.insert(
+                out.chokes.end(), bucket.chokes.begin(),
+                std::partition_point(
+                    bucket.chokes.begin(), bucket.chokes.end(),
+                    [&](const ChokeRecord& c) {
+                      return std::pair(c.state.value(), c.event.value()) < cut;
+                    }));
+            break;
+          }
           target = *interned;
         }
         out.ts.add_transition(frontier[edge.src], composed_event[edge.label],

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
+#include "rtv/base/hash.hpp"
+#include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/gallery.hpp"
 
 namespace rtv {
@@ -191,6 +194,108 @@ TEST(Compose, ContradictoryDelayBoundsFailLoudly) {
     EXPECT_NE(what.find("x+"), std::string::npos) << what;
     EXPECT_NE(what.find("x-toggler"), std::string::npos) << what;
     EXPECT_NE(what.find("late-listener"), std::string::npos) << what;
+  }
+}
+
+TEST(Compose, FirstMatchingTransitionWins) {
+  // Two transitions on one event from one state: the product follows the
+  // first, as TransitionSystem::successor() does, and adds one edge only.
+  TransitionSystem ts;
+  const StateId a0 = ts.add_state();
+  const StateId a1 = ts.add_state();
+  const StateId a2 = ts.add_state();
+  const EventId go =
+      ts.add_event("go", DelayInterval::units(1, 2), EventKind::kOutput);
+  ts.add_transition(a0, go, a2);
+  ts.add_transition(a0, go, a1);
+  ts.set_initial(a0);
+  const Module twice("twice", std::move(ts));
+  const Module b = toggler("b", EventKind::kOutput, DelayInterval::units(1, 2));
+
+  ComposeOptions opts;
+  opts.track_chokes = true;
+  const Composition c = compose({&twice, &b}, opts);
+  const EventId cgo = c.ts.event_by_label("go");
+  std::size_t edges = 0;
+  StateId target;
+  for (const Transition& t : c.ts.transitions_from(c.ts.initial())) {
+    if (t.event != cgo) continue;
+    ++edges;
+    target = t.target;
+  }
+  ASSERT_EQ(edges, 1u);
+  EXPECT_EQ(c.tuple(target)[0], a2);
+  EXPECT_EQ(c.ts.num_states(), 4u);  // a1 is never reached
+}
+
+TEST(Compose, LabelDisabledAtItsOnlyOwnerNeitherFiresNorChokes) {
+  // Each toggler alone owns its falling edge, which its initial state does
+  // not enable: the product's initial state fires only the rising edges,
+  // and with no ready producer a disabled label is no choke.
+  const Module a = toggler("a", EventKind::kOutput, DelayInterval::units(1, 2));
+  const Module b = toggler("b", EventKind::kOutput, DelayInterval::units(1, 2));
+  ComposeOptions opts;
+  opts.track_chokes = true;
+  const Composition c = compose({&a, &b}, opts);
+  EXPECT_FALSE(c.ts.is_enabled(c.ts.initial(), c.ts.event_by_label("a-")));
+  EXPECT_FALSE(c.ts.is_enabled(c.ts.initial(), c.ts.event_by_label("b-")));
+  EXPECT_EQ(c.ts.transitions_from(c.ts.initial()).size(), 2u);
+  EXPECT_TRUE(c.chokes.empty());
+}
+
+/// Content digest of a composition: per state its tuple, valuation and
+/// (event, target) transitions, then every (state, event, producer,
+/// blocker) choke.
+std::uint64_t content_digest(const Composition& c) {
+  Fnv1a h;
+  h.u64(c.ts.num_states());
+  for (std::size_t i = 0; i < c.ts.num_states(); ++i) {
+    const StateId s(static_cast<StateId::underlying_type>(i));
+    for (StateId t : c.tuple(s)) h.u32(t.value());
+    if (c.ts.has_valuations()) {
+      const BitVec& v = c.ts.valuation(s);
+      h.u64(v.size());
+      for (std::size_t k = 0; k < v.size(); ++k) h.boolean(v.test(k));
+    }
+    const auto out = c.ts.transitions_from(s);
+    h.u64(out.size());
+    for (const Transition& t : out)
+      h.u32(t.event.value()).u32(t.target.value());
+  }
+  h.u64(c.chokes.size());
+  for (const ChokeRecord& k : c.chokes)
+    h.u32(k.state.value()).u32(k.event.value()).u64(k.producer).u64(k.blocker);
+  return h.digest();
+}
+
+TEST(Compose, Table1ProductsArePinned) {
+  // The five Table 1 products, composed as their obligations ask.  State
+  // numbering, transition order and choke order are part of the contract
+  // (engines, traces and cache keys see them), so any change to the
+  // exploration order fails the digest.
+  struct Pinned {
+    std::size_t states, transitions, chokes;
+    std::uint64_t digest;
+  };
+  const Pinned want[] = {
+      {6, 8, 0, 0x15b35d764a9a15f7ull},
+      {8016, 38558, 1960, 0x858bad3e0699d559ull},
+      {8920, 43184, 1412, 0x873adb8314ee06dcull},
+      {6680, 31552, 1188, 0xe13b1cea86ec0e6bull},
+      {10704, 52750, 2408, 0x1e159eb440c5c6abull},
+  };
+  const Suite suite = ipcmos::table1_suite();
+  ASSERT_EQ(suite.size(), 5u);
+  for (std::size_t n = 0; n < 5; ++n) {
+    const Obligation& ob = suite.obligations()[n];
+    ComposeOptions opts;
+    opts.track_chokes = ob.track_chokes;
+    const Composition c = compose(ob.modules, opts);
+    EXPECT_FALSE(c.truncated) << ob.name;
+    EXPECT_EQ(c.ts.num_states(), want[n].states) << ob.name;
+    EXPECT_EQ(c.ts.num_transitions(), want[n].transitions) << ob.name;
+    EXPECT_EQ(c.chokes.size(), want[n].chokes) << ob.name;
+    EXPECT_EQ(content_digest(c), want[n].digest) << ob.name;
   }
 }
 

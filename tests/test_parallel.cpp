@@ -15,14 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "engine_support.hpp"
 #include "rtv/base/rng.hpp"
+#include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/engine.hpp"
@@ -134,8 +137,42 @@ void expect_replayable(const Composition& comp,
 // compose() parity: bit-identical output for every job count
 // ---------------------------------------------------------------------------
 
+/// a and b are the same composition: states with their tuples and
+/// valuations, transitions in order, chokes in order.
+void expect_identical(const Composition& a, const Composition& b) {
+  ASSERT_EQ(a.truncated, b.truncated);
+  ASSERT_EQ(a.ts.num_states(), b.ts.num_states());
+  ASSERT_EQ(a.ts.num_transitions(), b.ts.num_transitions());
+  ASSERT_EQ(a.ts.has_valuations(), b.ts.has_valuations());
+  for (std::size_t s = 0; s < a.ts.num_states(); ++s) {
+    const StateId id(static_cast<std::uint32_t>(s));
+    const auto ua = a.tuple(id);
+    const auto ub = b.tuple(id);
+    ASSERT_TRUE(std::equal(ua.begin(), ua.end(), ub.begin(), ub.end()))
+        << "state " << s;
+    if (a.ts.has_valuations()) {
+      EXPECT_EQ(a.ts.valuation(id), b.ts.valuation(id)) << "state " << s;
+    }
+    const auto ta = a.ts.transitions_from(id);
+    const auto tb = b.ts.transitions_from(id);
+    ASSERT_EQ(ta.size(), tb.size()) << "state " << s;
+    for (std::size_t k = 0; k < ta.size(); ++k) {
+      EXPECT_EQ(ta[k].event, tb[k].event);
+      EXPECT_EQ(ta[k].target, tb[k].target);
+    }
+  }
+  ASSERT_EQ(a.chokes.size(), b.chokes.size());
+  for (std::size_t i = 0; i < a.chokes.size(); ++i) {
+    EXPECT_EQ(a.chokes[i].state, b.chokes[i].state) << "choke " << i;
+    EXPECT_EQ(a.chokes[i].event, b.chokes[i].event) << "choke " << i;
+    EXPECT_EQ(a.chokes[i].producer, b.chokes[i].producer) << "choke " << i;
+    EXPECT_EQ(a.chokes[i].blocker, b.chokes[i].blocker) << "choke " << i;
+  }
+}
+
 TEST(ParallelCompose, OutputIsIdenticalAcrossJobCounts) {
   for (int seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(static_cast<std::uint64_t>(seed) * 6364136223846793005ull + 7);
     const Module race = gallery::scaled_race(2 + static_cast<int>(rng.below(6)));
     const Module diamond =
@@ -146,28 +183,50 @@ TEST(ParallelCompose, OutputIsIdenticalAcrossJobCounts) {
     seq.track_chokes = par.track_chokes = true;
     seq.jobs = 1;
     par.jobs = 4;
-    const Composition a = compose({&race, &diamond, &mon}, seq);
-    const Composition b = compose({&race, &diamond, &mon}, par);
-
-    ASSERT_EQ(a.ts.num_states(), b.ts.num_states()) << "seed " << seed;
-    ASSERT_EQ(a.ts.num_transitions(), b.ts.num_transitions()) << "seed " << seed;
-    ASSERT_EQ(a.component_states, b.component_states) << "seed " << seed;
-    ASSERT_EQ(a.chokes.size(), b.chokes.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.chokes.size(); ++i) {
-      EXPECT_EQ(a.chokes[i].state, b.chokes[i].state);
-      EXPECT_EQ(a.chokes[i].event, b.chokes[i].event);
-    }
-    for (std::size_t s = 0; s < a.ts.num_states(); ++s) {
-      const StateId id(static_cast<std::uint32_t>(s));
-      const auto ta = a.ts.transitions_from(id);
-      const auto tb = b.ts.transitions_from(id);
-      ASSERT_EQ(ta.size(), tb.size()) << "state " << s;
-      for (std::size_t k = 0; k < ta.size(); ++k) {
-        EXPECT_EQ(ta[k].event, tb[k].event);
-        EXPECT_EQ(ta[k].target, tb[k].target);
-      }
-    }
+    expect_identical(compose({&race, &diamond, &mon}, seq),
+                     compose({&race, &diamond, &mon}, par));
   }
+}
+
+TEST(ParallelCompose, TruncationMidLayerIsIdenticalAcrossJobCounts) {
+  // Table 1 obligation 2: wide enough layers that four workers split them
+  // into many chunks, with valuations and chokes.
+  const Suite suite = ipcmos::table1_suite();
+  const Obligation& ob = suite.obligations()[1];
+  ComposeOptions seq, par;
+  seq.track_chokes = par.track_chokes = true;
+  seq.jobs = 1;
+  par.jobs = 4;
+  const Composition full = compose(ob.modules, seq);
+
+  // compose() numbers states in BFS order, so each layer is a range of
+  // ids; cap the budget in the middle of the widest one.
+  const std::size_t n = full.ts.num_states();
+  std::vector<std::size_t> depth(n, n), width(n, 0);
+  depth[0] = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    ++width[depth[s]];
+    for (const Transition& t :
+         full.ts.transitions_from(StateId(static_cast<std::uint32_t>(s))))
+      if (depth[t.target.value()] == n) depth[t.target.value()] = depth[s] + 1;
+  }
+  const std::size_t widest = static_cast<std::size_t>(
+      std::max_element(width.begin(), width.end()) - width.begin());
+  ASSERT_GE(width[widest], 64u);
+  const std::size_t layer_begin = static_cast<std::size_t>(
+      std::find(depth.begin(), depth.end(), widest) - depth.begin());
+  seq.max_states = par.max_states = layer_begin + width[widest] / 2;
+
+  const Composition a = compose(ob.modules, seq);
+  EXPECT_TRUE(a.truncated);
+  EXPECT_EQ(a.ts.num_states(), seq.max_states);
+  // The chokes found before the cap are a prefix of the full product's.
+  ASSERT_LE(a.chokes.size(), full.chokes.size());
+  for (std::size_t i = 0; i < a.chokes.size(); ++i) {
+    EXPECT_EQ(a.chokes[i].state, full.chokes[i].state) << "choke " << i;
+    EXPECT_EQ(a.chokes[i].event, full.chokes[i].event) << "choke " << i;
+  }
+  expect_identical(a, compose(ob.modules, par));
 }
 
 // ---------------------------------------------------------------------------
