@@ -7,7 +7,7 @@
 //                      states, bit vectors).  Order-sensitive.
 //   * spread(h)      — a single golden-ratio multiply turning a possibly
 //                      clustered hash into well-distributed high bits (the
-//                      sharded interner picks shards from them).
+//                      open-addressing table starts its probes there).
 //   * Fnv1a          — an incremental FNV-1a byte hasher for *content*
 //                      hashes that must be stable across runs and across
 //                      processes: cache keys, report fingerprints.  Feed it
@@ -35,7 +35,7 @@ constexpr std::size_t hash_mix(std::size_t h, std::size_t v) {
 }
 
 /// Golden-ratio multiply: redistributes a clustered hash so its *high*
-/// bits are usable (shard selection, open-addressing probes).
+/// bits are usable (open-addressing probes).
 constexpr std::uint64_t hash_spread(std::uint64_t h) {
   return h * 0x9e3779b97f4a7c15ull;
 }

@@ -20,17 +20,15 @@
 //                            largest victim when its own range drains.
 //                            Chunk ordinals are stable, so per-chunk output
 //                            buckets can be merged in deterministic order
-//                            no matter which worker ran them;
-//   * ShardedInterner      — a hash-partitioned `seen`/`index` map
-//                            (per-shard mutex + arena) with a global
-//                            atomic size cap, so the state budget is a
-//                            real insertion-time ceiling even when N
-//                            workers insert concurrently.
+//                            no matter which worker ran them.
 //
-// Determinism contract (docs/ARCHITECTURE.md has the long form): the set of
-// states discovered per BFS layer is schedule-independent, violations are
-// reported earliest-in-BFS-order, and compose() merges per-chunk buckets in
-// chunk order — so verdicts never depend on the worker count.
+// Both loops intern states the same way: a packed arena behind an OpenTable
+// (rtv/base/open_table.hpp) that workers probe read-only while they expand
+// a layer into per-chunk buckets.  Determinism contract
+// (docs/ARCHITECTURE.md has the long form): the merge interns the buckets
+// in chunk order, which is the sequential BFS order, so state numbering,
+// the state budget's cut and the violation reported never depend on the
+// worker count.
 #pragma once
 
 #include <algorithm>
@@ -38,18 +36,14 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "rtv/base/hash.hpp"
 #include "rtv/obs/metrics.hpp"
 #include "rtv/obs/trace.hpp"
 
@@ -340,137 +334,6 @@ class WorkStealingRanges {
   std::size_t num_chunks_ = 0;
   std::atomic<std::uint64_t> steal_attempts_{0};
   std::atomic<std::uint64_t> steals_{0};
-};
-
-/// Stable reference into a ShardedInterner: (shard, slot-in-shard).
-struct ShardHandle {
-  std::uint32_t shard = kInvalid;
-  std::uint32_t index = kInvalid;
-
-  static constexpr std::uint32_t kInvalid = 0xffffffffu;
-  constexpr bool valid() const { return shard != kInvalid; }
-
-  friend constexpr bool operator==(ShardHandle a, ShardHandle b) {
-    return a.shard == b.shard && a.index == b.index;
-  }
-};
-
-/// Hash-partitioned concurrent interner: Key -> stable slot carrying a
-/// Value.  Each shard holds a mutex, a map and a deque arena, so inserts in
-/// different shards never contend; a global atomic count enforces
-/// `max_size` as a hard insertion-time ceiling (an insert that would exceed
-/// it is rejected and budget_hit() latches).
-///
-/// Concurrency contract: insert() may be called from any number of threads.
-/// value() must not race with insert() into the same interner — the BFS
-/// loops only call it between layers (after the barrier) and when unwinding
-/// a finished run; during expansion, existing slots are touched only via
-/// the on_existing callback, which runs under the shard lock.
-template <class Key, class Value, class Hash = std::hash<Key>>
-class ShardedInterner {
- public:
-  /// `max_size` caps the number of retained keys (inserts beyond it are
-  /// rejected); shard_count is rounded up to a power of two.
-  explicit ShardedInterner(std::size_t max_size, std::size_t shard_count = 1)
-      : max_size_(max_size) {
-    std::size_t n = 1;
-    while (n < shard_count && n < 256) n <<= 1;
-    shards_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-    shift_ = 64;
-    for (std::size_t s = n; s > 1; s >>= 1) --shift_;
-  }
-
-  struct InsertResult {
-    bool inserted = false;     ///< key was new and retained
-    bool over_budget = false;  ///< key was new but the size cap rejected it
-    ShardHandle handle;        ///< valid when retained or already present
-  };
-
-  /// Intern `key`.  When the key is new and within budget, `make_value()`
-  /// builds its slot; when it is already present, `on_existing(Value&)`
-  /// runs under the shard lock (the hook the BFS loops use to keep the
-  /// earliest-discovery metadata deterministic).
-  template <class MakeValue, class OnExisting>
-  InsertResult insert(const Key& key, MakeValue&& make_value,
-                      OnExisting&& on_existing) {
-    const std::size_t h = Hash{}(key);
-    const std::uint32_t si = shard_of(h);
-    Shard& shard = *shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      on_existing(shard.values[it->second]);
-      return InsertResult{false, false, ShardHandle{si, it->second}};
-    }
-    const std::size_t n = count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n > max_size_) {
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      budget_hit_.store(true, std::memory_order_relaxed);
-      return InsertResult{false, true, ShardHandle{}};
-    }
-    const std::uint32_t idx = static_cast<std::uint32_t>(shard.values.size());
-    shard.values.push_back(make_value());
-    shard.map.emplace(key, idx);
-    return InsertResult{true, false, ShardHandle{si, idx}};
-  }
-
-  Value& value(ShardHandle h) { return shards_[h.shard]->values[h.index]; }
-  const Value& value(ShardHandle h) const {
-    return shards_[h.shard]->values[h.index];
-  }
-
-  /// Number of retained keys (never exceeds max_size).
-  std::size_t size() const { return count_.load(std::memory_order_relaxed); }
-  /// True once any insert was rejected by the size cap.
-  bool budget_hit() const {
-    return budget_hit_.load(std::memory_order_relaxed);
-  }
-
-  /// Pre-size every shard's map for ~expected total keys.
-  void reserve(std::size_t expected_total) {
-    const std::size_t per_shard = expected_total / shards_.size() + 1;
-    for (auto& s : shards_) s->map.reserve(per_shard);
-  }
-
-  struct ShardStats {
-    std::size_t shards = 0;     ///< total shard count
-    std::size_t nonempty = 0;   ///< shards holding at least one key
-    std::size_t max_size = 0;   ///< largest shard's key count
-  };
-
-  /// Occupancy snapshot (locks each shard briefly — call between layers or
-  /// after a run, not from the expansion hot path).
-  ShardStats shard_stats() const {
-    ShardStats st;
-    st.shards = shards_.size();
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mutex);
-      const std::size_t n = s->values.size();
-      if (n) ++st.nonempty;
-      st.max_size = std::max(st.max_size, n);
-    }
-    return st;
-  }
-
- private:
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<Key, std::uint32_t, Hash> map;
-    std::deque<Value> values;
-  };
-
-  std::uint32_t shard_of(std::size_t h) const {
-    if (shards_.size() == 1) return 0;
-    return static_cast<std::uint32_t>(hash_spread(h) >> shift_);
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  unsigned shift_ = 64;
-  std::atomic<std::size_t> count_{0};
-  std::atomic<bool> budget_hit_{false};
-  std::size_t max_size_;
 };
 
 }  // namespace rtv

@@ -74,9 +74,15 @@ struct RefinedStateView {
 
 class RefinedSystem {
  public:
-  explicit RefinedSystem(const TransitionSystem& base);
+  /// `chokes` are the composition's refused outputs: they are enabled in
+  /// the implementation even though the composed graph has no transition,
+  /// so the wave tracking includes them — both to time their own firing
+  /// and to account for their deadlines.
+  explicit RefinedSystem(const TransitionSystem& base,
+                         std::span<const ChokeRecord> chokes = {});
 
   const TransitionSystem& base() const { return *base_; }
+  const ChokeIndex& chokes() const { return chokes_; }
 
   /// Enable the relative-timing bookkeeping: refined states track a capped
   /// difference-bound matrix over the enabling instants of pending events.
@@ -99,12 +105,6 @@ class RefinedSystem {
   bool activate_pair(EventId before, EventId after);
   std::size_t num_active_pairs() const { return num_pairs_; }
 
-  /// Register refused outputs (containment chokes): they are enabled in the
-  /// implementation even though the composed graph has no transition, so
-  /// the wave tracking must include them — both to time their own firing
-  /// and to account for their deadlines.
-  void set_chokes(std::span<const ChokeRecord> chokes);
-
   void add_observer(BanObserver obs);
   std::size_t num_observers() const { return observers_.size(); }
   const BanObserver& observer(std::size_t i) const { return observers_[i]; }
@@ -123,9 +123,6 @@ class RefinedSystem {
 
  private:
   bool blocked_by_age(RefinedStateView s, EventId e) const;
-  /// Base-enabled events plus choked events of this state, sorted.
-  std::span<const EventId> pseudo_enabled(StateId s) const;
-  void index_pseudo_enabled(std::span<const ChokeRecord> chokes);
   std::vector<std::uint16_t> initial_order() const;
   void advance_age(RefinedStateView s, EventId fired, StateId succ,
                    RefinedState* out) const;
@@ -139,10 +136,7 @@ class RefinedSystem {
   std::vector<bool> pairs_;
   std::vector<std::uint32_t> befores_;
   std::size_t num_pairs_ = 0;
-  /// Pseudo-enabled sets of every base state, CSR: state s owns
-  /// pseudo_enabled_[pseudo_offset_[s] .. pseudo_offset_[s + 1]).
-  std::vector<std::size_t> pseudo_offset_;
-  std::vector<EventId> pseudo_enabled_;
+  ChokeIndex chokes_;
   bool age_rule_ = false;
   Time cap_ = 1;
   std::size_t max_waves_ = 6;

@@ -29,6 +29,38 @@ struct ChokeRecord {
   std::size_t blocker;  ///< index of the module refusing it
 };
 
+/// A composition's chokes per state, in CSR form, and its pseudo-enabled
+/// events: a state's enabled events plus its choked outputs, sorted.  A
+/// refused output is enabled in the implementation even though the
+/// composition has no transition for it, so the timed engines keep a clock
+/// (an age, a gap) for it too.  Built once per engine run.
+class ChokeIndex {
+ public:
+  ChokeIndex(const TransitionSystem& ts, std::span<const ChokeRecord> chokes);
+
+  /// The chokes at `s`, in composition order.
+  std::span<const ChokeRecord> chokes_at(StateId s) const {
+    return std::span<const ChokeRecord>(chokes_).subspan(
+        choke_offset_[s.value()],
+        choke_offset_[s.value() + 1] - choke_offset_[s.value()]);
+  }
+
+  /// The enabled events of `s` plus its choked outputs, sorted, each once.
+  std::span<const EventId> pseudo_enabled(StateId s) const {
+    return std::span<const EventId>(events_).subspan(
+        event_offset_[s.value()],
+        event_offset_[s.value() + 1] - event_offset_[s.value()]);
+  }
+
+ private:
+  /// State s owns chokes_[choke_offset_[s] .. choke_offset_[s + 1]) and
+  /// events_[event_offset_[s] .. event_offset_[s + 1]).
+  std::vector<ChokeRecord> chokes_;
+  std::vector<std::size_t> choke_offset_;
+  std::vector<EventId> events_;
+  std::vector<std::size_t> event_offset_;
+};
+
 struct ComposeOptions {
   bool track_chokes = false;
   /// Hard ceiling on composed states, enforced at insertion: the result

@@ -46,22 +46,23 @@ struct FailureSearchStats {
 };
 
 /// The checks of a failure search over one composition: safety properties
-/// and refusals (`chokes`, may be empty).  Property verdicts depend only
-/// on the base graph, so the first violating property of each base state
-/// and base transition — and each base state's sorted enabled set — are
+/// and refusals (`chokes`).  Property verdicts depend only on the base
+/// graph, so the first violating property of each base state and base
+/// transition — and each base state's sorted enabled set — are
 /// computed once and kept for the checks' lifetime; a violation's message
 /// is built only when a check hits.  `base`, `chokes` and `properties` are
 /// referenced, not copied, and must outlive the checks.
 class FailureChecks {
  public:
-  FailureChecks(const TransitionSystem& base,
-                std::span<const ChokeRecord> chokes,
+  FailureChecks(const TransitionSystem& base, const ChokeIndex& chokes,
                 std::span<const SafetyProperty* const> properties);
 
   /// Sorted base-enabled events of `s`.
   const std::vector<EventId>& enabled(StateId s);
   /// Chokes at base state `s`.
-  std::span<const ChokeRecord* const> chokes_at(StateId s) const;
+  std::span<const ChokeRecord> chokes_at(StateId s) const {
+    return chokes_->chokes_at(s);
+  }
   /// Message of the first property `s` violates.
   std::optional<std::string> state_violation(StateId s);
   /// Message of the first property base transition `k` of `s` violates.
@@ -69,8 +70,8 @@ class FailureChecks {
 
  private:
   const TransitionSystem* base_;
+  const ChokeIndex* chokes_;
   std::span<const SafetyProperty* const> properties_;
-  std::vector<std::vector<const ChokeRecord*>> chokes_at_;  ///< empty if none
   std::vector<std::vector<EventId>> enabled_;
   std::vector<bool> have_enabled_;
   /// First violating property index, or "clean" / "unchecked" (negative):

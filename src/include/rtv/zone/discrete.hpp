@@ -10,10 +10,10 @@
 //
 // For closed delay intervals on the integer tick grid, digitization is
 // exact for reachability of discrete states: the verdicts must match the
-// zone engine — a property test checks it.  The cost difference (states
-// scale with the magnitude of the constants) vs zones (polyhedra) vs
-// relative timing (untimed graph + derived constraints) is reported by the
-// engines bench.
+// zone engine — the EngineParity tests check it.  The cost difference
+// (states scale with the magnitude of the constants) vs zones (polyhedra)
+// vs relative timing (untimed graph + derived constraints) is measured by
+// `rtvbench --workload table1-exact`.
 #pragma once
 
 #include <string_view>
@@ -24,10 +24,11 @@ namespace rtv {
 
 /// Digitized reachability with integer ages, registered as "discrete".
 /// EngineResult::states_explored counts (location, valuation) configs, a
-/// hard ceiling enforced at insertion.  The BFS shards each layer across
-/// request.jobs workers; verdicts, the violation chosen and its
-/// counterexample trace are identical for every job count (exploration is
-/// layer-synchronous and the first violation in BFS order wins).  Traces
+/// hard ceiling enforced at insertion.  The BFS splits each layer across
+/// request.jobs workers; verdicts, counts, the violation chosen and its
+/// counterexample trace are identical for every job count (each layer is
+/// merged in sequential BFS order and the first violation in that order
+/// wins).  Traces
 /// list firing labels only: delay ticks are implicit, as in the zone
 /// engine's traces.
 class DiscreteEngine final : public Engine {

@@ -18,9 +18,9 @@ std::uint32_t code(std::size_t obs, std::uint32_t pos) {
 
 }  // namespace
 
-RefinedSystem::RefinedSystem(const TransitionSystem& base) : base_(&base) {
-  index_pseudo_enabled({});
-}
+RefinedSystem::RefinedSystem(const TransitionSystem& base,
+                             std::span<const ChokeRecord> chokes)
+    : base_(&base), chokes_(base, chokes) {}
 
 void RefinedSystem::add_observer(BanObserver obs) {
   assert(!obs.window.empty());
@@ -43,42 +43,10 @@ void RefinedSystem::enable_age_rule(bool on) {
   }
 }
 
-void RefinedSystem::set_chokes(std::span<const ChokeRecord> chokes) {
-  index_pseudo_enabled(chokes);
-}
-
-void RefinedSystem::index_pseudo_enabled(std::span<const ChokeRecord> chokes) {
-  const std::size_t n = base_->num_states();
-  std::vector<std::vector<EventId>> choked(chokes.empty() ? 0 : n);
-  for (const ChokeRecord& c : chokes) choked[c.state.value()].push_back(c.event);
-  pseudo_offset_.assign(1, 0);
-  pseudo_enabled_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t start = pseudo_enabled_.size();
-    for (const Transition& t :
-         base_->transitions_from(StateId(static_cast<StateId::underlying_type>(i))))
-      pseudo_enabled_.push_back(t.event);
-    if (!choked.empty())
-      pseudo_enabled_.insert(pseudo_enabled_.end(), choked[i].begin(),
-                             choked[i].end());
-    const auto first = pseudo_enabled_.begin() + static_cast<std::ptrdiff_t>(start);
-    std::sort(first, pseudo_enabled_.end());
-    pseudo_enabled_.erase(std::unique(first, pseudo_enabled_.end()),
-                          pseudo_enabled_.end());
-    pseudo_offset_.push_back(pseudo_enabled_.size());
-  }
-}
-
-std::span<const EventId> RefinedSystem::pseudo_enabled(StateId s) const {
-  const std::size_t i = s.value();
-  return std::span<const EventId>(pseudo_enabled_)
-      .subspan(pseudo_offset_[i], pseudo_offset_[i + 1] - pseudo_offset_[i]);
-}
-
 std::vector<std::uint16_t> RefinedSystem::initial_order() const {
   std::vector<std::uint16_t> order;
   bool first = true;
-  for (EventId e : pseudo_enabled(base_->initial())) {
+  for (EventId e : chokes_.pseudo_enabled(base_->initial())) {
     order.push_back(static_cast<std::uint16_t>(e.value()) |
                     (first ? kWaveStart : 0));
     first = false;
@@ -205,7 +173,7 @@ struct AgeScratch {
 void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
                                 StateId succ, RefinedState* out) const {
   thread_local AgeScratch scratch;
-  const std::span<const EventId> enabled = pseudo_enabled(succ);
+  const std::span<const EventId> enabled = chokes_.pseudo_enabled(succ);
   std::vector<std::size_t>& old_wave = scratch.old_wave;
   old_wave.resize(s.order.size());
   std::size_t n_old = 0;

@@ -78,6 +78,32 @@ struct ChunkOut {
 
 }  // namespace
 
+ChokeIndex::ChokeIndex(const TransitionSystem& ts,
+                       std::span<const ChokeRecord> chokes)
+    : chokes_(chokes.begin(), chokes.end()) {
+  const std::size_t n = ts.num_states();
+  std::stable_sort(chokes_.begin(), chokes_.end(),
+                   [](const ChokeRecord& a, const ChokeRecord& b) {
+                     return a.state < b.state;
+                   });
+  choke_offset_.assign(n + 1, 0);
+  for (const ChokeRecord& c : chokes_) ++choke_offset_[c.state.value() + 1];
+  for (std::size_t i = 0; i < n; ++i) choke_offset_[i + 1] += choke_offset_[i];
+
+  event_offset_.reserve(n + 1);
+  event_offset_.push_back(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const StateId s(static_cast<StateId::underlying_type>(i));
+    const std::size_t start = events_.size();
+    for (const Transition& t : ts.transitions_from(s)) events_.push_back(t.event);
+    for (const ChokeRecord& c : chokes_at(s)) events_.push_back(c.event);
+    const auto first = events_.begin() + static_cast<std::ptrdiff_t>(start);
+    std::sort(first, events_.end());
+    events_.erase(std::unique(first, events_.end()), events_.end());
+    event_offset_.push_back(events_.size());
+  }
+}
+
 std::string Composition::describe_state(StateId s) const {
   std::ostringstream os;
   os << "(";

@@ -35,18 +35,14 @@ std::optional<std::string> first_violation(std::int32_t& verdict,
 }  // namespace
 
 FailureChecks::FailureChecks(const TransitionSystem& base,
-                             std::span<const ChokeRecord> chokes,
+                             const ChokeIndex& chokes,
                              std::span<const SafetyProperty* const> properties)
     : base_(&base),
+      chokes_(&chokes),
       properties_(properties),
       enabled_(base.num_states()),
       have_enabled_(base.num_states(), false),
       state_verdict_(base.num_states(), kUnchecked) {
-  if (!chokes.empty()) {
-    chokes_at_.resize(base.num_states());
-    for (const ChokeRecord& c : chokes)
-      chokes_at_[c.state.value()].push_back(&c);
-  }
   transition_offset_.reserve(base.num_states() + 1);
   transition_offset_.push_back(0);
   for (std::size_t i = 0; i < base.num_states(); ++i)
@@ -63,11 +59,6 @@ const std::vector<EventId>& FailureChecks::enabled(StateId s) {
     have_enabled_[s.value()] = true;
   }
   return enabled_[s.value()];
-}
-
-std::span<const ChokeRecord* const> FailureChecks::chokes_at(StateId s) const {
-  if (chokes_at_.empty()) return {};
-  return chokes_at_[s.value()];
 }
 
 std::optional<std::string> FailureChecks::state_violation(StateId s) {
@@ -227,12 +218,12 @@ std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
     }
 
     // 2. Chokes at this base state (virtual firings refused by a monitor).
-    for (const ChokeRecord* c : checks.chokes_at(b)) {
-      if (graph.blocked(id, c->event)) continue;  // timing-pruned
+    for (const ChokeRecord& c : checks.chokes_at(b)) {
+      if (graph.blocked(id, c.event)) continue;  // timing-pruned
       Failure f;
       f.trace = unwind(graph, checks, found, parent, via, head);
-      f.virtual_event = c->event;
-      f.description = "refusal: output '" + base.label(c->event) +
+      f.virtual_event = c.event;
+      f.description = "refusal: output '" + base.label(c.event) +
                       "' not accepted (containment violation)";
       return finish(std::move(f));
     }

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "rtv/base/hash.hpp"
 #include "rtv/base/log.hpp"
+#include "rtv/base/open_table.hpp"
 #include "rtv/base/parallel.hpp"
 #include "rtv/obs/metrics.hpp"
 #include "rtv/obs/trace.hpp"
@@ -18,51 +17,37 @@ namespace rtv {
 
 namespace {
 
-struct Config {
-  StateId state;
-  /// Integer clock ages, parallel to the clocked-event list.  Full 64-bit
-  /// Time range: every representable delay bound (up to kTimeInfinity)
-  /// digitizes without wrapping, so large mixed-magnitude constants are
-  /// limited only by the state budget, not by the age representation.
-  std::vector<Time> ages;
+/// A config is one packed record [state, ages...]: the location, then one
+/// integer clock age per pseudo-enabled event of it, in event order.  Ages
+/// use the full 64-bit Time range: every representable delay bound (up to
+/// kTimeInfinity) digitizes without wrapping, so large mixed-magnitude
+/// constants are limited only by the state budget.
+std::size_t hash_record(const Time* record, std::size_t n) {
+  std::size_t h = n;
+  for (std::size_t i = 0; i < n; ++i)
+    h = hash_mix(h, static_cast<std::size_t>(record[i]));
+  return h;
+}
 
-  friend bool operator==(const Config& a, const Config& b) {
-    return a.state == b.state && a.ages == b.ages;
-  }
-};
-
-struct ConfigHash {
-  std::size_t operator()(const Config& c) const noexcept {
-    std::size_t h = std::hash<StateId>()(c.state);
-    for (const Time a : c.ages) h = hash_mix(h, std::hash<Time>()(a));
-    return h;
-  }
-};
-
-/// Discovery metadata of one interned config: the parent pointer and firing
-/// label for counterexample unwinding, plus the BFS-order key that keeps
-/// discovery deterministic across job counts.  When several workers reach
-/// the same config in the same layer, the smallest key (and its parent)
-/// wins — the exact discovery the sequential exploration would record.
-struct ConfigMeta {
-  ShardHandle parent;              ///< invalid for the initial config
-  EventId via = EventId::invalid();  ///< fired event; invalid = delay tick
-  std::uint64_t order_key = 0;     ///< (frontier index << 16) | step ordinal
-  std::uint32_t layer = 0;         ///< BFS depth at discovery
-};
-
-struct FrontierItem {
-  ShardHandle handle;
-  Config cfg;
-};
-
-/// First violation in BFS order this layer (guarded by a mutex; violations
-/// are rare, contention is not a concern).
+/// The first violation a chunk met, in expansion order.
 struct Violation {
-  std::uint64_t key = 0;
   std::string description;
-  ShardHandle leaf;   ///< config whose path leads to the violation
+  std::int32_t leaf;  ///< config whose path leads to the violation
   std::string extra;  ///< label appended after the path ("" when none)
+};
+
+/// Per-chunk expansion output; merged in chunk-ordinal order, which is
+/// the sequential BFS order, so the interned configs, their parents and
+/// the violation reported are identical for every job count.
+struct ChunkOut {
+  /// The configs not interned before the layer, their records back to
+  /// back, and per config its hash, parent and firing event (invalid for a
+  /// delay tick).
+  std::vector<Time> records;
+  std::vector<std::size_t> hashes;
+  std::vector<std::int32_t> parents;
+  std::vector<EventId> via;
+  std::optional<Violation> violation;
 };
 
 }  // namespace
@@ -76,20 +61,12 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
                  request.progress_interval);
   EngineResult result;
 
-  std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
-      chokes_at;
-  chokes_at.reserve(64);
-  for (const ChokeRecord& c : comp.chokes) chokes_at[c.state.value()].push_back(&c);
-
-  auto pseudo_enabled = [&](StateId s) {
-    std::vector<EventId> out = ts.enabled_events(s);
-    const auto it = chokes_at.find(s.value());
-    if (it != chokes_at.end()) {
-      for (const ChokeRecord* c : it->second) out.push_back(c->event);
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-    return out;
+  // Ages are kept for pseudo-enabled events: composed-enabled ones plus
+  // choked (refused) outputs.
+  const ChokeIndex chokes(ts, comp.chokes);
+  const auto record_size = [&](const Time* record) {
+    return 1 + chokes.pseudo_enabled(StateId(
+                   static_cast<StateId::underlying_type>(record[0]))).size();
   };
 
   // Ages saturate: beyond the upper bound (or the lower bound for
@@ -101,156 +78,165 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
 
   // ---- layer-synchronous parallel BFS -------------------------------------
   //
-  // The `seen` set is a sharded concurrent interner (rtv/base/parallel.hpp):
-  // N workers expand disjoint chunks of the current frontier, interning
-  // successors under per-shard locks with the state budget enforced as an
-  // insertion-time ceiling.  Each discovery carries a BFS-order key; the
-  // merge phase sorts the layer's discoveries by key, so the next frontier
-  // — and with it verdicts, the chosen violation and its counterexample
-  // trace — is identical for every job count.
+  // Configs are numbered in BFS order, so each layer is a range of ids.
+  // Workers expand disjoint chunks of the current layer into per-chunk
+  // buckets, probing the config table read-only (it and the arena are
+  // written only between layers); the merge then interns the buckets in
+  // chunk order, which is the sequential discovery order, with the state
+  // budget as an insertion-time ceiling.  The first bucket holding a
+  // violation holds the earliest one in BFS order.
   const std::size_t jobs = resolve_jobs(request.jobs);
   const std::size_t cap = request.budget.max_states ? request.budget.max_states
                                                     : kDefaultDiscreteConfigs;
-  ShardedInterner<Config, ConfigMeta, ConfigHash> interner(
-      cap, jobs == 1 ? 1 : 64);
-  // Digitized exploration routinely visits 10^5-10^6 configs; a generous
-  // initial bucket count avoids a cascade of rehashes on the hot path.
-  interner.reserve(std::min<std::size_t>(cap, 1u << 16));
+  // Config k is arena[offset[k], offset[k + 1]), hashed config_hash[k],
+  // reached from config parent[k] (-1 for the initial config) by firing
+  // via[k] (invalid for a delay tick).
+  std::vector<Time> arena;
+  std::vector<std::size_t> offset{0};
+  std::vector<std::size_t> config_hash;
+  std::vector<std::int32_t> parent;
+  std::vector<EventId> via;
+  OpenTable table;  ///< config ids by record hash
+  std::size_t layer_begin = 0, layer_end = 0;
+  bool budget_hit = false;
 
   std::vector<bool> discrete_seen(ts.num_states(), false);
   std::size_t discrete_count = 0;
 
-  std::vector<FrontierItem> frontier;
-  std::vector<std::vector<std::pair<ShardHandle, Config>>> discovered(jobs);
-  std::uint32_t current_layer = 0;
-
-  std::mutex violation_mutex;
-  std::optional<Violation> best;
-  const auto report_violation = [&](std::uint64_t key, std::string description,
-                                    ShardHandle leaf, std::string extra) {
-    std::lock_guard<std::mutex> lock(violation_mutex);
-    if (!best || key < best->key)
-      best = Violation{key, std::move(description), leaf, std::move(extra)};
+  const auto same_record = [&](const Time* record, std::size_t n,
+                               std::size_t h) {
+    return [&, record, n, h](std::int32_t id) {
+      const auto k = static_cast<std::size_t>(id);
+      return config_hash[k] == h && offset[k + 1] - offset[k] == n &&
+             std::equal(record, record + n, arena.data() + offset[k]);
+    };
   };
 
-  std::atomic<const char*> stop_flag{nullptr};
-
-  const auto try_push = [&](Config&& c, ShardHandle parent, EventId via,
-                            std::uint64_t key, std::size_t worker) {
-    const std::uint32_t next_layer = current_layer + 1;
-    const auto res = interner.insert(
-        c, [&] { return ConfigMeta{parent, via, key, next_layer}; },
-        [&](ConfigMeta& meta) {
-          if (meta.layer == next_layer && key < meta.order_key) {
-            meta.order_key = key;
-            meta.parent = parent;
-            meta.via = via;
-          }
-        });
-    if (res.inserted)
-      discovered[worker].emplace_back(res.handle, std::move(c));
-  };
-
-  const auto process_state = [&](std::size_t idx, const FrontierItem& item,
-                                 std::size_t worker) {
-    const Config& cfg = item.cfg;
-    const std::uint64_t base = static_cast<std::uint64_t>(idx) << 16;
-    std::uint32_t ord = 0;
-    const auto next_key = [&] {
-      return base | std::min<std::uint32_t>(ord++, 0xffffu);
-    };
-
-    const std::vector<EventId> clocked = pseudo_enabled(cfg.state);
-    const std::vector<EventId> raw_enabled = ts.enabled_events(cfg.state);
-    const PropertyContext ctx{ts, cfg.state, raw_enabled};
-
-    for (const SafetyProperty* p : properties) {
-      const std::uint64_t key = next_key();
-      if (auto v = p->check_state(ctx))
-        report_violation(key, *v, item.handle, {});
+  const auto intern = [&](const Time* record, std::size_t n, std::size_t h,
+                          std::int32_t from, EventId e) {
+    const std::size_t slot = table.find(h, same_record(record, n, h));
+    if (table.at(slot) >= 0) return;
+    if (config_hash.size() >= cap) {
+      budget_hit = true;
+      return;
     }
-
-    auto age_of = [&](EventId e) -> Time {
-      const auto it = std::lower_bound(clocked.begin(), clocked.end(), e);
-      return cfg.ages[static_cast<std::size_t>(it - clocked.begin())];
-    };
-
-    // Chokes firable now?
-    if (auto it = chokes_at.find(cfg.state.value()); it != chokes_at.end()) {
-      for (const ChokeRecord* c : it->second) {
-        const std::uint64_t key = next_key();
-        if (age_of(c->event) >= ts.delay(c->event).lo()) {
-          report_violation(key,
-                           "refusal: output '" + ts.label(c->event) +
-                               "' not accepted (containment violation)",
-                           item.handle, ts.label(c->event));
-        }
-      }
-    }
-
-    // Delay step: one tick, if no bounded deadline is overrun.
-    {
-      bool can_delay = true;
-      for (std::size_t i = 0; i < clocked.size(); ++i) {
-        const DelayInterval d = ts.delay(clocked[i]);
-        if (d.upper_bounded() && cfg.ages[i] + 1 > d.hi()) {
-          can_delay = false;
-          break;
-        }
-      }
-      if (can_delay && !clocked.empty()) {
-        Config next = cfg;
-        for (std::size_t i = 0; i < clocked.size(); ++i) {
-          const Time cap_i = saturation(clocked[i]);
-          if (next.ages[i] < cap_i) ++next.ages[i];
-        }
-        try_push(std::move(next), item.handle, EventId::invalid(), next_key(),
-                 worker);
-      }
-    }
-
-    // Firing steps.
-    for (const Transition& t : ts.transitions_from(cfg.state)) {
-      if (age_of(t.event) < ts.delay(t.event).lo()) continue;
-      const std::vector<EventId> succ_enabled = ts.enabled_events(t.target);
-      for (const SafetyProperty* p : properties) {
-        const std::uint64_t key = next_key();
-        if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled))
-          report_violation(key, *v, item.handle, ts.label(t.event));
-      }
-      const std::vector<EventId> succ_clocked = pseudo_enabled(t.target);
-      Config next;
-      next.state = t.target;
-      next.ages.assign(succ_clocked.size(), 0);
-      for (std::size_t i = 0; i < succ_clocked.size(); ++i) {
-        const EventId e = succ_clocked[i];
-        if (e == t.event) continue;  // refired: fresh age
-        const auto it = std::lower_bound(clocked.begin(), clocked.end(), e);
-        if (it != clocked.end() && *it == e) {
-          next.ages[i] =
-              cfg.ages[static_cast<std::size_t>(it - clocked.begin())];
-        }
-      }
-      try_push(std::move(next), item.handle, t.event, next_key(), worker);
+    arena.insert(arena.end(), record, record + n);
+    offset.push_back(arena.size());
+    config_hash.push_back(h);
+    parent.push_back(from);
+    via.push_back(e);
+    table.fill(slot, static_cast<std::int32_t>(config_hash.size() - 1),
+               config_hash);
+    const auto s = static_cast<std::size_t>(record[0]);
+    if (!discrete_seen[s]) {
+      discrete_seen[s] = true;
+      ++discrete_count;
     }
   };
 
   WorkStealingRanges ranges;
+  std::vector<ChunkOut> buckets;
+  // One scratch record per worker: the successor being built.
+  std::vector<std::vector<Time>> scratch(jobs);
+  std::atomic<const char*> stop_flag{nullptr};
+
+  const auto expand = [&](std::int32_t id, ChunkOut& bucket,
+                          std::vector<Time>& next) {
+    const Time* cfg = arena.data() + offset[static_cast<std::size_t>(id)];
+    const Time* ages = cfg + 1;
+    const StateId state(static_cast<StateId::underlying_type>(cfg[0]));
+    const std::span<const EventId> clocked = chokes.pseudo_enabled(state);
+    const std::vector<EventId> raw_enabled = ts.enabled_events(state);
+    const PropertyContext ctx{ts, state, raw_enabled};
+
+    const auto report = [&](std::string description, std::string extra) {
+      if (!bucket.violation)
+        bucket.violation = Violation{std::move(description), id,
+                                     std::move(extra)};
+    };
+    const auto offer = [&](EventId e) {
+      const std::size_t h = hash_record(next.data(), next.size());
+      const std::size_t slot =
+          table.find(h, same_record(next.data(), next.size(), h));
+      if (table.at(slot) >= 0) return;  // interned in an earlier layer
+      bucket.records.insert(bucket.records.end(), next.begin(), next.end());
+      bucket.hashes.push_back(h);
+      bucket.parents.push_back(id);
+      bucket.via.push_back(e);
+    };
+    auto age_of = [&](EventId e) -> Time {
+      const auto it = std::lower_bound(clocked.begin(), clocked.end(), e);
+      return ages[static_cast<std::size_t>(it - clocked.begin())];
+    };
+
+    for (const SafetyProperty* p : properties)
+      if (auto v = p->check_state(ctx)) report(std::move(*v), {});
+
+    // Chokes firable now?
+    for (const ChokeRecord& c : chokes.chokes_at(state)) {
+      if (age_of(c.event) >= ts.delay(c.event).lo())
+        report("refusal: output '" + ts.label(c.event) +
+                   "' not accepted (containment violation)",
+               ts.label(c.event));
+    }
+
+    // Delay step: one tick, if no bounded deadline is overrun.
+    {
+      bool can_delay = !clocked.empty();
+      for (std::size_t i = 0; i < clocked.size(); ++i) {
+        const DelayInterval d = ts.delay(clocked[i]);
+        if (d.upper_bounded() && ages[i] + 1 > d.hi()) {
+          can_delay = false;
+          break;
+        }
+      }
+      if (can_delay) {
+        next.assign(cfg, cfg + 1 + clocked.size());
+        for (std::size_t i = 0; i < clocked.size(); ++i)
+          if (next[i + 1] < saturation(clocked[i])) ++next[i + 1];
+        offer(EventId::invalid());
+      }
+    }
+
+    // Firing steps.
+    for (const Transition& t : ts.transitions_from(state)) {
+      if (age_of(t.event) < ts.delay(t.event).lo()) continue;
+      const std::vector<EventId> succ_enabled = ts.enabled_events(t.target);
+      for (const SafetyProperty* p : properties)
+        if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled))
+          report(std::move(*v), ts.label(t.event));
+      const std::span<const EventId> succ_clocked =
+          chokes.pseudo_enabled(t.target);
+      next.assign(1 + succ_clocked.size(), 0);
+      next[0] = static_cast<Time>(t.target.value());
+      for (std::size_t i = 0; i < succ_clocked.size(); ++i) {
+        const EventId e = succ_clocked[i];
+        if (e == t.event) continue;  // refired: fresh age
+        const auto it = std::lower_bound(clocked.begin(), clocked.end(), e);
+        if (it != clocked.end() && *it == e)
+          next[i + 1] = ages[static_cast<std::size_t>(it - clocked.begin())];
+      }
+      offer(t.event);
+    }
+  };
+
   std::vector<std::uint64_t> expanded(jobs, 0);
   const auto process = [&](std::size_t worker) {
     while (const auto chunk = ranges.next(worker)) {
       if (stop_flag.load(std::memory_order_relaxed)) return;
+      ChunkOut& bucket = buckets[chunk->ordinal];
       for (std::size_t i = chunk->begin; i != chunk->end; ++i) {
         if (worker == 0) {
           // Deadline, cancellation and progress all live in the RunClock,
           // which is not thread-safe: only worker 0 polls it, the others
           // observe the stop flag at chunk boundaries.
-          if (const char* reason = clock.tick(interner.size())) {
+          if (const char* reason = clock.tick(config_hash.size())) {
             stop_flag.store(reason, std::memory_order_relaxed);
             return;
           }
         }
-        process_state(i, frontier[i], worker);
+        expand(static_cast<std::int32_t>(layer_begin + i), bucket,
+               scratch[worker]);
       }
       expanded[worker] += chunk->end - chunk->begin;
     }
@@ -258,23 +244,23 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
 
   /// Unwind the parent chain into the firing-label trace (delay ticks have
   /// no label and are skipped, matching the zone engine's traces).
-  const auto unwind_labels = [&](ShardHandle leaf) {
+  const auto unwind_labels = [&](std::int32_t leaf) {
     std::vector<std::string> out;
-    for (ShardHandle cur = leaf; cur.valid();) {
-      const ConfigMeta& meta = interner.value(cur);
-      if (meta.via.valid()) out.push_back(ts.label(meta.via));
-      cur = meta.parent;
+    for (std::int32_t cur = leaf; cur >= 0;
+         cur = parent[static_cast<std::size_t>(cur)]) {
+      const EventId e = via[static_cast<std::size_t>(cur)];
+      if (e.valid()) out.push_back(ts.label(e));
     }
     std::reverse(out.begin(), out.end());
     return out;
   };
 
   const auto finish = [&](EngineResult r) {
-    r.states_explored = interner.size();
+    r.states_explored = config_hash.size();
     r.stats = DiscreteEngineStats{discrete_count};
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
-      // One flush per run: worker balance, steal activity, interner shape.
+      // One flush per run: worker balance and steal activity.
       obs::Registry& reg = obs::Registry::global();
       for (std::size_t w = 0; w < expanded.size(); ++w)
         reg.counter("rtv_parallel_worker_expanded_total",
@@ -287,43 +273,30 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
       reg.counter("rtv_parallel_steals_total", "",
                   "Successful chunk-range steals")
           .add(ranges.steals());
-      const auto shards = interner.shard_stats();
-      reg.gauge("rtv_interner_shards_used", "",
-                "Interner shards holding at least one config")
-          .set(static_cast<std::int64_t>(shards.nonempty));
-      reg.gauge("rtv_interner_shard_occupancy_max", "",
-                "Largest interner shard's config count")
-          .set(static_cast<std::int64_t>(shards.max_size));
     }
     record_engine_run(name(), r);
     return r;
   };
 
   const auto merge = [&]() -> bool {
-    // Gather this layer's discoveries; their order keys are final now, so
-    // sorting yields the sequential BFS queue order.
-    std::vector<std::pair<std::uint64_t, FrontierItem>> gathered;
-    for (auto& per_worker : discovered) {
-      for (auto& [handle, cfg] : per_worker) {
-        gathered.emplace_back(interner.value(handle).order_key,
-                              FrontierItem{handle, std::move(cfg)});
+    // The whole layer is interned even when it holds a violation: a run
+    // reports the configs of every layer it expanded, up to the budget.
+    const Violation* first = nullptr;
+    for (const ChunkOut& bucket : buckets) {
+      const Time* record = bucket.records.data();
+      for (std::size_t k = 0; k < bucket.hashes.size() && !budget_hit; ++k) {
+        const std::size_t n = record_size(record);
+        intern(record, n, bucket.hashes[k], bucket.parents[k], bucket.via[k]);
+        record += n;
       }
-      per_worker.clear();
-    }
-    std::sort(gathered.begin(), gathered.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, item] : gathered) {
-      if (!discrete_seen[item.cfg.state.value()]) {
-        discrete_seen[item.cfg.state.value()] = true;
-        ++discrete_count;
-      }
+      if (!first && bucket.violation) first = &*bucket.violation;
     }
 
-    if (best) {
+    if (first) {
       result.verdict = Verdict::kViolated;
-      result.message = best->description;
-      result.trace_labels = unwind_labels(best->leaf);
-      if (!best->extra.empty()) result.trace_labels.push_back(best->extra);
+      result.message = first->description;
+      result.trace_labels = unwind_labels(first->leaf);
+      if (!first->extra.empty()) result.trace_labels.push_back(first->extra);
       return false;
     }
     if (const char* reason = stop_flag.load(std::memory_order_relaxed)) {
@@ -331,49 +304,44 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
       RTV_WARN << "discrete exploration stopped: " << reason;
       return false;
     }
-    if (interner.budget_hit()) {
+    if (budget_hit) {
       result.truncated_reason = stop_reason::kStateBudget;
-      RTV_WARN << "discrete exploration truncated at " << interner.size();
+      RTV_WARN << "discrete exploration truncated at " << config_hash.size();
       return false;
     }
 
-    frontier.clear();
-    frontier.reserve(gathered.size());
-    for (auto& [key, item] : gathered) frontier.push_back(std::move(item));
-    ++current_layer;
+    layer_begin = layer_end;
+    layer_end = config_hash.size();
+    const std::size_t width = layer_end - layer_begin;
     if (obs::metrics_enabled()) {
       obs::Registry& reg = obs::Registry::global();
       reg.gauge("rtv_engine_frontier_size", "engine=\"discrete\"",
                 "Current BFS frontier size")
-          .set(static_cast<std::int64_t>(frontier.size()));
+          .set(static_cast<std::int64_t>(width));
       reg.counter("rtv_engine_frontier_layers_total", "engine=\"discrete\"",
                   "Completed BFS layers")
           .inc();
     }
-    if (frontier.empty()) {
+    if (width == 0) {
       result.verdict = Verdict::kVerified;
       return false;
     }
-    ranges.reset(frontier.size(), frontier_chunk_size(frontier.size(), jobs),
-                 jobs);
+    ranges.reset(width, frontier_chunk_size(width, jobs), jobs);
+    buckets.clear();
+    buckets.resize(ranges.num_chunks());
     return true;
   };
 
-  // Seed layer 0 with the initial config.
+  // Seed layer 0 with the initial config, all its ages zero.
   {
-    Config init;
-    init.state = ts.initial();
-    init.ages.assign(pseudo_enabled(init.state).size(), 0);
-    const auto res = interner.insert(
-        init, [&] { return ConfigMeta{ShardHandle{}, EventId::invalid(), 0, 0}; },
-        [](ConfigMeta&) {});
-    discrete_seen[init.state.value()] = true;
-    ++discrete_count;
-    frontier.push_back(FrontierItem{res.handle, std::move(init)});
-    ranges.reset(frontier.size(), frontier_chunk_size(frontier.size(), jobs),
-                 jobs);
+    std::vector<Time> init(1 + chokes.pseudo_enabled(ts.initial()).size(), 0);
+    init[0] = static_cast<Time>(ts.initial().value());
+    intern(init.data(), init.size(), hash_record(init.data(), init.size()), -1,
+           EventId::invalid());
+    layer_end = 1;
+    ranges.reset(1, frontier_chunk_size(1, jobs), jobs);
+    buckets.resize(ranges.num_chunks());
   }
-
   LayeredRunner(jobs).run(process, merge);
   return finish(result);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "rtv/base/log.hpp"
@@ -16,7 +17,8 @@ namespace {
 
 struct ZoneNode {
   StateId state;
-  std::vector<EventId> clocks;  ///< sorted; clock k+1 tracks clocks[k]
+  /// The state's pseudo-enabled events; clock k+1 tracks clocks[k].
+  std::span<const EventId> clocks;
   Dbm zone{0};
   std::ptrdiff_t parent = -1;
   EventId via = EventId::invalid();
@@ -38,24 +40,9 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
                  request.progress_interval);
   EngineResult result;
 
-  std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
-      chokes_at;
-  chokes_at.reserve(64);
-  for (const ChokeRecord& c : comp.chokes) chokes_at[c.state.value()].push_back(&c);
-
-  // Clocks are tracked for "pseudo-enabled" events: composed-enabled ones
-  // plus choked (refused) outputs, which are enabled in the implementation
-  // even though the composed graph has no transition for them.
-  auto pseudo_enabled = [&](StateId s) {
-    std::vector<EventId> out = ts.enabled_events(s);
-    const auto it = chokes_at.find(s.value());
-    if (it != chokes_at.end()) {
-      for (const ChokeRecord* c : it->second) out.push_back(c->event);
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-    return out;
-  };
+  // Clocks are tracked for pseudo-enabled events: composed-enabled ones
+  // plus choked (refused) outputs.
+  const ChokeIndex chokes(ts, comp.chokes);
 
   // Per-event extrapolation constant.
   std::vector<Time> event_const(ts.num_events());
@@ -94,7 +81,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     subsumption_checks += bucket.size();
     for (std::size_t idx : bucket) {
       const ZoneNode& other = nodes[idx];
-      if (other.clocks == node.clocks && node.zone.subset_of(other.zone)) {
+      if (node.zone.subset_of(other.zone)) {
         ++subsumed;
         return std::nullopt;
       }
@@ -121,7 +108,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
   {
     ZoneNode init;
     init.state = ts.initial();
-    init.clocks = pseudo_enabled(init.state);
+    init.clocks = chokes.pseudo_enabled(init.state);
     init.zone = Dbm::zero(init.clocks.size());
     init.zone.canonicalize();
     add_node(std::move(init));
@@ -202,16 +189,14 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     };
 
     // Chokes: refused outputs that are timed-fireable are true violations.
-    if (auto it = chokes_at.find(node.state.value()); it != chokes_at.end()) {
-      for (const ChokeRecord* c : it->second) {
-        if (fireable_zone(c->event)) {
-          result.verdict = Verdict::kViolated;
-          result.message = "refusal: output '" + ts.label(c->event) +
-                               "' not accepted (containment violation)";
-          result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
-          result.trace_labels.push_back(ts.label(c->event));
-          return finish(result);
-        }
+    for (const ChokeRecord& c : chokes.chokes_at(node.state)) {
+      if (fireable_zone(c.event)) {
+        result.verdict = Verdict::kViolated;
+        result.message = "refusal: output '" + ts.label(c.event) +
+                         "' not accepted (containment violation)";
+        result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
+        result.trace_labels.push_back(ts.label(c.event));
+        return finish(result);
       }
     }
 
@@ -220,7 +205,8 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
       if (!fire) continue;
 
       const std::vector<EventId> succ_enabled = ts.enabled_events(t.target);
-      const std::vector<EventId> succ_clocked = pseudo_enabled(t.target);
+      const std::span<const EventId> succ_clocked =
+          chokes.pseudo_enabled(t.target);
       for (const SafetyProperty* p : properties) {
         if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled)) {
           result.verdict = Verdict::kViolated;

@@ -72,7 +72,7 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
     EXPECT_FALSE(comp.ts.valuation(graph.base_state(id)).test(fail_idx));
   }
   const std::vector<const SafetyProperty*> props{&bad};
-  FailureChecks checks(comp.ts, comp.chokes, props);
+  FailureChecks checks(comp.ts, refined.chokes(), props);
   FailureSearchStats stats;
   EXPECT_FALSE(find_failure(graph, checks, 1'000'000, &stats).has_value());
   EXPECT_FALSE(stats.truncated);

@@ -1,16 +1,16 @@
-// Parallel-exploration parity (rtv/base/parallel.hpp + the sharded BFS in
+// Parallel-exploration parity (rtv/base/parallel.hpp + the layered BFS in
 // compose() and the discrete engine):
 //
 //   * compose() is bit-identical across job counts — state numbering,
 //     transitions, valuations, chokes;
 //   * the discrete engine produces identical verdicts, state counts and
 //     counterexample traces at jobs=1 and jobs=4 on randomized gallery
-//     systems, and every parallel counterexample replays through the
-//     sequential composition;
-//   * the state budget is a hard insertion-time ceiling even when N
-//     workers insert concurrently;
-//   * the substrate primitives (WorkStealingRanges, ShardedInterner)
-//     hand out every item exactly once / retain every key exactly once.
+//     systems, every parallel counterexample replays through the
+//     sequential composition, and its output is pinned;
+//   * the state budget is a hard insertion-time ceiling, and a budget cut
+//     in the middle of a layer keeps the same states at every job count;
+//   * the substrate primitives (WorkStealingRanges, LayeredRunner) hand
+//     out every chunk exactly once and survive a failing merge.
 #include "rtv/base/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -21,9 +21,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "engine_support.hpp"
+#include "rtv/base/hash.hpp"
 #include "rtv/base/rng.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/compose.hpp"
@@ -58,34 +60,6 @@ TEST(WorkStealingRanges, EveryChunkHandedOutExactlyOnce) {
   for (auto& t : pool) t.join();
   for (std::size_t i = 0; i < kItems; ++i)
     ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
-}
-
-TEST(ShardedInterner, ConcurrentInsertsRetainEveryKeyOnceWithinBudget) {
-  constexpr std::size_t kKeys = 5'000, kWorkers = 4;
-  ShardedInterner<int, int> interner(/*max_size=*/kKeys, /*shards=*/64);
-  std::vector<std::thread> pool;
-  std::atomic<std::size_t> inserted{0};
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    pool.emplace_back([&] {
-      for (int k = 0; k < static_cast<int>(kKeys); ++k) {
-        const auto r = interner.insert(
-            k, [&] { return k * 2; }, [](int&) {});
-        if (r.inserted) inserted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  EXPECT_EQ(inserted.load(), kKeys);  // each key won by exactly one thread
-  EXPECT_EQ(interner.size(), kKeys);
-  EXPECT_FALSE(interner.budget_hit());
-}
-
-TEST(ShardedInterner, BudgetIsAHardCeiling) {
-  ShardedInterner<int, int> interner(/*max_size=*/10, /*shards=*/8);
-  for (int k = 0; k < 100; ++k)
-    interner.insert(k, [] { return 0; }, [](int&) {});
-  EXPECT_EQ(interner.size(), 10u);
-  EXPECT_TRUE(interner.budget_hit());
 }
 
 TEST(LayeredRunner, MergeExceptionReleasesWorkersAndRethrows) {
@@ -233,41 +207,22 @@ TEST(ParallelCompose, TruncationMidLayerIsIdenticalAcrossJobCounts) {
 // Discrete engine parity: verdicts, counts and traces
 // ---------------------------------------------------------------------------
 
-TEST(ParallelDiscrete, RandomizedGallerySystemsAgreeAcrossJobCounts) {
-  constexpr std::size_t kBudget = 500'000;
-  for (int seed = 0; seed < 20; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 12345);
-    const Module m =
-        gallery::diamond("x", random_delay(rng), "y", random_delay(rng));
-    const Module mon = gallery::order_monitor("x", "y");
-    const InvariantProperty bad("x first", {{"fail", true}});
-
-    const Composition comp = test::compose_for_engines({&m, &mon});
-    EngineRequest req;
-    req.composition = &comp;
-    req.properties = {&bad};
-    req.budget.max_states = kBudget;
-    req.jobs = 1;
-    const EngineResult a = DiscreteEngine().run(req);
-    req.jobs = 4;
-    const EngineResult b = DiscreteEngine().run(req);
-
-    EXPECT_EQ(a.verdict, b.verdict) << "seed " << seed;
-    EXPECT_EQ(a.truncated_reason, b.truncated_reason) << "seed " << seed;
-    EXPECT_EQ(a.states_explored, b.states_explored) << "seed " << seed;
-    EXPECT_LE(a.states_explored, kBudget);
-    EXPECT_EQ(a.trace_labels, b.trace_labels) << "seed " << seed;
-    if (a.violated()) {
-      EXPECT_FALSE(b.trace_labels.empty()) << "seed " << seed;
-      const bool refusal = a.message.find("refusal") != std::string::npos;
-      expect_replayable(comp, b.trace_labels, refusal);
-    }
-  }
+/// Gallery system `seed` of the randomized parity sweep: a diamond with
+/// random delays under an order monitor.
+Composition diamond_system(int seed) {
+  Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 12345);
+  const Module m =
+      gallery::diamond("x", random_delay(rng), "y", random_delay(rng));
+  const Module mon = gallery::order_monitor("x", "y");
+  return test::compose_for_engines({&m, &mon});
 }
 
-TEST(ParallelDiscrete, ChokeCounterexampleReplaysUpToTheRefusal) {
-  // Producer pulses x; a one-shot listener refuses the second pulse.  The
-  // refused label ends the trace and has no composed transition.
+const InvariantProperty kXFirst("x first", {{"fail", true}});
+constexpr std::size_t kDiamondBudget = 500'000;
+
+/// Producer pulses x; a one-shot listener refuses the second pulse.  The
+/// refused label ends the trace and has no composed transition.
+Composition choke_system() {
   TransitionSystem pts;
   const StateId p0 = pts.add_state();
   const StateId p1 = pts.add_state();
@@ -292,13 +247,65 @@ TEST(ParallelDiscrete, ChokeCounterexampleReplaysUpToTheRefusal) {
       l2);
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
+  return test::compose_for_engines({&producer, &once});
+}
 
-  const Composition comp = test::compose_for_engines({&producer, &once});
+EngineResult run_discrete(const Composition& comp,
+                          std::vector<const SafetyProperty*> properties,
+                          std::size_t jobs, std::size_t max_states = 0) {
+  EngineRequest req;
+  req.composition = &comp;
+  req.properties = std::move(properties);
+  req.budget.max_states = max_states;
+  req.jobs = jobs;
+  return DiscreteEngine().run(req);
+}
+
+/// The composition run_suite() hands the engines for `ob`.
+Composition compose_obligation(const Obligation& ob) {
+  ComposeOptions co;
+  co.track_chokes = ob.track_chokes;
+  return compose(ob.modules, co);
+}
+
+std::size_t discrete_states(const EngineResult& r) {
+  return std::get<DiscreteEngineStats>(r.stats).discrete_states;
+}
+
+/// FNV-1a over what a discrete run reports: verdict, truncation reason,
+/// config and location counts, and the counterexample's labels.
+void fold_discrete(Fnv1a& h, const EngineResult& r) {
+  h.u64(static_cast<std::uint64_t>(r.verdict))
+      .str(r.truncated_reason)
+      .u64(r.states_explored)
+      .u64(discrete_states(r))
+      .u64(r.trace_labels.size());
+  for (const std::string& label : r.trace_labels) h.str(label);
+}
+
+TEST(ParallelDiscrete, RandomizedGallerySystemsAgreeAcrossJobCounts) {
+  for (int seed = 0; seed < 20; ++seed) {
+    const Composition comp = diamond_system(seed);
+    const EngineResult a = run_discrete(comp, {&kXFirst}, 1, kDiamondBudget);
+    const EngineResult b = run_discrete(comp, {&kXFirst}, 4, kDiamondBudget);
+
+    EXPECT_EQ(a.verdict, b.verdict) << "seed " << seed;
+    EXPECT_EQ(a.truncated_reason, b.truncated_reason) << "seed " << seed;
+    EXPECT_EQ(a.states_explored, b.states_explored) << "seed " << seed;
+    EXPECT_LE(a.states_explored, kDiamondBudget);
+    EXPECT_EQ(a.trace_labels, b.trace_labels) << "seed " << seed;
+    if (a.violated()) {
+      EXPECT_FALSE(b.trace_labels.empty()) << "seed " << seed;
+      const bool refusal = a.message.find("refusal") != std::string::npos;
+      expect_replayable(comp, b.trace_labels, refusal);
+    }
+  }
+}
+
+TEST(ParallelDiscrete, ChokeCounterexampleReplaysUpToTheRefusal) {
+  const Composition comp = choke_system();
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    EngineRequest req;
-    req.composition = &comp;
-    req.jobs = jobs;
-    const EngineResult r = DiscreteEngine().run(req);
+    const EngineResult r = run_discrete(comp, {}, jobs);
     ASSERT_TRUE(r.violated()) << jobs << " jobs";
     ASSERT_FALSE(r.trace_labels.empty()) << jobs << " jobs";
     EXPECT_EQ(r.trace_labels.back(), "x+");
@@ -306,22 +313,75 @@ TEST(ParallelDiscrete, ChokeCounterexampleReplaysUpToTheRefusal) {
   }
 }
 
+TEST(ParallelDiscrete, OutputIsPinned) {
+  // What the discrete engine reports — verdicts, truncation, config and
+  // location counts, counterexample labels — on the systems above and on
+  // three Table 1 obligations.  The exploration order is part of the
+  // contract (it picks the counterexample), so a change to it fails the
+  // digests.
+  struct Pinned {
+    std::uint64_t diamonds, choke, table1[3];
+  };
+  const Pinned want{0xeef7a893beda28b6ull,
+                    0xa034d00b2da6b691ull,
+                    {0x7add81487aa34275ull, 0x006c8cb850642236ull,
+                     0x537f9edd7979e58bull}};
+  const Suite suite = ipcmos::table1_suite();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    Fnv1a diamonds;
+    for (int seed = 0; seed < 20; ++seed)
+      fold_discrete(diamonds, run_discrete(diamond_system(seed), {&kXFirst},
+                                           jobs, kDiamondBudget));
+    EXPECT_EQ(diamonds.digest(), want.diamonds) << jobs << " jobs";
+
+    Fnv1a choke;
+    fold_discrete(choke, run_discrete(choke_system(), {}, jobs));
+    EXPECT_EQ(choke.digest(), want.choke) << jobs << " jobs";
+
+    const std::size_t obligations[] = {0, 1, 3};
+    for (std::size_t k = 0; k < 3; ++k) {
+      const Obligation& ob = suite.obligations()[obligations[k]];
+      Fnv1a h;
+      fold_discrete(h,
+                    run_discrete(compose_obligation(ob), ob.properties, jobs));
+      EXPECT_EQ(h.digest(), want.table1[k]) << ob.name << ", " << jobs
+                                            << " jobs";
+    }
+  }
+}
+
 TEST(ParallelDiscrete, StateBudgetIsAHardCeilingUnderConcurrency) {
   // scaled_race(64) has tens of thousands of digitized configs; a 1000
-  // config budget must truncate without a single config of overshoot even
-  // with four workers inserting concurrently.
+  // config budget must truncate at exactly 1000 configs even with four
+  // workers expanding each layer.
   const Module sys = gallery::scaled_race(64);
   // The composition is built unbudgeted, so only the engine's budget can
   // trip.
   const Composition comp = test::compose_for_engines({&sys});
-  EngineRequest req;
-  req.composition = &comp;
-  req.jobs = 4;
-  req.budget.max_states = 1000;
-  const EngineResult r = DiscreteEngine().run(req);
+  const EngineResult r = run_discrete(comp, {}, 4, 1000);
   EXPECT_EQ(r.truncated_reason, stop_reason::kStateBudget);
-  EXPECT_LE(r.states_explored, 1000u);
+  EXPECT_EQ(r.states_explored, 1000u);
   EXPECT_EQ(r.verdict, Verdict::kInconclusive);
+}
+
+TEST(ParallelDiscrete, TruncationMidLayerIsIdenticalAcrossJobCounts) {
+  // Table 1 obligation 2 explores 64,401 configs; its widest BFS layer
+  // holds configs 31,283 to 34,387.  A budget a quarter into that layer
+  // must admit the layer's first configs in BFS order, whichever worker
+  // found them.  The layer still reaches new locations there, so a cut
+  // that kept other configs shows in the location count.
+  const Suite suite = ipcmos::table1_suite();
+  const Obligation& ob = suite.obligations()[1];
+  const Composition comp = compose_obligation(ob);
+  constexpr std::size_t kCap = 31'283 + 3'105 / 4;
+  const EngineResult a = run_discrete(comp, ob.properties, 1, kCap);
+  const EngineResult b = run_discrete(comp, ob.properties, 4, kCap);
+  EXPECT_EQ(a.truncated_reason, stop_reason::kStateBudget);
+  EXPECT_EQ(a.states_explored, kCap);
+  EXPECT_EQ(b.states_explored, kCap);
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(a.truncated_reason, b.truncated_reason);
+  EXPECT_EQ(discrete_states(a), discrete_states(b));
 }
 
 // ---------------------------------------------------------------------------
