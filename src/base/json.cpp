@@ -1,13 +1,23 @@
 #include "rtv/base/json.hpp"
 
-#include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <cstring>
 #include <stdexcept>
 
 namespace rtv::json {
 
 void escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (p != end) {
+    // Append the run of bytes that need no escape in one go.
+    const char* run = p;
+    while (p != end && static_cast<unsigned char>(*p) >= 0x20 && *p != '"' &&
+           *p != '\\')
+      ++p;
+    out.append(run, p);
+    if (p == end) return;
+    const char c = *p++;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -24,14 +34,11 @@ void escape_into(std::string& out, std::string_view s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
 }
@@ -43,138 +50,161 @@ void append_string(std::string& out, std::string_view s) {
 }
 
 void append_double(std::string& out, double v) {
+  // "-1.2345678901234567e-308" is the longest spelling: 24 bytes.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+void append_int(std::string& out, long long v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_uint(std::string& out, unsigned long long v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 namespace {
 
+/// Reads one document into the caller's Value: every container element is
+/// constructed in its container and filled there, so no Value is built
+/// elsewhere and then returned or copied (vector growth still moves them).
 class Parser {
  public:
-  Parser(const std::string& text, std::string_view context)
-      : text_(text), context_(context) {}
+  Parser(std::string_view text, std::string_view context)
+      : begin_(text.data()),
+        p_(text.data()),
+        end_(text.data() + text.size()),
+        context_(context) {}
 
-  Value parse() {
-    Value v = parse_value();
+  void parse(Value& out) {
+    parse_value(out);
     skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
+    if (p_ != end_) fail("trailing characters after document");
   }
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error(std::string(context_) + ", offset " +
-                             std::to_string(pos_) + ": " + what);
+                             std::to_string(p_ - begin_) + ": " + what);
   }
 
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (p_ != end_ &&
+           (*p_ == ' ' || *p_ == '\n' || *p_ == '\r' || *p_ == '\t'))
+      ++p_;
   }
 
   char peek() {
     skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of document");
-    return text_[pos_];
+    if (p_ == end_) fail("unexpected end of document");
+    return *p_;
   }
 
   void expect(char c) {
     if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
+    ++p_;
   }
 
   bool consume_literal(std::string_view lit) {
-    if (text_.compare(pos_, lit.size(), lit) != 0) return false;
-    pos_ += lit.size();
+    if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
+        std::memcmp(p_, lit.data(), lit.size()) != 0)
+      return false;
+    p_ += lit.size();
     return true;
   }
 
-  Value parse_value() {
-    const char c = peek();
-    if (c == '{' || c == '[') {
-      // Bound the recursion so hostile nesting fails instead of
-      // overflowing the stack; a throw unwinds every level at once.
-      if (++depth_ > kMaxDepth)
-        fail("containers nested deeper than " + std::to_string(kMaxDepth));
-      Value v = c == '{' ? parse_object() : parse_array();
-      --depth_;
-      return v;
+  void parse_value(Value& v) {
+    switch (peek()) {
+      case '{':
+      case '[':
+        // Bound the recursion so hostile nesting fails instead of
+        // overflowing the stack; a throw unwinds every level at once.
+        if (++depth_ > kMaxDepth)
+          fail("containers nested deeper than " + std::to_string(kMaxDepth));
+        if (*p_ == '{')
+          parse_object(v);
+        else
+          parse_array(v);
+        --depth_;
+        return;
+      case '"':
+        v.kind = Value::Kind::kString;
+        parse_string(v.string);
+        return;
+      case 't':
+        if (!consume_literal("true")) break;
+        v.kind = Value::Kind::kBool;
+        v.boolean = true;
+        return;
+      case 'f':
+        if (!consume_literal("false")) break;
+        v.kind = Value::Kind::kBool;
+        return;
+      case 'n':
+        if (!consume_literal("null")) break;
+        return;
+      default:
+        break;
     }
-    if (c == '"') {
-      Value v;
-      v.kind = Value::Kind::kString;
-      v.string = parse_string();
-      return v;
-    }
-    Value v;
-    if (consume_literal("true")) {
-      v.kind = Value::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.kind = Value::Kind::kBool;
-      return v;
-    }
-    if (consume_literal("null")) return v;
-    return parse_number();
+    parse_number(v);
   }
 
-  Value parse_object() {
-    expect('{');
-    Value v;
+  void parse_object(Value& v) {
+    ++p_;  // '{'
     v.kind = Value::Kind::kObject;
     if (peek() == '}') {
-      ++pos_;
-      return v;
+      ++p_;
+      return;
     }
     for (;;) {
       if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
+      auto& member = v.object.emplace_back();
+      parse_string(member.first);
       expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
+      parse_value(member.second);
       if (peek() == ',') {
-        ++pos_;
+        ++p_;
         continue;
       }
       expect('}');
-      return v;
+      return;
     }
   }
 
-  Value parse_array() {
-    expect('[');
-    Value v;
+  void parse_array(Value& v) {
+    ++p_;  // '['
     v.kind = Value::Kind::kArray;
     if (peek() == ']') {
-      ++pos_;
-      return v;
+      ++p_;
+      return;
     }
     for (;;) {
-      v.array.push_back(parse_value());
+      parse_value(v.array.emplace_back());
       if (peek() == ',') {
-        ++pos_;
+        ++p_;
         continue;
       }
       expect(']');
-      return v;
+      return;
     }
   }
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
+  /// Appends the string whose opening quote is at p_ to `out`.
+  void parse_string(std::string& out) {
+    ++p_;  // '"'
+    for (;;) {
+      // Copy up to the next quote or backslash in one go.
+      const char* run = p_;
+      while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
+      out.append(run, p_);
+      if (p_ == end_) break;
+      if (*p_++ == '"') return;
+      if (p_ == end_) break;
+      const char esc = *p_++;
       switch (esc) {
         case '"':
         case '\\':
@@ -197,10 +227,10 @@ class Parser {
           out += '\f';
           break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+          if (end_ - p_ < 4) fail("truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
+            const char h = *p_++;
             code <<= 4;
             if (h >= '0' && h <= '9')
               code |= static_cast<unsigned>(h - '0');
@@ -211,8 +241,11 @@ class Parser {
             else
               fail("bad hex digit in \\u escape");
           }
-          // The writers only emit \u00XX for control characters; decode
-          // the Latin-1 range as UTF-8 and reject the rest.
+          // The writers only emit \u00XX for control characters.  Decode
+          // any BMP code point as UTF-8, except the surrogates, which have
+          // no UTF-8 encoding (pairs included: no writer emits them).
+          if (code >= 0xd800 && code <= 0xdfff)
+            fail("surrogate code point in \\u escape");
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {
@@ -232,37 +265,36 @@ class Parser {
     fail("unterminated string");
   }
 
-  Value parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    Value v;
+  /// The token is every byte that can occur in a number; from_chars must
+  /// read all of it, so "1-2" or "1.5.5" fail instead of parsing a prefix.
+  void parse_number(Value& v) {
+    const char* start = p_;
+    while (p_ != end_ && ((*p_ >= '0' && *p_ <= '9') || *p_ == '-' ||
+                          *p_ == '+' || *p_ == '.' || *p_ == 'e' ||
+                          *p_ == 'E'))
+      ++p_;
+    if (p_ == start) fail("expected a value");
     v.kind = Value::Kind::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return v;
+    const auto r = std::from_chars(start, p_, v.number);
+    if (r.ec != std::errc() || r.ptr != p_) fail("malformed number");
   }
 
-  const std::string& text_;
   /// Far above any document the writers emit (they nest a handful deep).
   static constexpr std::size_t kMaxDepth = 512;
 
+  const char* begin_;
+  const char* p_;
+  const char* end_;
   std::string_view context_;
-  std::size_t pos_ = 0;
   std::size_t depth_ = 0;
 };
 
 }  // namespace
 
-Value parse(const std::string& text, std::string_view context) {
-  return Parser(text, context).parse();
+Value parse(std::string_view text, std::string_view context) {
+  Value v;
+  Parser(text, context).parse(v);
+  return v;
 }
 
 const Value& require(const Value& obj, std::string_view key, Value::Kind kind,

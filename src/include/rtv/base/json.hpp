@@ -1,10 +1,12 @@
 // Minimal JSON support shared by the machine-readable report writers and
 // parsers (suite reports, fuzz campaign reports, generator configs).
 //
-// The writer side is a handful of append helpers; the reader side is a
-// strict recursive-descent parser for exactly the grammar the writers emit
-// (objects, arrays, strings with escapes, numbers, booleans, null), so a
-// corrupted document fails loudly instead of round-tripping garbage.
+// The writer side is a handful of append helpers that write straight into
+// the caller's buffer; the reader side is a strict recursive-descent parser
+// for exactly the grammar the writers emit (objects, arrays, strings with
+// escapes, numbers, booleans, null), so a corrupted document fails loudly
+// instead of round-tripping garbage.  Numbers go through std::to_chars and
+// std::from_chars in both directions, so neither side reads the C locale.
 #pragma once
 
 #include <string>
@@ -22,9 +24,14 @@ void escape_into(std::string& out, std::string_view s);
 /// Append `s` as a quoted, escaped JSON string.
 void append_string(std::string& out, std::string_view s);
 
-/// Append a double with 17 significant digits: every finite double
+/// Append a double with 17 significant digits, byte for byte what
+/// printf's "%.17g" writes in the C locale: every finite double
 /// round-trips exactly.
 void append_double(std::string& out, double v);
+
+/// Append an integer in decimal (what std::to_string writes).
+void append_int(std::string& out, long long v);
+void append_uint(std::string& out, unsigned long long v);
 
 // ---- parsing ---------------------------------------------------------------
 
@@ -48,7 +55,10 @@ struct Value {
 /// Parse one JSON document.  `context` prefixes every error message
 /// (e.g. "suite report JSON"); throws std::runtime_error on malformed
 /// input, trailing characters, or containers nested more than 512 deep.
-Value parse(const std::string& text, std::string_view context);
+/// Whitespace is the four JSON bytes (space, tab, CR, LF); a number token
+/// must be a whole number as std::from_chars reads it; \u escapes decode
+/// the BMP to UTF-8 and reject the surrogate range U+D800-U+DFFF.
+Value parse(std::string_view text, std::string_view context);
 
 /// Fetch a required object member of the given kind; throws
 /// std::runtime_error naming `context`, the key and `what` when the member

@@ -222,6 +222,8 @@ struct SuiteReport {
   /// Stable machine-readable serialization (see docs/API.md for the
   /// schema).  Always emits the current kSchemaVersion.
   std::string to_json() const;
+  /// The same document, appended to `out`.
+  void append_json(std::string& out) const;
 };
 
 /// Parse a to_json() document back into a SuiteReport; throws

@@ -132,10 +132,14 @@ std::string LintReport::format() const {
 std::string LintReport::to_json() const {
   std::string out = "{\"schema\":";
   json::append_string(out, kSchemaName);
-  out += ",\"schema_version\":" + std::to_string(kSchemaVersion);
-  out += ",\"errors\":" + std::to_string(errors());
-  out += ",\"warnings\":" + std::to_string(warnings());
-  out += ",\"notes\":" + std::to_string(notes());
+  out += ",\"schema_version\":";
+  json::append_int(out, kSchemaVersion);
+  out += ",\"errors\":";
+  json::append_uint(out, errors());
+  out += ",\"warnings\":";
+  json::append_uint(out, warnings());
+  out += ",\"notes\":";
+  json::append_uint(out, notes());
   out += ",\"diagnostics\":[";
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
     if (i) out += ",";

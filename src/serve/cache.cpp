@@ -186,6 +186,7 @@ namespace {
 
 using rtv::json::append_double;
 using rtv::json::append_string;
+using rtv::json::append_uint;
 using rtv::json::Value;
 using Kind = Value::Kind;
 
@@ -205,7 +206,8 @@ void record_to_json(std::string& out, const SuiteRecord& r) {
   append_string(out, r.result.truncated_reason);
   out += ",\"message\":";
   append_string(out, r.result.message);
-  out += ",\"states\":" + std::to_string(r.result.states_explored);
+  out += ",\"states\":";
+  append_uint(out, r.result.states_explored);
   out += ",\"wall_seconds\":";
   append_double(out, r.result.seconds);
   out += ",\"cpu_seconds\":";
@@ -253,7 +255,8 @@ std::string VerdictCache::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{\"schema\":";
   append_string(out, kSchemaName);
-  out += ",\"schema_version\":" + std::to_string(kSchemaVersion);
+  out += ",\"schema_version\":";
+  rtv::json::append_int(out, kSchemaVersion);
   out += ",\"entries\":[";
   bool first = true;
   for (const auto& [key, outcome] : lru_) {

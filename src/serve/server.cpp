@@ -16,6 +16,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -206,13 +207,13 @@ struct Server::Impl {
       for (int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
     }
     if (acceptor.joinable()) acceptor.join();
-    std::vector<std::thread> threads;
+    decltype(conn_threads) threads;
     {
       std::lock_guard<std::mutex> lock(conn_mutex);
       threads.swap(conn_threads);
+      finished_conns.clear();
     }
-    for (std::thread& t : threads)
-      if (t.joinable()) t.join();
+    for (auto& [id, t] : threads) t.join();
   }
 
   bool save_cache() {
@@ -247,8 +248,23 @@ struct Server::Impl {
 
   // ---- connection layer ---------------------------------------------------
 
+  /// Join the connection threads that have returned, so a long-lived
+  /// daemon holds a thread (and its stack) only per open connection.
+  void reap_connections() {
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(conn_mutex);
+      for (const std::thread::id id : finished_conns)
+        if (auto node = conn_threads.extract(id))
+          done.push_back(std::move(node.mapped()));
+      finished_conns.clear();
+    }
+    for (std::thread& t : done) t.join();
+  }
+
   void accept_loop() {
     while (!stopping.load(std::memory_order_relaxed)) {
+      reap_connections();
       pollfd pfd{listen_fd, POLLIN, 0};
       const int r = ::poll(&pfd, 1, 200);
       if (r < 0 && errno != EINTR) break;
@@ -261,7 +277,11 @@ struct Server::Impl {
         return;
       }
       conn_fds.insert(fd);
-      conn_threads.emplace_back([this, fd] { connection_loop(fd); });
+      // Under conn_mutex, so the thread is registered before it can
+      // report itself finished.
+      std::thread t([this, fd] { connection_loop(fd); });
+      const std::thread::id id = t.get_id();
+      conn_threads.emplace(id, std::move(t));
     }
   }
 
@@ -312,6 +332,7 @@ struct Server::Impl {
     ::close(fd);
     std::lock_guard<std::mutex> lock(conn_mutex);
     conn_fds.erase(fd);
+    finished_conns.push_back(std::this_thread::get_id());
   }
 
   // ---- protocol -----------------------------------------------------------
@@ -468,8 +489,8 @@ struct Server::Impl {
     resp.has_report = true;
     resp.report.mode = req.mode;
     resp.report.jobs = resolve_jobs(options.jobs);
-    for (const Pending& p : pending) {
-      for (SuiteRecord rec : p.outcome.records) {
+    for (Pending& p : pending) {
+      for (SuiteRecord& rec : p.outcome.records) {
         rec.obligation = p.prepared->ob.name;
         rec.cached = p.cached;
         // The request's own facts, as a direct run_suite would report
@@ -629,7 +650,9 @@ struct Server::Impl {
 
   std::mutex conn_mutex;
   std::set<int> conn_fds;
-  std::vector<std::thread> conn_threads;
+  std::unordered_map<std::thread::id, std::thread> conn_threads;
+  /// Connection threads that have returned and wait for reap_connections().
+  std::vector<std::thread::id> finished_conns;
 
   std::mutex dispatch_mutex;
   std::condition_variable scheduler_cv;

@@ -1,5 +1,6 @@
 #include "rtv/serve/wire.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +11,9 @@ namespace rtv::serve {
 namespace {
 
 using rtv::json::append_double;
+using rtv::json::append_int;
 using rtv::json::append_string;
+using rtv::json::append_uint;
 using rtv::json::Value;
 using Kind = Value::Kind;
 
@@ -159,7 +162,10 @@ void module_to_json(std::string& out, const Module& m) {
   out += "{\"name\":";
   append_string(out, m.name());
   out += ",\"initial\":";
-  out += ts.initial().valid() ? std::to_string(ts.initial().value()) : "-1";
+  if (ts.initial().valid())
+    append_uint(out, ts.initial().value());
+  else
+    out += "-1";
   out += ",\"signals\":[";
   for (std::size_t i = 0; i < ts.signal_names().size(); ++i) {
     if (i) out += ",";
@@ -171,13 +177,15 @@ void module_to_json(std::string& out, const Module& m) {
     if (e) out += ",";
     out += "{\"label\":";
     append_string(out, ev.label);
-    out += ",\"lo\":" + std::to_string(static_cast<long long>(ev.delay.lo()));
+    out += ",\"lo\":";
+    append_int(out, ev.delay.lo());
     // null = the unbounded upper delay; finite Time values survive the
     // double round-trip up to 2^53 ticks (documented in docs/SERVICE.md).
     out += ",\"hi\":";
-    out += ev.delay.upper_bounded()
-               ? std::to_string(static_cast<long long>(ev.delay.hi()))
-               : std::string("null");
+    if (ev.delay.upper_bounded())
+      append_int(out, ev.delay.hi());
+    else
+      out += "null";
     out += ",\"kind\":";
     append_string(out, rtv::to_string(ev.kind));
     out += "}";
@@ -197,8 +205,11 @@ void module_to_json(std::string& out, const Module& m) {
     for (const Transition& t : ts.transitions_from(sid)) {
       if (!first) out += ",";
       first = false;
-      out += "[" + std::to_string(t.event.value()) + "," +
-             std::to_string(t.target.value()) + "]";
+      out += '[';
+      append_uint(out, t.event.value());
+      out += ',';
+      append_uint(out, t.target.value());
+      out += ']';
     }
     out += "]}";
   }
@@ -368,7 +379,8 @@ const char* to_string(RequestKind kind) {
 std::string ServeRequest::to_json() const {
   std::string out = "{\"schema\":";
   append_string(out, kSchemaName);
-  out += ",\"schema_version\":" + std::to_string(kSchemaVersion);
+  out += ",\"schema_version\":";
+  append_int(out, kSchemaVersion);
   out += ",\"kind\":";
   append_string(out, to_string(kind));
   out += ",\"mode\":";
@@ -378,10 +390,12 @@ std::string ServeRequest::to_json() const {
     if (i) out += ",";
     append_string(out, engines[i]);
   }
-  out += "],\"max_states\":" + std::to_string(max_states);
+  out += "],\"max_states\":";
+  append_uint(out, max_states);
   out += ",\"max_seconds\":";
   append_double(out, max_seconds);
-  out += ",\"max_refinements\":" + std::to_string(max_refinements);
+  out += ",\"max_refinements\":";
+  append_uint(out, max_refinements);
   out += ",\"obligations\":[";
   for (std::size_t i = 0; i < obligations.size(); ++i) {
     const WireObligation& ob = obligations[i];
@@ -390,10 +404,12 @@ std::string ServeRequest::to_json() const {
     append_string(out, ob.name);
     out += ",\"engine\":";
     append_string(out, ob.engine);
-    out += ",\"max_states\":" + std::to_string(ob.max_states);
+    out += ",\"max_states\":";
+    append_uint(out, ob.max_states);
     out += ",\"max_seconds\":";
     append_double(out, ob.max_seconds);
-    out += ",\"max_refinements\":" + std::to_string(ob.max_refinements);
+    out += ",\"max_refinements\":";
+    append_uint(out, ob.max_refinements);
     out += ",\"track_chokes\":";
     out += ob.track_chokes ? "true" : "false";
     out += ",\"properties\":[";
@@ -488,18 +504,24 @@ ServeRequest ServeRequest::parse(const std::string& line) {
 // ---------------------------------------------------------------------------
 
 void stats_to_json(std::string& out, const ServeStats& s) {
-  out += "{\"requests\":" + std::to_string(s.requests);
-  out += ",\"obligations\":" + std::to_string(s.obligations);
-  out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
-  out += ",\"deduped\":" + std::to_string(s.deduped);
-  out += ",\"computed\":" + std::to_string(s.computed);
-  out += ",\"lint_rejected\":" + std::to_string(s.lint_rejected);
-  out += ",\"errors\":" + std::to_string(s.errors);
-  out += ",\"cache_entries\":" + std::to_string(s.cache_entries);
-  out += ",\"cache_evictions\":" + std::to_string(s.cache_evictions);
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"{\"requests\":", s.requests},
+      {",\"obligations\":", s.obligations},
+      {",\"cache_hits\":", s.cache_hits},
+      {",\"deduped\":", s.deduped},
+      {",\"computed\":", s.computed},
+      {",\"lint_rejected\":", s.lint_rejected},
+      {",\"errors\":", s.errors},
+      {",\"cache_entries\":", s.cache_entries},
+      {",\"cache_evictions\":", s.cache_evictions}};
+  for (const auto& [key, value] : counters) {
+    out += key;
+    append_uint(out, value);
+  }
   out += ",\"uptime_seconds\":";
   append_double(out, s.uptime_seconds);
-  out += ",\"jobs\":" + std::to_string(s.jobs);
+  out += ",\"jobs\":";
+  append_uint(out, s.jobs);
   out += "}";
 }
 
@@ -543,20 +565,22 @@ ServeStats stats_from_json(const Value& v) {
 std::string ServeResponse::to_json() const {
   std::string out = "{\"schema\":";
   append_string(out, kSchemaName);
-  out += ",\"schema_version\":" + std::to_string(kSchemaVersion);
+  out += ",\"schema_version\":";
+  append_int(out, kSchemaVersion);
   out += ",\"ok\":";
   out += ok ? "true" : "false";
   out += ",\"error\":";
   append_string(out, error);
   if (has_report) {
-    // Splice the canonical SuiteReport document in as a nested object.
+    // Write the canonical SuiteReport document in as a nested object.
     // Its pretty-printing newlines would break line-delimited framing;
     // raw newlines are structural only (strings escape them), so
     // flattening them to spaces keeps the document identical JSON.
-    std::string doc = report.to_json();
-    for (char& c : doc)
-      if (c == '\n') c = ' ';
-    out += ",\"report\":" + doc;
+    out += ",\"report\":";
+    const std::size_t from = out.size();
+    report.append_json(out);
+    std::replace(out.begin() + static_cast<std::ptrdiff_t>(from), out.end(),
+                 '\n', ' ');
   }
   if (has_stats) {
     out += ",\"stats\":";

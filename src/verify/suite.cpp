@@ -505,17 +505,25 @@ namespace {
 
 using json::append_double;
 using json::append_string;
+using json::append_uint;
 
 }  // namespace
 
 std::string SuiteReport::to_json() const {
   std::string out;
+  append_json(out);
+  return out;
+}
+
+void SuiteReport::append_json(std::string& out) const {
   out += "{\n  \"schema\": ";
   append_string(out, kSchemaName);
-  out += ",\n  \"schema_version\": " + std::to_string(kSchemaVersion);
+  out += ",\n  \"schema_version\": ";
+  json::append_int(out, kSchemaVersion);
   out += ",\n  \"mode\": ";
   append_string(out, to_string(mode));
-  out += ",\n  \"jobs\": " + std::to_string(jobs);
+  out += ",\n  \"jobs\": ";
+  append_uint(out, jobs);
   out += ",\n  \"wall_seconds\": ";
   append_double(out, wall_seconds);
   out += ",\n  \"records\": [";
@@ -530,7 +538,8 @@ std::string SuiteReport::to_json() const {
     append_string(out, to_string(r.result.verdict));
     out += ",\n      \"stop_reason\": ";
     append_string(out, r.result.truncated_reason);
-    out += ",\n      \"states\": " + std::to_string(r.result.states_explored);
+    out += ",\n      \"states\": ";
+    append_uint(out, r.result.states_explored);
     out += ",\n      \"wall_seconds\": ";
     append_double(out, r.result.seconds);
     out += ",\n      \"cpu_seconds\": ";
@@ -553,8 +562,10 @@ std::string SuiteReport::to_json() const {
     // Optional likewise: only present when the slicer actually removed
     // something, so reports from identity slices stay byte-identical.
     if (r.sliced_modules || r.sliced_events) {
-      out += ",\n      \"sliced_modules\": " + std::to_string(r.sliced_modules);
-      out += ",\n      \"sliced_events\": " + std::to_string(r.sliced_events);
+      out += ",\n      \"sliced_modules\": ";
+      append_uint(out, r.sliced_modules);
+      out += ",\n      \"sliced_events\": ";
+      append_uint(out, r.sliced_events);
     }
     out += ",\n      \"message\": ";
     append_string(out, r.result.message);
@@ -566,7 +577,6 @@ std::string SuiteReport::to_json() const {
     out += "]\n    }";
   }
   out += records.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
 }
 
 // ---------------------------------------------------------------------------
