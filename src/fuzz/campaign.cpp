@@ -8,38 +8,13 @@
 #include "rtv/base/hash.hpp"
 #include "rtv/base/json.hpp"
 #include "rtv/lint/lint.hpp"
-#include "rtv/ts/compose.hpp"
+#include "rtv/obs/trace.hpp"
+#include "rtv/ts/delay_bounds.hpp"
 #include "rtv/verify/suite.hpp"
 
 namespace rtv::fuzz {
 
 namespace {
-
-/// Walk a counterexample trace through the sequential composition.  Every
-/// label must exist and have a composed transition, except the final one,
-/// which may be a refusal (choke counterexamples end on the refused
-/// output).  Returns false with a description of the first broken step.
-bool replays(const Composition& comp, const std::vector<std::string>& labels,
-             std::string& why) {
-  StateId cur = comp.ts.initial();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const EventId e = comp.ts.event_by_label(labels[i]);
-    if (!e.valid()) {
-      why = "trace step " + std::to_string(i) + " names unknown label '" +
-            labels[i] + "'";
-      return false;
-    }
-    const auto succ = comp.ts.successor(cur, e);
-    if (!succ) {
-      if (i + 1 == labels.size()) return true;  // final refused label
-      why = "trace breaks at step " + std::to_string(i) + " ('" + labels[i] +
-            "' has no composed transition)";
-      return false;
-    }
-    cur = *succ;
-  }
-  return true;
-}
 
 std::string join_trace(const std::vector<std::string>& labels) {
   std::string out;
@@ -145,6 +120,7 @@ CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
   // interesting oracle: a lint-clean scenario dying with kLintError means
   // the pre-flight and the analyzer drifted apart.
   {
+    const obs::Span span("fuzz:lint-oracle", "fuzz");
     lint::LintOptions lo;
     lo.engines = options.engines;
     lo.max_states = options.max_states;
@@ -180,33 +156,32 @@ CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
     return out;
   }
 
-  // Re-validate every violation trace against the sequential composition —
+  // Re-validate every violation trace against the full modules' product —
   // the cross-check test_parallel applies to the discrete engine, promoted
-  // to a campaign-wide invariant.
+  // to a campaign-wide invariant.  The walk composes nothing, so it checks
+  // first what compose() would have refused: contradictory delay bounds
+  // (the slice may have dropped the module declaring them).
   if (violated) {
-    Composition comp;
-    try {
-      ComposeOptions copt;
-      copt.track_chokes = true;
-      copt.jobs = 1;
-      comp = compose(sc.module_ptrs(), copt);
-    } catch (const std::exception& e) {
+    const obs::Span span("fuzz:replay", "fuzz");
+    const std::vector<const Module*> modules = sc.module_ptrs();
+    const std::vector<DelayContradiction> contradictions =
+        find_delay_contradictions(modules);
+    if (!contradictions.empty()) {
       fail(FailureKind::kEngineError,
-           std::string("compose() raised during replay: ") + e.what());
+           "compose() raised during replay: " +
+               describe_delay_contradiction(contradictions.front()));
       return out;
     }
-    if (!comp.truncated) {
-      for (const SuiteRecord& rec : report.records) {
-        if (!rec.result.violated() || rec.result.trace_labels.empty()) continue;
-        std::string why;
-        if (replays(comp, rec.result.trace_labels, why)) {
-          ++out.traces_replayed;
-        } else {
-          fail(FailureKind::kBadTrace,
-               rec.engine + " counterexample is not replayable: " + why +
-                   " (trace: " + join_trace(rec.result.trace_labels) + ")");
-          return out;
-        }
+    for (const SuiteRecord& rec : report.records) {
+      if (!rec.result.violated() || rec.result.trace_labels.empty()) continue;
+      std::string why;
+      if (replays(modules, rec.result.trace_labels, why)) {
+        ++out.traces_replayed;
+      } else {
+        fail(FailureKind::kBadTrace,
+             rec.engine + " counterexample is not replayable: " + why +
+                 " (trace: " + join_trace(rec.result.trace_labels) + ")");
+        return out;
       }
     }
   }
@@ -218,12 +193,20 @@ CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
   // that mattered.  kInconclusive never counts (the unsliced run explores
   // more states, so it may hit the budget where the sliced run did not).
   if (!fe.slice.identity) {
-    SuiteOptions unsliced = sopt;
-    unsliced.slice = false;
-    // The handed-in front end carries the slice: the rerun must compute
-    // its own, or it would verify the sliced modules a second time.
-    ob.front_end = nullptr;
-    const SuiteReport full = run_suite(suite, unsliced);
+    const obs::Span span("fuzz:unsliced-rerun", "fuzz");
+    // The rerun's front end is the case's with the identity slice:
+    // front_end() under SuiteOptions::slice = false would rebuild the same
+    // depgraph, slice and lint, then swap the slice for the identity.  It
+    // is built field by field because fe.slice owns the pruned module
+    // rebuilds, which the rerun does not need.
+    FrontEnd unsliced;
+    unsliced.engines = fe.engines;
+    unsliced.budget = fe.budget;
+    unsliced.max_refinements = fe.max_refinements;
+    unsliced.lint = fe.lint;
+    unsliced.slice = analysis::identity_slice(ob.modules);
+    ob.front_end = &unsliced;
+    const SuiteReport full = run_suite(suite, sopt);
     for (const SuiteRecord& a : report.records) {
       for (const SuiteRecord& b : full.records) {
         if (a.engine != b.engine) continue;
@@ -241,6 +224,40 @@ CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
     }
   }
   return out;
+}
+
+bool replays(const std::vector<const Module*>& modules,
+             const std::vector<std::string>& labels, std::string& why) {
+  std::vector<StateId> cur, next;
+  for (const Module* m : modules) cur.push_back(m->ts().initial());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    next = cur;
+    bool known = false, fires = true;
+    for (std::size_t k = 0; k < modules.size() && fires; ++k) {
+      const TransitionSystem& ts = modules[k]->ts();
+      const EventId e = ts.event_by_label(labels[i]);
+      if (!e.valid()) continue;  // not in this module's alphabet
+      known = true;
+      const auto succ = ts.successor(cur[k], e);
+      if (succ)
+        next[k] = *succ;
+      else
+        fires = false;
+    }
+    if (!known) {
+      why = "trace step " + std::to_string(i) + " names unknown label '" +
+            labels[i] + "'";
+      return false;
+    }
+    if (!fires) {
+      if (i + 1 == labels.size()) return true;  // final refused label
+      why = "trace breaks at step " + std::to_string(i) + " ('" + labels[i] +
+            "' has no composed transition)";
+      return false;
+    }
+    std::swap(cur, next);
+  }
+  return true;
 }
 
 CampaignReport run_campaign(const CampaignOptions& options) {

@@ -9,8 +9,9 @@
 //     kVerified, one kViolated) — kInconclusive never counts, so budget
 //     truncation can't fake or mask a disagreement;
 //   * a violated verdict's counterexample trace does not replay through
-//     the sequential composition (every step must have a composed
-//     transition, except a final refused label);
+//     the modules' product, walked tuple by tuple without composing it
+//     (every step must have a composed transition, except a final refused
+//     label);
 //   * an engine throws instead of returning a result; or
 //   * the static analyzer (rtv/lint) and the suite scheduler disagree
 //     about the scenario: a lint-clean scenario dies with a lint
@@ -115,7 +116,7 @@ struct CampaignFailure {
 struct CaseResult {
   /// Engines returning a definitive verdict (kVerified or kViolated).
   std::size_t definitive = 0;
-  /// Violation traces successfully replayed through the composition.
+  /// Violation traces successfully replayed through the modules' product.
   std::size_t traces_replayed = 0;
   /// Engaged when the case failed; case_index and minimized are left for
   /// the campaign driver to fill in.
@@ -127,6 +128,16 @@ struct CaseResult {
 /// engine, check it is caught) and for replaying minimized reproducers.
 CaseResult run_case(std::uint64_t seed, const GeneratorConfig& config,
                     const CampaignOptions& options);
+
+/// The replay oracle: walk `labels` through the product of `modules`
+/// without building it, by the rule compose() implements.  A label fires
+/// when every module whose alphabet holds it has a successor on it, each
+/// stepping to its first such successor.  Every label must be in some
+/// alphabet, and every step must fire except the final one, which may be
+/// a refusal (choke counterexamples end on the refused output).  Returns
+/// false with a description of the first broken step in `why`.
+bool replays(const std::vector<const Module*>& modules,
+             const std::vector<std::string>& labels, std::string& why);
 
 struct CampaignReport {
   /// Bumped whenever the JSON layout changes incompatibly.

@@ -74,15 +74,15 @@ struct RefinedStateView {
 
 class RefinedSystem {
  public:
-  /// `chokes` are the composition's refused outputs: they are enabled in
-  /// the implementation even though the composed graph has no transition,
-  /// so the wave tracking includes them — both to time their own firing
-  /// and to account for their deadlines.
-  explicit RefinedSystem(const TransitionSystem& base,
-                         std::span<const ChokeRecord> chokes = {});
+  /// `index` is the event index of `base` (Composition::index()).  Its
+  /// pseudo-enabled sets include the composition's refused outputs: they
+  /// are enabled in the implementation even though the composed graph has
+  /// no transition, so the wave tracking includes them — both to time
+  /// their own firing and to account for their deadlines.  Both are
+  /// referenced, not copied, and must outlive the system.
+  RefinedSystem(const TransitionSystem& base, const ChokeIndex& index);
 
   const TransitionSystem& base() const { return *base_; }
-  const ChokeIndex& chokes() const { return chokes_; }
 
   /// Enable the relative-timing bookkeeping: refined states track a capped
   /// difference-bound matrix over the enabling instants of pending events.
@@ -136,7 +136,7 @@ class RefinedSystem {
   std::vector<bool> pairs_;
   std::vector<std::uint32_t> befores_;
   std::size_t num_pairs_ = 0;
-  ChokeIndex chokes_;
+  const ChokeIndex* index_;
   bool age_rule_ = false;
   Time cap_ = 1;
   std::size_t max_waves_ = 6;

@@ -29,36 +29,50 @@ struct ChokeRecord {
   std::size_t blocker;  ///< index of the module refusing it
 };
 
-/// A composition's chokes per state, in CSR form, and its pseudo-enabled
-/// events: a state's enabled events plus its choked outputs, sorted.  A
-/// refused output is enabled in the implementation even though the
-/// composition has no transition for it, so the timed engines keep a clock
-/// (an age, a gap) for it too.  Built once per engine run.
+/// A composition's per-state event index, in CSR form: each state's
+/// chokes, its enabled events (sorted, each once, as
+/// TransitionSystem::enabled_events() returns them) and its pseudo-enabled
+/// events (the enabled ones plus its choked outputs, sorted).  A refused
+/// output is enabled in the implementation even though the composition has
+/// no transition for it, so the timed engines keep a clock (an age, a gap)
+/// for it too.  compose() builds one per composition and every engine
+/// reads it.
 class ChokeIndex {
  public:
+  ChokeIndex() = default;
   ChokeIndex(const TransitionSystem& ts, std::span<const ChokeRecord> chokes);
 
   /// The chokes at `s`, in composition order.
   std::span<const ChokeRecord> chokes_at(StateId s) const {
-    return std::span<const ChokeRecord>(chokes_).subspan(
-        choke_offset_[s.value()],
-        choke_offset_[s.value() + 1] - choke_offset_[s.value()]);
+    return slice(chokes_, choke_offset_, s);
+  }
+
+  /// The enabled events of `s`, sorted, each once.
+  std::span<const EventId> enabled(StateId s) const {
+    return slice(enabled_, enabled_offset_, s);
   }
 
   /// The enabled events of `s` plus its choked outputs, sorted, each once.
   std::span<const EventId> pseudo_enabled(StateId s) const {
-    return std::span<const EventId>(events_).subspan(
-        event_offset_[s.value()],
-        event_offset_[s.value() + 1] - event_offset_[s.value()]);
+    return slice(pseudo_, pseudo_offset_, s);
   }
 
  private:
-  /// State s owns chokes_[choke_offset_[s] .. choke_offset_[s + 1]) and
-  /// events_[event_offset_[s] .. event_offset_[s + 1]).
+  template <typename T>
+  static std::span<const T> slice(const std::vector<T>& items,
+                                  const std::vector<std::size_t>& offset,
+                                  StateId s) {
+    return std::span<const T>(items).subspan(
+        offset[s.value()], offset[s.value() + 1] - offset[s.value()]);
+  }
+
+  /// State s owns items[offset[s] .. offset[s + 1]) of each pair.
   std::vector<ChokeRecord> chokes_;
   std::vector<std::size_t> choke_offset_;
-  std::vector<EventId> events_;
-  std::vector<std::size_t> event_offset_;
+  std::vector<EventId> enabled_;
+  std::vector<std::size_t> enabled_offset_;
+  std::vector<EventId> pseudo_;
+  std::vector<std::size_t> pseudo_offset_;
 };
 
 struct ComposeOptions {
@@ -90,6 +104,12 @@ struct Composition {
   /// truncated or truncated by the state cap.
   const char* truncated_reason = nullptr;
 
+  /// The per-state event index of `ts` and `chokes`, built by compose():
+  /// the engines read enabled sets, pseudo-enabled sets and chokes here
+  /// instead of rebuilding them.  Editing `ts` or `chokes` afterwards
+  /// leaves it stale.
+  const ChokeIndex& index() const { return index_; }
+
   /// The component states of composed state `s`, one per module in
   /// module_names order.  Points into the composition.
   std::span<const StateId> tuple(StateId s) const {
@@ -106,6 +126,7 @@ struct Composition {
 
   /// Every state's tuple, packed back to back in state order.
   std::vector<StateId> tuples_;
+  ChokeIndex index_;
 };
 
 /// Compose modules over their shared alphabets.  The result's initial state

@@ -46,22 +46,24 @@ struct FailureSearchStats {
 };
 
 /// The checks of a failure search over one composition: safety properties
-/// and refusals (`chokes`).  Property verdicts depend only on the base
-/// graph, so the first violating property of each base state and base
-/// transition — and each base state's sorted enabled set — are
-/// computed once and kept for the checks' lifetime; a violation's message
-/// is built only when a check hits.  `base`, `chokes` and `properties` are
-/// referenced, not copied, and must outlive the checks.
+/// and refusals, read off the composition's event index.  Property
+/// verdicts depend only on the base graph, so the first violating property
+/// of each base state and base transition is computed once and kept for
+/// the checks' lifetime; a violation's message is built only when a check
+/// hits.  `base`, `index` and `properties` are referenced, not copied, and
+/// must outlive the checks.
 class FailureChecks {
  public:
-  FailureChecks(const TransitionSystem& base, const ChokeIndex& chokes,
+  FailureChecks(const TransitionSystem& base, const ChokeIndex& index,
                 std::span<const SafetyProperty* const> properties);
 
   /// Sorted base-enabled events of `s`.
-  const std::vector<EventId>& enabled(StateId s);
+  std::span<const EventId> enabled(StateId s) const {
+    return index_->enabled(s);
+  }
   /// Chokes at base state `s`.
   std::span<const ChokeRecord> chokes_at(StateId s) const {
-    return chokes_->chokes_at(s);
+    return index_->chokes_at(s);
   }
   /// Message of the first property `s` violates.
   std::optional<std::string> state_violation(StateId s);
@@ -70,10 +72,8 @@ class FailureChecks {
 
  private:
   const TransitionSystem* base_;
-  const ChokeIndex* chokes_;
+  const ChokeIndex* index_;
   std::span<const SafetyProperty* const> properties_;
-  std::vector<std::vector<EventId>> enabled_;
-  std::vector<bool> have_enabled_;
   /// First violating property index, or "clean" / "unchecked" (negative):
   /// per base state, and per base transition (CSR over transition_offset_).
   std::vector<std::int32_t> state_verdict_;

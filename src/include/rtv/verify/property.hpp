@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,9 @@ namespace rtv {
 struct PropertyContext {
   const TransitionSystem& ts;
   StateId state;
-  const std::vector<EventId>& raw_enabled;
+  /// The state's enabled events, sorted (the engines pass a span of the
+  /// composition's event index).
+  std::span<const EventId> raw_enabled;
 };
 
 class SafetyProperty {
@@ -36,7 +39,7 @@ class SafetyProperty {
   /// `successor` (whose raw enabled set is provided).
   virtual std::optional<std::string> check_event(
       const PropertyContext&, EventId event, StateId successor,
-      const std::vector<EventId>& successor_enabled) const {
+      std::span<const EventId> successor_enabled) const {
     (void)event;
     (void)successor;
     (void)successor_enabled;
@@ -88,7 +91,7 @@ class PersistencyProperty final : public SafetyProperty {
   std::string name() const override { return "persistency"; }
   std::optional<std::string> check_event(
       const PropertyContext&, EventId event, StateId successor,
-      const std::vector<EventId>& successor_enabled) const override;
+      std::span<const EventId> successor_enabled) const override;
 
   /// Exempt labels (sorted), for static analysis (rtv/lint): an exempt
   /// label no module declares is a dangling reference.

@@ -19,8 +19,8 @@ std::uint32_t code(std::size_t obs, std::uint32_t pos) {
 }  // namespace
 
 RefinedSystem::RefinedSystem(const TransitionSystem& base,
-                             std::span<const ChokeRecord> chokes)
-    : base_(&base), chokes_(base, chokes) {}
+                             const ChokeIndex& index)
+    : base_(&base), index_(&index) {}
 
 void RefinedSystem::add_observer(BanObserver obs) {
   assert(!obs.window.empty());
@@ -46,7 +46,7 @@ void RefinedSystem::enable_age_rule(bool on) {
 std::vector<std::uint16_t> RefinedSystem::initial_order() const {
   std::vector<std::uint16_t> order;
   bool first = true;
-  for (EventId e : chokes_.pseudo_enabled(base_->initial())) {
+  for (EventId e : index_->pseudo_enabled(base_->initial())) {
     order.push_back(static_cast<std::uint16_t>(e.value()) |
                     (first ? kWaveStart : 0));
     first = false;
@@ -173,7 +173,7 @@ struct AgeScratch {
 void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
                                 StateId succ, RefinedState* out) const {
   thread_local AgeScratch scratch;
-  const std::span<const EventId> enabled = chokes_.pseudo_enabled(succ);
+  const std::span<const EventId> enabled = index_->pseudo_enabled(succ);
   std::vector<std::size_t>& old_wave = scratch.old_wave;
   old_wave.resize(s.order.size());
   std::size_t n_old = 0;

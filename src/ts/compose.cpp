@@ -76,6 +76,13 @@ struct ChunkOut {
   std::vector<BitVec> valuations;
 };
 
+/// Sort events[first..] and drop its duplicates.
+void sort_unique_tail(std::vector<EventId>& events, std::size_t first) {
+  const auto begin = events.begin() + static_cast<std::ptrdiff_t>(first);
+  std::sort(begin, events.end());
+  events.erase(std::unique(begin, events.end()), events.end());
+}
+
 }  // namespace
 
 ChokeIndex::ChokeIndex(const TransitionSystem& ts,
@@ -90,17 +97,22 @@ ChokeIndex::ChokeIndex(const TransitionSystem& ts,
   for (const ChokeRecord& c : chokes_) ++choke_offset_[c.state.value() + 1];
   for (std::size_t i = 0; i < n; ++i) choke_offset_[i + 1] += choke_offset_[i];
 
-  event_offset_.reserve(n + 1);
-  event_offset_.push_back(0);
+  enabled_offset_.reserve(n + 1);
+  enabled_offset_.push_back(0);
+  pseudo_offset_.reserve(n + 1);
+  pseudo_offset_.push_back(0);
   for (std::size_t i = 0; i < n; ++i) {
     const StateId s(static_cast<StateId::underlying_type>(i));
-    const std::size_t start = events_.size();
-    for (const Transition& t : ts.transitions_from(s)) events_.push_back(t.event);
-    for (const ChokeRecord& c : chokes_at(s)) events_.push_back(c.event);
-    const auto first = events_.begin() + static_cast<std::ptrdiff_t>(start);
-    std::sort(first, events_.end());
-    events_.erase(std::unique(first, events_.end()), events_.end());
-    event_offset_.push_back(events_.size());
+    const std::size_t first = enabled_.size();
+    for (const Transition& t : ts.transitions_from(s)) enabled_.push_back(t.event);
+    sort_unique_tail(enabled_, first);
+    enabled_offset_.push_back(enabled_.size());
+
+    const std::size_t pseudo_first = pseudo_.size();
+    pseudo_.insert(pseudo_.end(), enabled_.begin() + first, enabled_.end());
+    for (const ChokeRecord& c : chokes_at(s)) pseudo_.push_back(c.event);
+    sort_unique_tail(pseudo_, pseudo_first);
+    pseudo_offset_.push_back(pseudo_.size());
   }
 }
 
@@ -410,6 +422,7 @@ Composition compose(const std::vector<const Module*>& modules,
   {
     obs::Span span("compose", "rtv");
     if (merge()) runner.run(process, merge);
+    out.index_ = ChokeIndex(out.ts, out.chokes);
   }
 
   if (obs::metrics_enabled()) {

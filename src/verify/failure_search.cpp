@@ -16,6 +16,11 @@ constexpr std::int32_t kClean = -1;
 constexpr std::int32_t kUnseen = -1;
 constexpr std::int32_t kSubsumed = -2;
 
+/// A trace carries its enabled sets by value.
+std::vector<EventId> to_vector(std::span<const EventId> events) {
+  return {events.begin(), events.end()};
+}
+
 /// First of `n` properties `check` reports violated, memoised in `verdict`
 /// (a property index, kClean or kUnchecked).
 template <typename Check>
@@ -35,13 +40,11 @@ std::optional<std::string> first_violation(std::int32_t& verdict,
 }  // namespace
 
 FailureChecks::FailureChecks(const TransitionSystem& base,
-                             const ChokeIndex& chokes,
+                             const ChokeIndex& index,
                              std::span<const SafetyProperty* const> properties)
     : base_(&base),
-      chokes_(&chokes),
+      index_(&index),
       properties_(properties),
-      enabled_(base.num_states()),
-      have_enabled_(base.num_states(), false),
       state_verdict_(base.num_states(), kUnchecked) {
   transition_offset_.reserve(base.num_states() + 1);
   transition_offset_.push_back(0);
@@ -51,14 +54,6 @@ FailureChecks::FailureChecks(const TransitionSystem& base,
         base.transitions_from(StateId(static_cast<StateId::underlying_type>(i)))
             .size());
   event_verdict_.assign(transition_offset_.back(), kUnchecked);
-}
-
-const std::vector<EventId>& FailureChecks::enabled(StateId s) {
-  if (!have_enabled_[s.value()]) {
-    enabled_[s.value()] = base_->enabled_events(s);
-    have_enabled_[s.value()] = true;
-  }
-  return enabled_[s.value()];
 }
 
 std::optional<std::string> FailureChecks::state_violation(StateId s) {
@@ -76,9 +71,9 @@ std::optional<std::string> FailureChecks::event_violation(StateId s,
   if (verdict == kClean) return std::nullopt;
   const Transition& t = base_->transitions_from(s)[k];
   const PropertyContext ctx{*base_, s, enabled(s)};
-  const std::vector<EventId>& succ_enabled = enabled(t.target);
   return first_violation(verdict, properties_.size(), [&](std::size_t p) {
-    return properties_[p]->check_event(ctx, t.event, t.target, succ_enabled);
+    return properties_[p]->check_event(ctx, t.event, t.target,
+                                       enabled(t.target));
   });
 }
 
@@ -86,7 +81,7 @@ namespace {
 
 /// Rebuild a trace (over base states, with raw enabling sets) from the
 /// search's parent pointers, indexed by discovery order.
-Trace unwind(const RefinedGraph& graph, FailureChecks& checks,
+Trace unwind(const RefinedGraph& graph, const FailureChecks& checks,
              const std::vector<std::int32_t>& found,
              const std::vector<std::int32_t>& parent,
              const std::vector<EventId>& via, std::size_t leaf) {
@@ -102,11 +97,11 @@ Trace unwind(const RefinedGraph& graph, FailureChecks& checks,
     TraceStep step;
     step.state = it->first;
     step.event = it->second;
-    step.enabled = checks.enabled(it->first);
+    step.enabled = to_vector(checks.enabled(it->first));
     t.steps.push_back(std::move(step));
   }
   t.final_state = graph.base_state(found[leaf]);
-  t.final_enabled = checks.enabled(t.final_state);
+  t.final_enabled = to_vector(checks.enabled(t.final_state));
   return t;
 }
 
@@ -240,10 +235,10 @@ std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
         TraceStep step;
         step.state = b;
         step.event = t.event;
-        step.enabled = checks.enabled(b);
+        step.enabled = to_vector(checks.enabled(b));
         f.trace.steps.push_back(std::move(step));
         f.trace.final_state = t.target;
-        f.trace.final_enabled = checks.enabled(t.target);
+        f.trace.final_enabled = to_vector(checks.enabled(t.target));
         f.description = std::move(*v);
         return finish(std::move(f));
       }

@@ -40,7 +40,7 @@ PersistencyProperty::PersistencyProperty(std::vector<std::string> exempt)
 
 std::optional<std::string> PersistencyProperty::check_event(
     const PropertyContext& ctx, EventId event, StateId successor,
-    const std::vector<EventId>& successor_enabled) const {
+    std::span<const EventId> successor_enabled) const {
   (void)successor;
   for (EventId x : ctx.raw_enabled) {
     if (x == event) continue;

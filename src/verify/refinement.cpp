@@ -45,14 +45,14 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
   RTV_INFO << "composed " << comp.ts.num_states() << " states, "
            << comp.chokes.size() << " potential refusals";
 
-  RefinedSystem refined(comp.ts, comp.chokes);
+  RefinedSystem refined(comp.ts, comp.index());
   refined.enable_age_rule(structural_rule_);
   refined.set_max_waves(max_waves_);
   // Kept for the whole run: the graph drops its states only when the
   // refined-state encoding changes (the first activated pair, an observer);
   // the checks and the predecessor index depend on the composition only.
   RefinedGraph graph(refined);
-  FailureChecks checks(comp.ts, refined.chokes(), request.properties);
+  FailureChecks checks(comp.ts, comp.index(), request.properties);
   const PredecessorIndex preds(comp.ts);
 
   std::string last_signature;

@@ -276,7 +276,10 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
                        std::chrono::steady_clock::now() - t0)
                        .count());
     }
-    obs::Span span("ob:" + ob.name + " [" + rec.engine + "]", "suite");
+    const obs::Span span(obs::tracing_active()
+                             ? "ob:" + ob.name + " [" + rec.engine + "]"
+                             : std::string(),
+                         "suite");
 
     // A decided portfolio obligation (or an aborted suite) skips the run
     // outright: the loser is recorded as cancelled without exploring a

@@ -63,9 +63,9 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
 
   // Ages are kept for pseudo-enabled events: composed-enabled ones plus
   // choked (refused) outputs.
-  const ChokeIndex chokes(ts, comp.chokes);
+  const ChokeIndex& index = comp.index();
   const auto record_size = [&](const Time* record) {
-    return 1 + chokes.pseudo_enabled(StateId(
+    return 1 + index.pseudo_enabled(StateId(
                    static_cast<StateId::underlying_type>(record[0]))).size();
   };
 
@@ -145,9 +145,8 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     const Time* cfg = arena.data() + offset[static_cast<std::size_t>(id)];
     const Time* ages = cfg + 1;
     const StateId state(static_cast<StateId::underlying_type>(cfg[0]));
-    const std::span<const EventId> clocked = chokes.pseudo_enabled(state);
-    const std::vector<EventId> raw_enabled = ts.enabled_events(state);
-    const PropertyContext ctx{ts, state, raw_enabled};
+    const std::span<const EventId> clocked = index.pseudo_enabled(state);
+    const PropertyContext ctx{ts, state, index.enabled(state)};
 
     const auto report = [&](std::string description, std::string extra) {
       if (!bucket.violation)
@@ -173,7 +172,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
       if (auto v = p->check_state(ctx)) report(std::move(*v), {});
 
     // Chokes firable now?
-    for (const ChokeRecord& c : chokes.chokes_at(state)) {
+    for (const ChokeRecord& c : index.chokes_at(state)) {
       if (age_of(c.event) >= ts.delay(c.event).lo())
         report("refusal: output '" + ts.label(c.event) +
                    "' not accepted (containment violation)",
@@ -201,12 +200,12 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     // Firing steps.
     for (const Transition& t : ts.transitions_from(state)) {
       if (age_of(t.event) < ts.delay(t.event).lo()) continue;
-      const std::vector<EventId> succ_enabled = ts.enabled_events(t.target);
       for (const SafetyProperty* p : properties)
-        if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled))
+        if (auto v = p->check_event(ctx, t.event, t.target,
+                                    index.enabled(t.target)))
           report(std::move(*v), ts.label(t.event));
       const std::span<const EventId> succ_clocked =
-          chokes.pseudo_enabled(t.target);
+          index.pseudo_enabled(t.target);
       next.assign(1 + succ_clocked.size(), 0);
       next[0] = static_cast<Time>(t.target.value());
       for (std::size_t i = 0; i < succ_clocked.size(); ++i) {
@@ -334,7 +333,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
 
   // Seed layer 0 with the initial config, all its ages zero.
   {
-    std::vector<Time> init(1 + chokes.pseudo_enabled(ts.initial()).size(), 0);
+    std::vector<Time> init(1 + index.pseudo_enabled(ts.initial()).size(), 0);
     init[0] = static_cast<Time>(ts.initial().value());
     intern(init.data(), init.size(), hash_record(init.data(), init.size()), -1,
            EventId::invalid());

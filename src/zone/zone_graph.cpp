@@ -42,7 +42,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
 
   // Clocks are tracked for pseudo-enabled events: composed-enabled ones
   // plus choked (refused) outputs.
-  const ChokeIndex chokes(ts, comp.chokes);
+  const ChokeIndex& index = comp.index();
 
   // Per-event extrapolation constant.
   std::vector<Time> event_const(ts.num_events());
@@ -108,7 +108,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
   {
     ZoneNode init;
     init.state = ts.initial();
-    init.clocks = chokes.pseudo_enabled(init.state);
+    init.clocks = index.pseudo_enabled(init.state);
     init.zone = Dbm::zero(init.clocks.size());
     init.zone.canonicalize();
     add_node(std::move(init));
@@ -151,8 +151,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     queue.pop_front();
     // Copy: nodes may reallocate during expansion.
     const ZoneNode node = nodes[id];
-    const std::vector<EventId> raw_enabled = ts.enabled_events(node.state);
-    const PropertyContext ctx{ts, node.state, raw_enabled};
+    const PropertyContext ctx{ts, node.state, index.enabled(node.state)};
 
     for (const SafetyProperty* p : properties) {
       if (auto v = p->check_state(ctx)) {
@@ -189,7 +188,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     };
 
     // Chokes: refused outputs that are timed-fireable are true violations.
-    for (const ChokeRecord& c : chokes.chokes_at(node.state)) {
+    for (const ChokeRecord& c : index.chokes_at(node.state)) {
       if (fireable_zone(c.event)) {
         result.verdict = Verdict::kViolated;
         result.message = "refusal: output '" + ts.label(c.event) +
@@ -204,11 +203,11 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
       const auto fire = fireable_zone(t.event);
       if (!fire) continue;
 
-      const std::vector<EventId> succ_enabled = ts.enabled_events(t.target);
       const std::span<const EventId> succ_clocked =
-          chokes.pseudo_enabled(t.target);
+          index.pseudo_enabled(t.target);
       for (const SafetyProperty* p : properties) {
-        if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled)) {
+        if (auto v = p->check_event(ctx, t.event, t.target,
+                                    index.enabled(t.target))) {
           result.verdict = Verdict::kViolated;
           result.message = *v;
           result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));

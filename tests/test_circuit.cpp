@@ -74,8 +74,8 @@ TEST(Circuit, ShortCircuitPropertiesDetect) {
   const auto enabled = m.ts().enabled_events(bad);
   const PropertyContext ctx{m.ts(), bad, enabled};
   EXPECT_TRUE(props[0]->check_state(ctx).has_value());
-  const PropertyContext ok{m.ts(), m.ts().initial(),
-                           m.ts().enabled_events(m.ts().initial())};
+  const auto initial_enabled = m.ts().enabled_events(m.ts().initial());
+  const PropertyContext ok{m.ts(), m.ts().initial(), initial_enabled};
   EXPECT_FALSE(props[0]->check_state(ok).has_value());
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "rtv/base/hash.hpp"
+#include "rtv/base/rng.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/gallery.hpp"
 
@@ -296,6 +299,81 @@ TEST(Compose, Table1ProductsArePinned) {
     EXPECT_EQ(c.ts.num_transitions(), want[n].transitions) << ob.name;
     EXPECT_EQ(c.chokes.size(), want[n].chokes) << ob.name;
     EXPECT_EQ(content_digest(c), want[n].digest) << ob.name;
+  }
+}
+
+/// Every state's event index entries against the composition itself:
+/// enabled(s) is ts.enabled_events(s); pseudo_enabled(s) is sorted, each
+/// event once, and is exactly enabled(s) plus the state's choked events;
+/// chokes_at(s) lists the state's chokes in composition order.
+void expect_index_matches(const Composition& c) {
+  const ChokeIndex& index = c.index();
+  std::vector<std::vector<ChokeRecord>> chokes(c.ts.num_states());
+  for (const ChokeRecord& k : c.chokes) chokes[k.state.value()].push_back(k);
+  for (std::size_t i = 0; i < c.ts.num_states(); ++i) {
+    const StateId s(static_cast<StateId::underlying_type>(i));
+    const std::vector<EventId> want = c.ts.enabled_events(s);
+    const auto enabled = index.enabled(s);
+    ASSERT_TRUE(std::equal(enabled.begin(), enabled.end(), want.begin(),
+                           want.end()))
+        << "state " << i;
+
+    std::vector<EventId> pseudo = want;
+    for (const ChokeRecord& k : chokes[i]) pseudo.push_back(k.event);
+    std::sort(pseudo.begin(), pseudo.end());
+    pseudo.erase(std::unique(pseudo.begin(), pseudo.end()), pseudo.end());
+    const auto got = index.pseudo_enabled(s);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), pseudo.begin(),
+                           pseudo.end()))
+        << "state " << i;
+    EXPECT_TRUE(std::includes(got.begin(), got.end(), enabled.begin(),
+                              enabled.end()))
+        << "state " << i;
+
+    const auto at = index.chokes_at(s);
+    ASSERT_EQ(at.size(), chokes[i].size()) << "state " << i;
+    for (std::size_t k = 0; k < at.size(); ++k) {
+      EXPECT_EQ(at[k].event, chokes[i][k].event) << "state " << i;
+      EXPECT_EQ(at[k].producer, chokes[i][k].producer) << "state " << i;
+      EXPECT_EQ(at[k].blocker, chokes[i][k].blocker) << "state " << i;
+    }
+  }
+}
+
+TEST(Compose, EventIndexMatchesTable1Products) {
+  const Suite suite = ipcmos::table1_suite();
+  std::size_t chokes = 0;
+  for (const Obligation& ob : suite.obligations()) {
+    SCOPED_TRACE(ob.name);
+    ComposeOptions opts;
+    opts.track_chokes = ob.track_chokes;
+    const Composition c = compose(ob.modules, opts);
+    chokes += c.chokes.size();
+    expect_index_matches(c);
+  }
+  EXPECT_GT(chokes, 0u);  // the pseudo-enabled sets really add refusals
+}
+
+TEST(Compose, EventIndexMatchesRandomGalleryProducts) {
+  for (int seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 99);
+    const auto delay = [&rng] {
+      const Time lo = static_cast<Time>(rng.below(4)) * kTicksPerUnit;
+      return DelayInterval(
+          lo, lo + static_cast<Time>(1 + rng.below(3)) * kTicksPerUnit);
+    };
+    const Module race =
+        gallery::scaled_race(2 + static_cast<int>(rng.below(5)));
+    const DelayInterval x = delay();  // shared: bounds must intersect
+    const Module diamond = gallery::diamond("x", x, "y", delay());
+    const Module ring =
+        gallery::ring({{"a", delay()}, {"x", x}, {"b", delay()}});
+    const Module mon = gallery::order_monitor("x", "y");
+    ComposeOptions opts;
+    opts.track_chokes = rng.below(4) != 0;
+    expect_index_matches(compose({&race, &diamond, &mon}, opts));
+    expect_index_matches(compose({&diamond, &ring, &mon}, opts));
   }
 }
 

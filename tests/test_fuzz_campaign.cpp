@@ -5,13 +5,20 @@
 // contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "rtv/base/json.hpp"
 #include "rtv/fuzz/campaign.hpp"
+#include "rtv/ts/compose.hpp"
 #include "rtv/verify/engine.hpp"
+#include "rtv/verify/suite.hpp"
 
 namespace rtv::fuzz {
 namespace {
@@ -79,6 +86,66 @@ class PaddingSensitiveEngine : public Engine {
   }
 };
 
+/// Labels of a shortest path from the initial state to the first state,
+/// in BFS order, where an output is refused, followed by that refused
+/// label; nullopt when the composition refuses nothing.
+std::optional<std::vector<std::string>> trace_to_refusal(
+    const Composition& comp) {
+  const TransitionSystem& ts = comp.ts;
+  std::vector<std::int64_t> parent(ts.num_states(), -2);
+  std::vector<EventId> via(ts.num_states());
+  std::deque<StateId> queue{ts.initial()};
+  parent[ts.initial().value()] = -1;
+  while (!queue.empty()) {
+    const StateId s = queue.front();
+    queue.pop_front();
+    const auto chokes = comp.index().chokes_at(s);
+    if (!chokes.empty()) {
+      std::vector<std::string> labels{ts.label(chokes.front().event)};
+      for (std::int64_t cur = s.value(); parent[cur] >= 0;
+           cur = parent[cur])
+        labels.insert(labels.begin(), ts.label(via[cur]));
+      return labels;
+    }
+    for (const Transition& t : ts.transitions_from(s)) {
+      if (parent[t.target.value()] != -2) continue;
+      parent[t.target.value()] = s.value();
+      via[t.target.value()] = t.event;
+      queue.push_back(t.target);
+    }
+  }
+  return std::nullopt;
+}
+
+/// An engine that claims kViolated with a trace into a refusal: a path to
+/// a state where one module offers an output a partner refuses, then that
+/// output.  Ending there is a genuine choke counterexample and replays;
+/// `keep_going` fires the refused label once more, so the trace names a
+/// synchronised label its modules cannot fire together mid-trace.
+/// kInconclusive when the composition refuses nothing.
+class RefusalTraceEngine : public Engine {
+ public:
+  RefusalTraceEngine(std::string_view name, bool keep_going)
+      : name_(name), keep_going_(keep_going) {}
+  std::string_view name() const override { return name_; }
+  std::string_view description() const override {
+    return "test double: counterexamples that end on a refused output";
+  }
+  EngineResult run(const EngineRequest& req) const override {
+    EngineResult r;
+    auto labels = trace_to_refusal(*req.composition);
+    if (!labels) return r;
+    if (keep_going_) labels->push_back(labels->back());
+    r.verdict = Verdict::kViolated;
+    r.trace_labels = std::move(*labels);
+    return r;
+  }
+
+ private:
+  std::string_view name_;
+  bool keep_going_;
+};
+
 class FuzzCampaign : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -86,8 +153,27 @@ class FuzzCampaign : public ::testing::Test {
     register_engine(std::make_unique<BogusTraceEngine>());
     register_engine(std::make_unique<ThrowingEngine>());
     register_engine(std::make_unique<PaddingSensitiveEngine>());
+    register_engine(
+        std::make_unique<RefusalTraceEngine>("liar_refusal", false));
+    register_engine(
+        std::make_unique<RefusalTraceEngine>("liar_past_refusal", true));
   }
 };
+
+/// Run cases of campaign seed 3 with `engine` alone until one gets a
+/// definitive verdict (the engine found a refusal to trace into).
+std::optional<CaseResult> first_definitive_case(const std::string& engine) {
+  CampaignOptions opt;
+  opt.engines = {engine};
+  opt.minimize = false;
+  GeneratorConfig config;
+  config.share_p = 0.8;  // shared labels make refusals common
+  for (std::size_t i = 0; i < 50; ++i) {
+    CaseResult res = run_case(case_seed(3, i), config, opt);
+    if (res.definitive > 0) return res;
+  }
+  return std::nullopt;
+}
 
 TEST_F(FuzzCampaign, InjectedUnsoundEngineIsCaughtAndMinimized) {
   CampaignOptions opt;
@@ -122,6 +208,105 @@ TEST_F(FuzzCampaign, NonReplayableTraceIsAFailure) {
   ASSERT_TRUE(res.failure.has_value());
   EXPECT_EQ(res.failure->kind, FailureKind::kBadTrace);
   EXPECT_NE(res.failure->detail.find("no_such_event"), std::string::npos);
+}
+
+TEST_F(FuzzCampaign, TraceThroughARefusedSynchronisedLabelIsABadTrace) {
+  const std::optional<CaseResult> res =
+      first_definitive_case("liar_past_refusal");
+  ASSERT_TRUE(res.has_value()) << "no generated case refuses an output";
+  ASSERT_TRUE(res->failure.has_value());
+  EXPECT_EQ(res->failure->kind, FailureKind::kBadTrace);
+  EXPECT_NE(res->failure->detail.find("trace breaks at step"),
+            std::string::npos)
+      << res->failure->detail;
+}
+
+TEST_F(FuzzCampaign, TraceEndingOnARefusedOutputReplays) {
+  const std::optional<CaseResult> res = first_definitive_case("liar_refusal");
+  ASSERT_TRUE(res.has_value()) << "no generated case refuses an output";
+  EXPECT_FALSE(res->failure.has_value()) << res->failure->detail;
+  EXPECT_EQ(res->traces_replayed, 1u);
+}
+
+/// The reference replay: the walk through compose()'s product that the
+/// module walk stands in for, with the same verdicts and messages.
+bool replays_composed(const Composition& comp,
+                      const std::vector<std::string>& labels,
+                      std::string& why) {
+  StateId cur = comp.ts.initial();
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const EventId e = comp.ts.event_by_label(labels[i]);
+    if (!e.valid()) {
+      why = "trace step " + std::to_string(i) + " names unknown label '" +
+            labels[i] + "'";
+      return false;
+    }
+    const auto succ = comp.ts.successor(cur, e);
+    if (!succ) {
+      if (i + 1 == labels.size()) return true;
+      why = "trace breaks at step " + std::to_string(i) + " ('" + labels[i] +
+            "' has no composed transition)";
+      return false;
+    }
+    cur = *succ;
+  }
+  return true;
+}
+
+TEST(FuzzReplay, ModuleWalkAgreesWithComposedWalk) {
+  // Every counterexample the three engines report on generated scenarios,
+  // and every one-label substitution of it (each composed label and one
+  // unknown label at each step), replays the same way through the modules
+  // as through their composition: same verdict, same message.
+  GeneratorConfig config;
+  config.properties = 2;
+  config.share_p = 0.5;
+  std::size_t traces = 0, mutants = 0, broken = 0;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const Scenario sc = generate(case_seed(17, i), config);
+    const std::vector<const Module*> modules = sc.module_ptrs();
+    ComposeOptions co;
+    co.track_chokes = true;
+    const Composition comp = compose(modules, co);
+    std::vector<std::string> alphabet{"no_such_label"};
+    for (std::size_t e = 0; e < comp.ts.num_events(); ++e)
+      alphabet.push_back(
+          comp.ts.label(EventId(static_cast<EventId::underlying_type>(e))));
+
+    Suite suite;
+    suite.add(sc.name, modules, sc.property_ptrs());
+    SuiteOptions so;
+    so.mode = SuiteMode::kBatch;
+    so.engines = {"refine", "zone", "discrete"};
+    so.budget.max_states = 20'000;
+    for (const SuiteRecord& rec : run_suite(suite, so).records) {
+      if (!rec.result.violated() || rec.result.trace_labels.empty()) continue;
+      ++traces;
+      const std::vector<std::string>& trace = rec.result.trace_labels;
+      const auto agree = [&](const std::vector<std::string>& labels) {
+        std::string why_modules, why_composed;
+        const bool a = replays(modules, labels, why_modules);
+        const bool b = replays_composed(comp, labels, why_composed);
+        EXPECT_EQ(a, b) << sc.describe();
+        EXPECT_EQ(why_modules, why_composed) << sc.describe();
+        return a;
+      };
+      EXPECT_TRUE(agree(trace)) << rec.engine << " on " << sc.describe();
+      for (std::size_t k = 0; k < trace.size(); ++k) {
+        for (const std::string& label : alphabet) {
+          if (label == trace[k]) continue;
+          std::vector<std::string> mutant = trace;
+          mutant[k] = label;
+          ++mutants;
+          if (!agree(mutant)) ++broken;
+        }
+      }
+    }
+  }
+  // The sweep must exercise both outcomes.
+  EXPECT_GT(traces, 10u);
+  EXPECT_GT(broken, 0u);
+  EXPECT_LT(broken, mutants);
 }
 
 TEST_F(FuzzCampaign, ThrowingEngineIsAFailure) {

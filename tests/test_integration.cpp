@@ -57,7 +57,7 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
 
   // Rebuild the composition and apply the derived orderings.
   const Composition comp = compose({&sys, &mon});
-  RefinedSystem refined(comp.ts);
+  RefinedSystem refined(comp.ts, comp.index());
   refined.enable_age_rule(true);
   for (const DerivedOrdering& o : refine_stats(r).constraints()) {
     refined.activate_pair(comp.ts.event_by_label(o.before),
@@ -72,7 +72,7 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
     EXPECT_FALSE(comp.ts.valuation(graph.base_state(id)).test(fail_idx));
   }
   const std::vector<const SafetyProperty*> props{&bad};
-  FailureChecks checks(comp.ts, refined.chokes(), props);
+  FailureChecks checks(comp.ts, comp.index(), props);
   FailureSearchStats stats;
   EXPECT_FALSE(find_failure(graph, checks, 1'000'000, &stats).has_value());
   EXPECT_FALSE(stats.truncated);

@@ -142,6 +142,29 @@ void expect_identical(const Composition& a, const Composition& b) {
     EXPECT_EQ(a.chokes[i].producer, b.chokes[i].producer) << "choke " << i;
     EXPECT_EQ(a.chokes[i].blocker, b.chokes[i].blocker) << "choke " << i;
   }
+  // The event index the engines read: every state's enabled and
+  // pseudo-enabled sets and its chokes.
+  const auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  const auto same_chokes = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const ChokeRecord& p, const ChokeRecord& q) {
+                        return p.state == q.state && p.event == q.event &&
+                               p.producer == q.producer &&
+                               p.blocker == q.blocker;
+                      });
+  };
+  for (std::size_t s = 0; s < a.ts.num_states(); ++s) {
+    const StateId id(static_cast<std::uint32_t>(s));
+    EXPECT_TRUE(same(a.index().enabled(id), b.index().enabled(id)))
+        << "state " << s;
+    EXPECT_TRUE(
+        same(a.index().pseudo_enabled(id), b.index().pseudo_enabled(id)))
+        << "state " << s;
+    EXPECT_TRUE(same_chokes(a.index().chokes_at(id), b.index().chokes_at(id)))
+        << "state " << s;
+  }
 }
 
 TEST(ParallelCompose, OutputIsIdenticalAcrossJobCounts) {

@@ -11,7 +11,8 @@ namespace {
 
 TEST(RefinedSystem, NoObserversMeansNoBlocking) {
   const Module m = gallery::intro_example();
-  RefinedSystem rs(m.ts());
+  const ChokeIndex index(m.ts(), {});
+  RefinedSystem rs(m.ts(), index);
   const RefinedState s = rs.initial();
   for (EventId e : m.ts().enabled_events(s.base)) {
     EXPECT_FALSE(rs.blocked(s, e));
@@ -25,7 +26,8 @@ TEST(RefinedSystem, FromStartObserverBlocksExactSequence) {
   const EventId c = ts.event_by_label("c");
   const EventId d = ts.event_by_label("d");
 
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   BanObserver obs;
   obs.from_start = true;
   obs.window = {a, c, d};
@@ -47,7 +49,8 @@ TEST(RefinedSystem, DivergedRunIsNotBlocked) {
   const EventId c = ts.event_by_label("c");
   const EventId d = ts.event_by_label("d");
 
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   BanObserver obs;
   obs.from_start = true;
   obs.window = {a, c, d};
@@ -75,7 +78,8 @@ TEST(RefinedSystem, AnchoredObserverRearmsAtEveryVisit) {
   ts.add_transition(s1, back, s0);
   ts.set_initial(s0);
 
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   BanObserver obs;
   obs.from_start = false;
   obs.anchor_state = s1;
@@ -93,7 +97,8 @@ TEST(RefinedSystem, AnchoredObserverRearmsAtEveryVisit) {
 TEST(RefinedSystem, MaterializePrunesBlockedFirings) {
   const Module m = gallery::intro_example();
   const TransitionSystem& ts = m.ts();
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   BanObserver obs;
   obs.from_start = true;
   obs.window = {ts.event_by_label("a"), ts.event_by_label("c"),
@@ -118,7 +123,8 @@ TEST(RefinedSystem, PairBlockingNeedsActivationAndJustification) {
   const EventId x = ts.event_by_label("x");
   const EventId y = ts.event_by_label("y");
 
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   rs.enable_age_rule(true);
   RefinedState s0 = rs.initial();
   EXPECT_FALSE(rs.blocked(s0, y));
@@ -135,7 +141,8 @@ TEST(RefinedSystem, PairNotJustifiedWhenWindowsOverlap) {
   const Module m = gallery::diamond("x", DelayInterval::units(1, 4), "y",
                                     DelayInterval::units(2, 3));
   const TransitionSystem& ts = m.ts();
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   rs.enable_age_rule(true);
   rs.activate_pair(ts.event_by_label("x"), ts.event_by_label("y"));
   const RefinedState s0 = rs.initial();
@@ -165,7 +172,8 @@ TEST(RefinedSystem, ChainSlackJustifiesPair) {
   ts.add_transition(s1, x8, s3);
   ts.set_initial(s0);
 
-  RefinedSystem rs(ts);
+  const ChokeIndex index(ts, {});
+  RefinedSystem rs(ts, index);
   rs.enable_age_rule(true);
   rs.activate_pair(x6, y);
   rs.activate_pair(x8, y);
@@ -176,7 +184,8 @@ TEST(RefinedSystem, ChainSlackJustifiesPair) {
 
 TEST(RefinedSystem, StateHashingConsistent) {
   const Module m = gallery::intro_example();
-  RefinedSystem rs(m.ts());
+  const ChokeIndex index(m.ts(), {});
+  RefinedSystem rs(m.ts(), index);
   rs.enable_age_rule(true);
   rs.activate_pair(m.ts().event_by_label("b"), m.ts().event_by_label("d"));
   const RefinedState a = rs.initial();

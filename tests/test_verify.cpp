@@ -254,17 +254,17 @@ std::vector<RefinementRecord> refine_differentially(
     const Composition& comp, const std::vector<const SafetyProperty*>& props,
     bool structural_rule, std::size_t max_refinements,
     std::size_t force_window_at = kNever) {
-  RefinedSystem refined(comp.ts, comp.chokes);
+  RefinedSystem refined(comp.ts, comp.index());
   refined.enable_age_rule(structural_rule);
   RefinedGraph kept(refined);
-  FailureChecks kept_checks(comp.ts, refined.chokes(), props);
+  FailureChecks kept_checks(comp.ts, comp.index(), props);
   const PredecessorIndex preds(comp.ts);
   std::vector<RefinementRecord> records;
   std::string last_signature;
   bool invalidated = false;
   for (std::size_t iter = 0; iter <= max_refinements; ++iter) {
     RefinedGraph fresh(refined);
-    FailureChecks fresh_checks(comp.ts, refined.chokes(), props);
+    FailureChecks fresh_checks(comp.ts, comp.index(), props);
     const Search b = search(fresh, fresh_checks);
     const Search a = search(kept, kept_checks);
     expect_same(a, b, iter);
@@ -389,7 +389,7 @@ TEST(Subsumption, BlockingAntitoneAndAdvanceMonotoneOnTable1Obligation2) {
   // refinements: pairs only, so the activated orderings rebuild it exactly.
   const auto& records = refine_stats(r).records;
   ASSERT_EQ(records.size(), 19u);
-  RefinedSystem refined(comp.ts, comp.chokes);
+  RefinedSystem refined(comp.ts, comp.index());
   refined.enable_age_rule(true);
   for (const RefinementRecord& rec : records) {
     ASSERT_FALSE(rec.used_window);
