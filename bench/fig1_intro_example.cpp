@@ -6,12 +6,13 @@
 // the failure traces and their causal event structures with the derived
 // timing arcs.  This bench replays the flow and reports, per iteration,
 // the failure trace, the derived constraint, and the size of the refined
-// state space (the analogue of the gray vs. white states of Fig. 1).
+// state space (the analogue of the gray vs. white states of Fig. 1); it
+// then renders the first failure trace's causal arcs and banning orderings
+// from the same trace timing model the refinement engine uses.
 #include <cstdio>
 
 #include "rtv/lazy/refined_system.hpp"
-#include "rtv/timing/ces.hpp"
-#include "rtv/timing/orderings.hpp"
+#include "rtv/timing/trace_timing.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/suite.hpp"
@@ -66,8 +67,9 @@ int main() {
   const EngineResult r = decide("refine", {&sys, &mon}, {&bad});
   std::printf("%s\n", format_report("relative-timing flow", r).c_str());
 
-  // Fig. 2(c,d): causal event structure of the canonical failure trace
-  // with the timing arcs derived by max-separation analysis.
+  // Fig. 2(c,d): the causal arcs of the canonical failure trace, each
+  // occurrence drawn from the point that enabled it, and the orderings
+  // that ban the trace.
   {
     const TransitionSystem& ts = sys.ts();
     Trace trace;
@@ -80,12 +82,28 @@ int main() {
     }
     trace.final_state = s;
     trace.final_enabled = ts.enabled_events(s);
-    const Ces ces = extract_ces(ts, trace);
-    std::printf("CES of the failure trace a,c,d (Fig. 2(c) analogue):\n%s",
-                ces.to_string().c_str());
-    const auto orderings = derive_ces_orderings(ces);
-    std::printf("derived timing arcs:\n%s\n",
-                format_ces_orderings(ces, orderings).c_str());
+    const PredecessorIndex preds(ts);
+    const TraceTimingModel model(ts, preds, trace);
+
+    const auto arc = [&](EventId e, int point, bool pending) {
+      const int m = model.enabling_point(e, point);
+      std::printf("  %s %s%s <- %s\n", ts.label(e).c_str(),
+                  ts.delay(e).to_string().c_str(), pending ? " (pending)" : "",
+                  m == 0 ? "start" : ts.label(model.fired(m - 1)).c_str());
+    };
+    std::printf("causal arcs of the failure trace a,c,d (Fig. 2(c) analogue):\n");
+    for (int k = 0; k < model.num_points(); ++k) arc(model.fired(k), k, false);
+    for (EventId e : trace.final_enabled) arc(e, model.num_points(), true);
+
+    if (const std::optional<BanWindow> win = model.find_ban_window()) {
+      std::printf("ban window: points [%d..%d] %s\n", win->anchor_point,
+                  win->last_point,
+                  win->from_start ? "anchored at run start"
+                                  : "anchored at any visit");
+      std::printf("banning orderings:\n");
+      for (const DerivedOrdering& o : model.explain(*win))
+        std::printf("  %s before %s\n", o.before.c_str(), o.after.c_str());
+    }
   }
   return r.verified() && !z.violated() ? 0 : 1;
 }

@@ -2,7 +2,7 @@
 //
 // Time is modelled as a fixed-point integer number of "ticks"
 // (4 ticks == 1 delay unit of the paper).  Integer arithmetic keeps the
-// difference-constraint solver and the max-separation engine exact; the
+// difference-constraint solver and the zone/discrete engines exact; the
 // paper's fractional constants (0.5, 2.5, 15+eps) are all representable,
 // with eps == one tick == 0.25 units.  The coarse grid also keeps the
 // refined-state timing annotations (wave matrices) compact.

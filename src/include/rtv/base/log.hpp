@@ -1,8 +1,7 @@
 // Minimal leveled logging.
 //
-// The refinement engine logs one line per iteration at Info level; detailed
-// trace/CES dumps go to Debug.  Logging is globally configurable and cheap
-// when disabled.
+// The refinement engine logs one line per iteration at Info level.
+// Logging is globally configurable and cheap when disabled.
 //
 // Every emitted line carries a monotonic uptime stamp, a wall-clock UTC
 // timestamp and the dense thread id from rtv/obs, so daemon heartbeats and

@@ -1,8 +1,8 @@
 // Difference-constraint systems.
 //
 // Every timing question this library asks — is a failure trace timing
-// consistent? what is the maximal separation between two events? — reduces
-// to systems of constraints  t[a] - t[b] <= w  solved with Bellman-Ford.
+// consistent? which window of it is impossible, and why? — reduces to
+// systems of constraints  t[a] - t[b] <= w  solved with Bellman-Ford.
 // Infeasibility witnesses (negative cycles) are reported as sets of
 // constraint indices; the refinement engine maps them back to trace steps
 // to localise *why* a trace cannot happen in time.
@@ -46,10 +46,6 @@ class DiffSystem {
 
   /// Feasibility via Bellman-Ford; extracts a negative cycle on failure.
   SolveResult solve() const;
-
-  /// max(t[a] - t[b]) subject to the constraints.  Requires feasibility;
-  /// returns kTimeInfinity when unbounded.
-  Time max_separation(int a, int b) const;
 
  private:
   int n_;

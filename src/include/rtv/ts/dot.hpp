@@ -1,12 +1,11 @@
-// Graphviz (DOT) export of transition systems and causal event structures,
-// for documentation and debugging (the diagrams of Figs. 1-2 are DOT-able
-// views of these structures).
+// Graphviz (DOT) export of transition systems and transistor netlists, for
+// documentation and debugging (the state graphs of Fig. 1 and the stage of
+// Fig. 11 are DOT-able views of these structures).
 #pragma once
 
 #include <string>
 
 #include "rtv/circuit/netlist.hpp"
-#include "rtv/timing/ces.hpp"
 #include "rtv/ts/transition_system.hpp"
 
 namespace rtv {
@@ -21,10 +20,6 @@ struct DotOptions {
 
 /// DOT digraph of the reachable part of a transition system.
 std::string to_dot(const TransitionSystem& ts, const DotOptions& options = {});
-
-/// DOT digraph of a CES: solid arcs = causality, dashed = pending events'
-/// membership; node labels carry the delay intervals (as in Fig. 2(c,d)).
-std::string to_dot(const Ces& ces);
 
 /// DOT digraph of a transistor netlist (the Fig. 11 structural view):
 /// boxes = nodes (inputs dashed, boundary outputs bold), one edge per

@@ -51,8 +51,9 @@ SuiteReport run_on_refine(const Suite& suite) {
 
 Suite table1_suite(const ExperimentConfig& cfg) {
   Suite suite;
-  // Containment obligations run the abstraction as a passive monitor, the
-  // same construction as check_containment().
+  // Containment obligations run the abstraction as a passive monitor: it
+  // observes every event of its alphabet, constrains neither timing nor
+  // enabling, and any output it cannot accept surfaces as a choke.
   const auto monitor_of = [&suite](Module abstraction) {
     const std::string name = abstraction.name() + "'";
     return suite.own(abstraction.as_monitor(name));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace rtv {
 
@@ -61,24 +60,6 @@ DiffSystem::SolveResult DiffSystem::solve() const {
   std::reverse(r.core.begin(), r.core.end());
   r.feasible = false;
   return r;
-}
-
-Time DiffSystem::max_separation(int a, int b) const {
-  // max(t[a]-t[b]) = shortest-path distance from b to a in the constraint
-  // graph (edge b->a of weight w for each t[a]-t[b] <= w).
-  std::vector<Time> dist(n_, kTimeInfinity);
-  dist[b] = 0;
-  for (int iter = 0; iter < n_; ++iter) {
-    bool changed = false;
-    for (const DiffConstraint& c : cs_) {
-      if (dist[c.b] < kTimeInfinity && dist[c.b] + c.w < dist[c.a]) {
-        dist[c.a] = dist[c.b] + c.w;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  return dist[a];
 }
 
 }  // namespace rtv

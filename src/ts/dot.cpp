@@ -54,29 +54,6 @@ std::string to_dot(const TransitionSystem& ts, const DotOptions& options) {
   return os.str();
 }
 
-std::string to_dot(const Ces& ces) {
-  std::ostringstream os;
-  os << "digraph ces {\n  rankdir=TB;\n  node [shape=box];\n";
-  for (std::size_t i = 0; i < ces.size(); ++i) {
-    const CesEvent& e = ces.events[i];
-    os << "  e" << i << " [label=\"" << escape(e.label) << " "
-       << escape(e.delay.to_string()) << "\"";
-    if (e.pending) os << ", style=dashed";
-    os << "];\n";
-  }
-  for (std::size_t i = 0; i < ces.size(); ++i) {
-    for (int p : ces.events[i].preds) {
-      os << "  e" << p << " -> e" << i << ";\n";
-    }
-  }
-  os << "}\n";
-  return os.str();
-}
-
-}  // namespace rtv
-
-namespace rtv {
-
 std::string to_dot(const Netlist& netlist) {
   std::ostringstream os;
   os << "digraph netlist {\n  rankdir=LR;\n  node [shape=box];\n";

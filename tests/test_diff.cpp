@@ -62,41 +62,6 @@ TEST(DiffSystem, InfiniteConstraintsIgnored) {
   EXPECT_EQ(sys.num_constraints(), 1u);
 }
 
-TEST(DiffSystem, MaxSeparationExact) {
-  // t1 - t0 in [1, 2], t2 - t1 in [3, 5]: max(t2 - t0) = 7, min = 4.
-  DiffSystem sys(3);
-  sys.add_bounds(1, 0, 1, 2);
-  sys.add_bounds(2, 1, 3, 5);
-  EXPECT_EQ(sys.max_separation(2, 0), 7);
-  // max(t0 - t2) = -(min separation) = -4.
-  EXPECT_EQ(sys.max_separation(0, 2), -4);
-}
-
-TEST(DiffSystem, MaxSeparationUnbounded) {
-  DiffSystem sys(2);
-  sys.add(0, 1, 0);  // t0 <= t1 only
-  EXPECT_EQ(sys.max_separation(1, 0), kTimeInfinity);
-}
-
-TEST(DiffSystem, MaxSeparationSelfIsZero) {
-  DiffSystem sys(2);
-  sys.add_bounds(1, 0, 1, 2);
-  EXPECT_EQ(sys.max_separation(1, 1), 0);
-}
-
-TEST(DiffSystem, DiamondCorrelationRespected) {
-  // Two paths from 0 to 3 share endpoints; separation between the two
-  // middle nodes is bounded by both paths.
-  DiffSystem sys(4);
-  sys.add_bounds(1, 0, 1, 4);
-  sys.add_bounds(2, 0, 2, 3);
-  sys.add_bounds(3, 1, 1, 1);
-  sys.add_bounds(3, 2, 1, 1);
-  // t1 - t2: t1 = t3 - 1, t2 = t3 - 1 => equal in every solution.
-  EXPECT_EQ(sys.max_separation(1, 2), 0);
-  EXPECT_EQ(sys.max_separation(2, 1), 0);
-}
-
 TEST(DiffSystem, TagsPreserved) {
   DiffSystem sys(2);
   sys.add(1, 0, 5, 42);

@@ -149,6 +149,15 @@ TEST(IpcmosExperiments, BrokenTimingIsRejected) {
     const EngineResult z = test::decide("zone", set.ptrs, props);
     EXPECT_TRUE(z.violated());
   }
+  // The induction over replicated stages (obligations 3 and 4: base and
+  // fixed-point step) must not go through with the slow Z+ either.
+  for (const std::size_t n : {3, 4}) {
+    SCOPED_TRACE(n);
+    const EngineResult r = experiment(n, slow_z);
+    EXPECT_EQ(r.verdict, Verdict::kViolated);
+    EXPECT_NE(r.message.find("short-circuit at I1.Y"), std::string::npos)
+        << r.message;
+  }
 }
 
 TEST(IpcmosExperiments, SlackBoundariesMatchBackAnnotatedOrderings) {

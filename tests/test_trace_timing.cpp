@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "rtv/fuzz/generator.hpp"
+#include "rtv/ipcmos/experiments.hpp"
+#include "rtv/sim/simulator.hpp"
 #include "rtv/ts/gallery.hpp"
 
 namespace rtv {
@@ -174,6 +177,56 @@ TEST(TraceTiming, ClampedWindowDropsStaleLowerBounds) {
   const auto win = model.find_ban_window();
   ASSERT_TRUE(win.has_value());
   EXPECT_TRUE(win->from_start);
+}
+
+// A simulated run fires every event within its delay bounds of its
+// enabling and never past a pending event's deadline, so the model must
+// judge each run's untimed trace timing-consistent.
+Trace trace_of(const TransitionSystem& ts, const SimTrace& run) {
+  Trace trace;
+  StateId s = ts.initial();
+  for (const SimEvent& ev : run.events) {
+    trace.steps.push_back(TraceStep{s, ev.event, ts.enabled_events(s)});
+    s = ev.state_after;
+  }
+  trace.final_state = s;
+  trace.final_enabled = ts.enabled_events(s);
+  return trace;
+}
+
+void expect_runs_consistent(const TransitionSystem& ts, int runs,
+                            std::size_t events) {
+  const PredecessorIndex preds(ts);
+  for (int i = 0; i < runs; ++i) {
+    SimOptions opts;
+    opts.max_events = events;
+    opts.seed = static_cast<std::uint64_t>(i) + 1;
+    const Trace trace = trace_of(ts, simulate(ts, opts));
+    ASSERT_TRUE(TraceTimingModel(ts, preds, trace).consistent())
+        << "simulation seed " << opts.seed << ", " << trace.steps.size()
+        << " steps";
+  }
+}
+
+TEST(TraceTiming, SimulatedRunsAreConsistentOnIntroAndTable1) {
+  const Module intro = gallery::intro_example();
+  expect_runs_consistent(intro.ts(), 200, 40);
+  const Suite table1 = ipcmos::table1_suite();
+  for (const Obligation& ob : table1.obligations()) {
+    SCOPED_TRACE(ob.name);
+    expect_runs_consistent(compose(ob.modules).ts, 100, 40);
+  }
+}
+
+TEST(TraceTiming, SimulatedRunsAreConsistentOnFuzzScenarios) {
+  for (std::size_t i = 0; i < 300; ++i) {
+    const fuzz::Scenario sc = fuzz::generate(fuzz::case_seed(1, i), {});
+    SCOPED_TRACE(sc.describe());
+    const std::vector<const Module*> all = sc.module_ptrs();
+    const std::vector<const Module*> system(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(sc.system_modules));
+    expect_runs_consistent(compose(system).ts, 20, 24);
+  }
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "engine_support.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/timing/trace_timing.hpp"
-#include "rtv/verify/containment.hpp"
 #include "rtv/verify/failure_search.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
@@ -110,7 +109,8 @@ TEST(Verify, ContainmentAcceptsRefinement) {
                                         EventKind::kOutput), s);
   spec.set_initial(s);
   const Module abs("spec", std::move(spec));
-  const EngineResult r = check_containment({&impl}, abs);
+  const Module mon = abs.as_monitor(abs.name() + "'");
+  const EngineResult r = decide("refine", {&impl, &mon}, {});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
 }
 
@@ -135,7 +135,8 @@ TEST(Verify, ContainmentRejectsForbiddenOutput) {
   ats.set_initial(a0);
   const Module abs("spec", std::move(ats));
 
-  const EngineResult r = check_containment({&impl}, abs);
+  const Module mon = abs.as_monitor(abs.name() + "'");
+  const EngineResult r = decide("refine", {&impl, &mon}, {});
   EXPECT_EQ(r.verdict, Verdict::kViolated);
   EXPECT_NE(r.message.find("refusal"), std::string::npos);
 }
@@ -158,7 +159,8 @@ TEST(Verify, TimedContainmentNeedsRefinement) {
                                        EventKind::kOutput), a2);
   ats.set_initial(a0);
   const Module abs("x-then-y", std::move(ats));
-  const EngineResult r = check_containment({&impl}, abs);
+  const Module mon = abs.as_monitor(abs.name() + "'");
+  const EngineResult r = decide("refine", {&impl, &mon}, {});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   EXPECT_GE(refine_stats(r).refinements, 1);
 }

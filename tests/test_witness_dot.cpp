@@ -132,23 +132,6 @@ TEST(Dot, HighlightAndLimit) {
   EXPECT_EQ(count, 1u);  // only in the node default
 }
 
-TEST(Dot, CesExportShowsPending) {
-  Ces ces;
-  CesEvent a;
-  a.label = "a";
-  a.delay = DelayInterval::units(1, 2);
-  CesEvent b;
-  b.label = "b";
-  b.delay = DelayInterval::units(3, 4);
-  b.preds = {0};
-  b.pending = true;
-  ces.events = {a, b};
-  const std::string dot = to_dot(ces);
-  EXPECT_NE(dot.find("digraph ces"), std::string::npos);
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-  EXPECT_NE(dot.find("e0 -> e1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rtv
 
