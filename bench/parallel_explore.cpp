@@ -73,7 +73,7 @@ int main() {
     owned.reserve(kTogglers);
     std::vector<const Module*> modules;
     for (int i = 0; i < kTogglers; ++i)
-      owned.push_back(toggler("t" + std::to_string(i)));
+      owned.push_back(toggler(std::string("t").append(std::to_string(i))));
     for (const Module& m : owned) modules.push_back(&m);
 
     std::printf("\ncompose: %d togglers (2^%d product states)\n", kTogglers,

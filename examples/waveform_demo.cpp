@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> signals;
   signals.push_back("V1");
   for (int k = 1; k <= stages; ++k) {
-    signals.push_back("I" + std::to_string(k) + ".CLKE");
-    signals.push_back("A" + std::to_string(k));
-    signals.push_back("V" + std::to_string(k + 1));
+    signals.push_back(std::string("I").append(std::to_string(k)) + ".CLKE");
+    signals.push_back(std::string("A").append(std::to_string(k)));
+    signals.push_back(std::string("V").append(std::to_string(k + 1)));
   }
-  signals.push_back("A" + std::to_string(stages + 1));
+  signals.push_back(std::string("A").append(std::to_string(stages + 1)));
 
   TransitionSystem table;
   table.set_signal_names(trace.signal_names);

@@ -145,13 +145,13 @@ std::string ExprPool::to_string(Expr e,
   const Node& n = node(e);
   auto name = [&](NodeId id) -> std::string {
     if (id.value() < node_names.size()) return node_names[id.value()];
-    return "n" + std::to_string(id.value());
+    return std::string("n") + std::to_string(id.value());
   };
   switch (n.kind) {
     case Kind::kConst:
       return n.value ? "1" : "0";
     case Kind::kLit:
-      return (n.value ? "" : "!") + name(n.node);
+      return std::string(n.value ? "" : "!") + name(n.node);
     case Kind::kAnd:
     case Kind::kOr: {
       std::string sep = n.kind == Kind::kAnd ? " & " : " | ";

@@ -85,7 +85,7 @@ struct Gen {
       }
     }
     std::string label =
-        "m" + std::to_string(mi) + "_e" + std::to_string(ei);
+        std::string("m") + std::to_string(mi) + "_e" + std::to_string(ei);
     const DelayInterval d = random_delay();
     pool.push_back({label, d});
     used.push_back(label);
@@ -106,7 +106,7 @@ struct Gen {
   /// live without accidentally synchronising on a shared "idle" label.
   static void add_idle(TransitionSystem& ts, StateId at, std::size_t mi) {
     const EventId idle =
-        ts.add_event("m" + std::to_string(mi) + "_idle",
+        ts.add_event(std::string("m") + std::to_string(mi) + "_idle",
                      DelayInterval(kTicksPerUnit, 2 * kTicksPerUnit),
                      EventKind::kInternal);
     ts.add_transition(at, idle, at);
@@ -170,8 +170,8 @@ Module build_grid(Gen& g, std::size_t mi, std::size_t pool_before) {
                                          std::vector<StateId>(cols + 1));
   for (std::size_t i = 0; i <= rows; ++i)
     for (std::size_t j = 0; j <= cols; ++j)
-      grid[i][j] =
-          ts.add_state("g" + std::to_string(i) + "_" + std::to_string(j));
+      grid[i][j] = ts.add_state(std::string("g").append(std::to_string(i)) +
+                                "_" + std::to_string(j));
   for (std::size_t i = 0; i <= rows; ++i)
     for (std::size_t j = 0; j <= cols; ++j) {
       if (i < rows) ts.add_transition(grid[i][j], row_events[i], grid[i + 1][j]);
@@ -397,7 +397,7 @@ Scenario generate(std::uint64_t seed, const GeneratorConfig& raw_config) {
       }
       return build_chain(g, mi, pool_before);
     }();
-    m.set_name("m" + std::to_string(mi) + "_" + to_string(shape));
+    m.set_name(std::string("m") + std::to_string(mi) + "_" + to_string(shape));
     sc.modules.push_back(std::move(m));
     sc.shapes.push_back(shape);
   }

@@ -205,7 +205,8 @@ struct RefinementRecord {
   std::vector<DerivedOrdering> orderings;    ///< back-annotated constraints
 };
 
-/// Engine-specific statistics, carried alongside the common fields.
+/// The refinement engine's detail, carried alongside the common fields;
+/// the exact engines need none beyond them.
 struct RefineEngineStats {
   int refinements = 0;
   std::size_t composed_states = 0;
@@ -220,19 +221,7 @@ struct RefineEngineStats {
   std::vector<DerivedOrdering> constraints() const;
 };
 
-/// For zone/discrete, EngineResult::states_explored already counts the
-/// engine's exploration unit (zones / integer-age configs); the stats add
-/// only what is not derivable from the common fields.
-struct ZoneEngineStats {
-  std::size_t discrete_states = 0;  ///< distinct TTS states reached in time
-};
-
-struct DiscreteEngineStats {
-  std::size_t discrete_states = 0;  ///< distinct locations reached
-};
-
-using EngineStats = std::variant<std::monostate, RefineEngineStats,
-                                 ZoneEngineStats, DiscreteEngineStats>;
+using EngineStats = std::variant<std::monostate, RefineEngineStats>;
 
 struct EngineResult {
   Verdict verdict = Verdict::kInconclusive;
@@ -243,6 +232,9 @@ struct EngineResult {
   std::vector<std::string> trace_labels;
   /// Explored states in the engine's own unit (see RunBudget::max_states).
   std::size_t states_explored = 0;
+  /// Distinct composed states the exploration reached in time (zone and
+  /// discrete; refine leaves it 0).
+  std::size_t discrete_states = 0;
   double seconds = 0.0;
   /// Non-empty iff the run stopped early (see stop_reason); implies
   /// verdict != kVerified.

@@ -6,7 +6,6 @@
 // enabled sets, ready for timing analysis.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -45,42 +44,6 @@ struct FailureSearchStats {
   const char* stop_reason = nullptr;
 };
 
-/// The checks of a failure search over one composition: safety properties
-/// and refusals, read off the composition's event index.  Property
-/// verdicts depend only on the base graph, so the first violating property
-/// of each base state and base transition is computed once and kept for
-/// the checks' lifetime; a violation's message is built only when a check
-/// hits.  `base`, `index` and `properties` are referenced, not copied, and
-/// must outlive the checks.
-class FailureChecks {
- public:
-  FailureChecks(const TransitionSystem& base, const ChokeIndex& index,
-                std::span<const SafetyProperty* const> properties);
-
-  /// Sorted base-enabled events of `s`.
-  std::span<const EventId> enabled(StateId s) const {
-    return index_->enabled(s);
-  }
-  /// Chokes at base state `s`.
-  std::span<const ChokeRecord> chokes_at(StateId s) const {
-    return index_->chokes_at(s);
-  }
-  /// Message of the first property `s` violates.
-  std::optional<std::string> state_violation(StateId s);
-  /// Message of the first property base transition `k` of `s` violates.
-  std::optional<std::string> event_violation(StateId s, std::size_t k);
-
- private:
-  const TransitionSystem* base_;
-  const ChokeIndex* index_;
-  std::span<const SafetyProperty* const> properties_;
-  /// First violating property index, or "clean" / "unchecked" (negative):
-  /// per base state, and per base transition (CSR over transition_offset_).
-  std::vector<std::int32_t> state_verdict_;
-  std::vector<std::size_t> transition_offset_;
-  std::vector<std::int32_t> event_verdict_;
-};
-
 /// Shallowest failure in the refined system `graph` explores: BFS from its
 /// initial state over unblocked firings, in the same order as a search
 /// that rebuilt the graph from scratch.  The graph and `checks` persist
@@ -93,7 +56,8 @@ class FailureChecks {
 /// and entry-wise >= gaps: it has no behaviour its dominator lacks.
 /// `max_states` and `clock` (optional: a shared wall-clock deadline /
 /// cancellation / progress guard) count the states this call keeps.
-std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
+std::optional<Failure> find_failure(RefinedGraph& graph,
+                                    const SafetyChecks& checks,
                                     std::size_t max_states,
                                     FailureSearchStats* stats,
                                     RunClock* clock = nullptr);

@@ -3,7 +3,8 @@
 namespace rtv::ipcmos {
 
 Module make_stage(int k, const PipelineTiming& t) {
-  return stage_module("I" + std::to_string(k), linear_channels(k), t.stage);
+  return stage_module(std::string("I").append(std::to_string(k)),
+                      linear_channels(k), t.stage);
 }
 
 Module make_in_env(const PipelineTiming& t) {

@@ -30,7 +30,7 @@ Netlist make_stage_netlist(const std::string& name, const StageChannels& ch,
   std::vector<NodeId> vint, y, z;
   for (std::size_t i = 0; i < vin.size(); ++i) {
     const std::string sfx =
-        vin.size() == 1 ? std::string() : "_" + std::to_string(i);
+        vin.size() == 1 ? std::string() : std::string("_") + std::to_string(i);
     const NodeId vi = nl.add_node(name + ".Vint" + sfx, true);
     const NodeId zi = nl.add_node(name + ".Z" + sfx, false);
     const NodeId yi = nl.add_node(name + ".Y" + sfx, true);
@@ -61,7 +61,7 @@ Netlist make_stage_netlist(const std::string& name, const StageChannels& ch,
   const NodeId d = nl.add_node(name + ".D", true);
   for (std::size_t j = 0; j < vout.size(); ++j) {
     const std::string sfx =
-        vout.size() == 1 ? std::string() : "_" + std::to_string(j);
+        vout.size() == 1 ? std::string() : std::string("_") + std::to_string(j);
     const NodeId rj = nl.add_node(name + ".R" + sfx, true);
     r.push_back(rj);
     // (guard on CLKE added below once CLKE exists)
@@ -132,10 +132,10 @@ Module stage_module(const std::string& name, const StageChannels& ch,
 
 StageChannels linear_channels(int k) {
   StageChannels ch;
-  ch.valid_in = {"V" + std::to_string(k)};
-  ch.ack_out = "A" + std::to_string(k);
-  ch.valid_out = {"V" + std::to_string(k + 1)};
-  ch.ack_in = {"A" + std::to_string(k + 1)};
+  ch.valid_in = {std::string("V") + std::to_string(k)};
+  ch.ack_out = std::string("A") + std::to_string(k);
+  ch.valid_out = {std::string("V") + std::to_string(k + 1)};
+  ch.ack_in = {std::string("A") + std::to_string(k + 1)};
   return ch;
 }
 

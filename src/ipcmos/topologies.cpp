@@ -8,21 +8,17 @@ namespace rtv::ipcmos {
 namespace {
 
 StageChannels join_channels() {
-  StageChannels ch;
-  ch.valid_in = {"Va", "Vb"};
-  ch.ack_out = "A";
-  ch.valid_out = {"Vo"};
-  ch.ack_in = {"Ao"};
-  return ch;
+  return {.valid_in = {"Va", "Vb"},
+          .ack_out = "A",
+          .valid_out = {"Vo"},
+          .ack_in = {"Ao"}};
 }
 
 StageChannels fork_channels() {
-  StageChannels ch;
-  ch.valid_in = {"Vi"};
-  ch.ack_out = "Ai";
-  ch.valid_out = {"Va", "Vb"};
-  ch.ack_in = {"Aa", "Ab"};
-  return ch;
+  return {.valid_in = {"Vi"},
+          .ack_out = "Ai",
+          .valid_out = {"Va", "Vb"},
+          .ack_in = {"Aa", "Ab"}};
 }
 
 EngineResult verify_topology(const ModuleSet& set, const Netlist& nl,

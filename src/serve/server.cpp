@@ -585,6 +585,7 @@ struct Server::Impl {
         r.lint.clear();
         r.sliced_modules = r.sliced_events = 0;
         r.result.stats = std::monostate{};
+        r.result.discrete_states = 0;
         outcome.records.push_back(std::move(r));
       }
       {

@@ -290,7 +290,7 @@ std::string write_astg(const Stg& stg) {
     if (!n.empty() && n.find(' ') == std::string::npos && n[0] != '<' &&
         n.find('(') == std::string::npos)
       return n;
-    return "p" + std::to_string(p);
+    return std::string("p").append(std::to_string(p));
   };
 
   os << ".graph\n";

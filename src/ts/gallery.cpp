@@ -19,7 +19,8 @@ Module intro_example() {
   StateId states[4][2 + 1];
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 3; ++j)
-      states[i][j] = ts.add_state("a" + std::to_string(i) + "b" + std::to_string(j));
+      states[i][j] = ts.add_state(std::string("a") + std::to_string(i) + "b" +
+                                  std::to_string(j));
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 3; ++j) {
       if (i == 0) ts.add_transition(states[i][j], a, states[1][j]);
@@ -66,7 +67,8 @@ Module chain(const std::vector<std::pair<std::string, DelayInterval>>& events) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const EventId e =
         ts.add_event(events[i].first, events[i].second, EventKind::kInternal);
-    const StateId next = ts.add_state("s" + std::to_string(i + 1));
+    const StateId next =
+        ts.add_state(std::string("s").append(std::to_string(i + 1)));
     ts.add_transition(prev, e, next);
     prev = next;
   }
@@ -78,7 +80,7 @@ Module ring(const std::vector<std::pair<std::string, DelayInterval>>& events) {
   assert(!events.empty());
   std::vector<StateId> states;
   for (std::size_t i = 0; i < events.size(); ++i)
-    states.push_back(ts.add_state("r" + std::to_string(i)));
+    states.push_back(ts.add_state(std::string("r").append(std::to_string(i))));
   for (std::size_t i = 0; i < events.size(); ++i) {
     const EventId e =
         ts.add_event(events[i].first, events[i].second, EventKind::kInternal);
@@ -98,7 +100,8 @@ Module fork_join(const std::string& a, DelayInterval a_delay,
   StateId s[2][2];
   for (int i = 0; i < 2; ++i)
     for (int j = 0; j < 2; ++j)
-      s[i][j] = ts.add_state("f" + std::to_string(i) + std::to_string(j));
+      s[i][j] = ts.add_state(std::string("f") + std::to_string(i) +
+                             std::to_string(j));
   for (int j = 0; j < 2; ++j) ts.add_transition(s[0][j], ea, s[1][j]);
   for (int i = 0; i < 2; ++i) ts.add_transition(s[i][0], eb, s[i][1]);
   ts.add_transition(s[1][1], ec, s[0][0]);

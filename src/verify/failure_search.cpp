@@ -9,9 +9,6 @@ namespace rtv {
 
 namespace {
 
-constexpr std::int32_t kUnchecked = -2;
-constexpr std::int32_t kClean = -1;
-
 // find_failure's marks for graph ids it has not kept.
 constexpr std::int32_t kUnseen = -1;
 constexpr std::int32_t kSubsumed = -2;
@@ -21,67 +18,9 @@ std::vector<EventId> to_vector(std::span<const EventId> events) {
   return {events.begin(), events.end()};
 }
 
-/// First of `n` properties `check` reports violated, memoised in `verdict`
-/// (a property index, kClean or kUnchecked).
-template <typename Check>
-std::optional<std::string> first_violation(std::int32_t& verdict,
-                                           std::size_t n, const Check& check) {
-  if (verdict >= 0) return check(static_cast<std::size_t>(verdict));
-  for (std::size_t p = 0; p < n; ++p) {
-    if (auto v = check(p)) {
-      verdict = static_cast<std::int32_t>(p);
-      return v;
-    }
-  }
-  verdict = kClean;
-  return std::nullopt;
-}
-
-}  // namespace
-
-FailureChecks::FailureChecks(const TransitionSystem& base,
-                             const ChokeIndex& index,
-                             std::span<const SafetyProperty* const> properties)
-    : base_(&base),
-      index_(&index),
-      properties_(properties),
-      state_verdict_(base.num_states(), kUnchecked) {
-  transition_offset_.reserve(base.num_states() + 1);
-  transition_offset_.push_back(0);
-  for (std::size_t i = 0; i < base.num_states(); ++i)
-    transition_offset_.push_back(
-        transition_offset_.back() +
-        base.transitions_from(StateId(static_cast<StateId::underlying_type>(i)))
-            .size());
-  event_verdict_.assign(transition_offset_.back(), kUnchecked);
-}
-
-std::optional<std::string> FailureChecks::state_violation(StateId s) {
-  std::int32_t& verdict = state_verdict_[s.value()];
-  if (verdict == kClean) return std::nullopt;
-  const PropertyContext ctx{*base_, s, enabled(s)};
-  return first_violation(verdict, properties_.size(), [&](std::size_t p) {
-    return properties_[p]->check_state(ctx);
-  });
-}
-
-std::optional<std::string> FailureChecks::event_violation(StateId s,
-                                                          std::size_t k) {
-  std::int32_t& verdict = event_verdict_[transition_offset_[s.value()] + k];
-  if (verdict == kClean) return std::nullopt;
-  const Transition& t = base_->transitions_from(s)[k];
-  const PropertyContext ctx{*base_, s, enabled(s)};
-  return first_violation(verdict, properties_.size(), [&](std::size_t p) {
-    return properties_[p]->check_event(ctx, t.event, t.target,
-                                       enabled(t.target));
-  });
-}
-
-namespace {
-
 /// Rebuild a trace (over base states, with raw enabling sets) from the
 /// search's parent pointers, indexed by discovery order.
-Trace unwind(const RefinedGraph& graph, const FailureChecks& checks,
+Trace unwind(const RefinedGraph& graph, const SafetyChecks& checks,
              const std::vector<std::int32_t>& found,
              const std::vector<std::int32_t>& parent,
              const std::vector<EventId>& via, std::size_t leaf) {
@@ -107,7 +46,8 @@ Trace unwind(const RefinedGraph& graph, const FailureChecks& checks,
 
 }  // namespace
 
-std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
+std::optional<Failure> find_failure(RefinedGraph& graph,
+                                    const SafetyChecks& checks,
                                     std::size_t max_states,
                                     FailureSearchStats* stats,
                                     RunClock* clock) {
@@ -218,8 +158,7 @@ std::optional<Failure> find_failure(RefinedGraph& graph, FailureChecks& checks,
       Failure f;
       f.trace = unwind(graph, checks, found, parent, via, head);
       f.virtual_event = c.event;
-      f.description = "refusal: output '" + base.label(c.event) +
-                      "' not accepted (containment violation)";
+      f.description = checks.refusal(c);
       return finish(std::move(f));
     }
 

@@ -52,7 +52,7 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
   // refined-state encoding changes (the first activated pair, an observer);
   // the checks and the predecessor index depend on the composition only.
   RefinedGraph graph(refined);
-  FailureChecks checks(comp.ts, comp.index(), request.properties);
+  const SafetyChecks checks(comp, request.properties);
   const PredecessorIndex preds(comp.ts);
 
   std::string last_signature;

@@ -28,12 +28,15 @@ std::string format_report(const std::string& title,
   if (!st) return os.str();
   for (const RefinementRecord& r : st->records) {
     os << "  iter " << std::setw(3) << r.iteration << ": " << r.failure << "\n";
-    os << "           banned [";
-    for (std::size_t i = 0; i < r.window_labels.size(); ++i) {
-      if (i) os << " ";
-      os << r.window_labels[i];
+    if (r.used_window) {
+      os << "           banned [";
+      for (std::size_t i = 0; i < r.window_labels.size(); ++i) {
+        if (i) os << " ";
+        os << r.window_labels[i];
+      }
+      os << "] anchored at " << (r.from_start ? "run start" : r.anchor)
+         << "\n";
     }
-    os << "] anchored at " << (r.from_start ? "run start" : r.anchor) << "\n";
     for (const DerivedOrdering& o : r.orderings) {
       os << "           constraint: " << o.before << " before " << o.after
          << "\n";

@@ -56,7 +56,8 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
   obs::Span span("engine:discrete", "engine");
   const Composition& comp = checked_composition(request);
   const TransitionSystem& ts = comp.ts;
-  const std::vector<const SafetyProperty*>& properties = request.properties;
+  // One table for every worker: the checks are const and thread-safe.
+  const SafetyChecks checks(comp, request.properties);
   RunClock clock(name(), request.budget, request.progress,
                  request.progress_interval);
   EngineResult result;
@@ -146,7 +147,6 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     const Time* ages = cfg + 1;
     const StateId state(static_cast<StateId::underlying_type>(cfg[0]));
     const std::span<const EventId> clocked = index.pseudo_enabled(state);
-    const PropertyContext ctx{ts, state, index.enabled(state)};
 
     const auto report = [&](std::string description, std::string extra) {
       if (!bucket.violation)
@@ -168,16 +168,12 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
       return ages[static_cast<std::size_t>(it - clocked.begin())];
     };
 
-    for (const SafetyProperty* p : properties)
-      if (auto v = p->check_state(ctx)) report(std::move(*v), {});
+    if (auto v = checks.state_violation(state)) report(std::move(*v), {});
 
     // Chokes firable now?
-    for (const ChokeRecord& c : index.chokes_at(state)) {
+    for (const ChokeRecord& c : checks.chokes_at(state))
       if (age_of(c.event) >= ts.delay(c.event).lo())
-        report("refusal: output '" + ts.label(c.event) +
-                   "' not accepted (containment violation)",
-               ts.label(c.event));
-    }
+        report(checks.refusal(c), ts.label(c.event));
 
     // Delay step: one tick, if no bounded deadline is overrun.
     {
@@ -198,12 +194,12 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     }
 
     // Firing steps.
-    for (const Transition& t : ts.transitions_from(state)) {
+    const std::span<const Transition> transitions = ts.transitions_from(state);
+    for (std::size_t k = 0; k < transitions.size(); ++k) {
+      const Transition& t = transitions[k];
       if (age_of(t.event) < ts.delay(t.event).lo()) continue;
-      for (const SafetyProperty* p : properties)
-        if (auto v = p->check_event(ctx, t.event, t.target,
-                                    index.enabled(t.target)))
-          report(std::move(*v), ts.label(t.event));
+      if (auto v = checks.event_violation(state, k))
+        report(std::move(*v), ts.label(t.event));
       const std::span<const EventId> succ_clocked =
           index.pseudo_enabled(t.target);
       next.assign(1 + succ_clocked.size(), 0);
@@ -256,7 +252,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
 
   const auto finish = [&](EngineResult r) {
     r.states_explored = config_hash.size();
-    r.stats = DiscreteEngineStats{discrete_count};
+    r.discrete_states = discrete_count;
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
       // One flush per run: worker balance and steal activity.

@@ -33,7 +33,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
   obs::Span span("engine:zone", "engine");
   const Composition& comp = checked_composition(request);
   const TransitionSystem& ts = comp.ts;
-  const std::vector<const SafetyProperty*>& properties = request.properties;
+  const SafetyChecks checks(comp, request.properties);
   const std::size_t max_zones =
       request.budget.max_states ? request.budget.max_states : kDefaultZones;
   RunClock clock(name(), request.budget, request.progress,
@@ -116,7 +116,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
 
   auto finish = [&](EngineResult r) {
     r.states_explored = nodes.size();
-    r.stats = ZoneEngineStats{discrete_count};
+    r.discrete_states = discrete_count;
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
       obs::Registry& reg = obs::Registry::global();
@@ -132,6 +132,15 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     }
     record_engine_run(name(), r);
     return r;
+  };
+  // A violation at node `leaf`, optionally by firing `last` from it.
+  auto violated = [&](std::string message, std::size_t leaf,
+                      EventId last = EventId::invalid()) {
+    result.verdict = Verdict::kViolated;
+    result.message = std::move(message);
+    result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(leaf));
+    if (last.valid()) result.trace_labels.push_back(ts.label(last));
+    return finish(result);
   };
 
   // A rejected insertion truncates the run even when it emptied the queue:
@@ -151,18 +160,9 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     queue.pop_front();
     // Copy: nodes may reallocate during expansion.
     const ZoneNode node = nodes[id];
-    const PropertyContext ctx{ts, node.state, index.enabled(node.state)};
+    if (auto v = checks.state_violation(node.state))
+      return violated(std::move(*v), id);
 
-    for (const SafetyProperty* p : properties) {
-      if (auto v = p->check_state(ctx)) {
-        result.verdict = Verdict::kViolated;
-        result.message = *v;
-        result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
-        return finish(result);
-      }
-    }
-
-    const std::size_t k = node.clocks.size();
     auto clock_of = [&](EventId e) -> std::size_t {
       const auto it = std::lower_bound(node.clocks.begin(), node.clocks.end(), e);
       return static_cast<std::size_t>(it - node.clocks.begin()) + 1;
@@ -171,7 +171,7 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     // Delay closure under the location invariant (maximal progress).
     Dbm delayed = node.zone;
     delayed.up();
-    for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t c = 0; c < node.clocks.size(); ++c) {
       const DelayInterval d = ts.delay(node.clocks[c]);
       if (d.upper_bounded()) delayed.constrain(c + 1, 0, d.hi());
     }
@@ -188,33 +188,21 @@ EngineResult ZoneEngine::run(const EngineRequest& request) const {
     };
 
     // Chokes: refused outputs that are timed-fireable are true violations.
-    for (const ChokeRecord& c : index.chokes_at(node.state)) {
-      if (fireable_zone(c.event)) {
-        result.verdict = Verdict::kViolated;
-        result.message = "refusal: output '" + ts.label(c.event) +
-                         "' not accepted (containment violation)";
-        result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
-        result.trace_labels.push_back(ts.label(c.event));
-        return finish(result);
-      }
-    }
+    for (const ChokeRecord& c : checks.chokes_at(node.state))
+      if (fireable_zone(c.event))
+        return violated(checks.refusal(c), id, c.event);
 
-    for (const Transition& t : ts.transitions_from(node.state)) {
+    const std::span<const Transition> transitions =
+        ts.transitions_from(node.state);
+    for (std::size_t k = 0; k < transitions.size(); ++k) {
+      const Transition& t = transitions[k];
       const auto fire = fireable_zone(t.event);
       if (!fire) continue;
+      if (auto v = checks.event_violation(node.state, k))
+        return violated(std::move(*v), id, t.event);
 
       const std::span<const EventId> succ_clocked =
           index.pseudo_enabled(t.target);
-      for (const SafetyProperty* p : properties) {
-        if (auto v = p->check_event(ctx, t.event, t.target,
-                                    index.enabled(t.target))) {
-          result.verdict = Verdict::kViolated;
-          result.message = *v;
-          result.trace_labels = unwind_labels(static_cast<std::ptrdiff_t>(id));
-          result.trace_labels.push_back(ts.label(t.event));
-          return finish(result);
-        }
-      }
 
       // Build the successor zone: persistent events keep clocks, the fired
       // event and newly enabled events restart at 0.

@@ -23,6 +23,15 @@ inline Composition compose_for_engines(
   return compose(modules, co);
 }
 
+/// A request deciding `comp` under `properties`, with default knobs.
+inline EngineRequest request(const Composition& comp,
+                             std::vector<const SafetyProperty*> properties) {
+  EngineRequest req;
+  req.composition = &comp;
+  req.properties = std::move(properties);
+  return req;
+}
+
 /// Compose `modules` and decide them on `engine`; `request` supplies the
 /// budget and knobs (its composition and properties are filled in here).
 inline EngineResult decide(const Engine& engine,

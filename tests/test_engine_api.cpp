@@ -47,9 +47,7 @@ TEST(EngineParity, Fig1GalleryVerifiedByAllEngines) {
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
   const Composition comp = test::compose_for_engines({&sys, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&bad};
+  EngineRequest req = test::request(comp, {&bad});
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
     EXPECT_EQ(r.verdict, Verdict::kVerified) << e->name();
@@ -63,9 +61,7 @@ TEST(EngineParity, Fig1ReversedOrderViolatedByAllEngines) {
   const Module mon = gallery::order_monitor("d", "g");
   const InvariantProperty bad("d before g", {{"fail", true}});
   const Composition comp = test::compose_for_engines({&sys, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&bad};
+  EngineRequest req = test::request(comp, {&bad});
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
     EXPECT_EQ(r.verdict, Verdict::kViolated) << e->name();
@@ -87,9 +83,7 @@ TEST(EngineParity, IpcmosBoundary2OfTwoStagePipeline) {
   const PersistencyProperty pers;
   const Composition comp =
       test::compose_for_engines({&in, &stage, &aout, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&dead, &pers};
+  EngineRequest req = test::request(comp, {&dead, &pers});
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
     EXPECT_EQ(r.verdict, Verdict::kVerified) << e->name() << ": " << r.message;
@@ -108,9 +102,7 @@ TEST(EngineParity, ScaledRaceAgreesAndRefineZoneCostIsFlatInConstants) {
     const Module mon = gallery::order_monitor("a", "c");
     const InvariantProperty bad("a before c", {{"fail", true}});
     const Composition comp = test::compose_for_engines({&sys, &mon});
-    EngineRequest req;
-    req.composition = &comp;
-    req.properties = {&bad};
+    EngineRequest req = test::request(comp, {&bad});
     const EngineResult refine = engine("refine")->run(req);
     const EngineResult zone = engine("zone")->run(req);
     const EngineResult discrete = engine("discrete")->run(req);
@@ -133,9 +125,7 @@ TEST(EngineBudget, OneStateBudgetIsNeverVerified) {
   const InvariantProperty bad("g before d", {{"fail", true}});
   const DeadlockFreedom dead;
   const Composition comp = test::compose_for_engines({&sys, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&bad, &dead};
+  EngineRequest req = test::request(comp, {&bad, &dead});
   req.budget.max_states = 1;
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
@@ -170,9 +160,7 @@ TEST(EngineBudget, DeadlineStopsRunEarlyWithInconclusive) {
   const Module mon = gallery::order_monitor("a", "c");
   const InvariantProperty bad("a before c", {{"fail", true}});
   const Composition comp = test::compose_for_engines({&sys, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&bad};
+  EngineRequest req = test::request(comp, {&bad});
   req.budget.max_seconds = 1e-9;  // expires before the first state pops
   for (const Engine* e : engine_registry().engines()) {
     const EngineResult r = e->run(req);
@@ -191,9 +179,7 @@ TEST(EngineBudget, CancelTokenStopsRunEarlyWithInconclusive) {
   {
     CancelToken token;
     token.cancel();
-    EngineRequest req;
-    req.composition = &comp;
-    req.properties = {&bad};
+    EngineRequest req = test::request(comp, {&bad});
     req.budget.cancel = &token;
     for (const Engine* e : engine_registry().engines()) {
       const EngineResult r = e->run(req);
@@ -207,9 +193,7 @@ TEST(EngineBudget, CancelTokenStopsRunEarlyWithInconclusive) {
   {
     CancelToken token;
     std::size_t callbacks = 0;
-    EngineRequest req;
-    req.composition = &comp;
-    req.properties = {&bad};
+    EngineRequest req = test::request(comp, {&bad});
     req.budget.cancel = &token;
     req.progress_interval = 16;
     req.progress = [&](const EngineProgress& p) {
@@ -217,9 +201,7 @@ TEST(EngineBudget, CancelTokenStopsRunEarlyWithInconclusive) {
       EXPECT_EQ(p.engine, "discrete");
       token.cancel();
     };
-    EngineRequest unbudgeted;
-    unbudgeted.composition = &comp;
-    unbudgeted.properties = {&bad};
+    EngineRequest unbudgeted = test::request(comp, {&bad});
     const EngineResult full = engine("discrete")->run(unbudgeted);
     const EngineResult r = engine("discrete")->run(req);
     EXPECT_GE(callbacks, 1u);
@@ -243,9 +225,7 @@ TEST(EngineProgressApi, AllThreeEnginesFireProgressWithMetricsSnapshot) {
   for (const Engine* e : engine_registry().engines()) {
     std::size_t fires = 0;
     bool saw_metrics = false;
-    EngineRequest req;
-    req.composition = &comp;
-    req.properties = {&bad};
+    EngineRequest req = test::request(comp, {&bad});
     req.budget.max_states = 4096;  // bounded: progress parity, not verdicts
     // Interval 1 fires on every tick: the zone and refine explorations
     // finish this system in fewer than a default interval's worth of
@@ -268,9 +248,7 @@ TEST(EngineResultApi, VerdictHelpersAndStats) {
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
   const Composition comp = test::compose_for_engines({&sys, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&bad};
+  EngineRequest req = test::request(comp, {&bad});
 
   const EngineResult rt = engine("refine")->run(req);
   EXPECT_TRUE(rt.verified());
@@ -281,17 +259,18 @@ TEST(EngineResultApi, VerdictHelpersAndStats) {
   EXPECT_GT(rst->composed_states, 0u);
   EXPECT_FALSE(rst->constraints().empty());
 
+  EXPECT_EQ(rt.discrete_states, 0u);
+
+  // The exact engines carry no engine-specific stats.
   const EngineResult zn = engine("zone")->run(req);
-  const auto* zst = std::get_if<ZoneEngineStats>(&zn.stats);
-  ASSERT_NE(zst, nullptr);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(zn.stats));
   EXPECT_GT(zn.states_explored, 0u);
-  EXPECT_GT(zst->discrete_states, 0u);
+  EXPECT_GT(zn.discrete_states, 0u);
 
   const EngineResult dg = engine("discrete")->run(req);
-  const auto* dst = std::get_if<DiscreteEngineStats>(&dg.stats);
-  ASSERT_NE(dst, nullptr);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(dg.stats));
   EXPECT_GT(dg.states_explored, 0u);
-  EXPECT_GT(dst->discrete_states, 0u);
+  EXPECT_GT(dg.discrete_states, 0u);
 }
 
 TEST(EngineResultApi, ViolationCarriesTraceLabels) {
@@ -299,9 +278,7 @@ TEST(EngineResultApi, ViolationCarriesTraceLabels) {
   const Module mon = gallery::order_monitor("d", "g");
   const InvariantProperty bad("d before g", {{"fail", true}});
   const Composition comp = test::compose_for_engines({&sys, &mon});
-  EngineRequest req;
-  req.composition = &comp;
-  req.properties = {&bad};
+  EngineRequest req = test::request(comp, {&bad});
   // The exact engines unwind a concrete timed trace; refine reports the
   // counterexample firing sequence.
   for (const char* name : {"refine", "zone", "discrete"}) {

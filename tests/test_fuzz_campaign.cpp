@@ -400,7 +400,7 @@ TEST_F(FuzzCampaign, BankedFindingsStayFixed) {
        R"("gates":true,"deadlock_check":false,"persistency_check":false})"},
       {// blocked_by_age substituted -cap_ for an extrapolated (kGapInf)
        // wave gap — unsound for events whose lower bound exceeds the cap
-       // (lazy_ts.cpp): refine pruned a reachable refusal.
+       // (refined_system.cpp): refine pruned a reachable refusal.
        "age-rule gap extrapolation past the cap", 3138098403129281633ULL,
        R"({"schema":"rtv-fuzz-config","modules":2,"events":4,"max_delay":16,)"
        R"("properties":0,"unbounded_p":0.1,"share_p":0.3,"point_delays":false,)"

@@ -29,8 +29,7 @@ TEST(Integration, SimulationVisitsOnlyZoneReachableStates) {
   const Module sys = gallery::intro_example();
   const EngineResult z = decide("zone", {&sys}, {});
   ASSERT_FALSE(z.violated());
-  const std::size_t timed_states =
-      std::get<ZoneEngineStats>(z.stats).discrete_states;
+  const std::size_t timed_states = z.discrete_states;
 
   // Collect simulated discrete states over many seeds.
   std::set<StateId::underlying_type> visited;
@@ -72,7 +71,7 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
     EXPECT_FALSE(comp.ts.valuation(graph.base_state(id)).test(fail_idx));
   }
   const std::vector<const SafetyProperty*> props{&bad};
-  FailureChecks checks(comp.ts, comp.index(), props);
+  const SafetyChecks checks(comp, props);
   FailureSearchStats stats;
   EXPECT_FALSE(find_failure(graph, checks, 1'000'000, &stats).has_value());
   EXPECT_FALSE(stats.truncated);

@@ -60,7 +60,7 @@ TEST(Report, TableAlignsColumnsAndFitsLongNames) {
   zoned.engine = "zone";
   zoned.result.verdict = Verdict::kViolated;
   zoned.result.states_explored = 55;
-  zoned.result.stats = ZoneEngineStats{11};
+  zoned.result.discrete_states = 11;
   SuiteReport report;
   report.records = {refined, zoned};
 
@@ -124,18 +124,31 @@ TEST(Report, RefineDetailFormats) {
   EngineResult r;
   r.verdict = Verdict::kVerified;
   RefineEngineStats st;
-  st.refinements = 1;
+  st.refinements = 2;
   st.composed_states = 17;
+  // Iteration 1 banned a window; iteration 2 only activated orderings, so
+  // it must not print a ban line.
+  RefinementRecord banned;
+  banned.iteration = 1;
+  banned.failure = "persistency violated: x disabled by y";
+  banned.used_window = true;
+  banned.window_labels = {"u", "x"};
+  banned.anchor = "state s3";
+  st.records.push_back(banned);
   RefinementRecord rec;
-  rec.iteration = 1;
+  rec.iteration = 2;
   rec.failure = "deadlock";
   rec.orderings = {{"a", "b"}, {"a", "b"}};
   st.records.push_back(rec);
   r.stats = st;
   const std::string s = format_report("refined", r);
-  EXPECT_NE(s.find("refinements:  1"), std::string::npos) << s;
+  EXPECT_NE(s.find("refinements:  2"), std::string::npos) << s;
   EXPECT_NE(s.find("composed:     17 states"), std::string::npos) << s;
   EXPECT_NE(s.find("constraint: a before b"), std::string::npos) << s;
+  const std::size_t first = s.find("banned [u x] anchored at state s3");
+  ASSERT_NE(first, std::string::npos) << s;
+  EXPECT_LT(first, s.find("iter   2")) << s;
+  EXPECT_EQ(s.find("banned", first + 1), std::string::npos) << s;
   // The constraints are deduplicated.
   EXPECT_EQ(format_constraints(r), "a before b\n");
 }

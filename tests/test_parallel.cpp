@@ -291,17 +291,13 @@ Composition compose_obligation(const Obligation& ob) {
   return compose(ob.modules, co);
 }
 
-std::size_t discrete_states(const EngineResult& r) {
-  return std::get<DiscreteEngineStats>(r.stats).discrete_states;
-}
-
 /// FNV-1a over what a discrete run reports: verdict, truncation reason,
 /// config and location counts, and the counterexample's labels.
 void fold_discrete(Fnv1a& h, const EngineResult& r) {
   h.u64(static_cast<std::uint64_t>(r.verdict))
       .str(r.truncated_reason)
       .u64(r.states_explored)
-      .u64(discrete_states(r))
+      .u64(r.discrete_states)
       .u64(r.trace_labels.size());
   for (const std::string& label : r.trace_labels) h.str(label);
 }
@@ -404,7 +400,7 @@ TEST(ParallelDiscrete, TruncationMidLayerIsIdenticalAcrossJobCounts) {
   EXPECT_EQ(b.states_explored, kCap);
   EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_EQ(a.truncated_reason, b.truncated_reason);
-  EXPECT_EQ(discrete_states(a), discrete_states(b));
+  EXPECT_EQ(a.discrete_states, b.discrete_states);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Stg random_marked_graph(Rng& rng, int n_signals) {
   Stg stg("random");
   std::vector<std::size_t> ring;
   for (int s = 0; s < n_signals; ++s) {
-    const std::string name = "s" + std::to_string(s);
+    const std::string name = std::string("s").append(std::to_string(s));
     ring.push_back(stg.add_transition(name, true));
     ring.push_back(stg.add_transition(name, false));
   }

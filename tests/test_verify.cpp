@@ -215,7 +215,7 @@ struct Search {
   FailureSearchStats stats;
 };
 
-Search search(RefinedGraph& graph, FailureChecks& checks) {
+Search search(RefinedGraph& graph, const SafetyChecks& checks) {
   Search s;
   s.failure = find_failure(graph, checks, kDefaultRefineStates, &s.stats);
   return s;
@@ -259,14 +259,14 @@ std::vector<RefinementRecord> refine_differentially(
   RefinedSystem refined(comp.ts, comp.index());
   refined.enable_age_rule(structural_rule);
   RefinedGraph kept(refined);
-  FailureChecks kept_checks(comp.ts, comp.index(), props);
+  const SafetyChecks kept_checks(comp, props);
   const PredecessorIndex preds(comp.ts);
   std::vector<RefinementRecord> records;
   std::string last_signature;
   bool invalidated = false;
   for (std::size_t iter = 0; iter <= max_refinements; ++iter) {
     RefinedGraph fresh(refined);
-    FailureChecks fresh_checks(comp.ts, comp.index(), props);
+    const SafetyChecks fresh_checks(comp, props);
     const Search b = search(fresh, fresh_checks);
     const Search a = search(kept, kept_checks);
     expect_same(a, b, iter);

@@ -347,15 +347,13 @@ int cmd_verify(const std::vector<std::string>& files,
   std::printf("== verify (engine: %s) ==\n", name.c_str());
   std::printf("verdict:      %s\n", to_string(r.verdict));
   // Each engine counts its own exploration unit.
-  if (const auto* zs = std::get_if<ZoneEngineStats>(&r.stats)) {
-    std::printf("explored:     %zu zones (%zu discrete states)\n",
-                r.states_explored, zs->discrete_states);
-  } else if (const auto* ds = std::get_if<DiscreteEngineStats>(&r.stats)) {
-    std::printf("explored:     %zu configs (%zu discrete states)\n",
-                r.states_explored, ds->discrete_states);
-  } else {
-    std::printf("explored:     %zu states\n", r.states_explored);
-  }
+  const char* unit = name == "zone"       ? "zones"
+                     : name == "discrete" ? "configs"
+                                          : "states";
+  std::printf("explored:     %zu %s", r.states_explored, unit);
+  if (r.discrete_states)
+    std::printf(" (%zu discrete states)", r.discrete_states);
+  std::printf("\n");
   std::printf("time:         %.3f s\n", r.seconds);
   if (!r.message.empty() && r.message != r.truncated_reason)
     std::printf("note:         %s\n", r.message.c_str());
