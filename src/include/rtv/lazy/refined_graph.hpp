@@ -4,9 +4,14 @@
 // of a RefinedSystem is fixed: advance() reads the activated pairs only
 // through "any pair active", and activate_pair() only adds *blocking*.  So
 // a graph of interned states with memoised successors stays valid while
-// pairs accumulate; a search re-evaluates blocked() per edge and calls
-// advance() only for edges it never expanded.  Adding an observer, or
-// activating the first pair, changes the encoding and drops every state.
+// pairs accumulate; a search calls advance() only for edges it never
+// expanded.  Adding an observer, or activating the first pair, changes the
+// encoding and drops every state.
+//
+// Blocking is memoised per edge too.  Between two drops it only grows:
+// pairs are only ever added, and blocked(s, e)'s age rule reads only the
+// pairs (x before e).  So an edge found blocked stays blocked, and an edge
+// found unblocked is re-decided only once its event has gained a pair.
 //
 // Layout (the flat, interned, successor-memoising zone graph idiom):
 //   * each state is one packed record in a uint16 arena — base id, the
@@ -14,7 +19,9 @@
 //     and looked up through an OpenTable (rtv/base/open_table.hpp) of ids
 //     that compares against the arena;
 //   * successors are one int32 slot per base transition of the state's
-//     base state, in one CSR array; kUnexpanded until first used;
+//     base state, in one CSR array; kUnexpanded until first used; beside
+//     each slot one uint16 blocking memo: undecided, blocked, or the
+//     event's pair count (plus one) when last found unblocked;
 //   * each state also gets a dense *key id* naming its (base, codes, order)
 //     — the record minus its gaps — interned through a second table, so a
 //     search can group states that differ only in their gap matrix.
@@ -72,6 +79,10 @@ class RefinedGraph {
     return sys_->blocked(state(id), e);
   }
 
+  /// Same for base transition `k` of state `id` (an index into
+  /// base().transitions_from(base_state(id))), memoised per edge.
+  bool blocked_edge(std::int32_t id, std::size_t k);
+
   /// Target of base transition `k` (an index into
   /// base().transitions_from(base_state(id))), which must not be blocked:
   /// advanced and interned on first use.  Returns {target, newly interned}.
@@ -92,6 +103,7 @@ class RefinedGraph {
   std::vector<std::int32_t> key_;    ///< key id per state
   std::vector<std::size_t> slots_;   ///< offset into succ_ per state
   std::vector<std::int32_t> succ_;
+  std::vector<std::uint16_t> memo_;  ///< blocking memo per succ_ slot
   OpenTable table_;                  ///< state ids by record hash
   /// Per key id: the hash of its words and the first state with that key.
   std::vector<std::size_t> key_hash_;

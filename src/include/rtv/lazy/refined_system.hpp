@@ -104,6 +104,11 @@ class RefinedSystem {
   /// Returns false if the pair was already active.
   bool activate_pair(EventId before, EventId after);
   std::size_t num_active_pairs() const { return num_pairs_; }
+  /// Number of activated pairs (x before `after`): the only pairs
+  /// blocked(s, after) reads.  Event ids are 15-bit, so it fits in 16.
+  std::uint32_t num_pairs_before(EventId after) const {
+    return befores_.empty() ? 0 : befores_[after.value()];
+  }
 
   void add_observer(BanObserver obs);
   std::size_t num_observers() const { return observers_.size(); }

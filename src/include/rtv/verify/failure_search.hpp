@@ -55,7 +55,9 @@ struct FailureSearchStats {
 /// state kept earlier in the same call has the same base, codes and order
 /// and entry-wise >= gaps: it has no behaviour its dominator lacks.
 /// `max_states` and `clock` (optional: a shared wall-clock deadline /
-/// cancellation / progress guard) count the states this call keeps.
+/// cancellation / progress guard) count the states this call keeps;
+/// `max_states` is a ceiling: a discovery beyond it is refused, and the
+/// search stops truncated once the state being expanded is checked.
 std::optional<Failure> find_failure(RefinedGraph& graph,
                                     const SafetyChecks& checks,
                                     std::size_t max_states,

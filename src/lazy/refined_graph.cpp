@@ -9,6 +9,12 @@ namespace rtv {
 
 namespace {
 
+// blocked_edge()'s memo words: kUndecided, kBlockedEdge, or one plus the
+// fired event's pair count when the edge was last found unblocked (at
+// most 0x8001: event ids are 15-bit).
+constexpr std::uint16_t kUndecided = 0;
+constexpr std::uint16_t kBlockedEdge = 0xffff;
+
 // Record header: base id and the lengths of codes, order and gaps, each
 // as two uint16 words (low, high).
 constexpr std::size_t kHeaderWords = 8;
@@ -59,6 +65,7 @@ void RefinedGraph::sync() {
   key_.clear();
   slots_.clear();
   succ_.clear();
+  memo_.clear();
   key_hash_.clear();
   key_state_.clear();
   table_.clear();
@@ -85,6 +92,18 @@ RefinedStateView RefinedGraph::state(std::int32_t id) const {
 StateId RefinedGraph::base_state(std::int32_t id) const {
   return StateId(static_cast<StateId::underlying_type>(
       get32(arena_.data() + record_[static_cast<std::size_t>(id)])));
+}
+
+bool RefinedGraph::blocked_edge(std::int32_t id, std::size_t k) {
+  assert(tag_ == current_tag());
+  std::uint16_t& memo = memo_[slots_[static_cast<std::size_t>(id)] + k];
+  if (memo == kBlockedEdge) return true;
+  const EventId e = base().transitions_from(base_state(id))[k].event;
+  const auto version =
+      static_cast<std::uint16_t>(sys_->num_pairs_before(e) + 1);
+  if (memo == version) return false;
+  memo = blocked(id, e) ? kBlockedEdge : version;
+  return memo == kBlockedEdge;
 }
 
 std::pair<std::int32_t, bool> RefinedGraph::successor(std::int32_t id,
@@ -133,6 +152,7 @@ std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
   slots_.push_back(succ_.size());
   succ_.resize(succ_.size() + base().transitions_from(s.base).size(),
                kUnexpanded);
+  memo_.resize(succ_.size(), kUndecided);
   return {id, true};
 }
 

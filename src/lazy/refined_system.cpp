@@ -187,49 +187,8 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
   }
   if (fired_wave == static_cast<std::size_t>(-1)) fired_wave = 0;
 
-  // Working DBM over the old waves plus the firing instant W = index n_old,
-  // in plain Time with kTimeInfinity for "unbounded".
-  const std::size_t n = n_old + 1;
-  std::vector<Time>& m = scratch.m;
-  m.assign(n * n, kTimeInfinity);
-  auto at = [&](std::size_t i, std::size_t j) -> Time& { return m[i * n + j]; };
-  for (std::size_t i = 0; i < n_old; ++i) {
-    for (std::size_t j = 0; j < n_old; ++j) {
-      const std::uint16_t v = s.gaps[i * n_old + j];
-      at(i, j) = (v == kGapInf) ? kTimeInfinity : decode_gap(v);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) at(i, i) = 0;
-
-  // The firing instant: within the fired event's delay window of its
-  // enabling wave, no earlier than any existing instant, and no later than
-  // any pending event's deadline (maximal progress).
-  const DelayInterval df = base_->delay(fired);
-  at(n_old, fired_wave) = std::min(at(n_old, fired_wave),
-                                   df.upper_bounded() ? df.hi() : kTimeInfinity);
-  at(fired_wave, n_old) = std::min(at(fired_wave, n_old), -df.lo());
-  for (std::size_t j = 0; j < n_old; ++j)
-    at(j, n_old) = std::min(at(j, n_old), Time{0});
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    const EventId x(s.order[i] & kIdMask);
-    if (x == fired) continue;
-    const DelayInterval dx = base_->delay(x);
-    if (dx.upper_bounded())
-      at(n_old, old_wave[i]) = std::min(at(n_old, old_wave[i]), dx.hi());
-  }
-
-  // Shortest-path closure.
-  for (std::size_t k = 0; k < n; ++k)
-    for (std::size_t i = 0; i < n; ++i) {
-      if (at(i, k) >= kTimeInfinity) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (at(k, j) >= kTimeInfinity) continue;
-        const Time v = at(i, k) + at(k, j);
-        if (v < at(i, j)) at(i, j) = v;
-      }
-    }
-
-  // Survivors and the fresh wave (events newly enabled at instant W).
+  // Survivors and the fresh wave (events newly enabled at the firing
+  // instant W).
   auto& survivors = scratch.survivors;
   survivors.clear();
   for (std::size_t i = 0; i < s.order.size(); ++i) {
@@ -247,7 +206,7 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
     if (!surviving) fresh.push_back(e);
   }
 
-  // Old wave indices with survivors (ascending), then the fresh instant.
+  // Old wave indices with survivors (ascending), then W (index n_old).
   std::vector<std::size_t>& kept = scratch.kept;
   kept.clear();
   for (const auto& en : survivors) {
@@ -262,25 +221,104 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
   // oldest tracked wave is kept[merges], covering kept[0 .. merges].
   const std::size_t cap = std::max<std::size_t>(2, max_waves_);
   const std::size_t merges = kept.size() > cap ? kept.size() - cap : 0;
-  for (std::size_t t = 0; t < merges; ++t) {
-    const std::size_t w0 = kept[t], w1 = kept[t + 1];
-    for (std::size_t j = 0; j < n; ++j) {
-      at(w1, j) = std::max(at(w1, j), at(w0, j));
-      at(j, w1) = std::max(at(j, w1), at(j, w0));
-    }
-    at(w1, w1) = 0;
-  }
   const std::size_t n_new = kept.size() - merges;
   auto wave = [&](std::size_t a) { return kept[merges + a]; };
 
-  out->order.clear();
-  out->gaps.assign(n_new * n_new, kGapInf);
-  for (std::size_t a = 0; a < n_new; ++a)
-    for (std::size_t b = 0; b < n_new; ++b)
-      out->gaps[a * n_new + b] = a == b ? encode_gap(0)
-                                        : encode_gap(at(wave(a), wave(b)));
+  // A timing-dead source: at least two waves, every off-diagonal gap at
+  // the -cap_ clamp (encoded 0), and a firing instant W with a finite
+  // outgoing bound — the fired event, or another pending one, is
+  // upper-bounded (see the bounds placed on row W below).
+  const DelayInterval df = base_->delay(fired);
+  bool dead = n_old >= 2;
+  for (std::size_t i = 0; dead && i < n_old; ++i)
+    for (std::size_t j = 0; dead && j < n_old; ++j)
+      dead = i == j || s.gaps[i * n_old + j] == 0;
+  if (dead && !df.upper_bounded()) {
+    dead = std::any_of(s.order.begin(), s.order.end(), [&](std::uint16_t v) {
+      const EventId x(v & kIdMask);
+      return x != fired && base_->delay(x).upper_bounded();
+    });
+  }
+
+  out->gaps.assign(n_new * n_new, 0);
+  if (dead) {
+    // Closed form for a timing-dead source: every off-diagonal entry of
+    // the closed matrix is <= -cap_, so the successor's gaps are the
+    // saturated matrix (encode_gap(0) on the diagonal, 0 elsewhere) and
+    // the decode, the closure and the merge arithmetic are skipped.  Let
+    // f be an old wave with a finite bound (W, f) <= hi < cap_:
+    //   * old (i, j), i != j: <= -cap_ from the start, and the closure
+    //     only lowers entries.  Each old pair is a 2-cycle of weight
+    //     -2 cap_, so every old diagonal (i, i) falls to <= -2 cap_;
+    //   * (i, W) <= (i, k) + (k, W) <= -cap_ + 0 for an old k != i;
+    //   * (W, j) <= hi + (f, j) for old j != f, where (f, j) reaches
+    //     -2 cap_ once the closure adds a negative diagonal to it, and
+    //     (W, f) <= hi + (f, f) <= hi - 2 cap_: both are < -cap_;
+    //   * the max-join merges combine off-diagonal entries only, so no
+    //     merged entry rises above -cap_.
+    for (std::size_t a = 0; a < n_new; ++a)
+      out->gaps[a * n_new + a] = encode_gap(0);
+  } else {
+    // Working DBM over the old waves plus W = index n_old, in plain Time
+    // with kTimeInfinity for "unbounded".
+    const std::size_t n = n_old + 1;
+    std::vector<Time>& m = scratch.m;
+    m.assign(n * n, kTimeInfinity);
+    auto at = [&](std::size_t i, std::size_t j) -> Time& {
+      return m[i * n + j];
+    };
+    for (std::size_t i = 0; i < n_old; ++i) {
+      for (std::size_t j = 0; j < n_old; ++j) {
+        const std::uint16_t v = s.gaps[i * n_old + j];
+        at(i, j) = (v == kGapInf) ? kTimeInfinity : decode_gap(v);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) at(i, i) = 0;
+
+    // The firing instant: within the fired event's delay window of its
+    // enabling wave, no earlier than any existing instant, and no later
+    // than any pending event's deadline (maximal progress).
+    at(n_old, fired_wave) =
+        std::min(at(n_old, fired_wave),
+                 df.upper_bounded() ? df.hi() : kTimeInfinity);
+    at(fired_wave, n_old) = std::min(at(fired_wave, n_old), -df.lo());
+    for (std::size_t j = 0; j < n_old; ++j)
+      at(j, n_old) = std::min(at(j, n_old), Time{0});
+    for (std::size_t i = 0; i < s.order.size(); ++i) {
+      const EventId x(s.order[i] & kIdMask);
+      if (x == fired) continue;
+      const DelayInterval dx = base_->delay(x);
+      if (dx.upper_bounded())
+        at(n_old, old_wave[i]) = std::min(at(n_old, old_wave[i]), dx.hi());
+    }
+
+    // Shortest-path closure.
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < n; ++i) {
+        if (at(i, k) >= kTimeInfinity) continue;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (at(k, j) >= kTimeInfinity) continue;
+          const Time v = at(i, k) + at(k, j);
+          if (v < at(i, j)) at(i, j) = v;
+        }
+      }
+
+    for (std::size_t t = 0; t < merges; ++t) {
+      const std::size_t w0 = kept[t], w1 = kept[t + 1];
+      for (std::size_t j = 0; j < n; ++j) {
+        at(w1, j) = std::max(at(w1, j), at(w0, j));
+        at(j, w1) = std::max(at(j, w1), at(j, w0));
+      }
+      at(w1, w1) = 0;
+    }
+    for (std::size_t a = 0; a < n_new; ++a)
+      for (std::size_t b = 0; b < n_new; ++b)
+        out->gaps[a * n_new + b] = a == b ? encode_gap(0)
+                                          : encode_gap(at(wave(a), wave(b)));
+  }
 
   // Order entries per tracked wave.
+  out->order.clear();
   bool first = true;
   auto emit = [&](std::size_t src) {
     if (src == n_old) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <optional>
@@ -69,11 +70,9 @@ struct PendingEdge {
 struct ChunkOut {
   std::vector<PendingEdge> edges;
   std::vector<ChokeRecord> chokes;
-  /// The fresh targets: their tuples back to back, and per tuple its hash
-  /// and (when the composition has signals) its merged valuation.
+  /// The fresh targets: their tuples back to back, and per tuple its hash.
   std::vector<StateId> tuples;
   std::vector<std::size_t> hashes;
-  std::vector<BitVec> valuations;
 };
 
 /// Sort events[first..] and drop its duplicates.
@@ -192,6 +191,40 @@ Composition compose(const std::vector<const Module*>& modules,
     first.push_back(parts.size());
   }
 
+  // ---- label masks -------------------------------------------------------
+  //
+  // Bitsets over the labels, `words` 64-bit words each: per module the
+  // labels it takes part in (`takes`) and those it outputs (`outputs`),
+  // and per module and local state the labels it can take there (`can`,
+  // module mi's states from can_first[mi] on).  A composed state's labels
+  // that fire are the AND over modules of (can | ~takes); when chokes are
+  // tracked, the OR over modules of (can & outputs) adds the labels some
+  // ready producer offers.  No other label fires or chokes, so only these
+  // candidates run the participant scan.
+  const std::size_t words = (labels.size() + 63) / 64;
+  const std::uint64_t last_word =
+      labels.size() % 64 ? (std::uint64_t{1} << (labels.size() % 64)) - 1
+                         : ~std::uint64_t{0};
+  std::vector<std::uint64_t> takes(n_mod * words, 0);
+  std::vector<std::uint64_t> outputs(n_mod * words, 0);
+  std::vector<std::size_t> can_first(n_mod + 1, 0);
+  for (std::size_t mi = 0; mi < n_mod; ++mi)
+    can_first[mi + 1] =
+        can_first[mi] + modules[mi]->ts().num_states() * words;
+  std::vector<std::uint64_t> can(can_first[n_mod], 0);
+  for (std::size_t li = 0; li + 1 < first.size(); ++li) {
+    const std::uint64_t bit = std::uint64_t{1} << (li % 64);
+    for (std::size_t k = first[li]; k < first[li + 1]; ++k) {
+      const Participant& p = parts[k];
+      takes[p.module * words + li / 64] |= bit;
+      if (p.output) outputs[p.module * words + li / 64] |= bit;
+      const std::size_t states = modules[p.module]->ts().num_states();
+      for (std::size_t q = 0; q < states; ++q)
+        if (p.column[q * p.stride] != kNoSuccessor)
+          can[can_first[p.module] + q * words + li / 64] |= bit;
+    }
+  }
+
   // ---- merged signal table -----------------------------------------------
   std::vector<std::string> signals;
   for (const Module* m : modules)
@@ -251,9 +284,9 @@ Composition compose(const std::vector<const Module*>& modules,
   // Append a new composed state for `tuple`, whose probe ended at empty
   // slot `slot` of the table.
   const auto admit = [&](const StateId* tuple, std::size_t h,
-                         std::size_t slot, BitVec&& valuation) {
+                         std::size_t slot) {
     const StateId s = out.ts.add_state();
-    if (with_valuations) out.ts.set_state_valuation(s, std::move(valuation));
+    if (with_valuations) out.ts.set_state_valuation(s, merged_valuation(tuple));
     arena.insert(arena.end(), tuple, tuple + n_mod);
     state_hash.push_back(h);
     table.fill(slot, static_cast<std::int32_t>(s.value()), state_hash);
@@ -261,8 +294,8 @@ Composition compose(const std::vector<const Module*>& modules,
     return s;
   };
 
-  const auto intern = [&](const StateId* tuple, std::size_t h,
-                          BitVec&& valuation) -> std::optional<StateId> {
+  const auto intern = [&](const StateId* tuple,
+                          std::size_t h) -> std::optional<StateId> {
     const std::size_t slot = table.find(h, same_tuple(tuple, h));
     if (table.at(slot) >= 0)
       return StateId(static_cast<StateId::underlying_type>(table.at(slot)));
@@ -270,7 +303,7 @@ Composition compose(const std::vector<const Module*>& modules,
       truncated_budget = true;
       return std::nullopt;
     }
-    return admit(tuple, h, slot, std::move(valuation));
+    return admit(tuple, h, slot);
   };
 
   {
@@ -282,9 +315,8 @@ Composition compose(const std::vector<const Module*>& modules,
     // The initial state bypasses the cap: a composition without its initial
     // state is meaningless.  A zero budget still yields it, truncated.
     const std::size_t h = hash_tuple(init_tuple.data(), n_mod);
-    const StateId s0 = admit(
-        init_tuple.data(), h, table.find(h, same_tuple(init_tuple.data(), h)),
-        with_valuations ? merged_valuation(init_tuple.data()) : BitVec());
+    const StateId s0 = admit(init_tuple.data(), h,
+                             table.find(h, same_tuple(init_tuple.data(), h)));
     out.ts.set_initial(s0);
     if (out.ts.num_states() > options.max_states) truncated_budget = true;
   }
@@ -296,12 +328,16 @@ Composition compose(const std::vector<const Module*>& modules,
   // One scratch tuple per worker: the expanded state's tuple with the
   // current label's participants stepped.
   std::vector<std::vector<StateId>> scratch(jobs, std::vector<StateId>(n_mod));
+  // And one candidate-label bitset per worker.
+  std::vector<std::vector<std::uint64_t>> candidates(
+      jobs, std::vector<std::uint64_t>(words));
   // Cooperative stop, set by worker 0 from the caller's stop hook (which is
   // not thread-safe; only worker 0 ever polls it).
   std::atomic<const char*> stop_flag{nullptr};
 
   const auto process = [&](std::size_t worker) {
     StateId* next = scratch[worker].data();
+    std::uint64_t* cand = candidates[worker].data();
     while (const auto chunk = ranges.next(worker)) {
       if (stop_flag.load(std::memory_order_relaxed)) return;
       ChunkOut& bucket = buckets[chunk->ordinal];
@@ -315,48 +351,66 @@ Composition compose(const std::vector<const Module*>& modules,
         const StateId s = frontier[i];
         const StateId* tuple = arena.data() + s.value() * n_mod;
         std::copy(tuple, tuple + n_mod, next);
-        for (std::size_t li = 0; li + 1 < first.size(); ++li) {
-          const Participant* begin = parts.data() + first[li];
-          const Participant* end = parts.data() + first[li + 1];
-          // The label fires iff no participant blocks it, produced or not:
-          // a label nobody outputs is driven by the implicit environment
-          // (open-system semantics).  A choke names the first blocker and
-          // the last ready producer, so only chokes scan past a blocker.
-          std::size_t producer = n_mod, blocker = n_mod;
-          for (const Participant* p = begin; p != end; ++p) {
-            const std::uint32_t t =
-                p->column[tuple[p->module].value() * p->stride];
-            if (t == kNoSuccessor) {
-              if (blocker == n_mod) blocker = p->module;
-              if (!options.track_chokes) break;
-            } else {
-              next[p->module] = StateId(t);
-              if (p->output) producer = p->module;
-            }
+        std::fill(cand, cand + words, ~std::uint64_t{0});
+        if (words) cand[words - 1] = last_word;
+        for (std::size_t mi = 0; mi < n_mod; ++mi) {
+          const std::uint64_t* c =
+              can.data() + can_first[mi] + tuple[mi].value() * words;
+          const std::uint64_t* t = takes.data() + mi * words;
+          for (std::size_t w = 0; w < words; ++w) cand[w] &= c[w] | ~t[w];
+        }
+        if (options.track_chokes) {
+          for (std::size_t mi = 0; mi < n_mod; ++mi) {
+            const std::uint64_t* c =
+                can.data() + can_first[mi] + tuple[mi].value() * words;
+            const std::uint64_t* o = outputs.data() + mi * words;
+            for (std::size_t w = 0; w < words; ++w) cand[w] |= c[w] & o[w];
           }
-          if (blocker == n_mod) {
-            const std::size_t h = hash_tuple(next, n_mod);
-            const std::int32_t known =
-                table.at(table.find(h, same_tuple(next, h)));
-            PendingEdge edge{static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(li),
-                             StateId::invalid()};
-            if (known >= 0) {
-              edge.known =
-                  StateId(static_cast<StateId::underlying_type>(known));
-            } else {
-              bucket.tuples.insert(bucket.tuples.end(), next, next + n_mod);
-              bucket.hashes.push_back(h);
-              if (with_valuations)
-                bucket.valuations.push_back(merged_valuation(next));
+        }
+        for (std::size_t w = 0; w < words; ++w) {
+          for (std::uint64_t bits = cand[w]; bits; bits &= bits - 1) {
+            const std::size_t li =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            const Participant* begin = parts.data() + first[li];
+            const Participant* end = parts.data() + first[li + 1];
+            // The label fires iff no participant blocks it, produced or not:
+            // a label nobody outputs is driven by the implicit environment
+            // (open-system semantics).  A choke names the first blocker and
+            // the last ready producer, so only chokes scan past a blocker.
+            std::size_t producer = n_mod, blocker = n_mod;
+            for (const Participant* p = begin; p != end; ++p) {
+              const std::uint32_t t =
+                  p->column[tuple[p->module].value() * p->stride];
+              if (t == kNoSuccessor) {
+                if (blocker == n_mod) blocker = p->module;
+                if (!options.track_chokes) break;
+              } else {
+                next[p->module] = StateId(t);
+                if (p->output) producer = p->module;
+              }
             }
-            bucket.edges.push_back(edge);
-          } else if (options.track_chokes && producer != n_mod) {
-            bucket.chokes.push_back(
-                ChokeRecord{s, composed_event[li], producer, blocker});
+            if (blocker == n_mod) {
+              const std::size_t h = hash_tuple(next, n_mod);
+              const std::int32_t known =
+                  table.at(table.find(h, same_tuple(next, h)));
+              PendingEdge edge{static_cast<std::uint32_t>(i),
+                               static_cast<std::uint32_t>(li),
+                               StateId::invalid()};
+              if (known >= 0) {
+                edge.known =
+                    StateId(static_cast<StateId::underlying_type>(known));
+              } else {
+                bucket.tuples.insert(bucket.tuples.end(), next, next + n_mod);
+                bucket.hashes.push_back(h);
+              }
+              bucket.edges.push_back(edge);
+            } else if (options.track_chokes && producer != n_mod) {
+              bucket.chokes.push_back(
+                  ChokeRecord{s, composed_event[li], producer, blocker});
+            }
+            for (const Participant* p = begin; p != end; ++p)
+              next[p->module] = tuple[p->module];
           }
-          for (const Participant* p = begin; p != end; ++p)
-            next[p->module] = tuple[p->module];
         }
       }
     }
@@ -374,9 +428,8 @@ Composition compose(const std::vector<const Module*>& modules,
       for (const PendingEdge& edge : bucket.edges) {
         StateId target = edge.known;
         if (!target.valid()) {
-          const auto interned = intern(
-              bucket.tuples.data() + fresh * n_mod, bucket.hashes[fresh],
-              with_valuations ? std::move(bucket.valuations[fresh]) : BitVec());
+          const auto interned = intern(bucket.tuples.data() + fresh * n_mod,
+                                       bucket.hashes[fresh]);
           ++fresh;
           if (!interned) {
             // Budget ceiling: stop adding outright, keeping the chunk's

@@ -67,6 +67,7 @@ std::optional<Failure> find_failure(RefinedGraph& graph,
   std::vector<std::int32_t> newest(graph.num_keys(), -1);
   std::vector<std::int32_t> same_key;
   std::size_t subsumed = 0;
+  bool budget_hit = false;
 
   auto discover = [&](std::int32_t id, std::int32_t par, EventId e) {
     const auto i = static_cast<std::size_t>(id);
@@ -103,6 +104,13 @@ std::optional<Failure> find_failure(RefinedGraph& graph,
         return;
       }
     }
+    // The budget is an insertion-time ceiling, as in the zone and discrete
+    // engines: a discovery beyond it is refused (the initial state is
+    // always kept) and truncates the search once the current head is done.
+    if (!found.empty() && found.size() >= max_states) {
+      budget_hit = true;
+      return;
+    }
     const auto index = static_cast<std::int32_t>(found.size());
     seen[i] = index;
     same_key.push_back(newest[key]);
@@ -122,8 +130,10 @@ std::optional<Failure> find_failure(RefinedGraph& graph,
 
   discover(graph.initial(), -1, EventId::invalid());
 
-  for (std::size_t head = 0; head < found.size(); ++head) {
-    if (found.size() > max_states) {
+  // A refused discovery truncates the search even when it emptied the
+  // queue: the refused state was never explored.
+  for (std::size_t head = 0; budget_hit || head < found.size(); ++head) {
+    if (budget_hit) {
       if (stats) {
         stats->truncated = true;
         stats->stop_reason = stop_reason::kStateBudget;
@@ -166,7 +176,7 @@ std::optional<Failure> find_failure(RefinedGraph& graph,
     const std::span<const Transition> transitions = base.transitions_from(b);
     for (std::size_t k = 0; k < transitions.size(); ++k) {
       const Transition& t = transitions[k];
-      if (graph.blocked(id, t.event)) continue;
+      if (graph.blocked_edge(id, k)) continue;
       if (auto v = checks.event_violation(b, k)) {
         Failure f;
         f.trace = unwind(graph, checks, found, parent, via, head);

@@ -65,8 +65,9 @@ struct RefinedWalk {
 };
 
 /// Expand every state `graph` reaches from its initial state, stopping
-/// past `max_states`.  Graph ids are handed out in discovery order, so
-/// they double as the BFS queue.
+/// past `max_states`, deciding blocking through the graph's per-edge memo
+/// as find_failure() does.  Graph ids are handed out in discovery order,
+/// so they double as the BFS queue.
 inline RefinedWalk walk_refined(RefinedGraph& graph,
                                 std::size_t max_states = 1'000'000) {
   RefinedWalk walk;
@@ -78,7 +79,7 @@ inline RefinedWalk walk_refined(RefinedGraph& graph,
     }
     const auto transitions = graph.base().transitions_from(graph.base_state(id));
     for (std::size_t k = 0; k < transitions.size(); ++k) {
-      if (graph.blocked(id, transitions[k].event)) {
+      if (graph.blocked_edge(id, k)) {
         ++walk.blocked_firings;
         continue;
       }

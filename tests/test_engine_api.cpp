@@ -6,7 +6,8 @@
 //     race whose constants scale by k, each engine reading the same
 //     composition,
 //   * budgets: a 1-state budget never yields kVerified (the truncation
-//     regression), a tiny wall-clock deadline stops a run, and a
+//     regression), a truncated run never reports more states than its
+//     budget, a tiny wall-clock deadline stops a run, and a
 //     CancelToken fired from the progress callback stops a run mid-way —
 //     always surfacing as Verdict::kInconclusive,
 //   * the contract's precondition: no or a truncated composition throws.
@@ -132,6 +133,37 @@ TEST(EngineBudget, OneStateBudgetIsNeverVerified) {
     EXPECT_NE(r.verdict, Verdict::kVerified) << e->name();
     EXPECT_EQ(r.verdict, Verdict::kInconclusive) << e->name();
     EXPECT_FALSE(r.truncated_reason.empty()) << e->name();
+  }
+}
+
+TEST(EngineBudget, TruncatedRunsStayWithinTheStateBudget) {
+  // Two free-running rings: a 30-state product where every state fires
+  // two events, so a budget runs out in the middle of a state's
+  // expansion.  The budget is a ceiling on every engine: a truncated run
+  // reports at most max_states states.
+  const DelayInterval fast = DelayInterval::units(1, 2);
+  const DelayInterval slow = DelayInterval::units(1, 3);
+  Module left = gallery::ring(
+      {{"a0", fast}, {"a1", fast}, {"a2", fast}, {"a3", fast}, {"a4", fast}});
+  left.set_name("left");
+  Module right = gallery::ring({{"b0", slow}, {"b1", slow}, {"b2", slow},
+                                {"b3", slow}, {"b4", slow}, {"b5", slow}});
+  right.set_name("right");
+  const DeadlockFreedom dead;
+  const Composition comp = test::compose_for_engines({&left, &right});
+  ASSERT_EQ(comp.ts.num_states(), 30u);
+  for (const std::size_t budget : {1u, 5u, 20u}) {
+    EngineRequest req = test::request(comp, {&dead});
+    req.budget.max_states = budget;
+    for (const Engine* e : engine_registry().engines()) {
+      const EngineResult r = e->run(req);
+      EXPECT_EQ(r.verdict, Verdict::kInconclusive)
+          << e->name() << " " << budget;
+      EXPECT_EQ(r.truncated_reason, stop_reason::kStateBudget)
+          << e->name() << " " << budget;
+      EXPECT_LE(r.states_explored, budget) << e->name();
+      EXPECT_GT(r.states_explored, 0u) << e->name();
+    }
   }
 }
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine_support.hpp"
+#include "rtv/base/rng.hpp"
+#include "rtv/ipcmos/experiments.hpp"
 #include "rtv/lazy/refined_graph.hpp"
 #include "rtv/ts/gallery.hpp"
+#include "rtv/verify/refinement.hpp"
 
 namespace rtv {
 namespace {
@@ -201,6 +206,305 @@ TEST(RefinedSystem, StateHashingConsistent) {
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(graph.size(), 1u);
   EXPECT_EQ(graph.num_keys(), 1u);
+}
+
+TEST(RefinedGraph, BlockingMemoMatchesFreshBlockingAsPairsAccumulate) {
+  // Table 1 obligation 2: replay the orderings its refine run activates,
+  // one pair at a time.  After each activation walk the kept graph and
+  // require every edge's memoised answer to equal a fresh blocked().
+  const Suite suite = ipcmos::table1_suite();
+  const Obligation& ob = suite.obligations()[1];
+  const Composition comp = test::compose_for_engines(ob.modules);
+  const EngineResult run = engine_registry().find("refine")->run(
+      test::request(comp, ob.properties));
+  ASSERT_EQ(run.verdict, Verdict::kVerified);
+
+  RefinedSystem rs(comp.ts, comp.index());
+  rs.enable_age_rule(true);
+  RefinedGraph graph(rs);
+  // Per state id and base transition: the previous walk's answer.
+  std::vector<std::vector<char>> answers;
+  std::size_t activations = 0, newly_blocked = 0;
+  for (const RefinementRecord& rec : test::refine_stats(run).records) {
+    for (const DerivedOrdering& o : rec.orderings) {
+      if (!rs.activate_pair(comp.ts.event_by_label(o.before),
+                            comp.ts.event_by_label(o.after)))
+        continue;
+      ++activations;
+      graph.sync();
+      if (graph.size() == 0) answers.clear();  // the first pair re-encodes
+      const test::RefinedWalk walk = test::walk_refined(graph, 20'000);
+      ASSERT_GT(walk.states, 0u);
+      answers.resize(graph.size());
+      for (std::int32_t id = 0; static_cast<std::size_t>(id) < graph.size();
+           ++id) {
+        const auto transitions =
+            comp.ts.transitions_from(graph.base_state(id));
+        std::vector<char>& was = answers[static_cast<std::size_t>(id)];
+        for (std::size_t k = 0; k < transitions.size(); ++k) {
+          const bool fresh = rs.blocked(graph.state(id), transitions[k].event);
+          ASSERT_EQ(graph.blocked_edge(id, k), fresh)
+              << "pair " << activations << ", state " << id << ", edge " << k;
+          if (k < was.size()) {
+            ASSERT_FALSE(was[k] && !fresh) << "blocking only grows";
+            if (!was[k] && fresh) ++newly_blocked;
+          }
+        }
+        was.resize(transitions.size());
+        for (std::size_t k = 0; k < transitions.size(); ++k)
+          was[k] = graph.blocked_edge(id, k);
+      }
+    }
+  }
+  EXPECT_GT(activations, 1u);
+  // Some edge was decided unblocked, then blocked by a later pair.
+  EXPECT_GT(newly_blocked, 0u);
+}
+
+/// The gap cap RefinedSystem::enable_age_rule derives: one past the
+/// largest finite upper bound.
+Time gap_cap(const TransitionSystem& ts) {
+  Time cap = 1;
+  for (std::size_t i = 0; i < ts.num_events(); ++i) {
+    const DelayInterval d =
+        ts.delay(EventId(static_cast<EventId::underlying_type>(i)));
+    if (d.upper_bounded()) cap = std::max<Time>(cap, d.hi() + 1);
+  }
+  return cap;
+}
+
+constexpr std::uint16_t kWaveStart = 0x8000, kIdMask = 0x7fff;
+constexpr std::uint16_t kGapInf = 0xffff;
+
+/// advance()'s gap arithmetic without the timing-dead closed form: decode,
+/// the firing instant's bounds, the closure, the wave merges and encode.
+/// `enabled` is the successor's pseudo-enabled set.
+std::vector<std::uint16_t> reference_gaps(const TransitionSystem& ts,
+                                          const RefinedState& s,
+                                          EventId fired,
+                                          std::span<const EventId> enabled,
+                                          std::size_t max_waves) {
+  const Time cap = gap_cap(ts);
+  const auto encode = [&](Time v) -> std::uint16_t {
+    if (v >= cap) return kGapInf;
+    return static_cast<std::uint16_t>(std::max(v, -cap) + cap);
+  };
+
+  std::vector<std::size_t> old_wave(s.order.size());
+  std::size_t n_old = 0, fired_wave = 0;
+  bool fired_seen = false;
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    if (s.order[i] & kWaveStart) ++n_old;
+    old_wave[i] = n_old - 1;
+    if (!fired_seen && EventId(s.order[i] & kIdMask) == fired) {
+      fired_seen = true;
+      fired_wave = old_wave[i];
+    }
+  }
+  const std::size_t n = n_old + 1;
+  std::vector<Time> m(n * n, kTimeInfinity);
+  auto at = [&](std::size_t i, std::size_t j) -> Time& { return m[i * n + j]; };
+  for (std::size_t i = 0; i < n_old; ++i)
+    for (std::size_t j = 0; j < n_old; ++j) {
+      const std::uint16_t v = s.gaps[i * n_old + j];
+      at(i, j) = v == kGapInf ? kTimeInfinity : static_cast<Time>(v) - cap;
+    }
+  for (std::size_t i = 0; i < n; ++i) at(i, i) = 0;
+  const DelayInterval df = ts.delay(fired);
+  at(n_old, fired_wave) = std::min(
+      at(n_old, fired_wave), df.upper_bounded() ? df.hi() : kTimeInfinity);
+  at(fired_wave, n_old) = std::min(at(fired_wave, n_old), -df.lo());
+  for (std::size_t j = 0; j < n_old; ++j)
+    at(j, n_old) = std::min(at(j, n_old), Time{0});
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const EventId x(s.order[i] & kIdMask);
+    if (x != fired && ts.delay(x).upper_bounded())
+      at(n_old, old_wave[i]) =
+          std::min(at(n_old, old_wave[i]), ts.delay(x).hi());
+  }
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t i = 0; i < n; ++i) {
+      if (at(i, k) >= kTimeInfinity) continue;
+      for (std::size_t j = 0; j < n; ++j)
+        if (at(k, j) < kTimeInfinity)
+          at(i, j) = std::min(at(i, j), at(i, k) + at(k, j));
+    }
+
+  // Old waves keeping a pending event, then W when some event is fresh.
+  const auto pending = [&](EventId e) {
+    return std::any_of(s.order.begin(), s.order.end(), [&](std::uint16_t v) {
+      return EventId(v & kIdMask) == e;
+    });
+  };
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const EventId e(s.order[i] & kIdMask);
+    if (e == fired || !std::binary_search(enabled.begin(), enabled.end(), e))
+      continue;
+    if (kept.empty() || kept.back() != old_wave[i]) kept.push_back(old_wave[i]);
+  }
+  if (std::any_of(enabled.begin(), enabled.end(), [&](EventId e) {
+        return e == fired || !pending(e);
+      }))
+    kept.push_back(n_old);
+  const std::size_t cap_waves = std::max<std::size_t>(2, max_waves);
+  const std::size_t merges =
+      kept.size() > cap_waves ? kept.size() - cap_waves : 0;
+  for (std::size_t t = 0; t < merges; ++t) {
+    const std::size_t w0 = kept[t], w1 = kept[t + 1];
+    for (std::size_t j = 0; j < n; ++j) {
+      at(w1, j) = std::max(at(w1, j), at(w0, j));
+      at(j, w1) = std::max(at(j, w1), at(j, w0));
+    }
+    at(w1, w1) = 0;
+  }
+  const std::size_t n_new = kept.size() - merges;
+  std::vector<std::uint16_t> gaps(n_new * n_new);
+  for (std::size_t a = 0; a < n_new; ++a)
+    for (std::size_t b = 0; b < n_new; ++b)
+      gaps[a * n_new + b] =
+          a == b ? encode(0) : encode(at(kept[merges + a], kept[merges + b]));
+  return gaps;
+}
+
+/// A random system for advance(): four states over `events` events, each
+/// state firing a random subset of them to random targets; each delay is
+/// unbounded with probability `p_unbounded`.  The last event never fires:
+/// it is the `after` of the pair that switches the wave tracking on, so
+/// nothing is ever blocked.
+TransitionSystem random_system(Rng& rng, std::size_t events,
+                               double p_unbounded) {
+  TransitionSystem ts;
+  for (int i = 0; i < 4; ++i) ts.add_state();
+  for (std::size_t i = 0; i < events; ++i) {
+    const Time lo = rng.range(0, 12);
+    ts.add_event(std::string("e").append(std::to_string(i)),
+                 rng.chance(p_unbounded)
+                     ? DelayInterval(lo, kTimeInfinity)
+                     : DelayInterval(lo, lo + rng.range(0, 12)));
+  }
+  for (std::size_t q = 0; q < ts.num_states(); ++q)
+    for (std::size_t i = 0; i + 1 < events; ++i)
+      if (rng.chance(0.6))
+        ts.add_transition(
+            StateId(static_cast<StateId::underlying_type>(q)),
+            EventId(static_cast<EventId::underlying_type>(i)),
+            StateId(static_cast<StateId::underlying_type>(rng.below(4))));
+  ts.set_initial(StateId(0));
+  return ts;
+}
+
+/// A source at base `q` firing `fired`: `fired` and a random set of other
+/// events pending, in up to `waves` random waves, with off-diagonal gaps
+/// drawn by `gap()`.
+template <typename Gap>
+RefinedState random_source(Rng& rng, const TransitionSystem& ts, StateId q,
+                           EventId fired, std::size_t waves, Gap gap) {
+  std::vector<std::uint16_t> pending{
+      static_cast<std::uint16_t>(fired.value())};
+  for (std::size_t i = 0; i < ts.num_events(); ++i)
+    if (i != fired.value() && rng.chance(0.5))
+      pending.push_back(static_cast<std::uint16_t>(i));
+  for (std::size_t i = pending.size(); i > 1; --i)
+    std::swap(pending[i - 1], pending[rng.below(i)]);
+  waves = std::min(waves, pending.size());
+  // Wave starts: entry 0 plus waves - 1 distinct others.
+  std::vector<bool> start(pending.size(), false);
+  start[0] = true;
+  for (std::size_t w = 1; w < waves;) {
+    const std::size_t i = 1 + rng.below(pending.size() - 1);
+    if (!start[i]) {
+      start[i] = true;
+      ++w;
+    }
+  }
+  RefinedState s;
+  s.base = q;
+  for (std::size_t i = 0; i < pending.size(); ++i)
+    s.order.push_back(pending[i] | (start[i] ? kWaveStart : 0));
+  s.gaps.resize(waves * waves);
+  for (std::size_t i = 0; i < waves; ++i)
+    for (std::size_t j = 0; j < waves; ++j)
+      s.gaps[i * waves + j] =
+          i == j ? static_cast<std::uint16_t>(gap_cap(ts)) : gap();
+  return s;
+}
+
+TEST(RefinedSystem, TimingDeadSuccessorsMatchTheFullClosure) {
+  // A timing-dead source (two or more waves, every off-diagonal gap at the
+  // -cap clamp, encoded 0) takes advance()'s closed form when the firing
+  // instant W has a finite outgoing bound; a single-wave source, a W
+  // without one, and any other gap matrix take the full arithmetic.  All
+  // must match the reference.
+  Rng rng(0x71d1ead);
+  std::size_t closed_form = 0, unbounded_w = 0, one_wave = 0, general = 0;
+  for (int round = 0; round < 600; ++round) {
+    const TransitionSystem ts =
+        random_system(rng, 3 + rng.below(6), rng.chance(0.25) ? 1.0 : 0.3);
+    const ChokeIndex index(ts, {});
+    RefinedSystem rs(ts, index);
+    rs.enable_age_rule(true);
+    const std::size_t max_waves = 2 + rng.below(5);
+    rs.set_max_waves(max_waves);
+    rs.activate_pair(EventId(0), EventId(static_cast<EventId::underlying_type>(
+                                     ts.num_events() - 1)));
+    const auto cap = static_cast<std::uint16_t>(gap_cap(ts));
+    const bool dead = round % 4 != 0;
+    for (std::size_t q = 0; q < ts.num_states(); ++q) {
+      const StateId b(static_cast<StateId::underlying_type>(q));
+      for (const Transition& t : ts.transitions_from(b)) {
+        const RefinedState src = random_source(
+            rng, ts, b, t.event, 1 + rng.below(max_waves), [&] {
+              if (dead) return std::uint16_t{0};
+              return rng.chance(0.2)
+                         ? kGapInf
+                         : static_cast<std::uint16_t>(rng.below(2u * cap + 1));
+            });
+        const RefinedState got = rs.advance(src, t.event);
+        ASSERT_EQ(got.gaps,
+                  reference_gaps(ts, src, t.event,
+                                 index.pseudo_enabled(t.target), max_waves))
+            << "round " << round << ", state " << q << ", "
+            << ts.label(t.event);
+
+        const auto n_old = static_cast<std::size_t>(
+            std::count_if(src.order.begin(), src.order.end(),
+                          [](std::uint16_t v) { return v & kWaveStart; }));
+        const bool bounded_w =
+            std::any_of(src.order.begin(), src.order.end(),
+                        [&](std::uint16_t v) {
+                          return ts.delay(EventId(v & kIdMask)).upper_bounded();
+                        });
+        if (!dead) {
+          ++general;
+        } else if (n_old == 1) {
+          ++one_wave;
+        } else if (!bounded_w) {
+          ++unbounded_w;
+          // Row W stays unbounded: when W (the fired event is enabled
+          // again, so fresh) and an old wave are both kept, their entry
+          // is kGapInf.
+          const bool w_kept =
+              std::any_of(got.order.begin(), got.order.end(),
+                          [&](std::uint16_t v) {
+                            return EventId(v & kIdMask) == t.event;
+                          });
+          if (w_kept && got.gaps.size() > 1) {
+            EXPECT_NE(std::count(got.gaps.begin(), got.gaps.end(), kGapInf),
+                      0);
+          }
+        } else {
+          ++closed_form;
+          for (std::size_t i = 0; i < got.gaps.size(); ++i)
+            EXPECT_TRUE(got.gaps[i] == 0 || got.gaps[i] == cap);
+        }
+      }
+    }
+  }
+  EXPECT_GT(closed_form, 200u);
+  EXPECT_GT(unbounded_w, 20u);
+  EXPECT_GT(one_wave, 50u);
+  EXPECT_GT(general, 100u);
 }
 
 }  // namespace
