@@ -24,7 +24,8 @@
 //     event's pair count (plus one) when last found unblocked;
 //   * each state also gets a dense *key id* naming its (base, codes, order)
 //     — the record minus its gaps — interned through a second table, so a
-//     search can group states that differ only in their gap matrix.
+//     search can group states that differ only in their gap matrix, and
+//     the sum of its gaps, which rules out most entry-wise comparisons.
 //
 // Views returned by state() point into the arena and dangle once a
 // successor() or intern() interns a new state: re-fetch by id.
@@ -47,10 +48,16 @@ class RefinedGraph {
   explicit RefinedGraph(const RefinedSystem& sys);
 
   const TransitionSystem& base() const { return sys_->base(); }
+  const RefinedSystem& system() const { return *sys_; }
 
   /// Drop every state if the system's encoding changed since the graph
   /// was filled (an observer added, or the first pair activated).
   void sync();
+  /// Moves whenever the graph drops its states or decides an edge
+  /// blocked, and starts from a value no other graph starts from.  While
+  /// it stands still, ids, successors and the blocking memo are as a
+  /// client last saw them.
+  std::uint64_t changes() const { return changes_; }
 
   /// Number of interned states; ids are 0 .. size() - 1 in interning order.
   std::size_t size() const { return record_.size(); }
@@ -73,6 +80,11 @@ class RefinedGraph {
   std::int32_t key(std::int32_t id) const {
     return key_[static_cast<std::size_t>(id)];
   }
+  /// Sum of state `id`'s encoded gaps, saturated at 2^32 - 1: entry-wise
+  /// <= between two gap matrices implies <= between their sums.
+  std::uint32_t gap_sum(std::int32_t id) const {
+    return gap_sum_[static_cast<std::size_t>(id)];
+  }
 
   /// True iff firing `e` from state `id` is blocked right now.
   bool blocked(std::int32_t id, EventId e) const {
@@ -82,6 +94,9 @@ class RefinedGraph {
   /// Same for base transition `k` of state `id` (an index into
   /// base().transitions_from(base_state(id))), memoised per edge.
   bool blocked_edge(std::int32_t id, std::size_t k);
+  /// True iff blocked_edge(id, k) has answered true since the last drop:
+  /// such an edge stays blocked.  Reads the memo only.
+  bool known_blocked(std::int32_t id, std::size_t k) const;
 
   /// Target of base transition `k` (an index into
   /// base().transitions_from(base_state(id))), which must not be blocked:
@@ -96,11 +111,13 @@ class RefinedGraph {
 
   const RefinedSystem* sys_;
   Tag tag_;
+  std::uint64_t changes_;
   std::int32_t initial_ = kUnexpanded;
   std::vector<std::uint16_t> arena_;
   std::vector<std::size_t> record_;  ///< arena offset per state
   std::vector<std::size_t> hash_;    ///< record hash per state
   std::vector<std::int32_t> key_;    ///< key id per state
+  std::vector<std::uint32_t> gap_sum_;  ///< gap_sum() per state
   std::vector<std::size_t> slots_;   ///< offset into succ_ per state
   std::vector<std::int32_t> succ_;
   std::vector<std::uint16_t> memo_;  ///< blocking memo per succ_ slot

@@ -40,6 +40,10 @@ class TransitionSystem {
                        DelayInterval delay = DelayInterval::unbounded(),
                        EventKind kind = EventKind::kInternal);
   void add_transition(StateId from, EventId event, StateId to);
+  /// Room for `n` transitions from `from` (a capacity hint).
+  void reserve_transitions(StateId from, std::size_t n) {
+    out_[from.value()].reserve(n);
+  }
   void set_initial(StateId s) { initial_ = s; }
 
   /// Declare the signal alphabet used by state valuations.

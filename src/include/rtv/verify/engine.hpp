@@ -210,6 +210,10 @@ struct RefinementRecord {
 struct RefineEngineStats {
   int refinements = 0;
   std::size_t composed_states = 0;
+  /// Queue heads the failure searches expanded, summed over iterations
+  /// (FailureSearchStats::heads_expanded): the run's work, where
+  /// EngineResult::states_explored is the last search's kept states.
+  std::size_t heads_expanded = 0;
   /// Per-iteration detail of the refinement loop.
   std::vector<RefinementRecord> records;
   /// The timing-consistent failure trace of a violation, valid against

@@ -1,7 +1,9 @@
 #include "rtv/lazy/refined_graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <limits>
 
 #include "rtv/base/hash.hpp"
 
@@ -45,10 +47,18 @@ std::size_t hash_record(const std::uint16_t* rec, std::size_t words) {
   return h;
 }
 
+/// First changes() value of a new graph: 2^32 apart for every graph this
+/// process constructs, so a search kept for a destroyed graph never
+/// resumes on a new one that happens to reuse its address.
+std::uint64_t first_change() {
+  static std::atomic<std::uint64_t> graphs{0};
+  return (graphs.fetch_add(1, std::memory_order_relaxed) + 1) << 32;
+}
+
 }  // namespace
 
 RefinedGraph::RefinedGraph(const RefinedSystem& sys)
-    : sys_(&sys), tag_(current_tag()) {}
+    : sys_(&sys), tag_(current_tag()), changes_(first_change()) {}
 
 RefinedGraph::Tag RefinedGraph::current_tag() const {
   return {sys_->num_observers(), sys_->num_active_pairs() > 0};
@@ -58,11 +68,13 @@ void RefinedGraph::sync() {
   const Tag now = current_tag();
   if (now == tag_) return;
   tag_ = now;
+  ++changes_;
   initial_ = kUnexpanded;
   arena_.clear();
   record_.clear();
   hash_.clear();
   key_.clear();
+  gap_sum_.clear();
   slots_.clear();
   succ_.clear();
   memo_.clear();
@@ -102,8 +114,17 @@ bool RefinedGraph::blocked_edge(std::int32_t id, std::size_t k) {
   const auto version =
       static_cast<std::uint16_t>(sys_->num_pairs_before(e) + 1);
   if (memo == version) return false;
-  memo = blocked(id, e) ? kBlockedEdge : version;
-  return memo == kBlockedEdge;
+  if (!blocked(id, e)) {
+    memo = version;
+    return false;
+  }
+  memo = kBlockedEdge;
+  ++changes_;
+  return true;
+}
+
+bool RefinedGraph::known_blocked(std::int32_t id, std::size_t k) const {
+  return memo_[slots_[static_cast<std::size_t>(id)] + k] == kBlockedEdge;
 }
 
 std::pair<std::int32_t, bool> RefinedGraph::successor(std::int32_t id,
@@ -149,6 +170,10 @@ std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
   hash_.push_back(h);
   table_.fill(i, id, hash_);
   key_.push_back(intern_key(id));
+  std::uint64_t sum = 0;
+  for (std::uint16_t g : s.gaps) sum += g;
+  gap_sum_.push_back(static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(sum, std::numeric_limits<std::uint32_t>::max())));
   slots_.push_back(succ_.size());
   succ_.resize(succ_.size() + base().transitions_from(s.base).size(),
                kUnexpanded);

@@ -292,16 +292,23 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
         at(n_old, old_wave[i]) = std::min(at(n_old, old_wave[i]), dx.hi());
     }
 
-    // Shortest-path closure.
-    for (std::size_t k = 0; k < n; ++k)
+    // Shortest-path closure, branch-free: no test for kTimeInfinity.
+    // Entries only ever fall from <= 2^60, and the finite ones stay far
+    // from it, so a sum through an unbounded entry is still far above
+    // cap_ (and far below overflow): it encodes to kGapInf, and the
+    // merge's max keeps it there, exactly as the skipped sum would have
+    // left kTimeInfinity.  ri[k] is re-read for every j on purpose: when
+    // (k, k) is negative, (i, k) itself falls at j == k, and the later
+    // entries of the row must see the lowered value, as the textbook
+    // relaxation order does.
+    for (std::size_t k = 0; k < n; ++k) {
+      const Time* rk = m.data() + k * n;
       for (std::size_t i = 0; i < n; ++i) {
-        if (at(i, k) >= kTimeInfinity) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (at(k, j) >= kTimeInfinity) continue;
-          const Time v = at(i, k) + at(k, j);
-          if (v < at(i, j)) at(i, j) = v;
-        }
+        Time* ri = m.data() + i * n;
+        for (std::size_t j = 0; j < n; ++j)
+          ri[j] = std::min(ri[j], ri[k] + rk[j]);
       }
+    }
 
     for (std::size_t t = 0; t < merges; ++t) {
       const std::size_t w0 = kept[t], w1 = kept[t + 1];

@@ -232,29 +232,40 @@ Composition compose(const std::vector<const Module*>& modules,
   std::sort(signals.begin(), signals.end());
   signals.erase(std::unique(signals.begin(), signals.end()), signals.end());
   const bool with_valuations = !signals.empty();
-  // per module: signal index in module -> signal index in composition
-  std::vector<std::vector<std::size_t>> sig_map(n_mod);
-  for (std::size_t mi = 0; mi < n_mod; ++mi) {
-    const auto& names = modules[mi]->ts().signal_names();
-    sig_map[mi].resize(names.size());
-    for (std::size_t k = 0; k < names.size(); ++k) {
-      sig_map[mi][k] = static_cast<std::size_t>(
-          std::lower_bound(signals.begin(), signals.end(), names[k]) -
-          signals.begin());
-    }
-  }
   if (with_valuations) out.ts.set_signal_names(signals);
 
-  auto merged_valuation = [&](const StateId* tuple) {
-    BitVec v(signals.size());
+  // Per module and local state its valuation lifted into the composed
+  // signal space, so a composed state's valuation is the OR over modules.
+  std::vector<std::vector<BitVec>> lifted(n_mod);
+  if (with_valuations) {
     for (std::size_t mi = 0; mi < n_mod; ++mi) {
       const TransitionSystem& mts = modules[mi]->ts();
       if (!mts.has_valuations()) continue;
-      const BitVec& lv = mts.valuation(tuple[mi]);
-      for (std::size_t k = 0; k < sig_map[mi].size(); ++k) {
-        if (lv.test(k)) v.set(sig_map[mi][k]);
+      const auto& names = mts.signal_names();
+      std::vector<std::size_t> sig_map(names.size());
+      for (std::size_t k = 0; k < names.size(); ++k)
+        sig_map[k] = static_cast<std::size_t>(
+            std::lower_bound(signals.begin(), signals.end(), names[k]) -
+            signals.begin());
+      lifted[mi].reserve(mts.num_states());
+      for (std::size_t q = 0; q < mts.num_states(); ++q) {
+        const BitVec& lv =
+            mts.valuation(StateId(static_cast<StateId::underlying_type>(q)));
+        BitVec v(signals.size());
+        // Every state is lifted, reachable or not: read only the bits the
+        // valuation has (a state whose valuation was never set has none).
+        lv.for_each_set([&](std::size_t k) {
+          if (k < sig_map.size()) v.set(sig_map[k]);
+        });
+        lifted[mi].push_back(std::move(v));
       }
     }
+  }
+
+  auto merged_valuation = [&](const StateId* tuple) {
+    BitVec v(signals.size());
+    for (std::size_t mi = 0; mi < n_mod; ++mi)
+      if (!lifted[mi].empty()) v |= lifted[mi][tuple[mi].value()];
     return v;
   };
 
@@ -425,7 +436,15 @@ Composition compose(const std::vector<const Module*>& modules,
     }
     for (ChunkOut& bucket : buckets) {
       std::size_t fresh = 0;
-      for (const PendingEdge& edge : bucket.edges) {
+      for (std::size_t ei = 0; ei < bucket.edges.size(); ++ei) {
+        const PendingEdge& edge = bucket.edges[ei];
+        // A source's edges are contiguous: reserve them all at its first.
+        if (ei == 0 || bucket.edges[ei - 1].src != edge.src) {
+          std::size_t run = ei + 1;
+          while (run < bucket.edges.size() && bucket.edges[run].src == edge.src)
+            ++run;
+          out.ts.reserve_transitions(frontier[edge.src], run - ei);
+        }
         StateId target = edge.known;
         if (!target.valid()) {
           const auto interned = intern(bucket.tuples.data() + fresh * n_mod,

@@ -107,11 +107,15 @@ void record_engine_run(std::string_view engine, const EngineResult& r) {
   reg.histogram("rtv_engine_run_seconds", obs::Histogram::time_buckets(),
                 label, "Wall-clock seconds per run")
       .observe(r.seconds);
-  if (const auto* st = std::get_if<RefineEngineStats>(&r.stats))
+  if (const auto* st = std::get_if<RefineEngineStats>(&r.stats)) {
     reg.counter("rtv_engine_refinement_iterations_total", "",
                 "Refinement loop iterations across runs")
         .add(static_cast<std::uint64_t>(
             st->refinements < 0 ? 0 : st->refinements));
+    reg.counter("rtv_refine_heads_expanded_total", "",
+                "Failure-search queue heads expanded across refine runs")
+        .add(st->heads_expanded);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -54,17 +54,21 @@ EngineResult RefineEngine::run(const EngineRequest& request) const {
   RefinedGraph graph(refined);
   const SafetyChecks checks(comp, request.properties);
   const PredecessorIndex preds(comp.ts);
+  // The BFS, kept too: each iteration resumes it where the new pairs first
+  // change it.
+  FailureSearch search;
 
   std::string last_signature;
   for (std::size_t iter = 0; iter <= request.max_refinements; ++iter) {
     obs::Span iter_span("refine iteration " + std::to_string(iter), "engine");
     FailureSearchStats stats;
-    const auto failure =
-        find_failure(graph, checks, max_states, &stats, &clock);
+    const auto failure = search.run(graph, checks, max_states, &stats, &clock);
     result.states_explored = stats.states_explored;
+    st.heads_expanded += stats.heads_expanded;
     RTV_INFO << "iteration " << iter << ": visited " << stats.states_explored
              << ", subsumed " << stats.states_subsumed << ", newly interned "
-             << stats.states_interned;
+             << stats.states_interned << ", expanded "
+             << stats.heads_expanded;
     if (stats.truncated) {
       const char* reason = stats.stop_reason ? stats.stop_reason
                                              : stop_reason::kStateBudget;

@@ -66,7 +66,7 @@ struct RefinedWalk {
 
 /// Expand every state `graph` reaches from its initial state, stopping
 /// past `max_states`, deciding blocking through the graph's per-edge memo
-/// as find_failure() does.  Graph ids are handed out in discovery order,
+/// as the failure search does.  Graph ids are handed out in discovery order,
 /// so they double as the BFS queue.
 inline RefinedWalk walk_refined(RefinedGraph& graph,
                                 std::size_t max_states = 1'000'000) {

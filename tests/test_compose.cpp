@@ -10,6 +10,7 @@
 
 #include "rtv/base/hash.hpp"
 #include "rtv/base/rng.hpp"
+#include "rtv/fuzz/generator.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/gallery.hpp"
 
@@ -352,6 +353,51 @@ TEST(Compose, EventIndexMatchesTable1Products) {
     expect_index_matches(c);
   }
   EXPECT_GT(chokes, 0u);  // the pseudo-enabled sets really add refusals
+}
+
+/// Every state's valuation against a per-signal merge of its modules'
+/// valuations: composed signal `name` is set iff some module with that
+/// signal has it set in its local state.
+void expect_valuations_merged(const std::vector<const Module*>& modules,
+                              const Composition& c, std::size_t* merged) {
+  if (!c.ts.has_valuations()) return;
+  const auto& names = c.ts.signal_names();
+  for (std::size_t i = 0; i < c.ts.num_states(); ++i) {
+    const StateId s(static_cast<StateId::underlying_type>(i));
+    BitVec want(names.size());
+    const auto tuple = c.tuple(s);
+    for (std::size_t mi = 0; mi < modules.size(); ++mi) {
+      const TransitionSystem& mts = modules[mi]->ts();
+      if (!mts.has_valuations()) continue;
+      const BitVec& lv = mts.valuation(tuple[mi]);
+      for (std::size_t k = 0; k < mts.signal_names().size(); ++k)
+        if (lv.test(k)) want.set(c.ts.signal_index(mts.signal_names()[k]));
+    }
+    ASSERT_EQ(c.ts.valuation(s), want) << "state " << i;
+    ++*merged;
+  }
+}
+
+TEST(Compose, ValuationsAreThePerSignalMergeOnTable1AndFuzzProducts) {
+  std::size_t merged = 0;
+  const Suite suite = ipcmos::table1_suite();
+  for (const Obligation& ob : suite.obligations()) {
+    SCOPED_TRACE(ob.name);
+    ComposeOptions opts;
+    opts.track_chokes = ob.track_chokes;
+    expect_valuations_merged(ob.modules, compose(ob.modules, opts), &merged);
+  }
+  EXPECT_EQ(merged, 6u + 8016 + 8920 + 6680 + 10704);
+  for (std::size_t i = 0; i < 50; ++i) {
+    const fuzz::Scenario sc =
+        fuzz::generate(fuzz::case_seed(3, i), fuzz::GeneratorConfig{});
+    SCOPED_TRACE(sc.describe());
+    const auto modules = sc.module_ptrs();
+    ComposeOptions opts;
+    opts.track_chokes = true;
+    expect_valuations_merged(modules, compose(modules, opts), &merged);
+  }
+  EXPECT_GT(merged, 6u + 8016 + 8920 + 6680 + 10704);
 }
 
 TEST(Compose, EventIndexMatchesRandomGalleryProducts) {

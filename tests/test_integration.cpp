@@ -73,7 +73,8 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
   const std::vector<const SafetyProperty*> props{&bad};
   const SafetyChecks checks(comp, props);
   FailureSearchStats stats;
-  EXPECT_FALSE(find_failure(graph, checks, 1'000'000, &stats).has_value());
+  EXPECT_FALSE(
+      FailureSearch().run(graph, checks, 1'000'000, &stats).has_value());
   EXPECT_FALSE(stats.truncated);
 }
 

@@ -257,8 +257,13 @@ TEST(IpcmosExperiments, RunAllProducesFiveRows) {
         "V2- < I1.Z-", "V2- < V1+",
       },
   };
+  // The work behind them: queue heads the resumed failure searches
+  // expanded over all iterations (a search from scratch every iteration
+  // expands 268,179).
+  std::size_t heads_expanded = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RefineEngineStats& st = test::refine_stats(rows[i].result);
+    heads_expanded += st.heads_expanded;
     EXPECT_EQ(st.refinements, expected[i]) << rows[i].name;
     EXPECT_EQ(rows[i].result.states_explored, expected_states[i])
         << rows[i].name;
@@ -267,6 +272,7 @@ TEST(IpcmosExperiments, RunAllProducesFiveRows) {
       constraints.push_back(o.before + " < " + o.after);
     EXPECT_EQ(constraints, expected_constraints[i]) << rows[i].name;
   }
+  EXPECT_EQ(heads_expanded, 177'901u);
 }
 
 TEST(IpcmosPipeline, TwoStageCompositionIsFiniteAndAlive) {

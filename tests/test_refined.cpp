@@ -277,13 +277,16 @@ constexpr std::uint16_t kWaveStart = 0x8000, kIdMask = 0x7fff;
 constexpr std::uint16_t kGapInf = 0xffff;
 
 /// advance()'s gap arithmetic without the timing-dead closed form: decode,
-/// the firing instant's bounds, the closure, the wave merges and encode.
-/// `enabled` is the successor's pseudo-enabled set.
+/// the firing instant's bounds, the closure (the textbook loop that skips
+/// unbounded entries), the wave merges and encode.  `enabled` is the
+/// successor's pseudo-enabled set.  `negative_pivot`, when given, is set
+/// if some pivot's own diagonal entry was negative when its turn came.
 std::vector<std::uint16_t> reference_gaps(const TransitionSystem& ts,
                                           const RefinedState& s,
                                           EventId fired,
                                           std::span<const EventId> enabled,
-                                          std::size_t max_waves) {
+                                          std::size_t max_waves,
+                                          bool* negative_pivot = nullptr) {
   const Time cap = gap_cap(ts);
   const auto encode = [&](Time v) -> std::uint16_t {
     if (v >= cap) return kGapInf;
@@ -324,6 +327,7 @@ std::vector<std::uint16_t> reference_gaps(const TransitionSystem& ts,
   }
   for (std::size_t k = 0; k < n; ++k)
     for (std::size_t i = 0; i < n; ++i) {
+      if (i == 0 && at(k, k) < 0 && negative_pivot) *negative_pivot = true;
       if (at(i, k) >= kTimeInfinity) continue;
       for (std::size_t j = 0; j < n; ++j)
         if (at(k, j) < kTimeInfinity)
@@ -505,6 +509,56 @@ TEST(RefinedSystem, TimingDeadSuccessorsMatchTheFullClosure) {
   EXPECT_GT(unbounded_w, 20u);
   EXPECT_GT(one_wave, 50u);
   EXPECT_GT(general, 100u);
+}
+
+TEST(RefinedSystem, BranchFreeClosureMatchesTheReferenceClosure) {
+  // advance() closes the gap matrix without testing for unbounded
+  // entries; the reference skips them.  Random sources over 1 .. max_waves
+  // old waves (n = 2 .. max_waves + 1 with the firing instant), with
+  // unbounded and negative entries, so negative cycles occur and a pivot's
+  // diagonal entry is often already negative when its turn comes.
+  Rng rng(0xc105ed);
+  std::vector<std::size_t> by_n(8, 0);
+  std::size_t negative_pivots = 0, with_unbounded = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t max_waves = 2 + rng.below(5);
+    const TransitionSystem ts = random_system(rng, max_waves + 3, 0.3);
+    const ChokeIndex index(ts, {});
+    RefinedSystem rs(ts, index);
+    rs.enable_age_rule(true);
+    rs.set_max_waves(max_waves);
+    rs.activate_pair(EventId(0), EventId(static_cast<EventId::underlying_type>(
+                                     ts.num_events() - 1)));
+    const auto cap = static_cast<std::uint16_t>(gap_cap(ts));
+    for (std::size_t q = 0; q < ts.num_states(); ++q) {
+      const StateId b(static_cast<StateId::underlying_type>(q));
+      for (const Transition& t : ts.transitions_from(b)) {
+        const RefinedState src = random_source(
+            rng, ts, b, t.event, 1 + rng.below(max_waves), [&] {
+              return rng.chance(0.15)
+                         ? kGapInf
+                         : static_cast<std::uint16_t>(rng.below(2u * cap + 1));
+            });
+        bool negative_pivot = false;
+        ASSERT_EQ(rs.advance(src, t.event).gaps,
+                  reference_gaps(ts, src, t.event,
+                                 index.pseudo_enabled(t.target), max_waves,
+                                 &negative_pivot))
+            << "round " << round << ", state " << q << ", "
+            << ts.label(t.event);
+        const auto n_old = static_cast<std::size_t>(
+            std::count_if(src.order.begin(), src.order.end(),
+                          [](std::uint16_t v) { return v & kWaveStart; }));
+        ++by_n[n_old + 1];
+        if (negative_pivot) ++negative_pivots;
+        if (std::count(src.gaps.begin(), src.gaps.end(), kGapInf) > 0)
+          ++with_unbounded;
+      }
+    }
+  }
+  for (std::size_t n = 2; n <= 7; ++n) EXPECT_GT(by_n[n], 20u) << "n = " << n;
+  EXPECT_GT(negative_pivots, 500u);
+  EXPECT_GT(with_unbounded, 500u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <span>
 
 #include "engine_support.hpp"
+#include "rtv/base/log.hpp"
+#include "rtv/fuzz/generator.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/timing/trace_timing.hpp"
 #include "rtv/verify/failure_search.hpp"
@@ -208,7 +210,9 @@ TEST(Verify, RefinementBudgetGivesInconclusive) {
 // ---------------------------------------------------------------------------
 // Graph reuse: a failure search on the graph a run keeps across iterations
 // must agree exactly with a search on a fresh graph (the from-scratch
-// reference) at every step of the refinement loop.
+// reference) at every step of the refinement loop.  And the search the run
+// keeps, resumed after every iteration's activations, must agree exactly
+// with a fresh search on the same graph.
 
 struct Search {
   std::optional<Failure> failure;
@@ -217,7 +221,8 @@ struct Search {
 
 Search search(RefinedGraph& graph, const SafetyChecks& checks) {
   Search s;
-  s.failure = find_failure(graph, checks, kDefaultRefineStates, &s.stats);
+  s.failure =
+      FailureSearch().run(graph, checks, kDefaultRefineStates, &s.stats);
   return s;
 }
 
@@ -244,32 +249,162 @@ void expect_same(const Search& reused, const Search& fresh, std::size_t iter) {
 
 constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
-/// RefineEngine::run's loop, with every failure search run twice — on a
-/// graph kept across iterations and on a fresh one — and compared.  The
-/// refinement decisions follow the fresh search; `force_window_at` also
-/// takes the ban-window fallback (an observer, which invalidates the kept
-/// graph) at that iteration.  Every failure trace is also timed twice —
-/// over the run's shared PredecessorIndex, as the engine does, and over an
-/// index built for that model alone — and the ban windows and their
+/// One search as its caller sees it: result and stats, the BFS it leaves
+/// and the states_explored of every RunClock tick (a progress callback at
+/// interval 1).
+struct Observed {
+  Search search;
+  std::vector<std::int32_t> found, parent;
+  std::vector<EventId> via;
+  std::vector<std::size_t> ticks;
+};
+
+/// Run `fs` on `graph`; cancel it from the progress callback of tick
+/// `cancel_at`, so the next tick stops it.
+Observed observe(FailureSearch& fs, RefinedGraph& graph,
+                 const SafetyChecks& checks, std::size_t cancel_at = kNever) {
+  Observed o;
+  CancelToken cancel;
+  RunBudget budget;
+  budget.cancel = &cancel;
+  RunClock clock(
+      "refine", budget,
+      [&](const EngineProgress& p) {
+        o.ticks.push_back(p.states_explored);
+        if (o.ticks.size() == cancel_at) cancel.cancel();
+      },
+      1);
+  // A cancelled search warns; these cancellations are the test's own.
+  const LogLevel level = log_level();
+  if (cancel_at != kNever) set_log_level(LogLevel::kError);
+  o.search.failure =
+      fs.run(graph, checks, kDefaultRefineStates, &o.search.stats, &clock);
+  set_log_level(level);
+  o.found.assign(fs.found().begin(), fs.found().end());
+  o.parent.assign(fs.parent().begin(), fs.parent().end());
+  o.via.assign(fs.via().begin(), fs.via().end());
+  return o;
+}
+
+/// Stop reasons are static strings; compare their text.
+std::string reason(const FailureSearchStats& stats) {
+  return stats.stop_reason ? stats.stop_reason : "";
+}
+
+void expect_same(const Observed& resumed, const Observed& fresh,
+                 std::size_t iter) {
+  expect_same(resumed.search, fresh.search, iter);
+  EXPECT_EQ(resumed.search.stats.states_interned,
+            fresh.search.stats.states_interned);
+  EXPECT_EQ(reason(resumed.search.stats), reason(fresh.search.stats));
+  EXPECT_EQ(resumed.found, fresh.found);
+  EXPECT_EQ(resumed.parent, fresh.parent);
+  EXPECT_TRUE(resumed.via == fresh.via);
+  EXPECT_EQ(resumed.ticks, fresh.ticks);
+}
+
+/// How much of the resume path a differential run covered.
+struct ResumeCoverage {
+  std::size_t searches = 0;
+  std::size_t resumed = 0;              ///< with kept heads to replay
+  std::size_t stopped_in_replay = 0;    ///< cancelled before the kept heads end
+  std::size_t stopped_after_replay = 0;
+};
+
+/// Run the loop's kept search `fs` on `graph` and compare it with a fresh
+/// search on a copy of the graph as it was: identical discoveries,
+/// failure, stats and tick stream.  Then repeat both from there, cancelled
+/// at ticks inside and past the replayed heads.
+Search resume_checked(FailureSearch& fs, RefinedGraph& graph,
+                      const SafetyChecks& checks, std::size_t iter,
+                      bool cancelled_too, ResumeCoverage* coverage) {
+  const RefinedGraph start = graph;
+  const FailureSearch kept = fs;
+  const Observed a = observe(fs, graph, checks);
+  RefinedGraph twin = start;
+  FailureSearch fresh;
+  const Observed b = observe(fresh, twin, checks);
+  expect_same(a, b, iter);
+
+  // A fresh search ticks once per head; the resumed one expanded only
+  // the heads from its rollback point on.
+  const std::size_t total = b.ticks.size();
+  const std::size_t replayed =
+      b.search.stats.heads_expanded - a.search.stats.heads_expanded;
+  ++coverage->searches;
+  if (replayed > 0) ++coverage->resumed;
+  if (!cancelled_too) return a.search;
+  std::vector<std::size_t> cancels{replayed / 2, replayed, replayed + 1};
+  cancels.erase(std::unique(cancels.begin(), cancels.end()), cancels.end());
+  const RefinedGraph after = graph;
+  for (const std::size_t k : cancels) {
+    if (k == 0 || k >= total) continue;
+    SCOPED_TRACE("cancelled at tick " + std::to_string(k));
+    // The kept search resumes only on the graph as it left it.
+    graph = start;
+    FailureSearch resumed = kept;
+    const Observed c = observe(resumed, graph, checks, k);
+    twin = start;
+    FailureSearch reference;
+    const Observed d = observe(reference, twin, checks, k);
+    EXPECT_EQ(reason(c.search.stats), stop_reason::kCancelled);
+    // Stopped at head k: the resumed search expanded only those past the
+    // replayed ones.
+    EXPECT_EQ(c.search.stats.heads_expanded, k - std::min(k, replayed));
+    expect_same(c, d, iter);
+    ++(k < replayed ? coverage->stopped_in_replay
+                    : coverage->stopped_after_replay);
+  }
+  graph = after;
+  return a.search;
+}
+
+struct DifferentialOptions {
+  bool structural_rule = true;
+  std::size_t max_refinements = 500;
+  /// Also take the ban-window fallback at this iteration.
+  std::size_t force_window_at = kNever;
+  /// Also search a graph rebuilt for every iteration.
+  bool fresh_graph = true;
+  /// Repeat every n-th search cancelled (each repeat copies the graph).
+  std::size_t cancel_every = 1;
+  ResumeCoverage* coverage = nullptr;
+};
+
+/// RefineEngine::run's loop, with every failure search checked: the
+/// search the loop keeps (resumed on the graph it keeps) against a fresh
+/// search on the same graph (resume_checked), and, with `fresh_graph`,
+/// against a search on a graph rebuilt from scratch.  The refinement
+/// decisions follow the from-scratch search; `force_window_at` also takes
+/// the ban-window fallback (an observer, which invalidates the kept graph)
+/// at that iteration.  Every failure trace is also timed twice — over the
+/// run's shared PredecessorIndex, as the engine does, and over an index
+/// built for that model alone — and the ban windows and their
 /// explanations compared.  Returns the run's RefinementRecords.
 std::vector<RefinementRecord> refine_differentially(
     const Composition& comp, const std::vector<const SafetyProperty*>& props,
-    bool structural_rule, std::size_t max_refinements,
-    std::size_t force_window_at = kNever) {
+    const DifferentialOptions& opt) {
+  ResumeCoverage ignored;
+  ResumeCoverage* coverage = opt.coverage ? opt.coverage : &ignored;
   RefinedSystem refined(comp.ts, comp.index());
-  refined.enable_age_rule(structural_rule);
+  refined.enable_age_rule(opt.structural_rule);
   RefinedGraph kept(refined);
   const SafetyChecks kept_checks(comp, props);
+  FailureSearch kept_search;
   const PredecessorIndex preds(comp.ts);
   std::vector<RefinementRecord> records;
   std::string last_signature;
   bool invalidated = false;
-  for (std::size_t iter = 0; iter <= max_refinements; ++iter) {
-    RefinedGraph fresh(refined);
-    const SafetyChecks fresh_checks(comp, props);
-    const Search b = search(fresh, fresh_checks);
-    const Search a = search(kept, kept_checks);
-    expect_same(a, b, iter);
+  for (std::size_t iter = 0; iter <= opt.max_refinements; ++iter) {
+    const Search a = resume_checked(kept_search, kept, kept_checks, iter,
+                                    iter % opt.cancel_every == 0, coverage);
+    Search b = a;
+    if (opt.fresh_graph) {
+      RefinedGraph fresh(refined);
+      const SafetyChecks fresh_checks(comp, props);
+      b = search(fresh, fresh_checks);
+      expect_same(a, b, iter);
+    }
     if (invalidated) {
       // Nothing survives an encoding change: every state this search
       // interned was discovered, and kept or subsumed.
@@ -284,7 +419,7 @@ std::vector<RefinementRecord> refine_differentially(
     const TraceTimingModel own(comp.ts, own_preds, b.failure->trace,
                                b.failure->virtual_event, comp.chokes);
     EXPECT_EQ(model.consistent(), own.consistent());
-    if (model.consistent() || iter == max_refinements) break;
+    if (model.consistent() || iter == opt.max_refinements) break;
     const auto window = model.find_ban_window();
     if (!window) break;
     EXPECT_EQ(own.find_ban_window(), window) << "iteration " << iter;
@@ -306,7 +441,8 @@ std::vector<RefinementRecord> refine_differentially(
           refined.activate_pair(before, after))
         progressed = true;
     }
-    if (!progressed || signature == last_signature || iter == force_window_at) {
+    if (!progressed || signature == last_signature ||
+        iter == opt.force_window_at) {
       rec.used_window = true;
       BanObserver obs;
       obs.from_start = window->from_start;
@@ -333,12 +469,52 @@ TEST(GraphReuse, Table1Obligation2MatchesFreshSearchEveryIteration) {
   const Composition comp = test::compose_for_engines(ob.modules);
   // The engine's own pair sequence, plus one ban-window observer at
   // iteration 5: neither Table 1 nor the fuzz campaign reaches that path.
-  const auto records = refine_differentially(comp, ob.properties,
-                                             /*structural_rule=*/true,
-                                             ob.max_refinements,
-                                             /*force_window_at=*/5);
+  DifferentialOptions opt;
+  opt.max_refinements = ob.max_refinements;
+  opt.force_window_at = 5;
+  const auto records = refine_differentially(comp, ob.properties, opt);
   ASSERT_GT(records.size(), 6u);
   EXPECT_TRUE(records[5].used_window);
+}
+
+TEST(ResumedSearch, MatchesFreshSearchOnTable1Obligations2To5) {
+  const Suite suite = ipcmos::table1_suite();
+  ResumeCoverage coverage;
+  for (std::size_t i = 1; i < 5; ++i) {
+    const Obligation& ob = suite.obligations()[i];
+    SCOPED_TRACE(ob.name);
+    const Composition comp = test::compose_for_engines(ob.modules);
+    DifferentialOptions opt;
+    opt.max_refinements = ob.max_refinements;
+    opt.fresh_graph = false;
+    opt.cancel_every = 6;  // the cancelled repeats copy large graphs
+    opt.coverage = &coverage;
+    refine_differentially(comp, ob.properties, opt);
+  }
+  // 89 refinements and 4 final searches; all but the first search of
+  // each obligation and the one right after its first pair (which
+  // re-encodes the graph) resume past a kept prefix.
+  EXPECT_EQ(coverage.searches, 93u);
+  EXPECT_EQ(coverage.resumed, 85u);
+  EXPECT_GE(coverage.stopped_in_replay, 12u);
+  EXPECT_GE(coverage.stopped_after_replay, 25u);
+}
+
+TEST(ResumedSearch, MatchesFreshSearchOnGeneratedScenarios) {
+  ResumeCoverage coverage;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const fuzz::Scenario sc =
+        fuzz::generate(fuzz::case_seed(3, i), fuzz::GeneratorConfig{});
+    SCOPED_TRACE(sc.describe());
+    const Composition comp = test::compose_for_engines(sc.module_ptrs());
+    DifferentialOptions opt;
+    opt.coverage = &coverage;
+    refine_differentially(comp, sc.property_ptrs(), opt);
+  }
+  // Most generated scenarios verify without a refinement; some resume.
+  EXPECT_GT(coverage.searches, 200u);
+  EXPECT_GE(coverage.resumed, 10u);
+  EXPECT_GE(coverage.stopped_in_replay, 10u);
 }
 
 TEST(GraphReuse, BanWindowAblationRecordsMatchFreshReference) {
@@ -355,8 +531,10 @@ TEST(GraphReuse, BanWindowAblationRecordsMatchFreshReference) {
   const EngineResult r = RefineEngine(/*structural_rule=*/false).run(req);
   ASSERT_EQ(r.verdict, Verdict::kVerified);
   const auto& engine_records = refine_stats(r).records;
-  const auto reference = refine_differentially(
-      comp, props, /*structural_rule=*/false, req.max_refinements);
+  DifferentialOptions opt;
+  opt.structural_rule = false;
+  opt.max_refinements = req.max_refinements;
+  const auto reference = refine_differentially(comp, props, opt);
   ASSERT_EQ(engine_records.size(), reference.size());
   ASSERT_GE(reference.size(), 2u);
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -372,7 +550,7 @@ TEST(GraphReuse, BanWindowAblationRecordsMatchFreshReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Subsumption: find_failure skips a state whose gaps a kept state with the
+// Subsumption: the failure search skips a state whose gaps a kept state with the
 // same (base, codes, order) covers entry-wise.  That is sound only because
 // blocked() is antitone and advance() monotone in the gaps; check both on
 // every dominated pair of reachable refined states of Table 1 obligation 2.
