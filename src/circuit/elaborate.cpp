@@ -1,20 +1,58 @@
 #include "rtv/circuit/elaborate.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "rtv/base/hash.hpp"
+#include "rtv/base/open_table.hpp"
 
 namespace rtv {
 
 namespace {
 
-struct Drive {
-  bool strong_up = false, weak_up = false;
-  bool strong_down = false, weak_down = false;
+using Word = std::uint64_t;
 
-  bool up() const { return strong_up || (weak_up && !strong_down); }
-  bool down() const { return strong_down || (weak_down && !strong_up); }
-  bool contested() const { return strong_up && strong_down; }
+Word bit(std::size_t i) { return Word{1} << (i & 63); }
+
+/// The stacks' guards as sums of cubes over a valuation's words: a cube
+/// holds when (v[k] & care[k]) == want[k] for every word k, a guard when
+/// one of its cubes does.
+class Guards {
+ public:
+  Guards(const Netlist& netlist, std::size_t words) : words_(words) {
+    first_.push_back(0);
+    for (const Stack& s : netlist.stacks()) {
+      for (const auto& cube : netlist.exprs().cubes(s.guard)) {
+        const std::size_t at = masks_.size();
+        masks_.resize(at + 2 * words, 0);
+        for (const ExprPool::Literal& l : cube) {
+          const std::size_t i = l.node.value();
+          masks_[at + i / 64] |= bit(i);
+          if (l.value) masks_[at + words + i / 64] |= bit(i);
+        }
+        ++cubes_;
+      }
+      first_.push_back(cubes_);
+    }
+  }
+
+  bool holds(std::size_t stack, const Word* v) const {
+    for (std::size_t c = first_[stack]; c < first_[stack + 1]; ++c) {
+      const Word* care = masks_.data() + 2 * words_ * c;
+      const Word* want = care + words_;
+      std::size_t k = 0;
+      while (k < words_ && (v[k] & care[k]) == want[k]) ++k;
+      if (k == words_) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::size_t words_;
+  std::size_t cubes_ = 0;
+  std::vector<std::size_t> first_;  ///< stack s owns cubes first_[s] .. first_[s + 1]
+  std::vector<Word> masks_;         ///< per cube: care words, then want words
 };
 
 }  // namespace
@@ -28,15 +66,19 @@ Module elaborate(const Netlist& netlist, const CircuitElaborateOptions& options)
   for (std::size_t i = 0; i < n_nodes; ++i)
     signals.push_back(netlist.node_name(NodeId(static_cast<NodeId::underlying_type>(i))));
   for (NodeId n : sc_nodes) signals.push_back("SC_" + netlist.node_name(n));
-  ts.set_signal_names(signals);
+  const std::size_t n_signals = signals.size();
+  ts.set_signal_names(std::move(signals));
 
   // Rise/fall events per node.  Delays are the union of the delays of the
   // stacks able to drive that direction (exact when one stack per
   // direction, which is the common case in the IPCMOS netlists).
+  const std::size_t words = (n_nodes + 63) / 64;
   std::vector<EventId> rise(n_nodes), fall(n_nodes);
+  std::vector<Word> inputs(words, 0);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     const NodeId n(static_cast<NodeId::underlying_type>(i));
     const std::string& name = netlist.node_name(n);
+    if (netlist.is_input(n)) inputs[i / 64] |= bit(i);
     const EventKind kind = netlist.is_input(n)
                                ? EventKind::kInput
                                : (netlist.is_boundary(n) ? EventKind::kOutput
@@ -64,87 +106,92 @@ Module elaborate(const Netlist& netlist, const CircuitElaborateOptions& options)
     fall[i] = ts.add_event(transition_label(name, false), down_delay, kind);
   }
 
-  auto drives = [&](const BitVec& v) {
-    std::vector<Drive> d(n_nodes);
-    for (const Stack& s : netlist.stacks()) {
-      if (!netlist.exprs().eval(s.guard, v)) continue;
-      Drive& t = d[s.target.value()];
-      bool up = false, down = false;
-      switch (s.type) {
-        case StackType::kPullUp:
-          up = true;
-          break;
-        case StackType::kPullDown:
-          down = true;
-          break;
-        case StackType::kPass:
-          (v.test(s.source.value()) ? up : down) = true;
-          break;
-      }
-      if (up) (s.weak ? t.weak_up : t.strong_up) = true;
-      if (down) (s.weak ? t.weak_down : t.strong_down) = true;
-    }
-    return d;
-  };
-
-  auto valuation_with_flags = [&](const BitVec& v, const std::vector<Drive>& d) {
-    BitVec full(signals.size());
-    for (std::size_t i = 0; i < n_nodes; ++i)
-      if (v.test(i)) full.set(i);
-    for (std::size_t k = 0; k < sc_nodes.size(); ++k)
-      if (d[sc_nodes[k].value()].contested()) full.set(n_nodes + k);
-    return full;
-  };
-
-  std::unordered_map<BitVec, StateId> index;
-  std::deque<BitVec> queue;
-
-  auto intern = [&](const BitVec& v) {
-    auto it = index.find(v);
-    if (it != index.end()) return it->second;
+  // Every state's node valuation, `words` words each, in one arena in id
+  // order; ids are interned through an OpenTable on one hash per id.
+  std::vector<Word> arena;
+  std::vector<std::size_t> hashes;
+  OpenTable table;
+  auto intern = [&](const Word* v) {
+    std::size_t h = n_nodes;
+    for (std::size_t k = 0; k < words; ++k) h = hash_mix(h, v[k]);
+    const std::size_t slot = table.find(h, [&](std::int32_t id) {
+      return hashes[id] == h &&
+             std::equal(v, v + words, arena.data() + id * words);
+    });
+    if (table.at(slot) >= 0) return StateId(table.at(slot));
     const StateId s = ts.add_state();
-    ts.set_state_valuation(s, valuation_with_flags(v, drives(v)));
-    index.emplace(v, s);
-    queue.push_back(v);
+    arena.insert(arena.end(), v, v + words);
+    hashes.push_back(h);
+    table.fill(slot, static_cast<std::int32_t>(s.value()), hashes);
     return s;
   };
 
-  BitVec init(n_nodes);
+  std::vector<Word> cur(words, 0), next(words);
   for (std::size_t i = 0; i < n_nodes; ++i)
     if (netlist.initial_value(NodeId(static_cast<NodeId::underlying_type>(i))))
-      init.set(i);
-  ts.set_initial(intern(init));
+      cur[i / 64] |= bit(i);
+  ts.set_initial(intern(cur.data()));
 
-  while (!queue.empty()) {
-    if (index.size() > options.max_states)
+  // Per state, one pass over the stacks collects the active drives as
+  // bitsets: strong/weak up and down.  Weak stacks yield to strong ones.
+  const Guards guards(netlist, words);
+  const std::vector<Stack>& stacks = netlist.stacks();
+  std::vector<Word> strong_up(words), weak_up(words), strong_down(words),
+      weak_down(words);
+  std::vector<std::size_t> moves;  ///< nodes that can toggle, ascending
+
+  // States are expanded in id order, which is the order a FIFO queue
+  // would pop them in.
+  for (std::size_t id = 0; id < hashes.size(); ++id) {
+    if (hashes.size() > options.max_states)
       throw std::runtime_error("circuit '" + netlist.name() +
                                "': state budget exhausted");
-    const BitVec v = queue.front();
-    queue.pop_front();
-    const StateId from = index.at(v);
-    const std::vector<Drive> d = drives(v);
+    std::copy_n(arena.data() + id * words, words, cur.data());
+    std::fill(strong_up.begin(), strong_up.end(), 0);
+    std::fill(weak_up.begin(), weak_up.end(), 0);
+    std::fill(strong_down.begin(), strong_down.end(), 0);
+    std::fill(weak_down.begin(), weak_down.end(), 0);
+    for (std::size_t k = 0; k < stacks.size(); ++k) {
+      const Stack& s = stacks[k];
+      if (!guards.holds(k, cur.data())) continue;
+      const std::size_t t = s.target.value();
+      bool up = s.type == StackType::kPullUp;
+      if (s.type == StackType::kPass) {
+        const std::size_t src = s.source.value();
+        up = cur[src / 64] & bit(src);
+      }
+      std::vector<Word>& drive =
+          up ? (s.weak ? weak_up : strong_up) : (s.weak ? weak_down : strong_down);
+      drive[t / 64] |= bit(t);
+    }
 
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-      const NodeId n(static_cast<NodeId::underlying_type>(i));
-      const bool value = v.test(i);
-      bool can_rise, can_fall;
-      if (netlist.is_input(n)) {
-        can_rise = !value;
-        can_fall = value;
-      } else {
-        can_rise = !value && d[i].up() && !d[i].down();
-        can_fall = value && d[i].down() && !d[i].up();
-      }
-      if (can_rise) {
-        BitVec next = v;
-        next.set(i);
-        ts.add_transition(from, rise[i], intern(next));
-      }
-      if (can_fall) {
-        BitVec next = v;
-        next.reset(i);
-        ts.add_transition(from, fall[i], intern(next));
-      }
+    // The valuation: the node bits, then one short-circuit flag per
+    // candidate, raised while strong drives contest the node.
+    const StateId from(static_cast<StateId::underlying_type>(id));
+    BitVec full(n_signals);
+    moves.clear();
+    for (std::size_t k = 0; k < words; ++k) {
+      const Word up = strong_up[k] | (weak_up[k] & ~strong_down[k]);
+      const Word down = strong_down[k] | (weak_down[k] & ~strong_up[k]);
+      for (Word w = cur[k]; w; w &= w - 1)
+        full.set(k * 64 + static_cast<std::size_t>(__builtin_ctzll(w)));
+      // Inputs are receptive; other nodes move towards an uncontested drive.
+      for (Word w = inputs[k] | (~cur[k] & up & ~down) | (cur[k] & down & ~up);
+           w; w &= w - 1)
+        moves.push_back(k * 64 + static_cast<std::size_t>(__builtin_ctzll(w)));
+    }
+    for (std::size_t k = 0; k < sc_nodes.size(); ++k) {
+      const std::size_t n = sc_nodes[k].value();
+      if (strong_up[n / 64] & strong_down[n / 64] & bit(n)) full.set(n_nodes + k);
+    }
+    ts.set_state_valuation(from, std::move(full));
+
+    ts.reserve_transitions(from, moves.size());
+    for (const std::size_t i : moves) {
+      std::copy(cur.begin(), cur.end(), next.begin());
+      next[i / 64] ^= bit(i);
+      const bool value = cur[i / 64] & bit(i);
+      ts.add_transition(from, value ? fall[i] : rise[i], intern(next.data()));
     }
   }
 

@@ -113,6 +113,44 @@ bool ExprPool::eval(Expr e, const BitVec& valuation) const {
   return false;
 }
 
+std::vector<std::vector<ExprPool::Literal>> ExprPool::cubes(Expr e) const {
+  const Node& n = node(e);
+  switch (n.kind) {
+    case Kind::kConst:
+      return n.value ? std::vector<std::vector<Literal>>(1)
+                     : std::vector<std::vector<Literal>>();
+    case Kind::kLit:
+      return {{Literal{n.node, n.value}}};
+    case Kind::kOr: {
+      std::vector<std::vector<Literal>> out;
+      for (Expr op : n.operands)
+        for (auto& c : cubes(op)) out.push_back(std::move(c));
+      return out;
+    }
+    case Kind::kAnd: {
+      std::vector<std::vector<Literal>> out(1);
+      for (Expr op : n.operands) {
+        const std::vector<std::vector<Literal>> rights = cubes(op);
+        std::vector<std::vector<Literal>> product;
+        for (const auto& left : out)
+          for (const auto& right : rights) {
+            std::vector<Literal> c = left;
+            bool contradictory = false;
+            for (const Literal& l : right) {
+              for (const Literal& k : c)
+                contradictory |= k.node == l.node && k.value != l.value;
+              c.push_back(l);
+            }
+            if (!contradictory) product.push_back(std::move(c));
+          }
+        out = std::move(product);
+      }
+      return out;
+    }
+  }
+  return {};
+}
+
 std::vector<NodeId> ExprPool::support(Expr e) const {
   std::vector<NodeId> out;
   const Node& n = node(e);

@@ -63,6 +63,17 @@ class ExprPool {
   /// Evaluate under a node valuation (bit i = value of NodeId(i)).
   bool eval(Expr e, const BitVec& valuation) const;
 
+  /// A literal of a cube: `node` has value `value`.
+  struct Literal {
+    NodeId node;
+    bool value;
+  };
+  /// e as a disjunction of cubes, each the conjunction of its literals:
+  /// {} is false, {{}} is true; contradictory cubes are dropped.  An AND
+  /// over ORs multiplies their cube counts, which stays small for the
+  /// series/parallel networks of a transistor stack.
+  std::vector<std::vector<Literal>> cubes(Expr e) const;
+
   /// Union of the NodeIds appearing in e.
   std::vector<NodeId> support(Expr e) const;
 

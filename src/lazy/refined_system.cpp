@@ -161,12 +161,57 @@ namespace {
 /// advance_age's working buffers, reused across calls on one thread so the
 /// hot path allocates nothing once they have grown.
 struct AgeScratch {
-  std::vector<std::size_t> old_wave;  ///< wave index of every order entry
-  std::vector<Time> m;                ///< working DBM
+  std::vector<Time> wave_hi;  ///< per old wave, the least deadline pending in it
+  std::vector<Time> m;        ///< working DBM
   std::vector<std::pair<EventId, std::size_t>> survivors;  ///< (event, wave)
   std::vector<EventId> fresh;
   std::vector<std::size_t> kept;
+  /// Per event id: `epoch` when enabled at the successor, `epoch + 1` once
+  /// it survives; anything older is stale.
+  std::vector<std::uint32_t> mark;
+  std::uint32_t epoch = 0;
 };
+
+/// Shortest-path closure of the n x n matrix `m`, branch-free: no test for
+/// kTimeInfinity.  Entries only ever fall from <= 2^60, and the finite ones
+/// stay far from it, so a sum through an unbounded entry is still far above
+/// cap_ (and far below overflow): it encodes to kGapInf, and the merge's
+/// max keeps it there, exactly as the skipped sum would have left
+/// kTimeInfinity.  ri[k] is re-read for every j on purpose: when (k, k) is
+/// negative, (i, k) itself falls at j == k, and the later entries of the
+/// row must see the lowered value, as the textbook relaxation order does.
+void close_matrix(Time* m, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const Time* rk = m + k * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      Time* ri = m + i * n;
+      for (std::size_t j = 0; j < n; ++j) ri[j] = std::min(ri[j], ri[k] + rk[j]);
+    }
+  }
+}
+
+/// The same closure with n fixed at compile time, on a local copy.
+template <std::size_t N>
+void close_fixed(Time* m) {
+  Time a[N * N];
+  std::copy_n(m, N * N, a);
+  close_matrix(a, N);
+  std::copy_n(a, N * N, m);
+}
+
+/// Matrices of 2 .. 7 instants (up to the default six waves plus W) close
+/// on a fixed size; larger ones on the generic loop.
+void close_gaps(Time* m, std::size_t n) {
+  switch (n) {
+    case 2: return close_fixed<2>(m);
+    case 3: return close_fixed<3>(m);
+    case 4: return close_fixed<4>(m);
+    case 5: return close_fixed<5>(m);
+    case 6: return close_fixed<6>(m);
+    case 7: return close_fixed<7>(m);
+    default: return close_matrix(m, n);
+  }
+}
 
 }  // namespace
 
@@ -174,37 +219,53 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
                                 StateId succ, RefinedState* out) const {
   thread_local AgeScratch scratch;
   const std::span<const EventId> enabled = index_->pseudo_enabled(succ);
-  std::vector<std::size_t>& old_wave = scratch.old_wave;
-  old_wave.resize(s.order.size());
+  std::vector<std::uint32_t>& mark = scratch.mark;
+  if (mark.size() < base_->num_events()) mark.resize(base_->num_events(), 0);
+  if (scratch.epoch >= 0xfffffff0u) {
+    std::fill(mark.begin(), mark.end(), 0);
+    scratch.epoch = 0;
+  }
+  const std::uint32_t epoch = scratch.epoch += 2;
+  for (EventId e : enabled) mark[e.value()] = epoch;
+
+  // One pass over the order: the fired event's wave, each wave's least
+  // deadline of another pending event, and the survivors (pending events
+  // other than the fired one that stay enabled).
+  std::vector<Time>& wave_hi = scratch.wave_hi;
+  auto& survivors = scratch.survivors;
+  wave_hi.clear();
+  survivors.clear();
   std::size_t n_old = 0;
   std::size_t fired_wave = static_cast<std::size_t>(-1);
+  bool other_bounded = false;
   for (std::size_t i = 0; i < s.order.size(); ++i) {
-    if (s.order[i] & kWaveStart) ++n_old;
-    old_wave[i] = n_old - 1;
-    if (fired_wave == static_cast<std::size_t>(-1) &&
-        EventId(s.order[i] & kIdMask) == fired)
-      fired_wave = old_wave[i];
+    if (s.order[i] & kWaveStart) {
+      ++n_old;
+      wave_hi.push_back(kTimeInfinity);
+    }
+    const std::size_t w = n_old - 1;
+    const EventId e(s.order[i] & kIdMask);
+    if (e == fired) {
+      if (fired_wave == static_cast<std::size_t>(-1)) fired_wave = w;
+      continue;
+    }
+    const DelayInterval d = base_->delay(e);
+    if (d.upper_bounded()) {
+      other_bounded = true;
+      wave_hi[w] = std::min(wave_hi[w], d.hi());
+    }
+    if (mark[e.value()] == epoch) {
+      mark[e.value()] = epoch + 1;
+      survivors.emplace_back(e, w);
+    }
   }
   if (fired_wave == static_cast<std::size_t>(-1)) fired_wave = 0;
 
-  // Survivors and the fresh wave (events newly enabled at the firing
-  // instant W).
-  auto& survivors = scratch.survivors;
-  survivors.clear();
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    const EventId e(s.order[i] & kIdMask);
-    if (e == fired) continue;
-    if (!std::binary_search(enabled.begin(), enabled.end(), e)) continue;
-    survivors.emplace_back(e, old_wave[i]);
-  }
+  // The fresh wave: events newly enabled at the firing instant W.
   std::vector<EventId>& fresh = scratch.fresh;
   fresh.clear();
-  for (EventId e : enabled) {
-    const bool surviving =
-        std::any_of(survivors.begin(), survivors.end(),
-                    [&](const auto& en) { return en.first == e; });
-    if (!surviving) fresh.push_back(e);
-  }
+  for (EventId e : enabled)
+    if (mark[e.value()] != epoch + 1) fresh.push_back(e);
 
   // Old wave indices with survivors (ascending), then W (index n_old).
   std::vector<std::size_t>& kept = scratch.kept;
@@ -233,12 +294,7 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
   for (std::size_t i = 0; dead && i < n_old; ++i)
     for (std::size_t j = 0; dead && j < n_old; ++j)
       dead = i == j || s.gaps[i * n_old + j] == 0;
-  if (dead && !df.upper_bounded()) {
-    dead = std::any_of(s.order.begin(), s.order.end(), [&](std::uint16_t v) {
-      const EventId x(v & kIdMask);
-      return x != fired && base_->delay(x).upper_bounded();
-    });
-  }
+  if (dead && !df.upper_bounded()) dead = other_bounded;
 
   out->gaps.assign(n_new * n_new, 0);
   if (dead) {
@@ -284,31 +340,10 @@ void RefinedSystem::advance_age(RefinedStateView s, EventId fired,
     at(fired_wave, n_old) = std::min(at(fired_wave, n_old), -df.lo());
     for (std::size_t j = 0; j < n_old; ++j)
       at(j, n_old) = std::min(at(j, n_old), Time{0});
-    for (std::size_t i = 0; i < s.order.size(); ++i) {
-      const EventId x(s.order[i] & kIdMask);
-      if (x == fired) continue;
-      const DelayInterval dx = base_->delay(x);
-      if (dx.upper_bounded())
-        at(n_old, old_wave[i]) = std::min(at(n_old, old_wave[i]), dx.hi());
-    }
+    for (std::size_t w = 0; w < n_old; ++w)
+      at(n_old, w) = std::min(at(n_old, w), wave_hi[w]);
 
-    // Shortest-path closure, branch-free: no test for kTimeInfinity.
-    // Entries only ever fall from <= 2^60, and the finite ones stay far
-    // from it, so a sum through an unbounded entry is still far above
-    // cap_ (and far below overflow): it encodes to kGapInf, and the
-    // merge's max keeps it there, exactly as the skipped sum would have
-    // left kTimeInfinity.  ri[k] is re-read for every j on purpose: when
-    // (k, k) is negative, (i, k) itself falls at j == k, and the later
-    // entries of the row must see the lowered value, as the textbook
-    // relaxation order does.
-    for (std::size_t k = 0; k < n; ++k) {
-      const Time* rk = m.data() + k * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        Time* ri = m.data() + i * n;
-        for (std::size_t j = 0; j < n; ++j)
-          ri[j] = std::min(ri[j], ri[k] + rk[j]);
-      }
-    }
+    close_gaps(m.data(), n);
 
     for (std::size_t t = 0; t < merges; ++t) {
       const std::size_t w0 = kept[t], w1 = kept[t + 1];

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
+#include "rtv/base/hash.hpp"
+#include "rtv/ipcmos/pipeline.hpp"
+#include "rtv/ipcmos/topologies.hpp"
+
 namespace rtv {
 namespace {
 
@@ -161,6 +168,69 @@ TEST(Circuit, SeriesStackGuard) {
   EXPECT_FALSE(ts.is_enabled(s, ts.event_by_label("o-")));
   s = *ts.successor(s, ts.event_by_label("b+"));
   EXPECT_TRUE(ts.is_enabled(s, ts.event_by_label("o-")));
+}
+
+/// Content digest of an elaborated module: its name, signal names, events
+/// (label, delay, kind), initial state, and per state its name, valuation
+/// and transitions in order.
+std::uint64_t digest(const Module& m) {
+  const TransitionSystem& ts = m.ts();
+  Fnv1a h;
+  h.str(m.name());
+  h.u64(ts.signal_names().size());
+  for (const std::string& s : ts.signal_names()) h.str(s);
+  h.u64(ts.num_events());
+  for (std::size_t i = 0; i < ts.num_events(); ++i) {
+    const Event& e = ts.event(EventId(static_cast<EventId::underlying_type>(i)));
+    h.str(e.label).i64(e.delay.lo()).i64(e.delay.hi());
+    h.u64(static_cast<std::uint64_t>(e.kind));
+  }
+  h.u64(ts.num_states()).u64(ts.initial().value());
+  for (std::size_t q = 0; q < ts.num_states(); ++q) {
+    const StateId s(static_cast<StateId::underlying_type>(q));
+    h.str(ts.state_name(s)).str(ts.valuation(s).to_string());
+    h.u64(ts.transitions_from(s).size());
+    for (const Transition& t : ts.transitions_from(s))
+      h.u64(t.event.value()).u64(t.target.value());
+  }
+  return h.digest();
+}
+
+TEST(Circuit, ElaborationIsPinned) {
+  // State numbering, transition order, valuations (with the SC_* flags),
+  // events and signal names of the IPCMOS stage, join and fork modules,
+  // pinned from the first elaborator.
+  const Module stage = ipcmos::make_stage(1);
+  EXPECT_EQ(stage.ts().num_states(), 3584u);
+  EXPECT_EQ(stage.ts().num_transitions(), 20736u);
+  EXPECT_EQ(digest(stage), 0x2f3a13ae010e0b12ull);
+  EXPECT_EQ(digest(elaborate(ipcmos::make_join_netlist())), 0x0e80b5e328b0226dull);
+  EXPECT_EQ(digest(elaborate(ipcmos::make_fork_netlist())), 0x6bd66c47434240ffull);
+  EXPECT_EQ(digest(elaborate(inverter())), 0x040eb8b72fd8f7b9ull);
+}
+
+TEST(Circuit, StateBudgetThrowsExactlyWhenExceeded) {
+  // The budget caps the reachable valuations: a run with exactly as many
+  // states succeeds, one state fewer throws.
+  const Netlist nl = ipcmos::make_stage_netlist(
+      "I1", ipcmos::linear_channels(1), ipcmos::StageTiming{});
+  CircuitElaborateOptions opts;
+  opts.max_states = 3584;
+  EXPECT_EQ(elaborate(nl, opts).ts().num_states(), 3584u);
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{100}, std::size_t{3583}}) {
+    opts.max_states = budget;
+    try {
+      elaborate(nl, opts);
+      ADD_FAILURE() << "max_states " << budget << " did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "circuit 'I1': state budget exhausted");
+    }
+  }
+  opts.max_states = 4;
+  EXPECT_EQ(elaborate(inverter(), opts).ts().num_states(), 4u);
+  opts.max_states = 3;
+  EXPECT_THROW(elaborate(inverter(), opts), std::runtime_error);
 }
 
 }  // namespace

@@ -109,5 +109,30 @@ TEST_F(ExprTest, FlatteningNestedSameOps) {
   EXPECT_EQ(pool.support(e).size(), 3u);
 }
 
+TEST_F(ExprTest, CubesAgreeWithEval) {
+  // An AND over ORs expands to the product of their cubes, dropping the
+  // contradictory ones; constants are {{}} (true) and {} (false).
+  EXPECT_EQ(pool.cubes(pool.true_expr()).size(), 1u);
+  EXPECT_TRUE(pool.cubes(pool.true_expr())[0].empty());
+  EXPECT_TRUE(pool.cubes(pool.false_expr()).empty());
+  const Expr e = pool.conj2(pool.disj2(pool.lit(a, true), pool.lit(b, false)),
+                            pool.disj2(pool.lit(a, false), pool.lit(c, true)));
+  EXPECT_EQ(pool.cubes(e).size(), 3u);  // a&!a is dropped
+  for (const Expr g : {e, pool.negate(e), pool.lit(b, true)}) {
+    const auto cubes = pool.cubes(g);
+    for (int bits = 0; bits < 8; ++bits) {
+      const BitVec v = val(bits & 1, bits & 2, bits & 4);
+      bool any = false;
+      for (const auto& cube : cubes) {
+        bool all = true;
+        for (const ExprPool::Literal& l : cube)
+          all &= v.test(l.node.value()) == l.value;
+        any |= all;
+      }
+      EXPECT_EQ(any, pool.eval(g, v)) << pool.to_string(g, names) << " at " << bits;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rtv

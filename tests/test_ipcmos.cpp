@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -273,6 +274,22 @@ TEST(IpcmosExperiments, RunAllProducesFiveRows) {
     EXPECT_EQ(constraints, expected_constraints[i]) << rows[i].name;
   }
   EXPECT_EQ(heads_expanded, 177'901u);
+}
+
+TEST(IpcmosExperiments, Table1SharesOneStage) {
+  // Obligations 2-5 compose the one elaborated stage I1; obligation 5 keeps
+  // flat_pipeline(1)'s module order IN, I1, OUT.
+  const Suite suite = table1_suite();
+  const std::deque<Obligation>& obs = suite.obligations();
+  ASSERT_EQ(obs.size(), 5u);
+  const Module* stage = obs[1].modules[1];
+  EXPECT_EQ(stage->name(), "I1");
+  for (std::size_t i = 1; i < obs.size(); ++i)
+    EXPECT_EQ(obs[i].modules[1], stage) << obs[i].name;
+  const ModuleSet flat = flat_pipeline(1);
+  ASSERT_EQ(obs[4].modules.size(), flat.ptrs.size());
+  for (std::size_t i = 0; i < flat.ptrs.size(); ++i)
+    EXPECT_EQ(obs[4].modules[i]->name(), flat.ptrs[i]->name());
 }
 
 TEST(IpcmosPipeline, TwoStageCompositionIsFiniteAndAlive) {

@@ -561,5 +561,197 @@ TEST(RefinedSystem, BranchFreeClosureMatchesTheReferenceClosure) {
   EXPECT_GT(with_unbounded, 500u);
 }
 
+/// advance()'s wave bookkeeping as it was first written (binary search and
+/// any_of over the enabled set, the bounds on row W per order entry, the
+/// closure on the heap matrix): the order and gaps of the successor.
+std::pair<std::vector<std::uint16_t>, std::vector<std::uint16_t>>
+reference_advance_age(const TransitionSystem& ts, const RefinedState& s,
+                      EventId fired, std::span<const EventId> enabled,
+                      std::size_t max_waves) {
+  const Time cap_time = gap_cap(ts);
+  const auto decode_gap = [&](std::uint16_t v) {
+    return static_cast<Time>(v) - cap_time;
+  };
+  const auto encode_gap = [&](Time v) -> std::uint16_t {
+    if (v >= cap_time) return kGapInf;
+    if (v < -cap_time) v = -cap_time;
+    return static_cast<std::uint16_t>(v + cap_time);
+  };
+  std::vector<std::size_t> old_wave(s.order.size());
+  std::size_t n_old = 0;
+  std::size_t fired_wave = static_cast<std::size_t>(-1);
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    if (s.order[i] & kWaveStart) ++n_old;
+    old_wave[i] = n_old - 1;
+    if (fired_wave == static_cast<std::size_t>(-1) &&
+        EventId(s.order[i] & kIdMask) == fired)
+      fired_wave = old_wave[i];
+  }
+  if (fired_wave == static_cast<std::size_t>(-1)) fired_wave = 0;
+
+  std::vector<std::pair<EventId, std::size_t>> survivors;
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const EventId e(s.order[i] & kIdMask);
+    if (e == fired) continue;
+    if (!std::binary_search(enabled.begin(), enabled.end(), e)) continue;
+    survivors.emplace_back(e, old_wave[i]);
+  }
+  std::vector<EventId> fresh;
+  for (EventId e : enabled) {
+    const bool surviving =
+        std::any_of(survivors.begin(), survivors.end(),
+                    [&](const auto& en) { return en.first == e; });
+    if (!surviving) fresh.push_back(e);
+  }
+  std::vector<std::size_t> kept;
+  for (const auto& en : survivors)
+    if (kept.empty() || kept.back() != en.second) kept.push_back(en.second);
+  if (!fresh.empty()) kept.push_back(n_old);
+
+  const std::size_t cap = std::max<std::size_t>(2, max_waves);
+  const std::size_t merges = kept.size() > cap ? kept.size() - cap : 0;
+  const std::size_t n_new = kept.size() - merges;
+  auto wave = [&](std::size_t a) { return kept[merges + a]; };
+
+  const DelayInterval df = ts.delay(fired);
+  bool dead = n_old >= 2;
+  for (std::size_t i = 0; dead && i < n_old; ++i)
+    for (std::size_t j = 0; dead && j < n_old; ++j)
+      dead = i == j || s.gaps[i * n_old + j] == 0;
+  if (dead && !df.upper_bounded()) {
+    dead = std::any_of(s.order.begin(), s.order.end(), [&](std::uint16_t v) {
+      const EventId x(v & kIdMask);
+      return x != fired && ts.delay(x).upper_bounded();
+    });
+  }
+
+  std::vector<std::uint16_t> gaps(n_new * n_new, 0);
+  if (dead) {
+    for (std::size_t a = 0; a < n_new; ++a) gaps[a * n_new + a] = encode_gap(0);
+  } else {
+    const std::size_t n = n_old + 1;
+    std::vector<Time> m(n * n, kTimeInfinity);
+    auto at = [&](std::size_t i, std::size_t j) -> Time& {
+      return m[i * n + j];
+    };
+    for (std::size_t i = 0; i < n_old; ++i)
+      for (std::size_t j = 0; j < n_old; ++j) {
+        const std::uint16_t v = s.gaps[i * n_old + j];
+        at(i, j) = (v == kGapInf) ? kTimeInfinity : decode_gap(v);
+      }
+    for (std::size_t i = 0; i < n; ++i) at(i, i) = 0;
+    at(n_old, fired_wave) =
+        std::min(at(n_old, fired_wave),
+                 df.upper_bounded() ? df.hi() : kTimeInfinity);
+    at(fired_wave, n_old) = std::min(at(fired_wave, n_old), -df.lo());
+    for (std::size_t j = 0; j < n_old; ++j)
+      at(j, n_old) = std::min(at(j, n_old), Time{0});
+    for (std::size_t i = 0; i < s.order.size(); ++i) {
+      const EventId x(s.order[i] & kIdMask);
+      if (x == fired) continue;
+      const DelayInterval dx = ts.delay(x);
+      if (dx.upper_bounded())
+        at(n_old, old_wave[i]) = std::min(at(n_old, old_wave[i]), dx.hi());
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const Time* rk = m.data() + k * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        Time* ri = m.data() + i * n;
+        for (std::size_t j = 0; j < n; ++j)
+          ri[j] = std::min(ri[j], ri[k] + rk[j]);
+      }
+    }
+    for (std::size_t t = 0; t < merges; ++t) {
+      const std::size_t w0 = kept[t], w1 = kept[t + 1];
+      for (std::size_t j = 0; j < n; ++j) {
+        at(w1, j) = std::max(at(w1, j), at(w0, j));
+        at(j, w1) = std::max(at(j, w1), at(j, w0));
+      }
+      at(w1, w1) = 0;
+    }
+    for (std::size_t a = 0; a < n_new; ++a)
+      for (std::size_t b = 0; b < n_new; ++b)
+        gaps[a * n_new + b] =
+            a == b ? encode_gap(0) : encode_gap(at(wave(a), wave(b)));
+  }
+
+  std::vector<std::uint16_t> order;
+  bool first = true;
+  auto emit = [&](std::size_t src) {
+    if (src == n_old) {
+      for (EventId e : fresh) {
+        order.push_back(static_cast<std::uint16_t>(e.value()) |
+                        (first ? kWaveStart : 0));
+        first = false;
+      }
+      return;
+    }
+    for (const auto& en : survivors) {
+      if (en.second != src) continue;
+      order.push_back(static_cast<std::uint16_t>(en.first.value()) |
+                      (first ? kWaveStart : 0));
+      first = false;
+    }
+  };
+  for (std::size_t a = 0; a < n_new; ++a) {
+    first = true;
+    if (a > 0) {
+      emit(wave(a));
+      continue;
+    }
+    for (std::size_t t = merges + 1; t-- > 0;) emit(kept[t]);
+  }
+  return {order, gaps};
+}
+
+TEST(RefinedSystem, AdvanceMatchesTheFirstWaveBookkeeping) {
+  // Random sources of 1 .. max_waves + 2 waves: successors that merge
+  // waves, closures of every fixed size (2 .. 7 instants) and of the
+  // generic loop beyond, timing-dead and general gap matrices.
+  Rng rng(0xa9e5);
+  std::size_t merged = 0, generic = 0, dead = 0;
+  std::vector<std::size_t> by_n(16, 0);
+  for (int round = 0; round < 500; ++round) {
+    const std::size_t max_waves = round % 3 == 0 ? 6 : 2 + rng.below(5);
+    const TransitionSystem ts = random_system(rng, max_waves + 6, 0.3);
+    const ChokeIndex index(ts, {});
+    RefinedSystem rs(ts, index);
+    rs.enable_age_rule(true);
+    rs.set_max_waves(max_waves);
+    rs.activate_pair(EventId(0), EventId(static_cast<EventId::underlying_type>(
+                                     ts.num_events() - 1)));
+    const auto cap = static_cast<std::uint16_t>(gap_cap(ts));
+    const bool dead_gaps = round % 5 == 0;
+    for (std::size_t q = 0; q < ts.num_states(); ++q) {
+      const StateId b(static_cast<StateId::underlying_type>(q));
+      for (const Transition& t : ts.transitions_from(b)) {
+        const RefinedState src = random_source(
+            rng, ts, b, t.event, 1 + rng.below(max_waves + 2), [&] {
+              if (dead_gaps) return std::uint16_t{0};
+              return rng.chance(0.15)
+                         ? kGapInf
+                         : static_cast<std::uint16_t>(rng.below(2u * cap + 1));
+            });
+        const RefinedState got = rs.advance(src, t.event);
+        const auto [order, gaps] = reference_advance_age(
+            ts, src, t.event, index.pseudo_enabled(t.target), max_waves);
+        ASSERT_EQ(got.order, order) << "round " << round << ", state " << q;
+        ASSERT_EQ(got.gaps, gaps) << "round " << round << ", state " << q;
+        const auto n_old = static_cast<std::size_t>(
+            std::count_if(src.order.begin(), src.order.end(),
+                          [](std::uint16_t v) { return v & kWaveStart; }));
+        ++by_n[n_old + 1];
+        if (n_old + 1 > 7) ++generic;
+        if (n_old > max_waves) ++merged;
+        if (dead_gaps && n_old >= 2) ++dead;
+      }
+    }
+  }
+  for (std::size_t n = 2; n <= 9; ++n) EXPECT_GT(by_n[n], 20u) << "n = " << n;
+  EXPECT_GT(merged, 200u);
+  EXPECT_GT(generic, 50u);
+  EXPECT_GT(dead, 100u);
+}
+
 }  // namespace
 }  // namespace rtv

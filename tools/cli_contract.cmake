@@ -10,6 +10,8 @@
 #                  and names the subcommand, and nothing runs;
 #   numeric_range  a numeric value that does not fit its field exits 64
 #                  instead of wrapping;
+#   json_stdout    `--json -` writes the JSON document, and nothing else,
+#                  to stdout, and creates no file named `-`;
 #   docs_synopsis  the synopsis block of docs/CLI.md equals rtv help's.
 # Files the commands would write land in the working directory.
 cmake_minimum_required(VERSION 3.16)
@@ -68,6 +70,10 @@ elseif(CHECK STREQUAL "usage_errors")
   expect(64 "^rtv verify: needs at least one" verify)
   expect(64 "^rtv serve: missing --socket\n" serve --jobs 2)
   expect(64 "^rtv fuzz: missing value for --seed\n" fuzz --seed)
+  # A campaign with neither a case limit nor a deadline is a bad flag
+  # combination, caught before it starts.
+  expect(64 "^rtv fuzz: needs --cases N or --seconds S above 0\n"
+         fuzz --cases 0)
   expect(64 "^rtv: unknown subcommand 'nosuch'\n" nosuch)
   # Engine names are checked while parsing, before any file or socket.
   expect(64 "^unknown engine 'nosuch'; registered engines:\n"
@@ -82,6 +88,16 @@ elseif(CHECK STREQUAL "numeric_range")
   expect(64 "^invalid value '4294967296' for --padding-modules\n"
          fuzz --padding-modules 4294967296)
   expect(64 "^invalid value '-1' for --jobs\n" verify ${DATA}/toggle.g --jobs -1)
+elseif(CHECK STREQUAL "json_stdout")
+  file(REMOVE -)
+  run_rtv(suite ${DATA}/toggle.g --json -)
+  if(EXISTS -)
+    message(FATAL_ERROR "rtv suite --json - wrote a file named '-'")
+  endif()
+  if(NOT rc STREQUAL "0" OR NOT out MATCHES "^{\n  \"schema\": \"rtv-suite-report\".*}\n$")
+    message(FATAL_ERROR "rtv suite --json -: exit ${rc}, want 0 and stdout "
+      "holding only the JSON report\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
 elseif(CHECK STREQUAL "docs_synopsis")
   run_rtv(help)
   string(REGEX REPLACE "^usage:\n" "" help_block "${out}")

@@ -259,7 +259,7 @@ const Flag kFlags[] = {
      [](CliOptions& o, V v) { o.signals = split_csv(v); }},
     {{"--json"}, "FILE",
      kSuite | kPortfolio | kLint | kSlice | kFuzz | kIpcmos | kClient,
-     "write the JSON report (lint, slice, stats: - = stdout)",
+     "write the JSON report to FILE; - = stdout, without the text",
      [](CliOptions& o, V v) { o.json_path = v; }},
     {{"--trace"}, "FILE", kAll, "write a Perfetto trace of the whole command",
      [](CliOptions& o, V v) { o.trace_path = v; }},
@@ -298,7 +298,7 @@ std::string synopsis(const Subcommand& sub) {
     if (!(f.cmds & sub.cmd)) continue;
     std::string item = f.names[0];
     if (f.value) item.append(" ").append(f.value);
-    if (!(f.required & sub.cmd)) item.insert(0, "[").append("]");
+    if (!(f.required & sub.cmd)) item = std::string("[").append(item).append("]");
     if (line.size() > indent.size() && line.size() + 1 + item.size() > 79) {
       out += line + "\n";
       line = indent;
@@ -401,9 +401,20 @@ ProgressFn progress_printer(bool json_lines) {
   };
 }
 
-/// Write a JSON document; I/O failures are runtime errors (70), not
-/// verdicts.
-bool write_text(const std::string& json, const std::string& path) {
+/// `--json -`: the JSON document goes to stdout, which then carries
+/// nothing else.
+bool json_to_stdout(const CliOptions& cli) { return cli.json_path == "-"; }
+
+/// Writes the --json document, if one was asked for: to stdout for "-",
+/// else to the file.  I/O failures are runtime errors (70), not verdicts.
+bool write_json(const std::string& json, const CliOptions& cli) {
+  if (cli.json_path.empty()) return true;
+  if (json_to_stdout(cli)) {
+    std::fputs(json.c_str(), stdout);
+    if (json.empty() || json.back() != '\n') std::fputc('\n', stdout);
+    return true;
+  }
+  const std::string& path = cli.json_path;
   std::ofstream out(path);
   out << json;
   out.flush();  // surface buffered write errors (disk full) before testing
@@ -429,9 +440,8 @@ SuiteOptions suite_options(const CliOptions& cli, SuiteMode mode) {
 }
 
 int finish_suite(const SuiteReport& report, const CliOptions& cli) {
-  std::printf("%s", format_table(report).c_str());
-  if (!cli.json_path.empty() && !write_text(report.to_json(), cli.json_path))
-    return kExitRuntime;
+  if (!json_to_stdout(cli)) std::printf("%s", format_table(report).c_str());
+  if (!write_json(report.to_json(), cli)) return kExitRuntime;
   return exit_code(report.overall());
 }
 
@@ -543,13 +553,8 @@ int cmd_lint(const CliOptions& cli) {
   const lint::LintReport report =
       lint::lint_modules(mods, default_properties(owner, cli), opts);
 
-  if (cli.json_path == "-") {
-    std::printf("%s\n", report.to_json().c_str());
-  } else {
-    std::printf("%s", report.format().c_str());
-    if (!cli.json_path.empty() && !write_text(report.to_json(), cli.json_path))
-      return kExitRuntime;
-  }
+  if (!json_to_stdout(cli)) std::printf("%s", report.format().c_str());
+  if (!write_json(report.to_json(), cli)) return kExitRuntime;
   return report.exit_code();
 }
 
@@ -592,26 +597,15 @@ std::string slice_to_json(const analysis::SliceResult& sl, std::size_t total_mod
   return out;
 }
 
-int cmd_slice(const CliOptions& cli) {
-  // Like `rtv lint`, the files form one composed obligation with the
-  // default properties; the output is what `run_suite` would hand the
-  // engines after slicing, plus the provenance of everything removed.
-  Suite owner;
-  const std::vector<const Module*> mods = load_all(owner, cli.files);
-  const analysis::SliceResult sl =
-      analysis::slice(mods, default_properties(owner, cli));
-
-  if (cli.json_path == "-") {
-    std::printf("%s\n", slice_to_json(sl, mods.size()).c_str());
-    return 0;
-  }
+void print_slice(const analysis::SliceResult& sl, std::size_t total_modules) {
   std::printf("== slice ==\n");
   if (!sl.bailout.empty()) {
     std::printf("identity (bailout): %s\n", sl.bailout.c_str());
   } else if (sl.identity) {
     std::printf("identity: nothing is provably outside the cone\n");
   } else {
-    std::printf("kept:          %zu of %zu module(s)\n", sl.modules.size(), mods.size());
+    std::printf("kept:          %zu of %zu module(s)\n", sl.modules.size(),
+                total_modules);
     std::printf("dropped:       %zu module(s), %zu event(s)\n",
                 sl.dropped_modules, sl.dropped_events);
     std::printf("pruned:        %zu unreachable state(s)\n", sl.pruned_states);
@@ -627,10 +621,19 @@ int cmd_slice(const CliOptions& cli) {
                   n.object.c_str(), n.reason.c_str());
     }
   }
-  if (!cli.json_path.empty() &&
-      !write_text(slice_to_json(sl, mods.size()), cli.json_path))
-    return kExitRuntime;
-  return 0;
+}
+
+int cmd_slice(const CliOptions& cli) {
+  // Like `rtv lint`, the files form one composed obligation with the
+  // default properties; the output is what `run_suite` would hand the
+  // engines after slicing, plus the provenance of everything removed.
+  Suite owner;
+  const std::vector<const Module*> mods = load_all(owner, cli.files);
+  const analysis::SliceResult sl =
+      analysis::slice(mods, default_properties(owner, cli));
+
+  if (!json_to_stdout(cli)) print_slice(sl, mods.size());
+  return write_json(slice_to_json(sl, mods.size()), cli) ? 0 : kExitRuntime;
 }
 
 int cmd_simulate(const CliOptions& cli) {
@@ -751,12 +754,7 @@ int cmd_client(const CliOptions& cli) {
         out += sresp.metrics_json;
       }
       out += "}\n";
-      if (cli.json_path == "-") {
-        std::fputs(out.c_str(), stdout);
-      } else if (!write_text(out, cli.json_path)) {
-        return kExitRuntime;
-      }
-      return 0;
+      return write_json(out, cli) ? 0 : kExitRuntime;
     }
     const std::pair<const char*, std::uint64_t> counters[] = {
         {"jobs:", s.jobs}, {"requests:", s.requests},
@@ -825,6 +823,23 @@ int cmd_client(const CliOptions& cli) {
 
 // fuzz — the differential campaign (rtv/fuzz/campaign.hpp)
 
+void print_campaign(const fuzz::CampaignReport& report) {
+  std::printf("== fuzz campaign ==\n");
+  std::printf("seed:       %llu\n", static_cast<unsigned long long>(report.seed));
+  std::printf("config:     %s\n", report.config.to_json().c_str());
+  std::printf("cases:      %zu (%zu definitive verdicts, %zu traces replayed)\n",
+              report.cases, report.definitive_verdicts, report.traces_replayed);
+  std::printf("time:       %.1f s\n", report.wall_seconds);
+  std::printf("failures:   %zu\n", report.failures.size());
+  for (const fuzz::CampaignFailure& f : report.failures) {
+    std::printf("  case %zu: %s — %s\n", f.case_index,
+                fuzz::to_string(f.kind), f.detail.c_str());
+    std::printf("    replay: rtv fuzz --replay --seed %llu --config <file "
+                "holding: %s>\n", static_cast<unsigned long long>(f.seed),
+                f.minimized.to_json().c_str());
+  }
+}
+
 int cmd_fuzz(const CliOptions& cli) {
   fuzz::CampaignOptions opt = cli.fuzz;
   opt.seed = cli.seed;
@@ -837,6 +852,8 @@ int cmd_fuzz(const CliOptions& cli) {
                  "fuzz compares engine verdicts; select at least two with --engines\n");
     return kExitUsage;
   }
+  if (!cli.replay && opt.cases == 0 && opt.seconds <= 0)
+    return usage_error("fuzz", "needs --cases N or --seconds S above 0");
   opt.log = [](const std::string& line) {
     std::fprintf(stderr, "%s\n", line.c_str());
   };
@@ -860,22 +877,8 @@ int cmd_fuzz(const CliOptions& cli) {
   }
 
   const fuzz::CampaignReport report = fuzz::run_campaign(opt);
-  std::printf("== fuzz campaign ==\n");
-  std::printf("seed:       %llu\n", static_cast<unsigned long long>(report.seed));
-  std::printf("config:     %s\n", report.config.to_json().c_str());
-  std::printf("cases:      %zu (%zu definitive verdicts, %zu traces replayed)\n",
-              report.cases, report.definitive_verdicts, report.traces_replayed);
-  std::printf("time:       %.1f s\n", report.wall_seconds);
-  std::printf("failures:   %zu\n", report.failures.size());
-  for (const fuzz::CampaignFailure& f : report.failures) {
-    std::printf("  case %zu: %s — %s\n", f.case_index,
-                fuzz::to_string(f.kind), f.detail.c_str());
-    std::printf("    replay: rtv fuzz --replay --seed %llu --config <file "
-                "holding: %s>\n", static_cast<unsigned long long>(f.seed),
-                f.minimized.to_json().c_str());
-  }
-  if (!cli.json_path.empty() && !write_text(report.to_json(), cli.json_path))
-    return kExitRuntime;
+  if (!json_to_stdout(cli)) print_campaign(report);
+  if (!write_json(report.to_json(), cli)) return kExitRuntime;
   return report.ok() ? 0 : 1;
 }
 
