@@ -5,8 +5,10 @@
 //   * exact window bans (one trace pattern at a time).
 //
 // With the ordering rule disabled, every failure interleaving must be
-// banned separately — the iteration count explodes, which is why the CES
-// generalisation matters (DESIGN.md "enabling-compatible product").
+// banned separately — the iteration count explodes, which is why
+// generalising a failure to ordering pairs matters.  The pairs are the
+// ones TraceTimingModel::explain() (rtv/timing/trace_timing.hpp) derives
+// from the failure trace's timing.
 #include <cstdio>
 
 #include "rtv/ipcmos/experiments.hpp"
@@ -62,8 +64,8 @@ int main() {
   ablate("exp2: Ain||I||OUT <= Aout", exp2.modules, exp2.properties,
          kWindowCap);
   std::printf("  (window-only mode capped at %zu iterations: each failure\n"
-              "   interleaving needs its own ban — the paper's CES-based\n"
-              "   generalisation is what makes the flow converge)\n",
+              "   interleaving needs its own ban — the ordering pairs\n"
+              "   explain() derives are what make the flow converge)\n",
               kWindowCap);
   const Obligation& exp5 = table1.obligations()[4];
   ablate("exp5: IN||I||OUT |= S", exp5.modules, exp5.properties, kWindowCap);

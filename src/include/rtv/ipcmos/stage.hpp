@@ -3,7 +3,7 @@
 // The DATE'02 paper gives the stack-level behaviour of the strobe and
 // strobe-switch circuits (Fig. 11 and Section 5.1); the full ISSCC'00
 // schematics are not public, so this is a behaviour-preserving
-// reconstruction documented in DESIGN.md.  Per input channel i and output
+// reconstruction, documented below.  Per input channel i and output
 // channel j, a stage has:
 //
 //   strobe switch i (7 transistors):

@@ -53,7 +53,7 @@ std::string stop_tracing_json();
 /// be opened.
 bool write_trace(const std::string& path);
 
-/// Name the calling thread's track ("worker 3", "serve scheduler", ...).
+/// Name the calling thread's track ("worker 3", "suite worker 1", ...).
 /// Effective for the whole session regardless of when it is called.
 void set_thread_name(std::string_view name);
 

@@ -1,24 +1,22 @@
 // The `rtv serve` daemon: a persistent verification service.
 //
-// Architecture (three layers, one process):
+// Architecture (two layers, one process):
 //
-//   * connection layer — a Unix-domain stream listener; one thread per
-//     client connection, line-delimited JSON requests/responses
-//     (rtv/serve/wire.hpp);
+//   * connection layer — a Unix-domain stream listener whose accept loop
+//     also logs the heartbeat; one thread per client connection,
+//     line-delimited JSON requests/responses (rtv/serve/wire.hpp);
 //   * dispatch layer — every verify obligation is content-hashed
 //     (rtv/serve/cache.hpp).  A hit answers in O(1) from the verdict
 //     cache.  A miss registers an in-flight job keyed by the hash, so N
 //     clients asking the same question trigger exactly ONE computation —
 //     later askers attach to the pending job and share its outcome.
+//     The request that created jobs computes them itself, in one
+//     run_suite call with the daemon's global --jobs budget, under a
+//     lock that lets one computation run at a time — so total worker
+//     concurrency is capped no matter how many clients are connected.
 //     Incremental re-verification falls out of the same mechanism: an
 //     edited suite re-runs only the obligations whose content hash
-//     changed, the rest are served from cache with `cached: true`;
-//   * compute layer — a single scheduler thread drains the pending-job
-//     queue in arrival order, groups adjacent jobs sharing (mode, engine
-//     selection) into one Suite, and dispatches it through the existing
-//     run_suite scheduler with the daemon's global --jobs budget — so
-//     total worker concurrency is capped no matter how many clients are
-//     connected.
+//     changed, the rest are served from cache with `cached: true`.
 //
 // Lifecycle: construct (binds the socket; loads the verdict cache,
 // refusing corrupt or version-skewed files), start(), then wait_for() /
@@ -51,9 +49,10 @@ struct ServerOptions {
   std::size_t max_cache_entries = 4096;
   /// Optional sink for human-readable log lines.
   std::function<void(const std::string&)> log;
-  /// Heartbeat period in seconds; > 0 starts a thread that logs one
+  /// Heartbeat period in seconds; > 0 makes the accept loop log one
   /// structured line ("heartbeat {...}" with the stats counters as JSON)
-  /// per period through the log sink.
+  /// per period through the log sink.  A period too large for any clock
+  /// duration (1e300, inf) never fires.
   double heartbeat_seconds = 0.0;
 };
 
@@ -68,18 +67,20 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Spawn the accept loop and the scheduler thread.
+  /// Spawn the accept loop, the daemon's one thread until clients connect.
   void start();
 
-  /// Block up to `seconds` or until a shutdown request arrives; returns
-  /// true once shutdown was requested.  Poll this from the owning thread
-  /// (which also watches its own signals), then call stop().
+  /// Block up to `seconds` (1e300 and inf included) or until a shutdown
+  /// request arrives; returns true once shutdown was requested.  Poll
+  /// this from the owning thread (which also watches its own signals),
+  /// then call stop().
   bool wait_for(double seconds);
   bool shutdown_requested() const;
 
-  /// Stop accepting, fail pending jobs, join every thread, persist the
-  /// cache (when configured).  Idempotent.  Must not be called from a
-  /// connection thread — shutdown *requests* only flag, the owner stops.
+  /// Stop accepting, cancel the computation in progress, join every
+  /// thread, persist the cache (when configured).  Idempotent.  Must not
+  /// be called from a connection thread — shutdown *requests* only flag,
+  /// the owner stops.
   void stop();
 
   /// Persist the cache now; false (with a log line) on I/O failure.

@@ -5,13 +5,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -66,7 +68,6 @@ struct Server::Impl {
   /// asking the same question holds the same Job and waits on its cv.
   struct Job {
     CacheKey key;
-    SuiteMode mode = SuiteMode::kBatch;
     std::shared_ptr<const Prepared> prepared;
 
     std::mutex m;
@@ -139,34 +140,17 @@ struct Server::Impl {
   void start() {
     started = true;
     start_time = std::chrono::steady_clock::now();
-    scheduler = std::thread([this] {
-      if (obs::tracing_active()) obs::set_thread_name("serve scheduler");
-      scheduler_loop();
-    });
     acceptor = std::thread([this] { accept_loop(); });
-    if (options.heartbeat_seconds > 0.0)
-      heartbeat = std::thread([this] { heartbeat_loop(); });
     log_line("listening on " + options.socket_path);
   }
 
-  /// One structured line per period: "heartbeat {<stats counters>}", so an
-  /// operator tailing the daemon log sees liveness and the cache ratio
-  /// drifting without having to poll the stats op.
-  void heartbeat_loop() {
-    std::unique_lock<std::mutex> lock(shutdown_mutex);
-    for (;;) {
-      shutdown_cv.wait_for(
-          lock,
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::duration<double>(options.heartbeat_seconds)),
-          [this] { return stopping.load(std::memory_order_relaxed); });
-      if (stopping.load(std::memory_order_relaxed)) return;
-      std::string line = "heartbeat ";
-      stats_to_json(line, stats());
-      lock.unlock();
-      log_line(line);
-      lock.lock();
-    }
+  /// Seconds since start(), as a double: periods and waits are compared
+  /// in this unit, never cast to a clock duration, so a huge one (1e300,
+  /// inf) cannot overflow.
+  double uptime() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_time)
+        .count();
   }
 
   void stop() {
@@ -175,19 +159,8 @@ struct Server::Impl {
       join_all();
       return;
     }
-    // Abort any batch inside run_suite, then wake the scheduler so it
-    // fails the still-queued jobs and exits.
+    // Abort any run_suite in progress; its handler answers and returns.
     cancel.cancel();
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mutex);
-      scheduler_cv.notify_all();
-    }
-    {
-      // `stopping` is already visible; passing through the mutex means any
-      // heartbeat waiter either sees it before sleeping or gets the notify.
-      std::lock_guard<std::mutex> lock(shutdown_mutex);
-    }
-    shutdown_cv.notify_all();
     join_all();
     if (listen_fd >= 0) {
       ::close(listen_fd);
@@ -199,8 +172,6 @@ struct Server::Impl {
   }
 
   void join_all() {
-    if (heartbeat.joinable()) heartbeat.join();
-    if (scheduler.joinable()) scheduler.join();
     // Unblock connection threads stuck in recv().
     {
       std::lock_guard<std::mutex> lock(conn_mutex);
@@ -238,12 +209,16 @@ struct Server::Impl {
   }
 
   bool wait_for(double seconds) {
+    const double deadline = uptime() + seconds;
     std::unique_lock<std::mutex> lock(shutdown_mutex);
-    shutdown_cv.wait_for(lock,
-                         std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::duration<double>(seconds)),
-                         [this] { return shutdown_flag; });
-    return shutdown_flag;
+    for (;;) {
+      if (shutdown_flag) return true;
+      const double left = deadline - uptime();
+      if (!(left > 0.0)) return false;
+      // An hour at most per wait keeps the clock conversion in range.
+      shutdown_cv.wait_for(lock,
+                           std::chrono::duration<double>(std::min(left, 3600.0)));
+    }
   }
 
   // ---- connection layer ---------------------------------------------------
@@ -262,12 +237,27 @@ struct Server::Impl {
     for (std::thread& t : done) t.join();
   }
 
+  /// Accept connections, one thread each, and log the heartbeat: one
+  /// structured line per period, "heartbeat {<stats counters>}", so an
+  /// operator tailing the daemon log sees liveness and the cache ratio
+  /// drifting without having to poll the stats op.
   void accept_loop() {
+    const double period = options.heartbeat_seconds;
+    double next_beat = period > 0.0
+                           ? uptime() + period
+                           : std::numeric_limits<double>::infinity();
     while (!stopping.load(std::memory_order_relaxed)) {
       reap_connections();
+      const double wait = std::max(0.0, std::min(0.2, next_beat - uptime()));
       pollfd pfd{listen_fd, POLLIN, 0};
-      const int r = ::poll(&pfd, 1, 200);
+      const int r = ::poll(&pfd, 1, static_cast<int>(std::ceil(wait * 1000)));
       if (r < 0 && errno != EINTR) break;
+      if (uptime() >= next_beat) {
+        std::string line = "heartbeat ";
+        stats_to_json(line, stats());
+        log_line(line);
+        next_beat = uptime() + period;
+      }
       if (r <= 0 || !(pfd.revents & POLLIN)) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
@@ -401,7 +391,8 @@ struct Server::Impl {
     /// Where each requested obligation's rows come from: the cache, an
     /// in-flight twin, or a job this request created.
     struct Pending {
-      std::shared_ptr<const Prepared> prepared;
+      std::shared_ptr<Prepared> prepared;
+      CacheKey key;
       bool cached = false;  ///< answered without computing for this request
       std::shared_ptr<Job> job;  ///< null when `outcome` is already final
       CachedOutcome outcome;
@@ -418,60 +409,63 @@ struct Server::Impl {
       so.budget.max_states = req.max_states;
       so.budget.max_seconds = req.max_seconds;
       so.max_refinements = req.max_refinements;
+      // Every front end and key before any job: a request that fails
+      // here (an unregistered engine, say) leaves no job in flight.
       for (WireObligation& wire : req.obligations) {
-        auto prep = std::make_shared<Prepared>();
-        prep->wire = std::move(wire);
-        prep->ob = prep->wire.obligation(prep->properties);
-        prep->fe = front_end(prep->ob, so);
-        prep->ob.front_end = &prep->fe;
-        obligations.fetch_add(1, std::memory_order_relaxed);
         Pending& p = pending.emplace_back();
-        p.prepared = prep;
+        p.prepared = std::make_shared<Prepared>();
+        Prepared& prep = *p.prepared;
+        prep.wire = std::move(wire);
+        prep.ob = prep.wire.obligation(prep.properties);
+        prep.fe = front_end(prep.ob, so);
+        prep.ob.front_end = &prep.fe;
+        obligations.fetch_add(1, std::memory_order_relaxed);
+        if (!prep.fe.rejected())
+          p.key = obligation_cache_key(prep.wire, req.mode, prep.fe);
+      }
 
+      std::vector<std::shared_ptr<Job>> own;
+      for (Pending& p : pending) {
+        const Prepared& prep = *p.prepared;
         // Lint fast-reject: an obligation whose pre-flight has errors is
-        // answered right here — no key, no job, no scheduler wake-up, and
-        // the verdict cache never sees it (a broken model must not
-        // displace computable entries).
-        if (prep->fe.rejected()) {
+        // answered right here — no key, no job, and the verdict cache
+        // never sees it (a broken model must not displace computable
+        // entries).
+        if (prep.fe.rejected()) {
           lint_rejected.fetch_add(1, std::memory_order_relaxed);
           m_lint_rejected.inc();
-          for (const std::string& engine : prep->fe.engines) {
+          for (const std::string& engine : prep.fe.engines) {
             SuiteRecord& r = p.outcome.records.emplace_back();
             r.engine = engine;
             r.result.truncated_reason = stop_reason::kLintError;
-            r.result.message = prep->fe.lint.diagnostics.front().format();
+            r.result.message = prep.fe.lint.diagnostics.front().format();
           }
           continue;
         }
-
-        const CacheKey key =
-            obligation_cache_key(prep->wire, req.mode, prep->fe);
         std::lock_guard<std::mutex> lock(dispatch_mutex);
-        if (cache.get(key, &p.outcome)) {
+        if (cache.get(p.key, &p.outcome)) {
           p.cached = true;
           cache_hits.fetch_add(1, std::memory_order_relaxed);
           m_cache_hits.inc();
-        } else if (auto it = inflight.find(key); it != inflight.end()) {
+        } else if (auto it = inflight.find(p.key); it != inflight.end()) {
           p.cached = true;  // someone else is already computing it
           p.job = it->second;
           deduped.fetch_add(1, std::memory_order_relaxed);
           m_deduped.inc();
         } else {
-          auto job = std::make_shared<Job>();
-          job->key = key;
-          job->mode = req.mode;
-          job->prepared = prep;
-          inflight.emplace(key, job);
-          queue.push_back(job);
+          p.job = std::make_shared<Job>();
+          p.job->key = p.key;
+          p.job->prepared = p.prepared;
+          inflight.emplace(p.key, p.job);
+          own.push_back(p.job);
           computed.fetch_add(1, std::memory_order_relaxed);
           m_computed.inc();
-          scheduler_cv.notify_one();
-          p.job = job;
         }
       }
-
-      // Collect (outside the dispatch lock): every job fulfils exactly
-      // once, cancellation included.
+      // This request's own jobs first, then the twins: every job is
+      // fulfilled exactly once by the request that created it, so no two
+      // requests can wait on each other.
+      if (!own.empty()) compute(own, req.mode);
       for (Pending& p : pending) {
         if (!p.job) continue;
         std::unique_lock<std::mutex> lock(p.job->m);
@@ -507,55 +501,23 @@ struct Server::Impl {
 
   // ---- compute layer ------------------------------------------------------
 
-  void scheduler_loop() {
-    for (;;) {
-      std::vector<std::shared_ptr<Job>> batch;
-      {
-        std::unique_lock<std::mutex> lock(dispatch_mutex);
-        scheduler_cv.wait(lock, [this] {
-          return stopping.load(std::memory_order_relaxed) || !queue.empty();
-        });
-        if (stopping.load(std::memory_order_relaxed)) {
-          // Fail whatever never ran so no client waits forever.
-          for (const auto& job : queue) {
-            inflight.erase(job->key);
-            fail_job(job, "server stopping");
-          }
-          queue.clear();
-          return;
-        }
-        // One run_suite call per group of adjacent jobs sharing
-        // (mode, engine selection) — batching across clients amortizes the
-        // pool spin-up and keeps one global jobs budget in charge.
-        const std::shared_ptr<Job> head = queue.front();
-        queue.pop_front();
-        batch.push_back(head);
-        for (auto it = queue.begin(); it != queue.end();) {
-          if ((*it)->mode == head->mode &&
-              (*it)->prepared->fe.engines == head->prepared->fe.engines) {
-            batch.push_back(*it);
-            it = queue.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      run_batch(batch);
-    }
-  }
-
-  void run_batch(const std::vector<std::shared_ptr<Job>>& batch) {
-    m_batch_size.observe(static_cast<double>(batch.size()));
-    obs::Span span("batch:" + std::to_string(batch.size()) + " job(s)",
-                   "serve");
+  /// Run one request's jobs as one Suite and fulfil each.  One computation
+  /// at a time daemon-wide, so the --jobs budget caps total concurrency.
+  void compute(const std::vector<std::shared_ptr<Job>>& jobs, SuiteMode mode) {
+    std::lock_guard<std::mutex> compute_lock(compute_mutex);
+    const obs::Span span(obs::tracing_active()
+                             ? "compute:" + std::to_string(jobs.size()) +
+                                   " job(s)"
+                             : std::string(),
+                         "serve");
     // Each obligation carries the front end its request computed, so
     // run_suite neither resolves, lints nor slices it again.
     Suite suite;
-    for (const auto& job : batch)
+    for (const auto& job : jobs)
       suite.obligations().push_back(job->prepared->ob);
 
     SuiteOptions opts;
-    opts.mode = batch.front()->mode;
+    opts.mode = mode;
     opts.jobs = options.jobs;
     opts.budget.cancel = &cancel;
 
@@ -564,29 +526,27 @@ struct Server::Impl {
       report = run_suite(suite, opts);
     } catch (const std::exception& e) {
       std::lock_guard<std::mutex> lock(dispatch_mutex);
-      for (const auto& job : batch) {
+      for (const auto& job : jobs) {
         inflight.erase(job->key);
         fail_job(job, e.what());
       }
       return;
     }
 
-    // Slice the obligation-major records back onto their jobs: every
-    // obligation produced exactly one record per selected engine.
-    const std::size_t per_job = batch.front()->prepared->fe.engines.size();
-    std::size_t idx = 0;
-    for (const auto& job : batch) {
+    // Slice the obligation-major records back onto their jobs: each
+    // obligation produced one record per engine of its own selection.
+    auto rec = report.records.begin();
+    for (const auto& job : jobs) {
       CachedOutcome outcome;
-      for (std::size_t k = 0; k < per_job && idx < report.records.size();
-           ++k, ++idx) {
-        SuiteRecord r = report.records[idx];
+      for (std::size_t k = job->prepared->fe.engines.size();
+           k > 0 && rec != report.records.end(); --k, ++rec) {
+        SuiteRecord& r = outcome.records.emplace_back(std::move(*rec));
         // Keep only content (see CachedOutcome).
         r.obligation.clear();
         r.lint.clear();
         r.sliced_modules = r.sliced_events = 0;
         r.result.stats = std::monostate{};
         r.result.discrete_states = 0;
-        outcome.records.push_back(std::move(r));
       }
       {
         std::lock_guard<std::mutex> lock(dispatch_mutex);
@@ -627,10 +587,7 @@ struct Server::Impl {
     s.cache_entries = cache.size();
     s.cache_evictions = cache.stats().evictions;
     s.jobs = resolve_jobs(options.jobs);
-    if (started)
-      s.uptime_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_time)
-                             .count();
+    if (started) s.uptime_seconds = uptime();
     return s;
   }
 
@@ -646,8 +603,6 @@ struct Server::Impl {
   CancelToken cancel;
 
   std::thread acceptor;
-  std::thread scheduler;
-  std::thread heartbeat;
 
   std::mutex conn_mutex;
   std::set<int> conn_fds;
@@ -655,10 +610,13 @@ struct Server::Impl {
   /// Connection threads that have returned and wait for reap_connections().
   std::vector<std::thread::id> finished_conns;
 
+  /// Guards the cache lookup and `inflight` as one step, so a key is
+  /// either cached, in flight or computed by exactly one request.
   std::mutex dispatch_mutex;
-  std::condition_variable scheduler_cv;
-  std::deque<std::shared_ptr<Job>> queue;
   std::unordered_map<CacheKey, std::shared_ptr<Job>, CacheKeyHash> inflight;
+
+  /// Held for a whole run_suite: one computation at a time.
+  std::mutex compute_mutex;
 
   std::mutex shutdown_mutex;
   std::condition_variable shutdown_cv;
@@ -695,9 +653,6 @@ struct Server::Impl {
   obs::Histogram& m_request_seconds = obs::Registry::global().histogram(
       "rtv_serve_request_seconds", obs::Histogram::time_buckets(), "",
       "Wire request handling latency (parse to serialized response)");
-  obs::Histogram& m_batch_size = obs::Registry::global().histogram(
-      "rtv_serve_batch_size", obs::Histogram::count_buckets(), "",
-      "Jobs grouped into one scheduler batch");
 };
 
 // ---------------------------------------------------------------------------

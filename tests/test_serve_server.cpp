@@ -1,7 +1,7 @@
 // The `rtv serve` daemon end to end, over real Unix-domain sockets: the
 // protocol, cold/warm cache behaviour, incremental re-verification,
-// in-flight deduplication under concurrent clients, budget-key soundness
-// and restart persistence.
+// in-flight deduplication under concurrent clients, budget-key soundness,
+// restart persistence, the heartbeat and the daemon's thread count.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -14,9 +14,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "rtv/base/json.hpp"
@@ -652,5 +656,182 @@ TEST(ServeVerify, PortfolioModeRecordsAllEnginesAndCaches) {
     EXPECT_TRUE(rec.cached);
   // The cached replay preserves which engine decided.
   EXPECT_EQ(warm.report.overall(), cold.report.overall());
+  server->stop();
+}
+
+namespace {
+
+/// A thread-safe log sink that keeps the daemon's heartbeat lines.
+struct HeartbeatLog {
+  std::mutex m;
+  std::vector<std::string> lines;
+
+  std::function<void(const std::string&)> sink() {
+    return [this](const std::string& line) {
+      if (line.rfind("heartbeat ", 0) != 0) return;
+      std::lock_guard<std::mutex> lock(m);
+      lines.push_back(line);
+    };
+  }
+  std::vector<std::string> snapshot() {
+    std::lock_guard<std::mutex> lock(m);
+    return lines;
+  }
+};
+
+std::unique_ptr<Server> start_beating_server(const std::string& socket,
+                                             double heartbeat_seconds,
+                                             HeartbeatLog& log) {
+  ServerOptions opts;
+  opts.socket_path = socket;
+  opts.jobs = 2;
+  opts.heartbeat_seconds = heartbeat_seconds;
+  opts.log = log.sink();
+  auto server = std::make_unique<Server>(std::move(opts));
+  server->start();
+  return server;
+}
+
+/// The member names of a stats object, in order.
+std::vector<std::string> member_names(const json::Value& v) {
+  std::vector<std::string> names;
+  for (const auto& [key, value] : v.object) names.push_back(key);
+  return names;
+}
+
+}  // namespace
+
+TEST(ServeHeartbeat, LogsTheStatsCountersEveryPeriod) {
+  HeartbeatLog log;
+  auto server = start_beating_server(unique_socket(), 0.05, log);
+  for (int waited_ms = 0; log.snapshot().size() < 2 && waited_ms < 5000;
+       waited_ms += 10)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  server->stop();
+
+  std::string reference;
+  stats_to_json(reference, ServeStats{});
+  const std::vector<std::string> expected =
+      member_names(json::parse(reference, "stats"));
+  const std::vector<std::string> beats = log.snapshot();
+  ASSERT_GE(beats.size(), 2u);
+  for (const std::string& line : beats) {
+    const json::Value v =
+        json::parse(line.substr(std::string("heartbeat ").size()), "heartbeat");
+    EXPECT_EQ(member_names(v), expected) << line;
+  }
+}
+
+TEST(ServeHeartbeat, HugePeriodsNeverFire) {
+  // A period past any clock duration (1e300 s, inf) must not overflow into
+  // a zero wait and a busy loop of heartbeat lines.
+  HeartbeatLog huge, infinite;
+  auto a = start_beating_server(unique_socket(), 1e300, huge);
+  auto b = start_beating_server(unique_socket(),
+                                std::numeric_limits<double>::infinity(),
+                                infinite);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  a->stop();
+  b->stop();
+  EXPECT_EQ(huge.snapshot().size(), 0u);
+  EXPECT_EQ(infinite.snapshot().size(), 0u);
+}
+
+TEST(ServeShutdown, HugeWaitBlocksUntilTheShutdownRequest) {
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+  std::thread asker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Client client;
+    client.connect(socket);
+    client.request_shutdown();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(server->wait_for(1e300));
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  asker.join();
+  EXPECT_GE(waited, 0.15);
+  server->stop();
+}
+
+TEST(ServeProtocol, StartedDaemonRunsOnlyTheAcceptThread) {
+  // Before any client connects, the daemon's one thread is the accept
+  // loop: misses are computed by their requests, the heartbeat is logged
+  // by the accept loop.
+  HeartbeatLog log;
+  const std::size_t before = live_threads();
+  auto server = start_beating_server(unique_socket(), 0.05, log);
+  EXPECT_EQ(live_threads(), before + 1);
+  server->stop();
+}
+
+TEST(ServeVerify, MixedEngineOverridesMatchADirectRun) {
+  // One obligation runs its own engine, the other inherits the request's
+  // two: each one's records must come back under its own name.
+  WireObligation by_zone = intro_obligation("by-zone");
+  by_zone.engine = "zone";
+  WireObligation inherits;
+  inherits.name = "inherits";
+  const DelayInterval d12 = DelayInterval::units(1, 2);
+  inherits.modules.push_back(gallery::diamond("x", d12, "y", d12));
+  inherits.properties.push_back(PropertySpec::deadlock());
+
+  std::vector<std::unique_ptr<SafetyProperty>> props;
+  Suite suite;
+  suite.obligations().push_back(by_zone.obligation(props));
+  suite.obligations().push_back(inherits.obligation(props));
+  SuiteOptions so;
+  so.engines = {"refine", "discrete"};
+  const SuiteReport direct = run_suite(suite, so);
+  using Row = std::tuple<std::string, std::string, Verdict>;
+  std::vector<Row> expected;
+  for (const SuiteRecord& r : direct.records)
+    expected.emplace_back(r.obligation, r.engine, r.result.verdict);
+  ASSERT_EQ(expected.size(), 3u);
+
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+  Client client;
+  client.connect(socket);
+  ServeRequest req = verify_request({by_zone, inherits});
+  req.engines = so.engines;
+  for (const bool warm : {false, true}) {
+    const ServeResponse resp = client.call(req);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    std::vector<Row> served;
+    for (const SuiteRecord& r : resp.report.records) {
+      served.emplace_back(r.obligation, r.engine, r.result.verdict);
+      EXPECT_EQ(r.cached, warm) << r.obligation << " " << r.engine;
+    }
+    EXPECT_EQ(served, expected) << (warm ? "warm" : "cold");
+  }
+  EXPECT_EQ(client.get_stats().computed, 2u);
+  server->stop();
+}
+
+TEST(ServeVerify, UnknownEngineInALaterObligationStartsNothing) {
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+  Client client;
+  client.connect(socket);
+
+  WireObligation bad = intro_obligation("bad");
+  bad.engine = "no-such-engine";
+  const ServeResponse resp =
+      client.call(verify_request({intro_obligation(), bad}));
+  EXPECT_FALSE(resp.ok);
+  EXPECT_NE(resp.error.find("no-such-engine"), std::string::npos)
+      << resp.error;
+  EXPECT_EQ(client.get_stats().computed, 0u);
+
+  // The first obligation was never started, so it is computed now.
+  const ServeResponse alone = client.call(verify_request({intro_obligation()}));
+  ASSERT_TRUE(alone.ok) << alone.error;
+  ASSERT_EQ(alone.report.records.size(), 1u);
+  EXPECT_FALSE(alone.report.records[0].cached);
+  EXPECT_EQ(alone.report.records[0].result.verdict, Verdict::kVerified);
+  EXPECT_EQ(client.get_stats().computed, 1u);
   server->stop();
 }
