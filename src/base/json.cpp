@@ -1,6 +1,7 @@
 #include "rtv/base/json.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -307,6 +308,36 @@ const Value& require(const Value& obj, std::string_view key, Value::Kind kind,
   return *v;
 }
 
+std::int64_t whole_number(const Value& v, std::string_view field,
+                          std::string_view context, std::int64_t lo,
+                          std::int64_t hi) {
+  // [-2^63, 2^63) is exactly the doubles that convert to int64_t.
+  const double x = v.number;
+  if (v.kind == Value::Kind::kNumber && x >= -0x1p63 && x < 0x1p63 &&
+      std::trunc(x) == x) {
+    const auto n = static_cast<std::int64_t>(x);
+    if (n >= lo && n <= hi) return n;
+  }
+  std::string msg = std::string(context) + ": field '";
+  msg.append(field).append("' must be a whole number in [");
+  append_int(msg, lo);
+  msg += ", ";
+  append_int(msg, hi);
+  msg += "]";
+  if (v.kind == Value::Kind::kNumber) {
+    char buf[32];  // shortest round-trip spelling, e.g. "0.9" or "1e+300"
+    msg.append(", got ").append(buf, std::to_chars(buf, buf + 32, x).ptr);
+  }
+  throw std::runtime_error(msg);
+}
+
+std::int64_t require_whole(const Value& obj, std::string_view key,
+                           const char* what, std::string_view context,
+                           std::int64_t lo, std::int64_t hi) {
+  return whole_number(require(obj, key, Value::Kind::kNumber, what, context),
+                      key, context, lo, hi);
+}
+
 void check_schema(const Value& root, std::string_view name, int max_version,
                   std::string_view context) {
   const auto fail = [&](const std::string& what) {
@@ -316,10 +347,9 @@ void check_schema(const Value& root, std::string_view name, int max_version,
   if (require(root, "schema", Value::Kind::kString, "schema tag", context)
           .string != name)
     fail("wrong schema tag");
-  const int version = static_cast<int>(
-      require(root, "schema_version", Value::Kind::kNumber, "schema version",
-              context)
-          .number);
+  const auto version = static_cast<int>(require_whole(
+      root, "schema_version", "schema version", context,
+      std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
   if (version > max_version)
     fail("schema version " + std::to_string(version) +
          " is newer than this library supports (max " +

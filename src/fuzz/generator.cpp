@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 #include "rtv/base/json.hpp"
@@ -208,15 +209,12 @@ Module build_fork_join(Gen& g, std::size_t mi, std::size_t pool_before) {
   return m;
 }
 
-std::uint64_t require_u64(const json::Value& obj, std::string_view key,
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+std::uint32_t require_u32(const json::Value& obj, std::string_view key,
                           const char* what) {
-  const double v =
-      json::require(obj, key, json::Value::Kind::kNumber, what, kConfigContext)
-          .number;
-  if (v < 0)
-    throw std::runtime_error(std::string(kConfigContext) + ": \"" +
-                             std::string(key) + "\" must be non-negative");
-  return static_cast<std::uint64_t>(v);
+  return static_cast<std::uint32_t>(
+      json::require_whole(obj, key, what, kConfigContext, 0, kMaxU32));
 }
 
 bool require_bool(const json::Value& obj, std::string_view key,
@@ -306,14 +304,11 @@ GeneratorConfig GeneratorConfig::from_json(const std::string& text) {
     throw std::runtime_error(std::string(kConfigContext) +
                              ": unknown schema \"" + schema + "\"");
   GeneratorConfig c;
-  c.modules = static_cast<std::uint32_t>(
-      require_u64(root, "modules", "module count"));
-  c.events =
-      static_cast<std::uint32_t>(require_u64(root, "events", "event budget"));
-  c.max_delay =
-      static_cast<Time>(require_u64(root, "max_delay", "delay cap in ticks"));
-  c.properties = static_cast<std::uint32_t>(
-      require_u64(root, "properties", "property count"));
+  c.modules = require_u32(root, "modules", "module count");
+  c.events = require_u32(root, "events", "event budget");
+  c.max_delay = json::require_whole(root, "max_delay", "delay cap in ticks",
+                                    kConfigContext);
+  c.properties = require_u32(root, "properties", "property count");
   c.unbounded_p = json::require(root, "unbounded_p", json::Value::Kind::kNumber,
                                 "unbounded-delay probability", kConfigContext)
                       .number;
@@ -327,13 +322,9 @@ GeneratorConfig GeneratorConfig::from_json(const std::string& text) {
       require_bool(root, "persistency_check", "persistency flag");
   // Absent in configs written before the slicer existed; 0 keeps them
   // replaying byte-identically.
-  if (const json::Value* pad = root.find("padding_modules")) {
-    if (pad->kind != json::Value::Kind::kNumber || pad->number < 0)
-      throw std::runtime_error(
-          std::string(kConfigContext) +
-          ": \"padding_modules\" must be a non-negative number");
-    c.padding_modules = static_cast<std::uint32_t>(pad->number);
-  }
+  if (const json::Value* pad = root.find("padding_modules"))
+    c.padding_modules = static_cast<std::uint32_t>(json::whole_number(
+        *pad, "padding_modules", kConfigContext, 0, kMaxU32));
   return c;
 }
 

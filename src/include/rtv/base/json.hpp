@@ -9,6 +9,8 @@
 // std::from_chars in both directions, so neither side reads the C locale.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -65,6 +67,22 @@ Value parse(std::string_view text, std::string_view context);
 /// is missing or mistyped.
 const Value& require(const Value& obj, std::string_view key, Value::Kind kind,
                      const char* what, std::string_view context);
+
+/// `v` as a whole number in [lo, hi].  Every integer field read from a
+/// document goes through here, since casting a double outside the target
+/// type's range is undefined behaviour; throws std::runtime_error prefixed
+/// with `context` and naming `field` when `v` is not a number, has a
+/// fractional part or lies outside the range.
+std::int64_t whole_number(
+    const Value& v, std::string_view field, std::string_view context,
+    std::int64_t lo = 0,
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
+
+/// require() of a number member, read through whole_number().
+std::int64_t require_whole(
+    const Value& obj, std::string_view key, const char* what,
+    std::string_view context, std::int64_t lo = 0,
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
 
 /// Check a versioned document's envelope: `root` is an object whose
 /// "schema" is `name` and whose "schema_version" is in [1, max_version].

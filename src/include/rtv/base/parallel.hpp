@@ -8,19 +8,17 @@
 //
 // The building blocks:
 //
-//   * resolve_jobs()       — the one "0 = all hardware threads" rule;
-//   * LayeredRunner        — a persistent worker pool around
-//                            layer-synchronous BFS: every worker processes
-//                            the current frontier, a barrier, then the
-//                            caller merges results and publishes the next
-//                            layer;
-//   * WorkStealingRanges   — the frontier scheduler: the layer is cut into
-//                            fixed chunks, each worker owns a contiguous
-//                            chunk range and steals the tail half of the
-//                            largest victim when its own range drains.
-//                            Chunk ordinals are stable, so per-chunk output
-//                            buckets can be merged in deterministic order
-//                            no matter which worker ran them.
+//   * resolve_jobs()  — the one "0 = all hardware threads" rule;
+//   * LayeredRunner   — a persistent worker pool around layer-synchronous
+//                       BFS: the layer is cut into fixed chunks whose
+//                       ordinals one atomic cursor deals to whichever
+//                       worker asks next, a barrier, then the caller
+//                       merges results and names the next layer's width.
+//                       Chunk ordinals do not depend on who ran them, so
+//                       per-chunk output buckets merge in deterministic
+//                       order; a caller pads its buckets to a cache line
+//                       (alignas(64)) so adjacent chunks' writers do not
+//                       share one.
 //
 // Both loops intern states the same way: a packed arena behind an OpenTable
 // (rtv/base/open_table.hpp) that workers probe read-only while they expand
@@ -39,9 +37,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "rtv/obs/metrics.hpp"
@@ -55,16 +51,6 @@ inline std::size_t resolve_jobs(std::size_t jobs) {
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? static_cast<std::size_t>(hw) : 1;
-}
-
-/// Chunk granularity for splitting a frontier of `items` across `jobs`
-/// workers: one chunk for a single worker (no scheduling overhead), else
-/// ~8 chunks per worker bounded away from degenerate sizes.
-inline std::size_t frontier_chunk_size(std::size_t items, std::size_t jobs) {
-  if (jobs <= 1 || items == 0) return items ? items : 1;
-  const std::size_t target = items / (jobs * 8) + 1;
-  const std::size_t lo = 16, hi = 1024;
-  return target < lo ? lo : (target > hi ? hi : target);
 }
 
 /// Reusable barrier (mutex + condvar; portable and TSan-clean).
@@ -92,30 +78,70 @@ class CyclicBarrier {
   std::uint64_t phase_ = 0;
 };
 
-/// Layer-synchronous execution: `process(worker)` runs on every worker
-/// (the calling thread is worker 0), then the calling thread runs `merge()`
-/// alone; a false return from merge() ends the run.  With one job no
-/// threads are spawned and the loop runs inline — the sequential and
-/// parallel paths are the same code.
+/// Layer-synchronous execution.  run(width, process, merge) expands layers
+/// of items: a layer of `width` items is cut into num_chunks(width) chunks,
+/// chunk `c` covering items [c * size, min((c + 1) * size, width)), and one
+/// atomic cursor deals the ordinals, so every chunk runs exactly once, as
+/// process(worker, chunk) on whichever worker takes it (the calling thread
+/// is worker 0).  Then the calling thread runs merge() alone; it returns
+/// the next layer's width, and 0 ends the run.  With one job no threads are
+/// spawned, each layer is one chunk and the loop runs inline — the
+/// sequential and parallel paths are the same code.
 ///
 /// A worker exception is captured, the run winds down at the next barrier,
 /// and the exception is rethrown on the calling thread.
 class LayeredRunner {
  public:
+  struct Chunk {
+    std::size_t ordinal;  ///< chunk index (stable bucket id)
+    std::size_t begin;    ///< first item index
+    std::size_t end;      ///< one past the last item index
+  };
+  using Process = std::function<void(std::size_t worker, Chunk)>;
+
   explicit LayeredRunner(std::size_t jobs) : jobs_(jobs ? jobs : 1) {}
 
   std::size_t jobs() const { return jobs_; }
 
-  void run(const std::function<void(std::size_t)>& process,
-           const std::function<bool()>& merge) {
+  /// The chunks a layer of `width` items is cut into: size the per-chunk
+  /// buckets by it before returning the width from merge().
+  std::size_t num_chunks(std::size_t width) const {
+    const std::size_t size = chunk_size(width);
+    return (width + size - 1) / size;
+  }
+
+  void run(std::size_t width, const Process& process,
+           const std::function<std::size_t()>& merge) {
+    if (width == 0) return;
+    // The current layer, written by the calling thread between layers only
+    // (the barriers publish it), and the cursor dealing its chunks.
+    std::size_t size = 0, chunks = 0;
+    std::atomic<std::size_t> cursor{0};
+    const auto publish = [&](std::size_t next) {
+      width = next;
+      size = chunk_size(width);
+      chunks = num_chunks(width);
+      cursor.store(0, std::memory_order_relaxed);
+    };
+    const auto deal = [&](std::size_t worker) {
+      for (std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+           c < chunks; c = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        const std::size_t begin = c * size;
+        process(worker, Chunk{c, begin, std::min(begin + size, width)});
+      }
+    };
+    publish(width);
+
     if (jobs_ <= 1) {
       for (;;) {
         {
           obs::Span span("layer", "parallel");
-          process(0);
+          deal(0);
         }
         obs::Span span("merge", "parallel");
-        if (!merge()) return;
+        const std::size_t next = merge();
+        if (next == 0) return;
+        publish(next);
       }
     }
 
@@ -127,7 +153,7 @@ class LayeredRunner {
     const auto guarded = [&](std::size_t worker) {
       obs::Span span("layer", "parallel");
       try {
-        process(worker);
+        deal(worker);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();
@@ -194,7 +220,9 @@ class LayeredRunner {
         // or the parked workers would be destroyed while joinable.
         try {
           obs::Span span("merge", "parallel");
-          more = merge();
+          const std::size_t next = merge();
+          more = next != 0;
+          if (more) publish(next);
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!error) error = std::current_exception();
@@ -213,127 +241,15 @@ class LayeredRunner {
   }
 
  private:
+  /// One chunk for a single worker (no dealing overhead), else ~8 chunks
+  /// per worker bounded away from degenerate sizes.
+  std::size_t chunk_size(std::size_t width) const {
+    if (jobs_ <= 1 || width == 0) return width ? width : 1;
+    const std::size_t target = width / (jobs_ * 8) + 1;
+    return std::clamp<std::size_t>(target, 16, 1024);
+  }
+
   std::size_t jobs_;
-};
-
-/// Work-stealing partition of one BFS layer.  The layer's item indices
-/// [0, items) are cut into fixed chunks; reset() deals the chunk ordinals
-/// [0, num_chunks) to the workers as contiguous ranges.  next(w) pops the
-/// front chunk of w's range; a drained worker steals the tail half of the
-/// victim with the most chunks left.  Every chunk is returned exactly once;
-/// chunk `c` always covers items [c*chunk, min((c+1)*chunk, items)), so
-/// per-chunk output buckets line up deterministically.
-class WorkStealingRanges {
- public:
-  void reset(std::size_t items, std::size_t chunk, std::size_t workers) {
-    items_ = items;
-    chunk_ = chunk ? chunk : 1;
-    num_chunks_ = items_ ? (items_ + chunk_ - 1) / chunk_ : 0;
-    if (slots_.size() < workers) {
-      slots_ = std::vector<Slot>(workers);
-    }
-    workers_ = workers;
-    // Deal contiguous, balanced chunk ranges.
-    const std::size_t base = workers ? num_chunks_ / workers : 0;
-    const std::size_t extra = workers ? num_chunks_ % workers : 0;
-    std::size_t lo = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t take = base + (w < extra ? 1 : 0);
-      slots_[w].range.store(pack(static_cast<std::uint32_t>(lo),
-                                 static_cast<std::uint32_t>(lo + take)),
-                            std::memory_order_relaxed);
-      lo += take;
-    }
-  }
-
-  struct Chunk {
-    std::size_t ordinal;  ///< chunk index (stable bucket id)
-    std::size_t begin;    ///< first item index
-    std::size_t end;      ///< one past the last item index
-  };
-
-  std::size_t num_chunks() const { return num_chunks_; }
-
-  /// The next chunk for this worker, or nullopt when the layer is drained.
-  std::optional<Chunk> next(std::size_t worker) {
-    for (;;) {
-      // Pop the front chunk of our own range.
-      std::uint64_t cur = slots_[worker].range.load(std::memory_order_relaxed);
-      for (;;) {
-        const std::uint32_t lo = unpack_lo(cur), hi = unpack_hi(cur);
-        if (lo >= hi) break;
-        if (slots_[worker].range.compare_exchange_weak(
-                cur, pack(lo + 1, hi), std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-          return make_chunk(lo);
-        }
-      }
-      // Empty: steal the tail half of the fullest victim.
-      steal_attempts_.fetch_add(1, std::memory_order_relaxed);
-      std::size_t victim = workers_;
-      std::uint32_t best = 0;
-      for (std::size_t v = 0; v < workers_; ++v) {
-        if (v == worker) continue;
-        const std::uint64_t r = slots_[v].range.load(std::memory_order_relaxed);
-        const std::uint32_t size = unpack_hi(r) - std::min(unpack_lo(r), unpack_hi(r));
-        if (size > best) {
-          best = size;
-          victim = v;
-        }
-      }
-      if (victim == workers_) return std::nullopt;  // nothing left anywhere
-      std::uint64_t r = slots_[victim].range.load(std::memory_order_relaxed);
-      const std::uint32_t lo = unpack_lo(r), hi = unpack_hi(r);
-      if (lo >= hi) continue;  // drained meanwhile; rescan
-      const std::uint32_t mid = lo + (hi - lo) / 2;  // victim keeps [lo, mid)
-      if (slots_[victim].range.compare_exchange_strong(
-              r, pack(lo, mid), std::memory_order_acq_rel,
-              std::memory_order_relaxed)) {
-        slots_[worker].range.store(pack(mid, hi), std::memory_order_release);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Either way, loop back and retry from our own range.
-    }
-  }
-
-  /// Cumulative steal activity since construction (reset() keeps the
-  /// tallies: a run spans many layers).  Attempts count every entry into
-  /// the steal path; steals count the successful CAS handoffs.
-  std::uint64_t steal_attempts() const {
-    return steal_attempts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> range{0};
-  };
-
-  static std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
-    return (static_cast<std::uint64_t>(lo) << 32) | hi;
-  }
-  static std::uint32_t unpack_lo(std::uint64_t r) {
-    return static_cast<std::uint32_t>(r >> 32);
-  }
-  static std::uint32_t unpack_hi(std::uint64_t r) {
-    return static_cast<std::uint32_t>(r);
-  }
-
-  Chunk make_chunk(std::size_t ordinal) const {
-    const std::size_t begin = ordinal * chunk_;
-    const std::size_t end = std::min(begin + chunk_, items_);
-    return Chunk{ordinal, begin, end};
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t workers_ = 0;
-  std::size_t items_ = 0;
-  std::size_t chunk_ = 1;
-  std::size_t num_chunks_ = 0;
-  std::atomic<std::uint64_t> steal_attempts_{0};
-  std::atomic<std::uint64_t> steals_{0};
 };
 
 }  // namespace rtv

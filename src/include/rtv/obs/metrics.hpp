@@ -4,9 +4,7 @@
 // Design constraints, in order:
 //
 //   1. Near-zero cost when disabled.  Every mutation starts with one
-//      relaxed atomic load (`metrics_enabled()`); building with
-//      -DRTV_OBS_DISABLED compiles the whole layer out (mutations become
-//      empty inline functions, snapshots come back empty).
+//      relaxed atomic load (`metrics_enabled()`).
 //   2. Cheap when enabled.  Counters are sharded across cache lines and
 //      bumped with relaxed fetch_add; hot loops are still expected to
 //      aggregate locally and flush at chunk/layer/run boundaries rather
@@ -45,11 +43,7 @@ inline void set_metrics_enabled(bool on) {
 }
 
 inline bool metrics_enabled() {
-#ifdef RTV_OBS_DISABLED
-  return false;
-#else
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 // ---- thread identity -------------------------------------------------------
@@ -209,8 +203,7 @@ class Registry {
   Impl& impl() const;
 };
 
-/// Snapshot of the global registry (empty when built with
-/// RTV_OBS_DISABLED).
+/// Snapshot of the global registry.
 MetricsSnapshot snapshot();
 
 // ---- scoped timers ---------------------------------------------------------

@@ -33,11 +33,7 @@ inline std::atomic<bool> g_tracing_active{false};
 }  // namespace detail
 
 inline bool tracing_active() {
-#ifdef RTV_OBS_DISABLED
-  return false;
-#else
   return detail::g_tracing_active.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Begin collecting trace events (idempotent; a second start while active

@@ -180,9 +180,6 @@ Histogram& Registry::histogram(std::string_view name,
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
-#ifdef RTV_OBS_DISABLED
-  return snap;
-#else
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   snap.points.reserve(im.entries.size());
@@ -209,7 +206,6 @@ MetricsSnapshot Registry::snapshot() const {
     snap.points.push_back(std::move(p));
   }
   return snap;
-#endif
 }
 
 void Registry::reset() {

@@ -110,9 +110,6 @@ std::string serialize_locked(Session& s) {
 }  // namespace
 
 void start_tracing() {
-#ifdef RTV_OBS_DISABLED
-  return;
-#else
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.active) return;
@@ -121,7 +118,6 @@ void start_tracing() {
   s.epoch_ns = monotonic_ns();
   s.events.clear();
   detail::g_tracing_active.store(true, std::memory_order_relaxed);
-#endif
 }
 
 std::string stop_tracing_json() {

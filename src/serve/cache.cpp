@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -232,8 +233,9 @@ SuiteRecord record_from_json(const Value& v) {
   r.result.truncated_reason =
       require(v, "stop_reason", Kind::kString, "stop reason").string;
   r.result.message = require(v, "message", Kind::kString, "message").string;
-  r.result.states_explored = static_cast<std::size_t>(
-      require(v, "states", Kind::kNumber, "states").number);
+  r.result.states_explored =
+      static_cast<std::size_t>(rtv::json::require_whole(
+          v, "states", "states", kCacheContext));
   r.result.seconds =
       require(v, "wall_seconds", Kind::kNumber, "wall seconds").number;
   r.cpu_seconds =
@@ -282,9 +284,9 @@ void VerdictCache::load_json(const std::string& text) {
   if (require(root, "schema", Kind::kString, "schema tag").string !=
       kSchemaName)
     throw std::runtime_error("verdict cache JSON: wrong schema tag");
-  const int version = static_cast<int>(
-      require(root, "schema_version", Kind::kNumber, "schema version")
-          .number);
+  const auto version = static_cast<int>(rtv::json::require_whole(
+      root, "schema_version", "schema version", kCacheContext,
+      std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
   // Any mismatch rejects: a cache written by an older schema may hash
   // differently and must be recomputed, not trusted.
   if (version != kSchemaVersion)

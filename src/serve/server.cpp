@@ -177,6 +177,9 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(conn_mutex);
       for (int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
     }
+    // Wake the accept loop's poll at once (POLLHUP) instead of waiting out
+    // its period.
+    if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
     if (acceptor.joinable()) acceptor.join();
     decltype(conn_threads) threads;
     {

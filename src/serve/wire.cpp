@@ -14,7 +14,9 @@ using rtv::json::append_double;
 using rtv::json::append_int;
 using rtv::json::append_string;
 using rtv::json::append_uint;
+using rtv::json::require_whole;
 using rtv::json::Value;
+using rtv::json::whole_number;
 using Kind = Value::Kind;
 
 constexpr std::string_view kRequestContext = "serve request JSON";
@@ -24,8 +26,7 @@ constexpr std::string_view kResponseContext = "serve response JSON";
 
 std::size_t size_from(const Value& obj, std::string_view key,
                       const char* what, std::string_view context) {
-  return static_cast<std::size_t>(
-      require(obj, key, Kind::kNumber, what, context).number);
+  return static_cast<std::size_t>(require_whole(obj, key, what, context));
 }
 
 }  // namespace
@@ -243,15 +244,15 @@ Module module_from_json(const Value& v) {
       throw std::runtime_error("serve request JSON: event is not an object");
     const std::string& label =
         require(ev, "label", Kind::kString, "event label", ctx).string;
-    const Time lo = static_cast<Time>(
-        require(ev, "lo", Kind::kNumber, "delay lower bound", ctx).number);
+    const Time lo =
+        require_whole(ev, "lo", "delay lower bound", ctx, 0, kTimeInfinity);
     const Value* hi = ev.find("hi");
     if (!hi || (hi->kind != Kind::kNull && hi->kind != Kind::kNumber))
       throw std::runtime_error(
           "serve request JSON: delay upper bound is neither number nor null");
-    const Time hi_ticks =
-        hi->kind == Kind::kNumber ? static_cast<Time>(hi->number)
-                                  : kTimeInfinity;
+    const Time hi_ticks = hi->kind == Kind::kNumber
+                              ? whole_number(*hi, "hi", ctx, 0, kTimeInfinity)
+                              : kTimeInfinity;
     const std::string& kind_s =
         require(ev, "kind", Kind::kString, "event kind", ctx).string;
     EventKind kind = EventKind::kInternal;
@@ -308,8 +309,10 @@ Module module_from_json(const Value& v) {
           tr.array[1].kind != Kind::kNumber)
         throw std::runtime_error(
             "serve request JSON: transition is not an [event, target] pair");
-      const std::size_t event = static_cast<std::size_t>(tr.array[0].number);
-      const std::size_t target = static_cast<std::size_t>(tr.array[1].number);
+      const auto event = static_cast<std::size_t>(
+          whole_number(tr.array[0], "transition event", ctx));
+      const auto target = static_cast<std::size_t>(
+          whole_number(tr.array[1], "transition target", ctx));
       if (event >= ts.num_events() || target >= ts.num_states())
         throw std::runtime_error(
             "serve request JSON: transition references an unknown event or "
@@ -320,8 +323,9 @@ Module module_from_json(const Value& v) {
     }
   }
 
-  const double initial =
-      require(v, "initial", Kind::kNumber, "initial state", ctx).number;
+  // -1 is the module without an initial state.
+  const std::int64_t initial =
+      require_whole(v, "initial", "initial state", ctx, -1);
   if (initial >= 0) {
     const std::size_t idx = static_cast<std::size_t>(initial);
     if (idx >= ts.num_states())
@@ -529,8 +533,7 @@ namespace {
 
 std::uint64_t u64_from(const Value& obj, const char* key,
                        std::string_view ctx) {
-  return static_cast<std::uint64_t>(
-      require(obj, key, Kind::kNumber, key, ctx).number);
+  return static_cast<std::uint64_t>(require_whole(obj, key, key, ctx));
 }
 
 ServeStats stats_from_json(const Value& v) {
@@ -545,12 +548,9 @@ ServeStats stats_from_json(const Value& v) {
   s.computed = u64_from(v, "computed", ctx);
   // Optional: absent in stats written by daemons predating the lint
   // pre-flight; the default 0 is exact for them.
-  if (const Value* lr = v.find("lint_rejected")) {
-    if (lr->kind != Kind::kNumber)
-      throw std::runtime_error(
-          "serve response JSON: lint_rejected is not a number");
-    s.lint_rejected = static_cast<std::uint64_t>(lr->number);
-  }
+  if (const Value* lr = v.find("lint_rejected"))
+    s.lint_rejected =
+        static_cast<std::uint64_t>(whole_number(*lr, "lint_rejected", ctx));
   s.errors = u64_from(v, "errors", ctx);
   s.cache_entries = u64_from(v, "cache_entries", ctx);
   s.cache_evictions = u64_from(v, "cache_evictions", ctx);

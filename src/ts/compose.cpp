@@ -67,7 +67,9 @@ struct PendingEdge {
 /// Per-chunk expansion output; merged in chunk-ordinal order, which equals
 /// (frontier order, label order) — exactly the sequential exploration
 /// order, so the composed system is bit-identical for every job count.
-struct ChunkOut {
+/// Padded to a cache line, so workers filling adjacent buckets do not
+/// share one.
+struct alignas(64) ChunkOut {
   std::vector<PendingEdge> edges;
   std::vector<ChokeRecord> chokes;
   /// The fresh targets: their tuples back to back, and per tuple its hash.
@@ -334,7 +336,6 @@ Composition compose(const std::vector<const Module*>& modules,
 
   const std::size_t jobs = resolve_jobs(options.jobs);
   LayeredRunner runner(jobs);
-  WorkStealingRanges ranges;
   std::vector<ChunkOut> buckets;
   // One scratch tuple per worker: the expanded state's tuple with the
   // current label's participants stepped.
@@ -346,93 +347,92 @@ Composition compose(const std::vector<const Module*>& modules,
   // not thread-safe; only worker 0 ever polls it).
   std::atomic<const char*> stop_flag{nullptr};
 
-  const auto process = [&](std::size_t worker) {
+  const auto process = [&](std::size_t worker, LayeredRunner::Chunk chunk) {
+    if (stop_flag.load(std::memory_order_relaxed)) return;
     StateId* next = scratch[worker].data();
     std::uint64_t* cand = candidates[worker].data();
-    while (const auto chunk = ranges.next(worker)) {
-      if (stop_flag.load(std::memory_order_relaxed)) return;
-      ChunkOut& bucket = buckets[chunk->ordinal];
-      for (std::size_t i = chunk->begin; i != chunk->end; ++i) {
-        if (worker == 0 && options.stop) {
-          if (const char* reason = options.stop(out.ts.num_states())) {
-            stop_flag.store(reason, std::memory_order_relaxed);
-            return;
-          }
+    ChunkOut& bucket = buckets[chunk.ordinal];
+    for (std::size_t i = chunk.begin; i != chunk.end; ++i) {
+      if (worker == 0 && options.stop) {
+        if (const char* reason = options.stop(out.ts.num_states())) {
+          stop_flag.store(reason, std::memory_order_relaxed);
+          return;
         }
-        const StateId s = frontier[i];
-        const StateId* tuple = arena.data() + s.value() * n_mod;
-        std::copy(tuple, tuple + n_mod, next);
-        std::fill(cand, cand + words, ~std::uint64_t{0});
-        if (words) cand[words - 1] = last_word;
+      }
+      const StateId s = frontier[i];
+      const StateId* tuple = arena.data() + s.value() * n_mod;
+      std::copy(tuple, tuple + n_mod, next);
+      std::fill(cand, cand + words, ~std::uint64_t{0});
+      if (words) cand[words - 1] = last_word;
+      for (std::size_t mi = 0; mi < n_mod; ++mi) {
+        const std::uint64_t* c =
+            can.data() + can_first[mi] + tuple[mi].value() * words;
+        const std::uint64_t* t = takes.data() + mi * words;
+        for (std::size_t w = 0; w < words; ++w) cand[w] &= c[w] | ~t[w];
+      }
+      if (options.track_chokes) {
         for (std::size_t mi = 0; mi < n_mod; ++mi) {
           const std::uint64_t* c =
               can.data() + can_first[mi] + tuple[mi].value() * words;
-          const std::uint64_t* t = takes.data() + mi * words;
-          for (std::size_t w = 0; w < words; ++w) cand[w] &= c[w] | ~t[w];
+          const std::uint64_t* o = outputs.data() + mi * words;
+          for (std::size_t w = 0; w < words; ++w) cand[w] |= c[w] & o[w];
         }
-        if (options.track_chokes) {
-          for (std::size_t mi = 0; mi < n_mod; ++mi) {
-            const std::uint64_t* c =
-                can.data() + can_first[mi] + tuple[mi].value() * words;
-            const std::uint64_t* o = outputs.data() + mi * words;
-            for (std::size_t w = 0; w < words; ++w) cand[w] |= c[w] & o[w];
-          }
-        }
-        for (std::size_t w = 0; w < words; ++w) {
-          for (std::uint64_t bits = cand[w]; bits; bits &= bits - 1) {
-            const std::size_t li =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-            const Participant* begin = parts.data() + first[li];
-            const Participant* end = parts.data() + first[li + 1];
-            // The label fires iff no participant blocks it, produced or not:
-            // a label nobody outputs is driven by the implicit environment
-            // (open-system semantics).  A choke names the first blocker and
-            // the last ready producer, so only chokes scan past a blocker.
-            std::size_t producer = n_mod, blocker = n_mod;
-            for (const Participant* p = begin; p != end; ++p) {
-              const std::uint32_t t =
-                  p->column[tuple[p->module].value() * p->stride];
-              if (t == kNoSuccessor) {
-                if (blocker == n_mod) blocker = p->module;
-                if (!options.track_chokes) break;
-              } else {
-                next[p->module] = StateId(t);
-                if (p->output) producer = p->module;
-              }
+      }
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = cand[w]; bits; bits &= bits - 1) {
+          const std::size_t li =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          const Participant* begin = parts.data() + first[li];
+          const Participant* end = parts.data() + first[li + 1];
+          // The label fires iff no participant blocks it, produced or not:
+          // a label nobody outputs is driven by the implicit environment
+          // (open-system semantics).  A choke names the first blocker and
+          // the last ready producer, so only chokes scan past a blocker.
+          std::size_t producer = n_mod, blocker = n_mod;
+          for (const Participant* p = begin; p != end; ++p) {
+            const std::uint32_t t =
+                p->column[tuple[p->module].value() * p->stride];
+            if (t == kNoSuccessor) {
+              if (blocker == n_mod) blocker = p->module;
+              if (!options.track_chokes) break;
+            } else {
+              next[p->module] = StateId(t);
+              if (p->output) producer = p->module;
             }
-            if (blocker == n_mod) {
-              const std::size_t h = hash_tuple(next, n_mod);
-              const std::int32_t known =
-                  table.at(table.find(h, same_tuple(next, h)));
-              PendingEdge edge{static_cast<std::uint32_t>(i),
-                               static_cast<std::uint32_t>(li),
-                               StateId::invalid()};
-              if (known >= 0) {
-                edge.known =
-                    StateId(static_cast<StateId::underlying_type>(known));
-              } else {
-                bucket.tuples.insert(bucket.tuples.end(), next, next + n_mod);
-                bucket.hashes.push_back(h);
-              }
-              bucket.edges.push_back(edge);
-            } else if (options.track_chokes && producer != n_mod) {
-              bucket.chokes.push_back(
-                  ChokeRecord{s, composed_event[li], producer, blocker});
-            }
-            for (const Participant* p = begin; p != end; ++p)
-              next[p->module] = tuple[p->module];
           }
+          if (blocker == n_mod) {
+            const std::size_t h = hash_tuple(next, n_mod);
+            const std::int32_t known =
+                table.at(table.find(h, same_tuple(next, h)));
+            PendingEdge edge{static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(li),
+                             StateId::invalid()};
+            if (known >= 0) {
+              edge.known =
+                  StateId(static_cast<StateId::underlying_type>(known));
+            } else {
+              bucket.tuples.insert(bucket.tuples.end(), next, next + n_mod);
+              bucket.hashes.push_back(h);
+            }
+            bucket.edges.push_back(edge);
+          } else if (options.track_chokes && producer != n_mod) {
+            bucket.chokes.push_back(
+                ChokeRecord{s, composed_event[li], producer, blocker});
+          }
+          for (const Participant* p = begin; p != end; ++p)
+            next[p->module] = tuple[p->module];
         }
       }
     }
   };
 
-  const auto merge = [&]() -> bool {
+  // Returns the next layer's width, 0 when the exploration ends.
+  const auto merge = [&]() -> std::size_t {
     if (const char* reason = stop_flag.load(std::memory_order_relaxed)) {
       out.truncated = true;
       out.truncated_reason = reason;
       RTV_WARN << "composition stopped: " << reason;
-      return false;
+      return 0;
     }
     for (ChunkOut& bucket : buckets) {
       std::size_t fresh = 0;
@@ -477,34 +477,25 @@ Composition compose(const std::vector<const Module*>& modules,
       out.truncated = true;
       RTV_WARN << "composition truncated at " << out.ts.num_states()
                << " states";
-      return false;
+      return 0;
     }
     frontier = std::move(next_frontier);
     next_frontier.clear();
-    if (frontier.empty()) return false;
-    ranges.reset(frontier.size(), frontier_chunk_size(frontier.size(), jobs),
-                 jobs);
     buckets.clear();
-    buckets.resize(ranges.num_chunks());
-    return true;
+    buckets.resize(runner.num_chunks(frontier.size()));
+    return frontier.size();
   };
 
   // The first merge() call publishes the initial frontier (or reports the
   // degenerate zero-budget truncation) before any expansion work runs.
   {
     obs::Span span("compose", "rtv");
-    if (merge()) runner.run(process, merge);
+    runner.run(merge(), process, merge);
     out.index_ = ChokeIndex(out.ts, out.chokes);
   }
 
   if (obs::metrics_enabled()) {
     obs::Registry& reg = obs::Registry::global();
-    reg.counter("rtv_parallel_steal_attempts_total", "",
-                "Entries into the work-stealing path")
-        .add(ranges.steal_attempts());
-    reg.counter("rtv_parallel_steals_total", "",
-                "Successful chunk-range steals")
-        .add(ranges.steals());
     reg.counter("rtv_compose_states_total", "",
                 "Composed product states across runs")
         .add(out.ts.num_states());

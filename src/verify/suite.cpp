@@ -597,6 +597,12 @@ const json::Value& require(const json::Value& obj, std::string_view key,
   return json::require(obj, key, kind, what, kJsonContext);
 }
 
+std::size_t require_size(const json::Value& obj, std::string_view key,
+                         const char* what) {
+  return static_cast<std::size_t>(
+      json::require_whole(obj, key, what, kJsonContext));
+}
+
 }  // namespace
 
 SuiteReport parse_suite_report(const std::string& json) {
@@ -611,8 +617,7 @@ SuiteReport parse_suite_report(const json::Value& root) {
   SuiteReport report;
   report.mode = suite_mode_from_string(
       require(root, "mode", Kind::kString, "mode").string, kJsonContext);
-  report.jobs = static_cast<std::size_t>(
-      require(root, "jobs", Kind::kNumber, "jobs").number);
+  report.jobs = require_size(root, "jobs", "jobs");
   report.wall_seconds =
       require(root, "wall_seconds", Kind::kNumber, "wall seconds").number;
 
@@ -629,8 +634,7 @@ SuiteReport parse_suite_report(const json::Value& root) {
         kJsonContext);
     out.result.truncated_reason =
         require(rec, "stop_reason", Kind::kString, "stop reason").string;
-    out.result.states_explored = static_cast<std::size_t>(
-        require(rec, "states", Kind::kNumber, "states").number);
+    out.result.states_explored = require_size(rec, "states", "states");
     out.result.seconds =
         require(rec, "wall_seconds", Kind::kNumber, "wall seconds").number;
     out.cpu_seconds =
@@ -654,18 +658,12 @@ SuiteReport parse_suite_report(const json::Value& root) {
         out.lint.push_back(lint::diagnostic_from_json(d, kJsonContext));
     }
     // Absent when the slicer was off, bailed out, or removed nothing.
-    if (const json::Value* v = rec.find("sliced_modules")) {
-      if (v->kind != Kind::kNumber)
-        throw std::runtime_error(
-            "suite report JSON: sliced_modules is not a number");
-      out.sliced_modules = static_cast<std::size_t>(v->number);
-    }
-    if (const json::Value* v = rec.find("sliced_events")) {
-      if (v->kind != Kind::kNumber)
-        throw std::runtime_error(
-            "suite report JSON: sliced_events is not a number");
-      out.sliced_events = static_cast<std::size_t>(v->number);
-    }
+    if (rec.find("sliced_modules"))
+      out.sliced_modules =
+          require_size(rec, "sliced_modules", "sliced module count");
+    if (rec.find("sliced_events"))
+      out.sliced_events =
+          require_size(rec, "sliced_events", "sliced event count");
     out.result.message =
         require(rec, "message", Kind::kString, "message").string;
     for (const json::Value& label :

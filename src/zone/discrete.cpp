@@ -38,8 +38,9 @@ struct Violation {
 
 /// Per-chunk expansion output; merged in chunk-ordinal order, which is
 /// the sequential BFS order, so the interned configs, their parents and
-/// the violation reported are identical for every job count.
-struct ChunkOut {
+/// the violation reported are identical for every job count.  Padded to a
+/// cache line, so workers filling adjacent buckets do not share one.
+struct alignas(64) ChunkOut {
   /// The configs not interned before the layer, their records back to
   /// back, and per config its hash, parent and firing event (invalid for a
   /// delay tick).
@@ -135,7 +136,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     }
   };
 
-  WorkStealingRanges ranges;
+  LayeredRunner runner(jobs);
   std::vector<ChunkOut> buckets;
   // One scratch record per worker: the successor being built.
   std::vector<std::vector<Time>> scratch(jobs);
@@ -216,25 +217,23 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
   };
 
   std::vector<std::uint64_t> expanded(jobs, 0);
-  const auto process = [&](std::size_t worker) {
-    while (const auto chunk = ranges.next(worker)) {
-      if (stop_flag.load(std::memory_order_relaxed)) return;
-      ChunkOut& bucket = buckets[chunk->ordinal];
-      for (std::size_t i = chunk->begin; i != chunk->end; ++i) {
-        if (worker == 0) {
-          // Deadline, cancellation and progress all live in the RunClock,
-          // which is not thread-safe: only worker 0 polls it, the others
-          // observe the stop flag at chunk boundaries.
-          if (const char* reason = clock.tick(config_hash.size())) {
-            stop_flag.store(reason, std::memory_order_relaxed);
-            return;
-          }
+  const auto process = [&](std::size_t worker, LayeredRunner::Chunk chunk) {
+    if (stop_flag.load(std::memory_order_relaxed)) return;
+    ChunkOut& bucket = buckets[chunk.ordinal];
+    for (std::size_t i = chunk.begin; i != chunk.end; ++i) {
+      if (worker == 0) {
+        // Deadline, cancellation and progress all live in the RunClock,
+        // which is not thread-safe: only worker 0 polls it, the others
+        // observe the stop flag at chunk boundaries.
+        if (const char* reason = clock.tick(config_hash.size())) {
+          stop_flag.store(reason, std::memory_order_relaxed);
+          return;
         }
-        expand(static_cast<std::int32_t>(layer_begin + i), bucket,
-               scratch[worker]);
       }
-      expanded[worker] += chunk->end - chunk->begin;
+      expand(static_cast<std::int32_t>(layer_begin + i), bucket,
+             scratch[worker]);
     }
+    expanded[worker] += chunk.end - chunk.begin;
   };
 
   /// Unwind the parent chain into the firing-label trace (delay ticks have
@@ -255,25 +254,20 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     r.discrete_states = discrete_count;
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
-      // One flush per run: worker balance and steal activity.
+      // One flush per run: worker balance.
       obs::Registry& reg = obs::Registry::global();
       for (std::size_t w = 0; w < expanded.size(); ++w)
         reg.counter("rtv_parallel_worker_expanded_total",
                     "worker=\"" + std::to_string(w) + '"',
                     "Frontier items expanded per worker slot")
             .add(expanded[w]);
-      reg.counter("rtv_parallel_steal_attempts_total", "",
-                  "Entries into the work-stealing path")
-          .add(ranges.steal_attempts());
-      reg.counter("rtv_parallel_steals_total", "",
-                  "Successful chunk-range steals")
-          .add(ranges.steals());
     }
     record_engine_run(name(), r);
     return r;
   };
 
-  const auto merge = [&]() -> bool {
+  // Returns the next layer's width, 0 when the exploration ends.
+  const auto merge = [&]() -> std::size_t {
     // The whole layer is interned even when it holds a violation: a run
     // reports the configs of every layer it expanded, up to the budget.
     const Violation* first = nullptr;
@@ -292,17 +286,17 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
       result.message = first->description;
       result.trace_labels = unwind_labels(first->leaf);
       if (!first->extra.empty()) result.trace_labels.push_back(first->extra);
-      return false;
+      return 0;
     }
     if (const char* reason = stop_flag.load(std::memory_order_relaxed)) {
       result.truncated_reason = reason;
       RTV_WARN << "discrete exploration stopped: " << reason;
-      return false;
+      return 0;
     }
     if (budget_hit) {
       result.truncated_reason = stop_reason::kStateBudget;
       RTV_WARN << "discrete exploration truncated at " << config_hash.size();
-      return false;
+      return 0;
     }
 
     layer_begin = layer_end;
@@ -317,14 +311,10 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
                   "Completed BFS layers")
           .inc();
     }
-    if (width == 0) {
-      result.verdict = Verdict::kVerified;
-      return false;
-    }
-    ranges.reset(width, frontier_chunk_size(width, jobs), jobs);
+    if (width == 0) result.verdict = Verdict::kVerified;
     buckets.clear();
-    buckets.resize(ranges.num_chunks());
-    return true;
+    buckets.resize(runner.num_chunks(width));
+    return width;
   };
 
   // Seed layer 0 with the initial config, all its ages zero.
@@ -334,10 +324,9 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     intern(init.data(), init.size(), hash_record(init.data(), init.size()), -1,
            EventId::invalid());
     layer_end = 1;
-    ranges.reset(1, frontier_chunk_size(1, jobs), jobs);
-    buckets.resize(ranges.num_chunks());
+    buckets.resize(runner.num_chunks(1));
   }
-  LayeredRunner(jobs).run(process, merge);
+  runner.run(1, process, merge);
   return finish(result);
 }
 

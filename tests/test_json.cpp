@@ -467,4 +467,79 @@ TEST(JsonPins, GeneratorConfigIsByteIdentical) {
   EXPECT_EQ(fuzz::GeneratorConfig::from_json(cfg.to_json()), cfg);
 }
 
+// ---------------------------------------------------------------------------
+// Integer fields: whole numbers in range, or an error naming the field
+// ---------------------------------------------------------------------------
+
+/// The message `read` throws, or "" when it returns.
+template <typename Read>
+std::string read_error(Read read) {
+  try {
+    read();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonWholeNumbers, ReaderChecksKindFractionAndRange) {
+  const auto whole = [](const char* doc, std::int64_t lo, std::int64_t hi) {
+    return json::whole_number(parse(doc), "n", "test", lo, hi);
+  };
+  EXPECT_EQ(whole("3", 0, 10), 3);
+  EXPECT_EQ(whole("-1", -1, 10), -1);
+  EXPECT_EQ(whole("-9223372036854775808", INT64_MIN, 0), INT64_MIN);
+  EXPECT_EQ(read_error([&] { whole("2.5", 0, 10); }),
+            "test: field 'n' must be a whole number in [0, 10], got 2.5");
+  EXPECT_EQ(read_error([&] { whole("11", 0, 10); }),
+            "test: field 'n' must be a whole number in [0, 10], got 11");
+  EXPECT_EQ(read_error([&] { whole("\"3\"", 0, 10); }),
+            "test: field 'n' must be a whole number in [0, 10]");
+  // 2^63 and beyond do not fit an int64_t at all.
+  for (const char* big : {"9223372036854775808", "1e300", "-1e300"})
+    EXPECT_TRUE(mentions(read_error([&] { whole(big, INT64_MIN, INT64_MAX); }),
+                         "must be a whole number"))
+        << big;
+}
+
+/// A serve request with one generated obligation, with the first `from`
+/// after `anchor` replaced by `to`.
+std::string mutated_request(const std::string& anchor, const std::string& from,
+                            const std::string& to) {
+  serve::ServeRequest req;
+  req.max_states = 123456;
+  req.max_refinements = 77;
+  req.obligations.push_back(fuzz_obligation(1));
+  std::string doc = req.to_json();
+  const std::size_t at = doc.find(from, doc.find(anchor));
+  EXPECT_NE(at, std::string::npos) << anchor << " " << from;
+  return at == std::string::npos ? doc : doc.replace(at, from.size(), to);
+}
+
+TEST(JsonWholeNumbers, ServeRequestRejectsBadIntegersNamingTheField) {
+  struct Case {
+    std::string doc;
+    const char* field;
+  };
+  const std::string pair = "\"transitions\":[[";
+  const Case cases[] = {
+      {mutated_request(pair, pair, pair + "1e300,1],["), "'transition event'"},
+      {mutated_request(pair, pair, pair + "0.9,1],["), "'transition event'"},
+      {mutated_request("", "\"max_states\":123456", "\"max_states\":-1"),
+       "'max_states'"},
+      {mutated_request("", "\"max_refinements\":77",
+                       "\"max_refinements\":2.5"),
+       "'max_refinements'"},
+      {mutated_request("\"events\":[", "\"lo\":", "\"lo\":1e300,\"x\":"),
+       "'lo'"},
+  };
+  EXPECT_NO_THROW(serve::ServeRequest::parse(mutated_request("", "", "")));
+  for (const Case& c : cases) {
+    const std::string error =
+        read_error([&] { serve::ServeRequest::parse(c.doc); });
+    EXPECT_TRUE(mentions(error, c.field)) << c.field << ": " << error;
+    EXPECT_TRUE(mentions(error, "must be a whole number")) << error;
+  }
+}
+
 }  // namespace

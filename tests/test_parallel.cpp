@@ -9,18 +9,16 @@
 //     sequential composition, and its output is pinned;
 //   * the state budget is a hard insertion-time ceiling, and a budget cut
 //     in the middle of a layer keeps the same states at every job count;
-//   * the substrate primitives (WorkStealingRanges, LayeredRunner) hand
-//     out every chunk exactly once and survive a failing merge.
+//   * the substrate (LayeredRunner) runs every item and deals every chunk
+//     ordinal exactly once per layer, and survives a failing merge.
 #include "rtv/base/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -42,24 +40,41 @@ namespace {
 // Substrate primitives
 // ---------------------------------------------------------------------------
 
-TEST(WorkStealingRanges, EveryChunkHandedOutExactlyOnce) {
-  constexpr std::size_t kItems = 10'000, kChunk = 7, kWorkers = 4;
-  WorkStealingRanges ranges;
-  ranges.reset(kItems, kChunk, kWorkers);
-
-  std::vector<std::atomic<int>> claimed(kItems);
-  std::vector<std::thread> pool;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    pool.emplace_back([&, w] {
-      while (const auto chunk = ranges.next(w)) {
-        for (std::size_t i = chunk->begin; i != chunk->end; ++i)
-          claimed[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (std::size_t i = 0; i < kItems; ++i)
-    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
+TEST(LayeredRunner, EveryItemAndChunkRunsOncePerLayer) {
+  // Layers of widths 1, 7, 10,000 and 3 on four workers: every item of a
+  // layer runs exactly once, and the chunk ordinals the cursor deals cover
+  // [0, num_chunks(width)) once each, whichever worker takes them.
+  const std::vector<std::size_t> widths = {1, 7, 10'000, 3};
+  LayeredRunner runner(4);
+  std::size_t layer = 0;
+  std::vector<std::atomic<int>> items, chunks;
+  const auto size_layer = [&](std::size_t width) {
+    items = std::vector<std::atomic<int>>(width);
+    chunks = std::vector<std::atomic<int>>(runner.num_chunks(width));
+    return width;
+  };
+  const auto check_layer = [&] {
+    for (std::size_t i = 0; i < items.size(); ++i)
+      ASSERT_EQ(items[i].load(), 1) << "layer " << layer << " item " << i;
+    for (std::size_t c = 0; c < chunks.size(); ++c)
+      ASSERT_EQ(chunks[c].load(), 1) << "layer " << layer << " chunk " << c;
+  };
+  runner.run(
+      size_layer(widths[0]),
+      [&](std::size_t, LayeredRunner::Chunk chunk) {
+        ASSERT_LT(chunk.ordinal, chunks.size());
+        ASSERT_LE(chunk.end, items.size());
+        chunks[chunk.ordinal].fetch_add(1, std::memory_order_relaxed);
+        for (std::size_t i = chunk.begin; i != chunk.end; ++i)
+          items[i].fetch_add(1, std::memory_order_relaxed);
+      },
+      [&]() -> std::size_t {
+        check_layer();
+        return ++layer < widths.size() ? size_layer(widths[layer]) : 0;
+      });
+  EXPECT_EQ(layer, widths.size());
+  EXPECT_EQ(runner.num_chunks(1), 1u);
+  EXPECT_GT(runner.num_chunks(10'000), 4u);
 }
 
 TEST(LayeredRunner, MergeExceptionReleasesWorkersAndRethrows) {
@@ -68,11 +83,11 @@ TEST(LayeredRunner, MergeExceptionReleasesWorkersAndRethrows) {
   // the calling thread.
   LayeredRunner runner(4);
   std::atomic<int> layers{0};
-  EXPECT_THROW(runner.run([](std::size_t) {},
-                          [&]() -> bool {
+  EXPECT_THROW(runner.run(8, [](std::size_t, LayeredRunner::Chunk) {},
+                          [&]() -> std::size_t {
                             if (layers.fetch_add(1) == 2)
                               throw std::runtime_error("merge failed");
-                            return true;
+                            return 8;
                           }),
                std::runtime_error);
   EXPECT_EQ(layers.load(), 3);

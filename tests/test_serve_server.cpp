@@ -756,6 +756,24 @@ TEST(ServeShutdown, HugeWaitBlocksUntilTheShutdownRequest) {
   server->stop();
 }
 
+TEST(ServeShutdown, StopDoesNotWaitForThePoll) {
+  // stop() wakes the accept loop's poll instead of waiting out its 200 ms
+  // period: ten start/ping/stop cycles of one daemon take well under 1 s.
+  const std::string socket = unique_socket();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    auto server = start_server(socket);
+    Client client;
+    client.connect(socket);
+    EXPECT_TRUE(client.ping());
+    server->stop();
+  }
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(took, 1.0);
+}
+
 TEST(ServeProtocol, StartedDaemonRunsOnlyTheAcceptThread) {
   // Before any client connects, the daemon's one thread is the accept
   // loop: misses are computed by their requests, the heartbeat is logged
