@@ -101,8 +101,6 @@ class LayeredRunner {
 
   explicit LayeredRunner(std::size_t jobs) : jobs_(jobs ? jobs : 1) {}
 
-  std::size_t jobs() const { return jobs_; }
-
   /// The chunks a layer of `width` items is cut into: size the per-chunk
   /// buckets by it before returning the width from merge().
   std::size_t num_chunks(std::size_t width) const {
