@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "rtv/base/hash.hpp"
 #include "rtv/base/open_table.hpp"
 
 namespace rtv {
@@ -106,24 +105,14 @@ Module elaborate(const Netlist& netlist, const CircuitElaborateOptions& options)
     fall[i] = ts.add_event(transition_label(name, false), down_delay, kind);
   }
 
-  // Every state's node valuation, `words` words each, in one arena in id
-  // order; ids are interned through an OpenTable on one hash per id.
-  std::vector<Word> arena;
-  std::vector<std::size_t> hashes;
-  OpenTable table;
+  // Every state's node valuation, `words` words each, interned in id order.
+  RecordTable<Word> table;
   auto intern = [&](const Word* v) {
-    std::size_t h = n_nodes;
-    for (std::size_t k = 0; k < words; ++k) h = hash_mix(h, v[k]);
-    const std::size_t slot = table.find(h, [&](std::int32_t id) {
-      return hashes[id] == h &&
-             std::equal(v, v + words, arena.data() + id * words);
-    });
-    if (table.at(slot) >= 0) return StateId(table.at(slot));
-    const StateId s = ts.add_state();
-    arena.insert(arena.end(), v, v + words);
-    hashes.push_back(h);
-    table.fill(slot, static_cast<std::int32_t>(s.value()), hashes);
-    return s;
+    const std::size_t h = RecordTable<Word>::hash(v, words);
+    const auto p = table.probe(v, words, h);
+    if (p.id >= 0) return StateId(static_cast<StateId::underlying_type>(p.id));
+    table.insert(p, v, words, h);
+    return ts.add_state();
   };
 
   std::vector<Word> cur(words, 0), next(words);
@@ -142,11 +131,12 @@ Module elaborate(const Netlist& netlist, const CircuitElaborateOptions& options)
 
   // States are expanded in id order, which is the order a FIFO queue
   // would pop them in.
-  for (std::size_t id = 0; id < hashes.size(); ++id) {
-    if (hashes.size() > options.max_states)
+  for (std::size_t id = 0; id < table.size(); ++id) {
+    if (table.size() > options.max_states)
       throw std::runtime_error("circuit '" + netlist.name() +
                                "': state budget exhausted");
-    std::copy_n(arena.data() + id * words, words, cur.data());
+    const auto rec = table.record(static_cast<std::int32_t>(id));
+    std::copy(rec.begin(), rec.end(), cur.begin());
     std::fill(strong_up.begin(), strong_up.end(), 0);
     std::fill(weak_up.begin(), weak_up.end(), 0);
     std::fill(strong_down.begin(), strong_down.end(), 0);

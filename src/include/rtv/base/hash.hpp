@@ -3,8 +3,8 @@
 // Three primitives cover every hashing need in the tree:
 //
 //   * mix(h, v)      — the splitmix-style combine used by every state/tuple
-//                      hash (compose tuples, digitized configs, refined
-//                      states, bit vectors).  Order-sensitive.
+//                      hash (RecordTable's record hash, bit vectors).
+//                      Order-sensitive.
 //   * spread(h)      — a single golden-ratio multiply turning a possibly
 //                      clustered hash into well-distributed high bits (the
 //                      open-addressing table starts its probes there).

@@ -20,9 +20,9 @@
 //                       (alignas(64)) so adjacent chunks' writers do not
 //                       share one.
 //
-// Both loops intern states the same way: a packed arena behind an OpenTable
-// (rtv/base/open_table.hpp) that workers probe read-only while they expand
-// a layer into per-chunk buckets.  Determinism contract
+// Both loops intern states in one RecordTable (rtv/base/open_table.hpp),
+// which workers probe read-only while they expand a layer into per-chunk
+// buckets.  Determinism contract
 // (docs/ARCHITECTURE.md has the long form): the merge interns the buckets
 // in chunk order, which is the sequential BFS order, so state numbering,
 // the state budget's cut and the violation reported never depend on the

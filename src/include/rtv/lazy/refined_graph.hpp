@@ -14,20 +14,19 @@
 // found unblocked is re-decided only once its event has gained a pair.
 //
 // Layout (the flat, interned, successor-memoising zone graph idiom):
-//   * each state is one packed record in a uint16 arena — base id, the
-//     lengths of codes, order and gaps, then their entries — interned once
-//     and looked up through an OpenTable (rtv/base/open_table.hpp) of ids
-//     that compares against the arena;
+//   * each state is one packed uint16 record — base id, the lengths of
+//     codes, order and gaps, then their entries — interned once in a
+//     RecordTable (rtv/base/open_table.hpp), which numbers the states;
 //   * successors are one int32 slot per base transition of the state's
 //     base state, in one CSR array; kUnexpanded until first used; beside
 //     each slot one uint16 blocking memo: undecided, blocked, or the
 //     event's pair count (plus one) when last found unblocked;
 //   * each state also gets a dense *key id* naming its (base, codes, order)
-//     — the record minus its gaps — interned through a second table, so a
+//     — the record minus its gaps — interned in a second table, so a
 //     search can group states that differ only in their gap matrix, and
 //     the sum of its gaps, which rules out most entry-wise comparisons.
 //
-// Views returned by state() point into the arena and dangle once a
+// Views returned by state() point into the table and dangle once a
 // successor() or intern() interns a new state: re-fetch by id.
 #pragma once
 
@@ -60,7 +59,7 @@ class RefinedGraph {
   std::uint64_t changes() const { return changes_; }
 
   /// Number of interned states; ids are 0 .. size() - 1 in interning order.
-  std::size_t size() const { return record_.size(); }
+  std::size_t size() const { return records_.size(); }
 
   /// Id of the system's initial state, interned on first use.
   std::int32_t initial();
@@ -74,7 +73,7 @@ class RefinedGraph {
 
   /// Number of distinct (base, codes, order) keys among the interned
   /// states; key ids are 0 .. num_keys() - 1 in first-interning order.
-  std::size_t num_keys() const { return key_hash_.size(); }
+  std::size_t num_keys() const { return keys_.size(); }
   /// Key id of state `id`: equal for two states iff they differ at most in
   /// their gaps.
   std::int32_t key(std::int32_t id) const {
@@ -105,28 +104,23 @@ class RefinedGraph {
 
  private:
   using Tag = std::pair<std::size_t, bool>;
+  using Records = RecordTable<std::uint16_t>;
 
   Tag current_tag() const;
-  std::int32_t intern_key(std::int32_t id);
 
   const RefinedSystem* sys_;
   Tag tag_;
   std::uint64_t changes_;
   std::int32_t initial_ = kUnexpanded;
-  std::vector<std::uint16_t> arena_;
-  std::vector<std::size_t> record_;  ///< arena offset per state
-  std::vector<std::size_t> hash_;    ///< record hash per state
+  Records records_;                  ///< the states' records, by id
+  Records keys_;                     ///< the keys' words, by key id
   std::vector<std::int32_t> key_;    ///< key id per state
   std::vector<std::uint32_t> gap_sum_;  ///< gap_sum() per state
   std::vector<std::size_t> slots_;   ///< offset into succ_ per state
   std::vector<std::int32_t> succ_;
   std::vector<std::uint16_t> memo_;  ///< blocking memo per succ_ slot
-  OpenTable table_;                  ///< state ids by record hash
-  /// Per key id: the hash of its words and the first state with that key.
-  std::vector<std::size_t> key_hash_;
-  std::vector<std::int32_t> key_state_;
-  OpenTable key_table_;              ///< key ids by key hash
   RefinedState scratch_;  ///< advance() target, reused
+  std::vector<std::uint16_t> packed_;  ///< intern()'s candidate record, reused
 };
 
 }  // namespace rtv

@@ -5,8 +5,6 @@
 #include <cassert>
 #include <limits>
 
-#include "rtv/base/hash.hpp"
-
 namespace rtv {
 
 namespace {
@@ -28,23 +26,6 @@ void put32(std::vector<std::uint16_t>& a, std::size_t v) {
 
 std::size_t get32(const std::uint16_t* p) {
   return static_cast<std::size_t>(p[0]) | (static_cast<std::size_t>(p[1]) << 16);
-}
-
-std::size_t record_words(const std::uint16_t* rec) {
-  return kHeaderWords + get32(rec + 2) + get32(rec + 4) + get32(rec + 6);
-}
-
-/// One pass over the record, four words per mix.
-std::size_t hash_record(const std::uint16_t* rec, std::size_t words) {
-  std::size_t h = words;
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4)
-    h = hash_mix(h, static_cast<std::uint64_t>(rec[i]) |
-                        (static_cast<std::uint64_t>(rec[i + 1]) << 16) |
-                        (static_cast<std::uint64_t>(rec[i + 2]) << 32) |
-                        (static_cast<std::uint64_t>(rec[i + 3]) << 48));
-  for (; i < words; ++i) h = hash_mix(h, rec[i]);
-  return h;
 }
 
 /// First changes() value of a new graph: 2^32 apart for every graph this
@@ -70,18 +51,13 @@ void RefinedGraph::sync() {
   tag_ = now;
   ++changes_;
   initial_ = kUnexpanded;
-  arena_.clear();
-  record_.clear();
-  hash_.clear();
+  records_.clear();
+  keys_.clear();
   key_.clear();
   gap_sum_.clear();
   slots_.clear();
   succ_.clear();
   memo_.clear();
-  key_hash_.clear();
-  key_state_.clear();
-  table_.clear();
-  key_table_.clear();
 }
 
 std::int32_t RefinedGraph::initial() {
@@ -91,7 +67,7 @@ std::int32_t RefinedGraph::initial() {
 }
 
 RefinedStateView RefinedGraph::state(std::int32_t id) const {
-  const std::uint16_t* rec = arena_.data() + record_[static_cast<std::size_t>(id)];
+  const std::uint16_t* rec = records_.record(id).data();
   const std::size_t nc = get32(rec + 2), no = get32(rec + 4), ng = get32(rec + 6);
   const std::uint16_t* p = rec + kHeaderWords;
   return RefinedStateView(
@@ -103,7 +79,7 @@ RefinedStateView RefinedGraph::state(std::int32_t id) const {
 
 StateId RefinedGraph::base_state(std::int32_t id) const {
   return StateId(static_cast<StateId::underlying_type>(
-      get32(arena_.data() + record_[static_cast<std::size_t>(id)])));
+      get32(records_.record(id).data())));
 }
 
 bool RefinedGraph::blocked_edge(std::int32_t id, std::size_t k) {
@@ -134,42 +110,33 @@ std::pair<std::int32_t, bool> RefinedGraph::successor(std::int32_t id,
   if (succ_[slot] != kUnexpanded) return {succ_[slot], false};
   const StateId b = base_state(id);
   sys_->advance(state(id), base().transitions_from(b)[k].event, &scratch_);
-  const auto result = intern(scratch_);  // may grow arena_ and succ_
+  const auto result = intern(scratch_);  // may grow records_ and succ_
   succ_[slot] = result.first;
   return result;
 }
 
 std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
-  // Pack the candidate at the arena's tail; drop it again if known.
-  const std::size_t off = arena_.size();
-  put32(arena_, s.base.value());
-  put32(arena_, s.codes.size());
-  put32(arena_, s.order.size());
-  put32(arena_, s.gaps.size());
-  arena_.insert(arena_.end(), s.codes.begin(), s.codes.end());
-  arena_.insert(arena_.end(), s.order.begin(), s.order.end());
-  arena_.insert(arena_.end(), s.gaps.begin(), s.gaps.end());
-  const std::size_t words = arena_.size() - off;
-  const std::size_t h = hash_record(arena_.data() + off, words);
+  packed_.clear();
+  put32(packed_, s.base.value());
+  put32(packed_, s.codes.size());
+  put32(packed_, s.order.size());
+  put32(packed_, s.gaps.size());
+  packed_.insert(packed_.end(), s.codes.begin(), s.codes.end());
+  packed_.insert(packed_.end(), s.order.begin(), s.order.end());
+  packed_.insert(packed_.end(), s.gaps.begin(), s.gaps.end());
+  const std::size_t h = Records::hash(packed_.data(), packed_.size());
+  const Records::Probe p = records_.probe(packed_.data(), packed_.size(), h);
+  if (p.id >= 0) return {p.id, false};
+  const std::int32_t id = records_.insert(p, packed_.data(), packed_.size(), h);
 
-  const std::size_t i = table_.find(h, [&](std::int32_t id) {
-    const std::size_t other = record_[static_cast<std::size_t>(id)];
-    return hash_[static_cast<std::size_t>(id)] == h &&
-           record_words(arena_.data() + other) == words &&
-           std::equal(arena_.begin() + static_cast<std::ptrdiff_t>(off),
-                      arena_.end(),
-                      arena_.begin() + static_cast<std::ptrdiff_t>(other));
-  });
-  if (table_.at(i) >= 0) {
-    arena_.resize(off);
-    return {table_.at(i), false};
-  }
+  // The key is the record up to its gaps: the header (whose gap length
+  // follows from the order) plus codes and order.
+  const std::size_t key_words = kHeaderWords + s.codes.size() + s.order.size();
+  const std::size_t kh = Records::hash(packed_.data(), key_words);
+  const Records::Probe kp = keys_.probe(packed_.data(), key_words, kh);
+  key_.push_back(kp.id >= 0 ? kp.id
+                            : keys_.insert(kp, packed_.data(), key_words, kh));
 
-  const auto id = static_cast<std::int32_t>(record_.size());
-  record_.push_back(off);
-  hash_.push_back(h);
-  table_.fill(i, id, hash_);
-  key_.push_back(intern_key(id));
   std::uint64_t sum = 0;
   for (std::uint16_t g : s.gaps) sum += g;
   gap_sum_.push_back(static_cast<std::uint32_t>(
@@ -179,27 +146,6 @@ std::pair<std::int32_t, bool> RefinedGraph::intern(const RefinedState& s) {
                kUnexpanded);
   memo_.resize(succ_.size(), kUndecided);
   return {id, true};
-}
-
-std::int32_t RefinedGraph::intern_key(std::int32_t id) {
-  // The key is the record up to its gaps: the header (whose gap length
-  // follows from the order) plus codes and order.
-  const std::uint16_t* rec = arena_.data() + record_[static_cast<std::size_t>(id)];
-  const std::size_t words = kHeaderWords + get32(rec + 2) + get32(rec + 4);
-  const std::size_t h = hash_record(rec, words);
-  const std::size_t i = key_table_.find(h, [&](std::int32_t k) {
-    const std::uint16_t* other =
-        arena_.data() + record_[static_cast<std::size_t>(
-                            key_state_[static_cast<std::size_t>(k)])];
-    return key_hash_[static_cast<std::size_t>(k)] == h &&
-           std::equal(rec, rec + words, other);
-  });
-  if (key_table_.at(i) >= 0) return key_table_.at(i);
-  const auto k = static_cast<std::int32_t>(key_hash_.size());
-  key_hash_.push_back(h);
-  key_state_.push_back(id);
-  key_table_.fill(i, k, key_hash_);
-  return k;
 }
 
 }  // namespace rtv

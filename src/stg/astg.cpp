@@ -1,6 +1,7 @@
 #include "rtv/stg/astg.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <set>
@@ -91,12 +92,25 @@ struct ParseState {
                            "): " + message);
 }
 
+/// A bound in units: "inf", or a number whose ticks lie in [0,
+/// kTimeInfinity], the range the wire reader accepts (NaN fails both).
 Time parse_bound(int line, const std::string& tok) {
   if (tok == "inf" || tok == "INF") return kTimeInfinity;
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == nullptr || *end != '\0' || v < 0) fail(line, "bad delay '" + tok + "'");
+  const double ticks = v * static_cast<double>(kTicksPerUnit);
+  if (end == nullptr || *end != '\0' || !(ticks >= 0) ||
+      !(ticks <= static_cast<double>(kTimeInfinity)))
+    fail(line, "bad delay '" + tok + "'");
   return ticks_from_units(v);
+}
+
+/// A bound in units, exactly: the shortest text that reads back as the
+/// same double, which holds every quarter unit up to 2^51 units.
+std::string units_text(Time t) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, units_from_ticks(t));
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace
@@ -307,9 +321,9 @@ std::string write_astg(const Stg& stg) {
   for (std::size_t t = 0; t < stg.num_transitions(); ++t) {
     const DelayInterval d = stg.transition(t).delay;
     if (d.is_unbounded()) continue;
-    os << ".delay " << token[t] << " " << units_from_ticks(d.lo()) << " ";
+    os << ".delay " << token[t] << " " << units_text(d.lo()) << " ";
     if (d.upper_bounded()) {
-      os << units_from_ticks(d.hi());
+      os << units_text(d.hi());
     } else {
       os << "inf";
     }

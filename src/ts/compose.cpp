@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rtv/base/hash.hpp"
 #include "rtv/base/log.hpp"
 #include "rtv/base/open_table.hpp"
 #include "rtv/base/parallel.hpp"
@@ -47,12 +46,6 @@ std::vector<std::uint32_t> successor_table(const TransitionSystem& ts) {
         row[t.event.value()] = t.target.value();
   }
   return table;
-}
-
-std::size_t hash_tuple(const StateId* tuple, std::size_t n) {
-  std::size_t h = n;
-  for (std::size_t i = 0; i < n; ++i) h = hash_mix(h, tuple[i].value());
-  return h;
 }
 
 /// One product transition discovered during a layer's expansion.  A target
@@ -275,48 +268,33 @@ Composition compose(const std::vector<const Module*>& modules,
   //
   // Layer-synchronous parallel BFS (rtv/base/parallel.hpp): workers expand
   // disjoint chunks of the current frontier into per-chunk buckets (probing
-  // the tuple table read-only — it and the tuple arena are written only
-  // between layers), then the merge phase interns fresh tuples and appends
-  // transitions/chokes in chunk order.  That order equals the sequential
-  // (frontier, label) order, so the composition is identical for every job
-  // count.
-  std::vector<StateId>& arena = out.tuples_;
-  std::vector<std::size_t> state_hash;  ///< tuple hash per composed state
-  OpenTable table;                      ///< composed state ids by tuple hash
+  // the tuple table read-only — it is written only between layers), then
+  // the merge phase interns fresh tuples and appends transitions/chokes in
+  // chunk order.  That order equals the sequential (frontier, label) order,
+  // so the composition is identical for every job count.
+  using Table = RecordTable<StateId>;
+  Table table;  ///< composed state ids, numbered as out.ts's states
   std::vector<StateId> frontier, next_frontier;
   bool truncated_budget = false;
 
-  const auto same_tuple = [&](const StateId* tuple, std::size_t h) {
-    return [&arena, &state_hash, tuple, h, n_mod](std::int32_t id) {
-      const auto k = static_cast<std::size_t>(id);
-      return state_hash[k] == h &&
-             std::equal(tuple, tuple + n_mod, arena.data() + k * n_mod);
-    };
-  };
-
-  // Append a new composed state for `tuple`, whose probe ended at empty
-  // slot `slot` of the table.
-  const auto admit = [&](const StateId* tuple, std::size_t h,
-                         std::size_t slot) {
+  // Append a new composed state for `tuple`, which probe `p` did not find.
+  const auto admit = [&](const StateId* tuple, std::size_t h, Table::Probe p) {
     const StateId s = out.ts.add_state();
     if (with_valuations) out.ts.set_state_valuation(s, merged_valuation(tuple));
-    arena.insert(arena.end(), tuple, tuple + n_mod);
-    state_hash.push_back(h);
-    table.fill(slot, static_cast<std::int32_t>(s.value()), state_hash);
+    table.insert(p, tuple, n_mod, h);
     next_frontier.push_back(s);
     return s;
   };
 
   const auto intern = [&](const StateId* tuple,
                           std::size_t h) -> std::optional<StateId> {
-    const std::size_t slot = table.find(h, same_tuple(tuple, h));
-    if (table.at(slot) >= 0)
-      return StateId(static_cast<StateId::underlying_type>(table.at(slot)));
+    const Table::Probe p = table.probe(tuple, n_mod, h);
+    if (p.id >= 0) return StateId(static_cast<StateId::underlying_type>(p.id));
     if (out.ts.num_states() >= options.max_states) {
       truncated_budget = true;
       return std::nullopt;
     }
-    return admit(tuple, h, slot);
+    return admit(tuple, h, p);
   };
 
   {
@@ -327,9 +305,9 @@ Composition compose(const std::vector<const Module*>& modules,
     }
     // The initial state bypasses the cap: a composition without its initial
     // state is meaningless.  A zero budget still yields it, truncated.
-    const std::size_t h = hash_tuple(init_tuple.data(), n_mod);
-    const StateId s0 = admit(init_tuple.data(), h,
-                             table.find(h, same_tuple(init_tuple.data(), h)));
+    const std::size_t h = Table::hash(init_tuple.data(), n_mod);
+    const StateId s0 =
+        admit(init_tuple.data(), h, table.probe(init_tuple.data(), n_mod, h));
     out.ts.set_initial(s0);
     if (out.ts.num_states() > options.max_states) truncated_budget = true;
   }
@@ -360,7 +338,8 @@ Composition compose(const std::vector<const Module*>& modules,
         }
       }
       const StateId s = frontier[i];
-      const StateId* tuple = arena.data() + s.value() * n_mod;
+      const StateId* tuple =
+          table.record(static_cast<std::int32_t>(s.value())).data();
       std::copy(tuple, tuple + n_mod, next);
       std::fill(cand, cand + words, ~std::uint64_t{0});
       if (words) cand[words - 1] = last_word;
@@ -401,9 +380,8 @@ Composition compose(const std::vector<const Module*>& modules,
             }
           }
           if (blocker == n_mod) {
-            const std::size_t h = hash_tuple(next, n_mod);
-            const std::int32_t known =
-                table.at(table.find(h, same_tuple(next, h)));
+            const std::size_t h = Table::hash(next, n_mod);
+            const std::int32_t known = table.find(next, n_mod, h);
             PendingEdge edge{static_cast<std::uint32_t>(i),
                              static_cast<std::uint32_t>(li),
                              StateId::invalid()};
@@ -491,6 +469,7 @@ Composition compose(const std::vector<const Module*>& modules,
   {
     obs::Span span("compose", "rtv");
     runner.run(merge(), process, merge);
+    out.tuples_ = table.release();
     out.index_ = ChokeIndex(out.ts, out.chokes);
   }
 

@@ -6,7 +6,6 @@
 #include <span>
 #include <utility>
 
-#include "rtv/base/hash.hpp"
 #include "rtv/base/log.hpp"
 #include "rtv/base/open_table.hpp"
 #include "rtv/base/parallel.hpp"
@@ -22,12 +21,7 @@ namespace {
 /// use the full 64-bit Time range: every representable delay bound (up to
 /// kTimeInfinity) digitizes without wrapping, so large mixed-magnitude
 /// constants are limited only by the state budget.
-std::size_t hash_record(const Time* record, std::size_t n) {
-  std::size_t h = n;
-  for (std::size_t i = 0; i < n; ++i)
-    h = hash_mix(h, static_cast<std::size_t>(record[i]));
-  return h;
-}
+using ConfigTable = RecordTable<Time>;
 
 /// The first violation a chunk met, in expansion order.
 struct Violation {
@@ -82,53 +76,36 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
   //
   // Configs are numbered in BFS order, so each layer is a range of ids.
   // Workers expand disjoint chunks of the current layer into per-chunk
-  // buckets, probing the config table read-only (it and the arena are
-  // written only between layers); the merge then interns the buckets in
+  // buckets, probing the config table read-only (it is written only
+  // between layers); the merge then interns the buckets in
   // chunk order, which is the sequential discovery order, with the state
   // budget as an insertion-time ceiling.  The first bucket holding a
   // violation holds the earliest one in BFS order.
   const std::size_t jobs = resolve_jobs(request.jobs);
   const std::size_t cap = request.budget.max_states ? request.budget.max_states
                                                     : kDefaultDiscreteConfigs;
-  // Config k is arena[offset[k], offset[k + 1]), hashed config_hash[k],
-  // reached from config parent[k] (-1 for the initial config) by firing
-  // via[k] (invalid for a delay tick).
-  std::vector<Time> arena;
-  std::vector<std::size_t> offset{0};
-  std::vector<std::size_t> config_hash;
+  // Config k is table.record(k), reached from config parent[k] (-1 for the
+  // initial config) by firing via[k] (invalid for a delay tick).
+  ConfigTable table;
   std::vector<std::int32_t> parent;
   std::vector<EventId> via;
-  OpenTable table;  ///< config ids by record hash
   std::size_t layer_begin = 0, layer_end = 0;
   bool budget_hit = false;
 
   std::vector<bool> discrete_seen(ts.num_states(), false);
   std::size_t discrete_count = 0;
 
-  const auto same_record = [&](const Time* record, std::size_t n,
-                               std::size_t h) {
-    return [&, record, n, h](std::int32_t id) {
-      const auto k = static_cast<std::size_t>(id);
-      return config_hash[k] == h && offset[k + 1] - offset[k] == n &&
-             std::equal(record, record + n, arena.data() + offset[k]);
-    };
-  };
-
   const auto intern = [&](const Time* record, std::size_t n, std::size_t h,
                           std::int32_t from, EventId e) {
-    const std::size_t slot = table.find(h, same_record(record, n, h));
-    if (table.at(slot) >= 0) return;
-    if (config_hash.size() >= cap) {
+    const ConfigTable::Probe p = table.probe(record, n, h);
+    if (p.id >= 0) return;
+    if (table.size() >= cap) {
       budget_hit = true;
       return;
     }
-    arena.insert(arena.end(), record, record + n);
-    offset.push_back(arena.size());
-    config_hash.push_back(h);
+    table.insert(p, record, n, h);
     parent.push_back(from);
     via.push_back(e);
-    table.fill(slot, static_cast<std::int32_t>(config_hash.size() - 1),
-               config_hash);
     const auto s = static_cast<std::size_t>(record[0]);
     if (!discrete_seen[s]) {
       discrete_seen[s] = true;
@@ -144,7 +121,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
 
   const auto expand = [&](std::int32_t id, ChunkOut& bucket,
                           std::vector<Time>& next) {
-    const Time* cfg = arena.data() + offset[static_cast<std::size_t>(id)];
+    const Time* cfg = table.record(id).data();
     const Time* ages = cfg + 1;
     const StateId state(static_cast<StateId::underlying_type>(cfg[0]));
     const std::span<const EventId> clocked = index.pseudo_enabled(state);
@@ -155,10 +132,9 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
                                      std::move(extra)};
     };
     const auto offer = [&](EventId e) {
-      const std::size_t h = hash_record(next.data(), next.size());
-      const std::size_t slot =
-          table.find(h, same_record(next.data(), next.size(), h));
-      if (table.at(slot) >= 0) return;  // interned in an earlier layer
+      const std::size_t h = ConfigTable::hash(next.data(), next.size());
+      if (table.find(next.data(), next.size(), h) >= 0)
+        return;  // interned in an earlier layer
       bucket.records.insert(bucket.records.end(), next.begin(), next.end());
       bucket.hashes.push_back(h);
       bucket.parents.push_back(id);
@@ -225,7 +201,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
         // Deadline, cancellation and progress all live in the RunClock,
         // which is not thread-safe: only worker 0 polls it, the others
         // observe the stop flag at chunk boundaries.
-        if (const char* reason = clock.tick(config_hash.size())) {
+        if (const char* reason = clock.tick(table.size())) {
           stop_flag.store(reason, std::memory_order_relaxed);
           return;
         }
@@ -250,7 +226,7 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
   };
 
   const auto finish = [&](EngineResult r) {
-    r.states_explored = config_hash.size();
+    r.states_explored = table.size();
     r.discrete_states = discrete_count;
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
@@ -295,12 +271,12 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
     }
     if (budget_hit) {
       result.truncated_reason = stop_reason::kStateBudget;
-      RTV_WARN << "discrete exploration truncated at " << config_hash.size();
+      RTV_WARN << "discrete exploration truncated at " << table.size();
       return 0;
     }
 
     layer_begin = layer_end;
-    layer_end = config_hash.size();
+    layer_end = table.size();
     const std::size_t width = layer_end - layer_begin;
     if (obs::metrics_enabled()) {
       obs::Registry& reg = obs::Registry::global();
@@ -321,8 +297,8 @@ EngineResult DiscreteEngine::run(const EngineRequest& request) const {
   {
     std::vector<Time> init(1 + index.pseudo_enabled(ts.initial()).size(), 0);
     init[0] = static_cast<Time>(ts.initial().value());
-    intern(init.data(), init.size(), hash_record(init.data(), init.size()), -1,
-           EventId::invalid());
+    intern(init.data(), init.size(), ConfigTable::hash(init.data(), init.size()),
+           -1, EventId::invalid());
     layer_end = 1;
     buckets.resize(runner.num_chunks(1));
   }

@@ -104,6 +104,15 @@ TEST(Astg, RoundTripPreservesBehaviour) {
   // Initial signal values survive.
   EXPECT_EQ(a.ts().valuation(a.ts().initial()).test(a.ts().signal_index("V")),
             b.ts().valuation(b.ts().initial()).test(b.ts().signal_index("V")));
+
+  // Bounds that need more than six significant digits come back exact:
+  // [100000.25, 1234567.75] is ticks 400001 and 4938271.
+  const Stg wide = parse_astg_string(
+      ".model m\n.outputs x\n.graph\nx+ x-\nx- x+\n"
+      ".marking { <x-,x+> }\n.delay x+ 100000.25 1234567.75\n.end\n");
+  const Module w = elaborate(parse_astg_string(write_astg(wide)));
+  EXPECT_EQ(w.ts().delay(w.ts().event_by_label("x+")),
+            DelayInterval(400001, 4938271));
 }
 
 TEST(Astg, RoundTripAllLibraryModels) {
@@ -129,6 +138,20 @@ TEST(Astg, ErrorsAreReported) {
                    ".model m\n.outputs x\n.graph\nx+ x-\nx- x+\n"
                    ".marking { nowhere }\n.end\n"),
                std::runtime_error);
+  // Bounds that are not finite or lie beyond kTimeInfinity ticks.
+  for (const std::string bounds :
+       {"1e400 2", "nan 2", "-nan 2", "1 99999999999999999999", "1 1e400",
+        "1 nan"}) {
+    try {
+      parse_astg_string(
+          ".model m\n.outputs x\n.graph\nx+ x-\nx- x+\n"
+          ".marking { <x-,x+> }\n.delay x+ " + bounds + "\n.end\n");
+      ADD_FAILURE() << bounds << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad delay"), std::string::npos)
+          << bounds << ": " << e.what();
+    }
+  }
 }
 
 TEST(Astg, MarkingOnExplicitPlace) {

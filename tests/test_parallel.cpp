@@ -10,20 +10,26 @@
 //   * the state budget is a hard insertion-time ceiling, and a budget cut
 //     in the middle of a layer keeps the same states at every job count;
 //   * the substrate (LayeredRunner) runs every item and deals every chunk
-//     ordinal exactly once per layer, and survives a failing merge.
+//     ordinal exactly once per layer, and survives a failing merge;
+//   * the interning table (RecordTable) numbers records in insertion order,
+//     tells records apart that share a hash or a prefix, and answers
+//     concurrent finds as a sequential map does.
 #include "rtv/base/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
 #include "engine_support.hpp"
 #include "rtv/base/hash.hpp"
+#include "rtv/base/open_table.hpp"
 #include "rtv/base/rng.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/compose.hpp"
@@ -91,6 +97,134 @@ TEST(LayeredRunner, MergeExceptionReleasesWorkersAndRethrows) {
                           }),
                std::runtime_error);
   EXPECT_EQ(layers.load(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// RecordTable: the interning table of every packed-state arena
+// ---------------------------------------------------------------------------
+
+TEST(RecordTable, IdsFollowInsertionOrderAcrossRehashes) {
+  // 150,000 records of lengths 1 to 3 take the slots from 2^10 to 2^19
+  // (nine rehashes); each record keeps the id of its insertion.
+  constexpr std::int64_t kRecords = 150'000;
+  const auto make = [](std::int64_t k) {
+    std::vector<Time> rec{k};
+    for (std::int64_t i = 0; i < k % 3; ++i) rec.push_back(k * 7 + i);
+    return rec;
+  };
+  RecordTable<Time> table;
+  for (std::int64_t k = 0; k < kRecords; ++k) {
+    const std::vector<Time> rec = make(k);
+    const std::size_t h = RecordTable<Time>::hash(rec.data(), rec.size());
+    const auto p = table.probe(rec.data(), rec.size(), h);
+    ASSERT_EQ(p.id, -1) << k;
+    ASSERT_EQ(table.insert(p, rec.data(), rec.size(), h), k);
+  }
+  ASSERT_EQ(table.size(), static_cast<std::size_t>(kRecords));
+  for (std::int64_t k = 0; k < kRecords; ++k) {
+    const std::vector<Time> rec = make(k);
+    const auto id = static_cast<std::int32_t>(k);
+    ASSERT_EQ(table.find(rec.data(), rec.size(),
+                         RecordTable<Time>::hash(rec.data(), rec.size())),
+              id);
+    const auto stored = table.record(id);
+    ASSERT_TRUE(std::equal(stored.begin(), stored.end(), rec.begin(),
+                           rec.end()))
+        << k;
+  }
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  const std::vector<Time> first = make(0);
+  EXPECT_EQ(table.find(first.data(), first.size(),
+                       RecordTable<Time>::hash(first.data(), first.size())),
+            -1);
+}
+
+TEST(RecordTable, APrefixNeverMatchesTheLongerRecord) {
+  // Under one forced hash and under the real one: a record and its
+  // prefixes (a zero tail included, which the byte hash pads alike) are
+  // distinct records.
+  const std::vector<std::uint16_t> longest{1, 2, 3, 0, 5};
+  for (const bool forced : {true, false}) {
+    RecordTable<std::uint16_t> table;
+    const auto hash = [&](std::size_t n) {
+      return forced ? std::size_t{42}
+                    : RecordTable<std::uint16_t>::hash(longest.data(), n);
+    };
+    for (std::size_t n = longest.size(); n >= 1; --n) {
+      const auto p = table.probe(longest.data(), n, hash(n));
+      ASSERT_EQ(p.id, -1) << "length " << n << (forced ? " (forced)" : "");
+      table.insert(p, longest.data(), n, hash(n));
+    }
+    for (std::size_t n = 1; n <= longest.size(); ++n)
+      EXPECT_EQ(table.find(longest.data(), n, hash(n)),
+                static_cast<std::int32_t>(longest.size() - n));
+  }
+}
+
+TEST(RecordTable, DistinctRecordsUnderOneHashBothIntern) {
+  // 3,000 distinct tuples on one hash: one probe sequence, past three
+  // rehashes, and every tuple keeps its own id.
+  constexpr std::size_t kHash = 7;
+  RecordTable<StateId> table;
+  for (std::uint32_t k = 0; k < 3'000; ++k) {
+    const StateId rec[2] = {StateId(k / 5), StateId(k % 5)};
+    const auto p = table.probe(rec, 2, kHash);
+    ASSERT_EQ(p.id, -1) << k;
+    ASSERT_EQ(table.insert(p, rec, 2, kHash), static_cast<std::int32_t>(k));
+  }
+  for (std::uint32_t k = 0; k < 3'000; ++k) {
+    const StateId rec[2] = {StateId(k / 5), StateId(k % 5)};
+    ASSERT_EQ(table.find(rec, 2, kHash), static_cast<std::int32_t>(k));
+  }
+}
+
+TEST(RecordTable, ConcurrentFindsAgreeWithAMap) {
+  // A table filled from a random stream with repeats, then probed from
+  // four threads at once: every answer matches a sequential std::map.
+  Rng rng(33);
+  const auto random_tuple = [&] {
+    std::vector<StateId> rec(1 + rng.below(6));
+    for (StateId& s : rec) s = StateId(static_cast<std::uint32_t>(rng.below(8)));
+    return rec;
+  };
+  const auto key = [](const std::vector<StateId>& rec) {
+    std::vector<std::uint32_t> k;
+    for (StateId s : rec) k.push_back(s.value());
+    return k;
+  };
+  RecordTable<StateId> table;
+  std::map<std::vector<std::uint32_t>, std::int32_t> expected;
+  for (int i = 0; i < 40'000; ++i) {
+    const std::vector<StateId> rec = random_tuple();
+    const std::size_t h = RecordTable<StateId>::hash(rec.data(), rec.size());
+    const auto p = table.probe(rec.data(), rec.size(), h);
+    const auto [it, fresh] =
+        expected.emplace(key(rec), static_cast<std::int32_t>(table.size()));
+    ASSERT_EQ(p.id, fresh ? -1 : it->second) << i;
+    if (fresh) table.insert(p, rec.data(), rec.size(), h);
+  }
+  ASSERT_GT(table.size(), 10'000u);
+
+  std::vector<std::vector<StateId>> queries(20'000);
+  for (auto& q : queries) q = random_tuple();
+  std::vector<std::vector<std::int32_t>> found(4);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < found.size(); ++t)
+      threads.emplace_back([&, t] {
+        for (const auto& q : queries)
+          found[t].push_back(table.find(
+              q.data(), q.size(), RecordTable<StateId>::hash(q.data(), q.size())));
+      });
+    for (std::thread& th : threads) th.join();
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto it = expected.find(key(queries[i]));
+    const std::int32_t want = it == expected.end() ? -1 : it->second;
+    for (std::size_t t = 0; t < found.size(); ++t)
+      ASSERT_EQ(found[t][i], want) << "query " << i << " thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
