@@ -7,13 +7,15 @@
 //     line-delimited JSON requests/responses (rtv/serve/wire.hpp);
 //   * dispatch layer — every verify obligation is content-hashed
 //     (rtv/serve/cache.hpp).  A hit answers in O(1) from the verdict
-//     cache.  A miss registers an in-flight job keyed by the hash, so N
-//     clients asking the same question trigger exactly ONE computation —
-//     later askers attach to the pending job and share its outcome.
-//     The request that created jobs computes them itself, in one
+//     cache.  A request with misses computes them itself, in one
 //     run_suite call with the daemon's global --jobs budget, under a
 //     lock that lets one computation run at a time — so total worker
 //     concurrency is capped no matter how many clients are connected.
+//     Under that lock each miss is looked up again, so N clients asking
+//     the same question trigger exactly ONE computation: the twins that
+//     waited find its verdict cached (one the cache refuses to keep, an
+//     engine error say, is computed again).  A key repeated within one
+//     request is computed once as well.
 //     Incremental re-verification falls out of the same mechanism: an
 //     edited suite re-runs only the obligations whose content hash
 //     changed, the rest are served from cache with `cached: true`.

@@ -144,7 +144,7 @@ struct ServeStats {
   std::uint64_t requests = 0;        ///< protocol messages handled
   std::uint64_t obligations = 0;     ///< obligations across verify requests
   std::uint64_t cache_hits = 0;      ///< answered straight from the cache
-  std::uint64_t deduped = 0;         ///< attached to an in-flight twin
+  std::uint64_t deduped = 0;         ///< computed by a twin after a miss
   std::uint64_t computed = 0;        ///< actually dispatched to run_suite
   std::uint64_t lint_rejected = 0;   ///< fast-rejected by the lint pre-flight
   std::uint64_t errors = 0;          ///< requests answered ok:false

@@ -57,14 +57,15 @@ struct Obligation {
   std::vector<const Module*> modules;
   std::vector<const SafetyProperty*> properties;
   /// Per-obligation budget; fields left at their zero value inherit
-  /// SuiteOptions::budget (the cancel token is suite-wide and cannot be
-  /// overridden per obligation).
+  /// SuiteOptions::budget.  Its cancel token is ignored: cancellation is
+  /// suite-wide (SuiteOptions::budget.cancel).
   RunBudget budget;
   /// Batch mode only: run this registry engine instead of the suite-wide
   /// selection.  Empty = use SuiteOptions::engines.
   std::string engine;
-  /// Refinement-engine iteration cap; exact engines ignore it.
-  std::size_t max_refinements = 500;
+  /// Refinement-engine iteration cap; exact engines ignore it.  0 inherits
+  /// SuiteOptions::max_refinements.
+  std::size_t max_refinements = 0;
   bool track_chokes = true;
   /// Precomputed front_end(*this, options) for the SuiteOptions the suite
   /// runs under (not owned; must outlive run_suite), so nothing is redone.
@@ -132,7 +133,7 @@ struct SuiteOptions {
   /// (checked before each task starts and, while an engine runs, every
   /// progress_interval explored states).
   RunBudget budget;
-  /// Default refinement cap for obligations that keep the constructor value.
+  /// Refinement cap for obligations that leave theirs at 0.
   std::size_t max_refinements = 500;
   /// Optional progress stream, serialized across workers (called under a
   /// lock, from worker threads).

@@ -57,24 +57,15 @@ struct Server::Impl {
   /// One request obligation, prepared once.  The lint fast-reject, the
   /// key, the records' lint/slice fields and a miss's run_suite all read
   /// its one front end.
-  struct Prepared {
+  struct Pending {
     WireObligation wire;
     std::vector<std::unique_ptr<SafetyProperty>> properties;
     Obligation ob;  ///< ob.front_end points at fe
     FrontEnd fe;
-  };
-
-  /// One pending computation, keyed by its content hash; every client
-  /// asking the same question holds the same Job and waits on its cv.
-  struct Job {
     CacheKey key;
-    std::shared_ptr<const Prepared> prepared;
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    bool failed = false;
-    std::string error;
+    bool cached = false;  ///< answered without computing for this request
+    /// An earlier obligation of the same request with the same key.
+    const Pending* twin = nullptr;
     CachedOutcome outcome;
   };
 
@@ -391,18 +382,10 @@ struct Server::Impl {
   std::string handle_verify(ServeRequest req) {
     const auto t0 = std::chrono::steady_clock::now();
 
-    /// Where each requested obligation's rows come from: the cache, an
-    /// in-flight twin, or a job this request created.
-    struct Pending {
-      std::shared_ptr<Prepared> prepared;
-      CacheKey key;
-      bool cached = false;  ///< answered without computing for this request
-      std::shared_ptr<Job> job;  ///< null when `outcome` is already final
-      CachedOutcome outcome;
-    };
-
     ServeResponse resp;
-    std::vector<Pending> pending;
+    // Sized once and never grown: each ob.front_end points into its own
+    // element.
+    std::vector<Pending> pending(req.obligations.size());
     try {
       if (req.obligations.empty())
         throw std::runtime_error("verify request carries no obligations");
@@ -412,72 +395,43 @@ struct Server::Impl {
       so.budget.max_states = req.max_states;
       so.budget.max_seconds = req.max_seconds;
       so.max_refinements = req.max_refinements;
-      // Every front end and key before any job: a request that fails
-      // here (an unregistered engine, say) leaves no job in flight.
-      for (WireObligation& wire : req.obligations) {
-        Pending& p = pending.emplace_back();
-        p.prepared = std::make_shared<Prepared>();
-        Prepared& prep = *p.prepared;
-        prep.wire = std::move(wire);
-        prep.ob = prep.wire.obligation(prep.properties);
-        prep.fe = front_end(prep.ob, so);
-        prep.ob.front_end = &prep.fe;
+      // Every front end and key before any computation: a request that
+      // fails here (an unregistered engine, say) starts nothing.
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        Pending& p = pending[i];
+        p.wire = std::move(req.obligations[i]);
+        p.ob = p.wire.obligation(p.properties);
+        p.fe = front_end(p.ob, so);
+        p.ob.front_end = &p.fe;
         obligations.fetch_add(1, std::memory_order_relaxed);
-        if (!prep.fe.rejected())
-          p.key = obligation_cache_key(prep.wire, req.mode, prep.fe);
+        if (!p.fe.rejected())
+          p.key = obligation_cache_key(p.wire, req.mode, p.fe);
       }
 
-      std::vector<std::shared_ptr<Job>> own;
+      std::vector<Pending*> misses;
       for (Pending& p : pending) {
-        const Prepared& prep = *p.prepared;
         // Lint fast-reject: an obligation whose pre-flight has errors is
-        // answered right here — no key, no job, and the verdict cache
-        // never sees it (a broken model must not displace computable
-        // entries).
-        if (prep.fe.rejected()) {
+        // answered right here — no key, no computation, and the verdict
+        // cache never sees it (a broken model must not displace
+        // computable entries).
+        if (p.fe.rejected()) {
           lint_rejected.fetch_add(1, std::memory_order_relaxed);
           m_lint_rejected.inc();
-          for (const std::string& engine : prep.fe.engines) {
+          for (const std::string& engine : p.fe.engines) {
             SuiteRecord& r = p.outcome.records.emplace_back();
             r.engine = engine;
             r.result.truncated_reason = stop_reason::kLintError;
-            r.result.message = prep.fe.lint.diagnostics.front().format();
+            r.result.message = p.fe.lint.diagnostics.front().format();
           }
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(dispatch_mutex);
-        if (cache.get(p.key, &p.outcome)) {
+        } else if (cache.get(p.key, &p.outcome)) {
           p.cached = true;
           cache_hits.fetch_add(1, std::memory_order_relaxed);
           m_cache_hits.inc();
-        } else if (auto it = inflight.find(p.key); it != inflight.end()) {
-          p.cached = true;  // someone else is already computing it
-          p.job = it->second;
-          deduped.fetch_add(1, std::memory_order_relaxed);
-          m_deduped.inc();
         } else {
-          p.job = std::make_shared<Job>();
-          p.job->key = p.key;
-          p.job->prepared = p.prepared;
-          inflight.emplace(p.key, p.job);
-          own.push_back(p.job);
-          computed.fetch_add(1, std::memory_order_relaxed);
-          m_computed.inc();
+          misses.push_back(&p);
         }
       }
-      // This request's own jobs first, then the twins: every job is
-      // fulfilled exactly once by the request that created it, so no two
-      // requests can wait on each other.
-      if (!own.empty()) compute(own, req.mode);
-      for (Pending& p : pending) {
-        if (!p.job) continue;
-        std::unique_lock<std::mutex> lock(p.job->m);
-        p.job->cv.wait(lock, [&] { return p.job->done; });
-        if (p.job->failed)
-          throw std::runtime_error("obligation '" + p.prepared->ob.name +
-                                   "': " + p.job->error);
-        p.outcome = p.job->outcome;
-      }
+      if (!misses.empty()) compute(misses, req.mode);
     } catch (const std::exception& e) {
       return failed(e.what());
     }
@@ -488,11 +442,11 @@ struct Server::Impl {
     resp.report.jobs = resolve_jobs(options.jobs);
     for (Pending& p : pending) {
       for (SuiteRecord& rec : p.outcome.records) {
-        rec.obligation = p.prepared->ob.name;
+        rec.obligation = p.ob.name;
         rec.cached = p.cached;
         // The request's own facts, as a direct run_suite would report
         // them: a hit may come from a differently padded twin.
-        p.prepared->fe.annotate(rec);
+        p.fe.annotate(rec);
         resp.report.records.push_back(std::move(rec));
       }
     }
@@ -504,76 +458,70 @@ struct Server::Impl {
 
   // ---- compute layer ------------------------------------------------------
 
-  /// Run one request's jobs as one Suite and fulfil each.  One computation
-  /// at a time daemon-wide, so the --jobs budget caps total concurrency.
-  void compute(const std::vector<std::shared_ptr<Job>>& jobs, SuiteMode mode) {
+  /// Compute one request's cache misses as one Suite.  One computation at
+  /// a time daemon-wide, so the --jobs budget caps total concurrency.
+  /// Under that lock each miss is looked up again: a twin that another
+  /// request computed while this one waited is cached by now.  A key the
+  /// request repeats runs once.  Should run_suite throw, only this request
+  /// fails; a waiting twin finds no entry and computes the key itself.
+  void compute(const std::vector<Pending*>& misses, SuiteMode mode) {
     std::lock_guard<std::mutex> compute_lock(compute_mutex);
-    const obs::Span span(obs::tracing_active()
-                             ? "compute:" + std::to_string(jobs.size()) +
-                                   " job(s)"
-                             : std::string(),
-                         "serve");
+    // The first miss of each key; a single miss has nothing to repeat.
+    std::unordered_map<CacheKey, const Pending*, CacheKeyHash> first;
     // Each obligation carries the front end its request computed, so
     // run_suite neither resolves, lints nor slices it again.
     Suite suite;
-    for (const auto& job : jobs)
-      suite.obligations().push_back(job->prepared->ob);
-
-    SuiteOptions opts;
-    opts.mode = mode;
-    opts.jobs = options.jobs;
-    opts.budget.cancel = &cancel;
-
-    SuiteReport report;
-    try {
-      report = run_suite(suite, opts);
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(dispatch_mutex);
-      for (const auto& job : jobs) {
-        inflight.erase(job->key);
-        fail_job(job, e.what());
+    for (Pending* p : misses) {
+      p->cached = cache.get(p->key, &p->outcome);
+      if (!p->cached && misses.size() > 1) {
+        const auto [it, fresh] = first.try_emplace(p->key, p);
+        if (!fresh) {
+          p->twin = it->second;
+          p->cached = true;
+        }
       }
-      return;
+      if (p->cached) {
+        deduped.fetch_add(1, std::memory_order_relaxed);
+        m_deduped.inc();
+      } else {
+        suite.obligations().push_back(p->ob);
+        computed.fetch_add(1, std::memory_order_relaxed);
+        m_computed.inc();
+      }
     }
 
-    // Slice the obligation-major records back onto their jobs: each
-    // obligation produced one record per engine of its own selection.
-    auto rec = report.records.begin();
-    for (const auto& job : jobs) {
-      CachedOutcome outcome;
-      for (std::size_t k = job->prepared->fe.engines.size();
-           k > 0 && rec != report.records.end(); --k, ++rec) {
-        SuiteRecord& r = outcome.records.emplace_back(std::move(*rec));
-        // Keep only content (see CachedOutcome).
-        r.obligation.clear();
-        r.lint.clear();
-        r.sliced_modules = r.sliced_events = 0;
-        r.result.stats = std::monostate{};
-        r.result.discrete_states = 0;
-      }
-      {
-        std::lock_guard<std::mutex> lock(dispatch_mutex);
-        if (cacheable(outcome)) cache.put(job->key, outcome);
-        inflight.erase(job->key);
-      }
-      {
-        std::lock_guard<std::mutex> lock(job->m);
-        job->outcome = std::move(outcome);
-        job->done = true;
-      }
-      job->cv.notify_all();
-    }
-  }
+    if (!suite.empty()) {
+      const obs::Span span(obs::tracing_active()
+                               ? "compute:" + std::to_string(suite.size()) +
+                                     " obligation(s)"
+                               : std::string(),
+                           "serve");
+      SuiteOptions opts;
+      opts.mode = mode;
+      opts.jobs = options.jobs;
+      opts.budget.cancel = &cancel;
+      SuiteReport report = run_suite(suite, opts);
 
-  static void fail_job(const std::shared_ptr<Job>& job,
-                       const std::string& error) {
-    {
-      std::lock_guard<std::mutex> lock(job->m);
-      job->failed = true;
-      job->error = error;
-      job->done = true;
+      // Slice the obligation-major records back onto their obligations:
+      // each produced one record per engine of its own selection.
+      auto rec = report.records.begin();
+      for (Pending* p : misses) {
+        if (p->cached) continue;
+        for (std::size_t k = p->fe.engines.size();
+             k > 0 && rec != report.records.end(); --k, ++rec) {
+          SuiteRecord& r = p->outcome.records.emplace_back(std::move(*rec));
+          // Keep only content (see CachedOutcome).
+          r.obligation.clear();
+          r.lint.clear();
+          r.sliced_modules = r.sliced_events = 0;
+          r.result.stats = std::monostate{};
+          r.result.discrete_states = 0;
+        }
+        if (cacheable(p->outcome)) cache.put(p->key, p->outcome);
+      }
     }
-    job->cv.notify_all();
+    for (Pending* p : misses)
+      if (p->twin) p->outcome = p->twin->outcome;
   }
 
   // ---- stats --------------------------------------------------------------
@@ -613,12 +561,8 @@ struct Server::Impl {
   /// Connection threads that have returned and wait for reap_connections().
   std::vector<std::thread::id> finished_conns;
 
-  /// Guards the cache lookup and `inflight` as one step, so a key is
-  /// either cached, in flight or computed by exactly one request.
-  std::mutex dispatch_mutex;
-  std::unordered_map<CacheKey, std::shared_ptr<Job>, CacheKeyHash> inflight;
-
-  /// Held for a whole run_suite: one computation at a time.
+  /// Held for a miss's second lookup and its run_suite: one computation
+  /// at a time.
   std::mutex compute_mutex;
 
   std::mutex shutdown_mutex;
@@ -643,8 +587,8 @@ struct Server::Impl {
       "rtv_serve_cache_hits_total", "",
       "Obligations answered straight from the verdict cache");
   obs::Counter& m_deduped = obs::Registry::global().counter(
-      "rtv_serve_deduped_total",
-      "", "Obligations attached to an in-flight twin computation");
+      "rtv_serve_deduped_total", "",
+      "Obligations a twin computed after their cache lookup missed");
   obs::Counter& m_computed = obs::Registry::global().counter(
       "rtv_serve_computed_total", "",
       "Obligations actually dispatched to run_suite");

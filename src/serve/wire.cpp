@@ -355,7 +355,7 @@ Obligation WireObligation::obligation(
   ob.modules = module_ptrs();
   ob.budget = {max_states, max_seconds};
   ob.engine = engine;
-  if (max_refinements) ob.max_refinements = max_refinements;
+  ob.max_refinements = max_refinements;
   ob.track_chokes = track_chokes;
   for (const PropertySpec& spec : this->properties) {
     properties.push_back(spec.instantiate());

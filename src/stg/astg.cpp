@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -94,23 +95,57 @@ struct ParseState {
 
 /// A bound in units: "inf", or a number whose ticks lie in [0,
 /// kTimeInfinity], the range the wire reader accepts (NaN fails both).
+/// Plain decimals ("12", "12.", "12.75") are read exactly: integer units
+/// plus the fraction rounded to the nearest tick, so every bound
+/// units_text() writes reads back.  Other spellings (".5", "1e3", a sign,
+/// hex) go through a double.  No step depends on the locale.
 Time parse_bound(int line, const std::string& tok) {
   if (tok == "inf" || tok == "INF") return kTimeInfinity;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
+  const auto bad = [&] { fail(line, "bad delay '" + tok + "'"); };
+  const char* first = tok.data();
+  const char* const last = first + tok.size();
+  const auto all_digits = [](const char* a, const char* b) {
+    return std::all_of(a, b, [](char c) { return c >= '0' && c <= '9'; });
+  };
+
+  std::uint64_t units = 0;
+  const auto [int_end, int_ec] = std::from_chars(first, last, units);
+  if (int_ec == std::errc() &&
+      (int_end == last || (*int_end == '.' && all_digits(int_end + 1, last)))) {
+    double fraction = 0.0;  // ".ddd", exact enough to round to a tick
+    if (last - int_end > 1 &&
+        std::from_chars(int_end, last, fraction).ec != std::errc())
+      bad();
+    const Time ticks = std::llround(fraction * kTicksPerUnit);
+    if (units > static_cast<std::uint64_t>((kTimeInfinity - ticks) /
+                                           kTicksPerUnit))
+      bad();
+    return static_cast<Time>(units) * kTicksPerUnit + ticks;
+  }
+
+  const bool negative = *first == '-';
+  if (negative || *first == '+') ++first;
+  auto format = std::chars_format::general;
+  if (last - first > 2 && first[0] == '0' && (first[1] | 0x20) == 'x') {
+    first += 2;
+    format = std::chars_format::hex;
+  }
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, v, format);
+  if (negative) v = -v;
   const double ticks = v * static_cast<double>(kTicksPerUnit);
-  if (end == nullptr || *end != '\0' || !(ticks >= 0) ||
+  if (ec != std::errc() || end != last || !(ticks >= 0) ||
       !(ticks <= static_cast<double>(kTimeInfinity)))
-    fail(line, "bad delay '" + tok + "'");
+    bad();
   return ticks_from_units(v);
 }
 
-/// A bound in units, exactly: the shortest text that reads back as the
-/// same double, which holds every quarter unit up to 2^51 units.
+/// A bound in units, exactly: integer units and the quarter, so every Time
+/// in [0, kTimeInfinity] reads back.
 std::string units_text(Time t) {
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof buf, units_from_ticks(t));
-  return std::string(buf, r.ptr);
+  static_assert(kTicksPerUnit == 4, "one suffix per quarter unit");
+  static constexpr const char* kQuarter[] = {"", ".25", ".5", ".75"};
+  return std::to_string(t / kTicksPerUnit) + kQuarter[t % kTicksPerUnit];
 }
 
 }  // namespace

@@ -156,8 +156,8 @@ FrontEnd front_end(const Obligation& ob, const SuiteOptions& options) {
   fe.budget.max_seconds = ob.budget.max_seconds > 0.0
                               ? ob.budget.max_seconds
                               : options.budget.max_seconds;
-  fe.max_refinements = ob.max_refinements != 500 ? ob.max_refinements
-                                                 : options.max_refinements;
+  fe.max_refinements =
+      ob.max_refinements ? ob.max_refinements : options.max_refinements;
 
   // One dependency graph feeds the slicer and the lint pass, and lint's
   // cone notes read this slice rather than slicing again.
@@ -326,11 +326,8 @@ SuiteReport run_suite(const Suite& suite, const SuiteOptions& options) {
     // composition and engines poll ctl.token every tick, so cancelling it
     // here stops the run within one progress interval of the external
     // token firing.
-    const CancelToken* ob_cancel = ob.budget.cancel;
-    const auto report_progress = [&, ob_cancel](const EngineProgress& p) {
-      if ((suite_cancel && suite_cancel->cancelled()) ||
-          (ob_cancel && ob_cancel->cancelled()))
-        ctl.token.cancel();
+    const auto report_progress = [&](const EngineProgress& p) {
+      if (suite_aborted()) ctl.token.cancel();
       if (options.progress) {
         std::lock_guard<std::mutex> lock(progress_mutex);
         options.progress(p);

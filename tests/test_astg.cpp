@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "rtv/stg/elaborate.hpp"
 #include "rtv/stg/library.hpp"
 
@@ -106,13 +110,20 @@ TEST(Astg, RoundTripPreservesBehaviour) {
             b.ts().valuation(b.ts().initial()).test(b.ts().signal_index("V")));
 
   // Bounds that need more than six significant digits come back exact:
-  // [100000.25, 1234567.75] is ticks 400001 and 4938271.
-  const Stg wide = parse_astg_string(
-      ".model m\n.outputs x\n.graph\nx+ x-\nx- x+\n"
-      ".marking { <x-,x+> }\n.delay x+ 100000.25 1234567.75\n.end\n");
-  const Module w = elaborate(parse_astg_string(write_astg(wide)));
-  EXPECT_EQ(w.ts().delay(w.ts().event_by_label("x+")),
-            DelayInterval(400001, 4938271));
+  // [100000.25, 1234567.75] is ticks 400001 and 4938271, and 2^53 + 1
+  // ticks is more than a double holds.
+  const std::pair<std::string, DelayInterval> wide_bounds[] = {
+      {"100000.25 1234567.75", DelayInterval(400001, 4938271)},
+      {"1 2251799813685248.25",
+       DelayInterval(4, (std::int64_t{1} << 53) + 1)},
+  };
+  for (const auto& [bounds, delay] : wide_bounds) {
+    const Stg wide = parse_astg_string(
+        ".model m\n.outputs x\n.graph\nx+ x-\nx- x+\n"
+        ".marking { <x-,x+> }\n.delay x+ " + bounds + "\n.end\n");
+    const Module w = elaborate(parse_astg_string(write_astg(wide)));
+    EXPECT_EQ(w.ts().delay(w.ts().event_by_label("x+")), delay) << bounds;
+  }
 }
 
 TEST(Astg, RoundTripAllLibraryModels) {

@@ -1,6 +1,6 @@
 // The `rtv serve` daemon end to end, over real Unix-domain sockets: the
 // protocol, cold/warm cache behaviour, incremental re-verification,
-// in-flight deduplication under concurrent clients, budget-key soundness,
+// twin deduplication within and across requests, budget-key soundness,
 // restart persistence, the heartbeat and the daemon's thread count.
 #include <gtest/gtest.h>
 
@@ -97,8 +97,9 @@ class CountingEngine final : public Engine {
   }
   EngineResult run(const EngineRequest& request) const override {
     runs().fetch_add(1);
-    // Linger so every concurrent client arrives while the job is still
-    // in flight (the window the dedup map must cover).
+    // Linger so every concurrent client's first lookup misses while this
+    // computation runs (the window the lookup under the compute lock must
+    // cover).
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     return engine_registry().find("refine")->run(request);
   }
@@ -459,8 +460,8 @@ TEST(ServeDedup, ConcurrentIdenticalRequestsComputeOnce) {
       if (resp.ok && resp.has_report && resp.report.records.size() == 1 &&
           resp.report.records[0].result.verdict == Verdict::kVerified)
         ok_count.fetch_add(1);
-      // Exactly one requester is the computation's creator
-      // (cached == false); attachers and late hits see cached == true.
+      // Exactly one requester computes (cached == false); twins found by
+      // the lookup under the compute lock and late hits see cached == true.
       if (resp.ok && !resp.report.records[0].cached)
         computed_count.fetch_add(1);
     });
@@ -476,6 +477,32 @@ TEST(ServeDedup, ConcurrentIdenticalRequestsComputeOnce) {
   EXPECT_EQ(stats.computed, 1u);
   EXPECT_EQ(stats.deduped + stats.cache_hits,
             static_cast<std::uint64_t>(kClients - 1));
+  server->stop();
+}
+
+TEST(ServeDedup, RepeatedObligationInOneRequestComputesOnce) {
+  const std::string socket = unique_socket();
+  auto server = start_server(socket);
+  Client client;
+  client.connect(socket);
+
+  const ServeResponse resp = client.call(
+      verify_request({intro_obligation("first"), intro_obligation("second")}));
+  ASSERT_TRUE(resp.ok) << resp.error;
+  ASSERT_EQ(resp.report.records.size(), 2u);
+  const SuiteRecord& first = resp.report.records[0];
+  const SuiteRecord& second = resp.report.records[1];
+  EXPECT_EQ(first.obligation, "first");
+  EXPECT_EQ(second.obligation, "second");
+  EXPECT_EQ(first.result.verdict, Verdict::kVerified);
+  EXPECT_EQ(second.result.verdict, first.result.verdict);
+  EXPECT_FALSE(first.cached);
+  EXPECT_TRUE(second.cached);
+
+  const ServeStats stats = client.get_stats();
+  EXPECT_EQ(stats.computed, 1u);
+  EXPECT_EQ(stats.deduped, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
   server->stop();
 }
 

@@ -58,7 +58,8 @@ void add_ipcmos_obligation(Suite& suite, const std::string& name) {
 EngineResult run_sequential(const Obligation& ob, const char* engine_name) {
   EngineRequest req;
   req.budget = ob.budget;
-  req.max_refinements = ob.max_refinements;
+  req.max_refinements =
+      ob.max_refinements ? ob.max_refinements : SuiteOptions{}.max_refinements;
   return test::decide(engine_name, ob.modules, ob.properties, req);
 }
 
@@ -334,6 +335,23 @@ TEST(SuiteFrontEnd, ResolvesEnginesAndBudgetLikeTheScheduler) {
   EXPECT_TRUE(fe.lint.clean());
   EXPECT_TRUE(fe.slice.identity);
   EXPECT_EQ(fe.slice.modules, ob.modules);
+}
+
+TEST(SuiteFrontEnd, AnExplicitCapOf500IsKeptUnderASmallerSuiteDefault) {
+  // 500 is an ordinary cap, not "inherit": Table 1 obligation 2 needs 19
+  // refinements, so the suite default of 1 would end it INCONCLUSIVE.
+  const Suite table1 = ipcmos::table1_suite();
+  Suite suite;
+  suite.obligations().push_back(table1.obligations()[1]);
+  suite.obligations().front().max_refinements = 500;
+  SuiteOptions opts;
+  opts.max_refinements = 1;
+  EXPECT_EQ(front_end(suite.obligations().front(), opts).max_refinements,
+            500u);
+  const SuiteReport report = run_suite(suite, opts);
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.records[0].result.verdict, Verdict::kVerified)
+      << report.records[0].result.message;
 }
 
 TEST(SuitePortfolio, WinnerMatchesSequentialAndLoserIsCancelled) {
